@@ -143,7 +143,8 @@ func BenchmarkFingerprint(b *testing.B) {
 	}
 }
 
-// Adversary fingerprinting: the binary graph-cache key in the Engine.
+// Adversary fingerprinting: the binary key that identifies a search
+// witness's strict-win adversary in analysis reports.
 func BenchmarkAdversaryFingerprint(b *testing.B) {
 	adv, err := model.Collapse(model.CollapseParams{K: 3, R: 6, ExtraCorrect: 4})
 	if err != nil {
@@ -207,12 +208,11 @@ func sweepAdversary(b *testing.B) (*setconsensus.Adversary, int) {
 
 func BenchmarkSweepSharedGraph(b *testing.B) {
 	adv, tb := sweepAdversary(b)
-	// Cache off: every iteration pays for exactly one graph, shared by
-	// all protocols of the sweep.
+	// Every iteration pays for exactly one graph, shared by all
+	// protocols of the sweep.
 	eng := setconsensus.New(
 		setconsensus.WithCrashBound(tb),
 		setconsensus.WithDegree(3),
-		setconsensus.WithGraphCache(0),
 		setconsensus.WithParallelism(1),
 	)
 	ctx := context.Background()
@@ -255,11 +255,8 @@ func sweepSpace() setconsensus.Space {
 }
 
 func sweepSpaceEngine() *setconsensus.Engine {
-	// Cache off: both paths pay one fresh graph per adversary, so the
-	// comparison isolates the delivery machinery.
 	return setconsensus.New(
 		setconsensus.WithCrashBound(2),
-		setconsensus.WithGraphCache(0),
 	)
 }
 
@@ -307,7 +304,6 @@ func BenchmarkGovernedSweep(b *testing.B) {
 	gov := govern.New(0, 0)
 	eng := setconsensus.New(
 		setconsensus.WithCrashBound(2),
-		setconsensus.WithGraphCache(0),
 		setconsensus.WithGovernor(gov),
 	)
 	ctx := context.Background()
@@ -351,21 +347,3 @@ func benchAnalyze(b *testing.B, parallelism int) {
 
 func BenchmarkAnalyze(b *testing.B)           { benchAnalyze(b, 4) }
 func BenchmarkAnalyzeSequential(b *testing.B) { benchAnalyze(b, 1) }
-
-func BenchmarkSweepCachedGraphs(b *testing.B) {
-	adv, tb := sweepAdversary(b)
-	// Cache on: after the first iteration the graph is a map hit.
-	eng := setconsensus.New(
-		setconsensus.WithCrashBound(tb),
-		setconsensus.WithDegree(3),
-		setconsensus.WithParallelism(1),
-	)
-	ctx := context.Background()
-	advs := []*setconsensus.Adversary{adv}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.Sweep(ctx, sweepRefs, advs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -51,7 +51,6 @@ func TestDeltaSweepMatchesCanonicalRandomized(t *testing.T) {
 		eng := setconsensus.New(
 			setconsensus.WithCrashBound(f),
 			setconsensus.WithParallelism(2),
-			setconsensus.WithGraphCache(0),
 		)
 
 		advs, err := space.Adversaries()

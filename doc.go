@@ -92,7 +92,6 @@
 //	WithCrashBound    -1       crash bound t; -1 means n−1 per adversary
 //	WithDegree        1        coordination degree k (1 = consensus)
 //	WithHorizon       0        0 = each protocol's registered worst case (override: Oracle only)
-//	WithGraphCache    64       cached knowledge graphs; 0 disables
 //	WithParallelism   NumCPU   Sweep/Analyze worker-pool size
 //	WithRegistry      default  protocol name resolution
 //	WithAnalyses      default  analysis family resolution
@@ -274,9 +273,11 @@
 // run word-parallel over the arena (internal/bitset supplies the
 // AndNotCount / OrCount / CopyFrom kernels). Building a graph costs six
 // allocations regardless of n and horizon; a knowledge.Builder with
-// Graph.Release recycles even those, and aggregating sweeps
-// (SweepSource with the graph cache disabled) give each worker a
-// private builder so a whole shard reuses one arena. Because an
+// Graph.Release recycles even those. The engine has one graph lifetime
+// per path: aggregating sweeps (SweepSource) and the analysis compile
+// give each worker a private builder, so a whole shard reuses one
+// arena, while Run, Sweep and the stream variants build one fresh graph
+// per adversary, because a Result may keep its graph. Because an
 // exhaustive enumeration yields every input vector of one canonical
 // failure pattern consecutively, the Builder additionally revives a
 // released same-pattern graph: the views, known-crash, and hidden
@@ -337,13 +338,13 @@
 // carving adversaries out of slab blocks. The aggregating path
 // allocates ~2 objects per adversary, all of them the adversary itself.
 //
-// Cache keys are compact binary encodings, not rendered strings: both
+// Identity keys are compact binary encodings, not rendered strings: both
 // the per-view Fingerprint (view interning in the unbeatability search
-// and protocol complexes) and Adversary.Fingerprint (the engine's graph
-// cache) encode varints plus raw bitset words and are hashed once by
-// the map that holds them. Protocol instances are cached per
-// (ref, params) — decision rules are pure functions of the view, so one
-// instance serves all workers.
+// and protocol complexes, hashed once by the map that holds it) and
+// Adversary.Fingerprint (a search witness's strict-win adversary,
+// rendered as hex in reports) encode varints plus raw bitset words.
+// Protocol instances are cached per (ref, params) — decision rules are
+// pure functions of the view, so one instance serves all workers.
 //
 // The analysis pipeline reuses all of it: search compilation runs on
 // RunInto with Builder-revived graphs and interns views through

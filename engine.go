@@ -15,8 +15,9 @@ import (
 
 // Engine is the context-aware entry point to every execution backend. It
 // resolves protocols by name through a Registry, runs them on the
-// configured Backend, shares and caches knowledge graphs, and batches
-// whole protocol × adversary sweeps over a worker pool.
+// configured Backend, shares one knowledge graph among the protocols run
+// on an adversary, and batches whole protocol × adversary sweeps over a
+// worker pool.
 //
 //	eng := setconsensus.New(setconsensus.WithDegree(2), setconsensus.WithCrashBound(3))
 //	res, err := eng.Run(ctx, "optmin", adv)
@@ -35,12 +36,14 @@ import (
 //     buffer — the engine folds it into the per-worker accumulators and
 //     never lets it escape. Anything that retains Results (Run, Sweep,
 //     the stream variants) goes through Backend.Run instead.
-//   - Knowledge graphs: with the graph cache disabled, each aggregating
-//     worker rebuilds graphs in one reused Builder arena and releases
-//     them as soon as the adversary's runs are folded; consecutive
-//     adversaries sharing a failure pattern revive the previous arena
-//     and recompute only the value layer. Cached graphs are shared and
-//     retained, so recycling never applies to them.
+//   - Knowledge graphs have one lifetime per path. Aggregating sweeps
+//     and the analysis compile build each graph in the worker's reused
+//     Builder arena and release it as soon as the adversary's runs are
+//     folded; consecutive adversaries sharing a failure pattern revive
+//     or patch the previous arena. Run, Sweep and the stream variants
+//     build one fresh knowledge.New graph per adversary, shared by that
+//     adversary's protocols and never recycled, because
+//     Result.KnowledgeGraph lets callers keep it.
 //   - Summary shards: each worker folds into private agg.Acc
 //     accumulators and merges them into the Aggregator exactly once,
 //     when its shard is drained (Summary.Merge is the public form of
@@ -78,9 +81,9 @@ type Engine struct {
 	// statBuilt/statRevived/statPatched accumulate the builder counts
 	// harvested when a worker returns its kit — the engine-wide "graphs
 	// rebuilt vs revived vs delta-patched" observability counters behind
-	// Stats. They only move on the recycling path (graph cache disabled,
-	// or an analysis compile); cached graphs are counted by CachedGraphs
-	// instead.
+	// Stats. They only move on the Builder path (aggregating sweeps and
+	// the analysis compile); the fresh graphs of Run and Sweep are not
+	// counted.
 	statBuilt   atomic.Int64
 	statRevived atomic.Int64
 	statPatched atomic.Int64
@@ -98,10 +101,6 @@ type Engine struct {
 	statChunkMiss atomic.Int64
 
 	mu         sync.Mutex
-	graphs     map[graphKey]*knowledge.Graph
-	graphOrder []graphKey // FIFO eviction
-	fps        map[*model.Adversary]string
-	fpOrder    []*model.Adversary // FIFO eviction, same bound as graphs
 	protos     map[protoKey]protoEntry
 	protoOrder []protoKey // FIFO eviction, bounded by protoCacheBound
 }
@@ -128,14 +127,13 @@ type protoEntry struct {
 const protoCacheBound = 512
 
 // insertBounded adds key→val to a FIFO-bounded cache, evicting oldest
-// entries until the bound holds. It is the single home of the eviction
-// invariant for all three engine caches (graphs, fingerprints,
-// protocols): bound ≤ 0 disables insertion outright rather than evicting
-// forever, and an existing key is left in place. Eviction copies the
-// order slice down and zeroes the vacated tail slot — re-slicing the
-// front off (order = order[1:]) would keep every evicted key reachable
-// through the backing array, pinning adversaries and graph keys for the
-// life of the engine. Callers hold e.mu.
+// entries until the bound holds. It serves the protocol cache, the only
+// cache the engine keeps: bound ≤ 0 disables insertion outright rather
+// than evicting forever, and an existing key is left in place. Eviction
+// copies the order slice down and zeroes the vacated tail slot —
+// re-slicing the front off (order = order[1:]) would keep every evicted
+// key reachable through the backing array for the life of the engine.
+// Callers hold e.mu.
 func insertBounded[K comparable, V any](m map[K]V, order *[]K, key K, val V, bound int) {
 	if bound <= 0 {
 		return
@@ -152,14 +150,6 @@ func insertBounded[K comparable, V any](m map[K]V, order *[]K, key K, val V, bou
 	}
 	m[key] = val
 	*order = append(*order, key)
-}
-
-// graphKey identifies a cached knowledge graph by the adversary's
-// canonical fingerprint — not its pointer — so structurally equal
-// adversaries built by different calls share one cached graph.
-type graphKey struct {
-	fingerprint string
-	horizon     int
 }
 
 // New builds an Engine from the defaults plus the given options. Invalid
@@ -200,8 +190,6 @@ func newEngine(cfg engineConfig) *Engine {
 		reg:      cfg.reg,
 		analyses: cfg.analyses,
 		gov:      cfg.gov,
-		graphs:   make(map[graphKey]*knowledge.Graph),
-		fps:      make(map[*model.Adversary]string),
 		protos:   make(map[protoKey]protoEntry),
 	}
 	if cfg.reg == nil {
@@ -277,53 +265,6 @@ func advString(adv *Adversary) func() string {
 	}
 }
 
-// fingerprintFor memoizes Adversary.Fingerprint by pointer identity:
-// even with the compact binary encoding (varints + delivery-mask words,
-// hashed once by the cache map instead of the old fmt-rendered string),
-// deriving the key walks the whole failure pattern, and repeated
-// Run/Sweep calls overwhelmingly reuse the same adversary value.
-// Streamed sources yield fresh pointers and never hit, but their miss
-// cost (one map insert + eviction under a lock held for nanoseconds) is
-// noise next to the fingerprint computation itself, which a miss pays
-// either way. Bounded FIFO like the graph cache.
-func (e *Engine) fingerprintFor(adv *model.Adversary) string {
-	e.mu.Lock()
-	if fp, ok := e.fps[adv]; ok {
-		e.mu.Unlock()
-		return fp
-	}
-	e.mu.Unlock()
-	fp := adv.Fingerprint()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	insertBounded(e.fps, &e.fpOrder, adv, fp, e.params.GraphCache)
-	return fp
-}
-
-// graphFor returns the knowledge graph of adv at horizon, from the cache
-// when possible. Graphs are immutable after construction, so sharing is
-// safe across goroutines.
-func (e *Engine) graphFor(adv *model.Adversary, horizon int) *knowledge.Graph {
-	if e.params.GraphCache == 0 {
-		return knowledge.New(adv, horizon)
-	}
-	key := graphKey{e.fingerprintFor(adv), horizon}
-	e.mu.Lock()
-	if g, ok := e.graphs[key]; ok {
-		e.mu.Unlock()
-		return g
-	}
-	e.mu.Unlock()
-	g := knowledge.New(adv, horizon)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if cached, ok := e.graphs[key]; ok {
-		return cached // another goroutine won the race; keep one copy
-	}
-	insertBounded(e.graphs, &e.graphOrder, key, g, e.params.GraphCache)
-	return g
-}
-
 // protoFor resolves the shared protocol instance and runtime name for
 // (ref, p), constructing and caching on first use. Protocol instances
 // are pure decision rules (sim.Protocol's contract), so one instance
@@ -352,22 +293,14 @@ func (e *Engine) protoFor(ref string, spec *ProtocolSpec, p Params) protoEntry {
 	return ent
 }
 
-// CachedGraphs reports how many knowledge graphs the engine currently
-// holds.
-func (e *Engine) CachedGraphs() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.graphs)
-}
-
 // EngineStats is a point-in-time snapshot of an engine's observability
 // counters — the measurement feed behind the job service's expvar
 // surface. GraphsRebuilt, GraphsRevived, and GraphsPatched count full
 // knowledge-graph builds, same-pattern revives (value layer refilled),
 // and delta patches (only the value rows touched by a single changed
-// input rewritten) on the arena-recycling path (graph cache disabled,
-// and every analysis compile stage); CachedGraphs is the current cache
-// population on the caching path.
+// input rewritten) on the Builder path: aggregating sweeps and every
+// analysis compile stage. The fresh graphs of Run, Sweep and the stream
+// variants are not counted.
 // The pool hit-rate pairs meter the two freelists behind aggregating
 // sweeps: RunKitHits/RunKitMisses count per-worker runKit (RunBuffer +
 // builder arena) checkouts served warm from the pool versus freshly
@@ -379,11 +312,15 @@ type EngineStats struct {
 	GraphsRebuilt int64 `json:"graphsRebuilt"`
 	GraphsRevived int64 `json:"graphsRevived"`
 	GraphsPatched int64 `json:"graphsPatched"`
-	CachedGraphs  int   `json:"cachedGraphs"`
 	RunKitHits    int64 `json:"runKitHits"`
 	RunKitMisses  int64 `json:"runKitMisses"`
 	ChunkHits     int64 `json:"chunkHits"`
 	ChunkMisses   int64 `json:"chunkMisses"`
+
+	// Deprecated: the engine keeps no knowledge-graph cache, so
+	// CachedGraphs always reads 0. It stays only until the benchmark,
+	// its last reader, retires the engine.cached_graphs metric.
+	CachedGraphs int `json:"cachedGraphs"`
 }
 
 // Stats snapshots the engine's counters. Worker-local builder counts
@@ -394,7 +331,6 @@ func (e *Engine) Stats() EngineStats {
 		GraphsRebuilt: e.statBuilt.Load(),
 		GraphsRevived: e.statRevived.Load(),
 		GraphsPatched: e.statPatched.Load(),
-		CachedGraphs:  e.CachedGraphs(),
 		RunKitHits:    e.statKitHit.Load(),
 		RunKitMisses:  e.statKitMiss.Load(),
 		ChunkHits:     e.statChunkHit.Load(),
@@ -421,7 +357,7 @@ func (e *Engine) Run(ctx context.Context, ref string, adv *Adversary) (*Result, 
 	}
 	var g *knowledge.Graph
 	if e.backend.NeedsGraph() {
-		g = e.graphFor(adv, e.horizonFor([]*ProtocolSpec{spec}, p))
+		g = knowledge.New(adv, e.horizonFor([]*ProtocolSpec{spec}, p))
 	}
 	ent := e.protoFor(ref, spec, p)
 	return e.backend.Run(ctx, newRunRequest(ref, spec, ent, p, adv, advString(adv), g))
@@ -784,9 +720,8 @@ func (e *Engine) sweep(ctx context.Context, refs []string, src Source, deliver f
 // is the only synchronization point of the whole sweep, so throughput
 // scales with Parallelism instead of flatlining on an aggregator lock.
 func (e *Engine) sweepAggregate(ctx context.Context, refs []string, src Source, a *Aggregator) error {
-	recycleGraphs := e.params.GraphCache == 0 && e.backend.NeedsGraph()
 	return e.sweepExec(ctx, refs, src, func(ctx context.Context, specs []*ProtocolSpec, jobs <-chan *sweepChunk) (err error) {
-		kit := e.getKit(recycleGraphs)
+		kit := e.getKit()
 		// Worker-level panic isolation, innermost so the captured stack
 		// keeps the panic-origin frames: a panicking protocol run
 		// becomes a typed sweep error, and the kit — possibly left
@@ -814,11 +749,12 @@ func (e *Engine) sweepAggregate(ctx context.Context, refs []string, src Source, 
 	})
 }
 
-// runKit is the pooled per-worker state of an aggregating sweep: the
-// RunBuffer behind Backend.RunInto and, when graph recycling applies,
-// the worker's knowledge Builder. Kits recycle through the engine's
-// bounded freelist so repeated sweeps reuse warmed-up buffers; bufBytes
-// is the RunBuffer capacity last reported to the governor.
+// runKit is the pooled per-worker state of an aggregating sweep or an
+// analysis compile: the RunBuffer behind Backend.RunInto and the
+// worker's knowledge Builder, which holds no storage until its first
+// Build. Kits recycle through the engine's bounded freelist so repeated
+// sweeps reuse warmed-up buffers; bufBytes is the RunBuffer capacity
+// last reported to the governor.
 type runKit struct {
 	buf      *RunBuffer
 	builder  *knowledge.Builder
@@ -830,7 +766,7 @@ type runKit struct {
 // keeping warm.
 func (e *Engine) kitPoolBound() int { return e.params.Parallelism }
 
-func (e *Engine) getKit(recycleGraphs bool) *runKit {
+func (e *Engine) getKit() *runKit {
 	e.kitMu.Lock()
 	var kit *runKit
 	if n := len(e.kitFree); n > 0 {
@@ -839,17 +775,14 @@ func (e *Engine) getKit(recycleGraphs bool) *runKit {
 		e.kitFree = e.kitFree[:n-1]
 	}
 	e.kitMu.Unlock()
-	if kit == nil {
-		kit = &runKit{buf: NewRunBuffer()}
-		e.statKitMiss.Add(1)
-	} else {
+	if kit != nil {
 		e.statKitHit.Add(1)
+		return kit
 	}
-	if recycleGraphs && kit.builder == nil {
-		kit.builder = knowledge.NewBuilder()
-		if e.gov != nil {
-			kit.builder.SetMeter(e.gov)
-		}
+	e.statKitMiss.Add(1)
+	kit = &runKit{buf: NewRunBuffer(), builder: knowledge.NewBuilder()}
+	if e.gov != nil {
+		kit.builder.SetMeter(e.gov)
 	}
 	return kit
 }
@@ -882,22 +815,17 @@ func (e *Engine) putKit(kit *runKit) {
 
 // harvestKit folds the kit's builder counts into the engine counters.
 func (e *Engine) harvestKit(kit *runKit) {
-	if kit.builder != nil {
-		built, revived, patched := kit.builder.TakeCounts()
-		e.statBuilt.Add(int64(built))
-		e.statRevived.Add(int64(revived))
-		e.statPatched.Add(int64(patched))
-	}
+	built, revived, patched := kit.builder.TakeCounts()
+	e.statBuilt.Add(int64(built))
+	e.statRevived.Add(int64(revived))
+	e.statPatched.Add(int64(patched))
 }
 
 // dropKit releases a retired kit's accounted bytes: the builder's whole
 // storage account (covering graphs a panic never Released) and the
 // RunBuffer capacity.
 func (e *Engine) dropKit(kit *runKit) {
-	if kit.builder != nil {
-		kit.builder.Discard()
-		kit.builder = nil
-	}
+	kit.builder.Discard()
 	if e.gov != nil && kit.bufBytes != 0 {
 		e.gov.Shrink(kit.bufBytes)
 		kit.bufBytes = 0
@@ -962,8 +890,9 @@ func (e *Engine) memoFor(memo *protoMemo, refs []string, specs []*ProtocolSpec, 
 }
 
 // sweepOne runs all protocols of a sweep against one adversary, sharing
-// one knowledge graph and one memoized adversary-string renderer across
-// them, and delivers each fresh Result.
+// one fresh knowledge graph (never recycled: the delivered Results may
+// keep it) and one memoized adversary-string renderer across them, and
+// delivers each fresh Result.
 func (e *Engine) sweepOne(ctx context.Context, refs []string, specs []*ProtocolSpec, adv *Adversary, advIdx int, deliver func(advIdx, refIdx int, r *Result), memo *protoMemo) error {
 	p, err := e.runParams(adv)
 	if err != nil {
@@ -972,7 +901,7 @@ func (e *Engine) sweepOne(ctx context.Context, refs []string, specs []*ProtocolS
 	e.memoFor(memo, refs, specs, p)
 	var g *knowledge.Graph
 	if e.backend.NeedsGraph() {
-		g = e.graphFor(adv, memo.horizon)
+		g = knowledge.New(adv, memo.horizon)
 	}
 	advStr := advString(adv)
 	for refIdx, spec := range specs {
@@ -1005,12 +934,8 @@ func (e *Engine) foldOne(ctx context.Context, refs []string, specs []*ProtocolSp
 	e.memoFor(memo, refs, specs, p)
 	var g *knowledge.Graph
 	if e.backend.NeedsGraph() {
-		if kit.builder != nil {
-			g = kit.builder.Build(adv, memo.horizon)
-			defer g.Release()
-		} else {
-			g = e.graphFor(adv, memo.horizon)
-		}
+		g = kit.builder.Build(adv, memo.horizon)
+		defer g.Release()
 	}
 	req := &kit.buf.req
 	for refIdx, spec := range specs {

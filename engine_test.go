@@ -123,91 +123,6 @@ func TestEngineSweepSharesOneGraphPerAdversary(t *testing.T) {
 	}
 }
 
-func TestEngineGraphCacheAcrossRuns(t *testing.T) {
-	adv, tb := collapseAdv(t, 2, 2)
-	ctx := context.Background()
-
-	cached := setconsensus.New(setconsensus.WithCrashBound(tb), setconsensus.WithDegree(2))
-	r1, err := cached.Run(ctx, "optmin", adv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := cached.Run(ctx, "upmin", adv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.KnowledgeGraph() != r2.KnowledgeGraph() {
-		t.Error("graph cache must reuse the graph across Run calls")
-	}
-	if cached.CachedGraphs() != 1 {
-		t.Errorf("cache holds %d graphs, want 1", cached.CachedGraphs())
-	}
-
-	uncached := setconsensus.New(
-		setconsensus.WithCrashBound(tb),
-		setconsensus.WithDegree(2),
-		setconsensus.WithGraphCache(0),
-	)
-	u1, err := uncached.Run(ctx, "optmin", adv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u2, err := uncached.Run(ctx, "optmin", adv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u1.KnowledgeGraph() == u2.KnowledgeGraph() {
-		t.Error("WithGraphCache(0) must disable cross-call reuse")
-	}
-	if uncached.CachedGraphs() != 0 {
-		t.Errorf("disabled cache holds %d graphs", uncached.CachedGraphs())
-	}
-}
-
-// TestEngineGraphCacheSharedAcrossEqualAdversaries pins the fingerprint
-// cache key: two structurally equal adversaries built by different calls
-// must hit the same cached knowledge graph.
-func TestEngineGraphCacheSharedAcrossEqualAdversaries(t *testing.T) {
-	build := func() *setconsensus.Adversary {
-		return setconsensus.NewBuilder(5, 1).Input(0, 0).CrashSendingTo(4, 1, 3).MustBuild()
-	}
-	a, b := build(), build()
-	if a == b {
-		t.Fatal("sanity: distinct pointers required")
-	}
-	eng := setconsensus.New(setconsensus.WithCrashBound(2), setconsensus.WithDegree(1))
-	ctx := context.Background()
-	r1, err := eng.Run(ctx, "optmin", a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := eng.Run(ctx, "optmin", b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.KnowledgeGraph() != r2.KnowledgeGraph() {
-		t.Error("structurally equal adversaries must share one cached graph")
-	}
-	if n := eng.CachedGraphs(); n != 1 {
-		t.Errorf("cache holds %d graphs, want 1", n)
-	}
-	// Observably equal but structurally different (extra delivery to a
-	// dead receiver) also shares, via canonicalization.
-	c := setconsensus.NewBuilder(5, 1).Input(0, 0).CrashSendingTo(4, 1, 3).CrashSilent(3, 1).MustBuild()
-	d := setconsensus.NewBuilder(5, 1).Input(0, 0).CrashSendingTo(4, 1, 3, 3).CrashSilent(3, 1).MustBuild()
-	r3, err := eng.Run(ctx, "optmin", c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r4, err := eng.Run(ctx, "optmin", d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r3.KnowledgeGraph() != r4.KnowledgeGraph() {
-		t.Error("observably equal adversaries must share one cached graph")
-	}
-}
-
 // TestEngineSweepEmptyInputs pins the documented asymmetry: no protocols
 // is an error, no adversaries is an empty result.
 func TestEngineSweepEmptyInputs(t *testing.T) {
@@ -409,17 +324,16 @@ func TestEngineParamsDefaultsValidate(t *testing.T) {
 	if err := def.Validate(); err != nil {
 		t.Fatalf("defaults must validate: %v", err)
 	}
-	if def.Backend != setconsensus.Oracle || def.T != -1 || def.K != 1 || def.GraphCache != 64 {
+	if def.Backend != setconsensus.Oracle || def.T != -1 || def.K != 1 {
 		t.Errorf("unexpected defaults: %+v", def)
 	}
 	bad := []setconsensus.EngineParams{
-		{Backend: 99, T: -1, K: 1, GraphCache: 1, Parallelism: 1},
-		{T: -3, K: 1, GraphCache: 1, Parallelism: 1},
-		{T: -1, K: 0, GraphCache: 1, Parallelism: 1},
-		{T: -1, K: 1, Horizon: -1, GraphCache: 1, Parallelism: 1},
-		{Backend: setconsensus.Wire, T: -1, K: 1, Horizon: 2, GraphCache: 1, Parallelism: 1},
-		{T: -1, K: 1, GraphCache: -1, Parallelism: 1},
-		{T: -1, K: 1, GraphCache: 1, Parallelism: 0},
+		{Backend: 99, T: -1, K: 1, Parallelism: 1},
+		{T: -3, K: 1, Parallelism: 1},
+		{T: -1, K: 0, Parallelism: 1},
+		{T: -1, K: 1, Horizon: -1, Parallelism: 1},
+		{Backend: setconsensus.Wire, T: -1, K: 1, Horizon: 2, Parallelism: 1},
+		{T: -1, K: 1, Parallelism: 0},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

@@ -27,7 +27,6 @@ func TestGovernedSweepByteIdentical(t *testing.T) {
 		}
 		eng := setconsensus.New(append([]setconsensus.Option{
 			setconsensus.WithCrashBound(2),
-			setconsensus.WithGraphCache(0),
 		}, opts...)...)
 		sum, err := eng.SweepSource(ctx, refs, src)
 		if err != nil {
@@ -65,7 +64,6 @@ func TestGovernedEngineAccountingDrains(t *testing.T) {
 	gov := govern.New(0, 0)
 	eng := setconsensus.New(
 		setconsensus.WithCrashBound(1),
-		setconsensus.WithGraphCache(0),
 		setconsensus.WithGovernor(gov),
 	)
 	if _, err := eng.SweepSource(ctx, refs, src); err != nil {
@@ -85,7 +83,6 @@ func TestGovernedEngineAccountingDrains(t *testing.T) {
 	shedGov := govern.New(1, 0)
 	shedEng := setconsensus.New(
 		setconsensus.WithCrashBound(1),
-		setconsensus.WithGraphCache(0),
 		setconsensus.WithGovernor(shedGov),
 	)
 	src2, err := setconsensus.SpaceSource(setconsensus.Space{N: 3, T: 1, MaxRound: 2, Values: []int{0, 1}})

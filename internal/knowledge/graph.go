@@ -144,8 +144,8 @@ func (e *procError) Error() string {
 // New computes the communication graph and all views of adv up to time
 // horizon (inclusive). The per-build scratch comes from a package-level
 // pool; the graph's own storage is freshly allocated and never recycled,
-// so graphs from New may be retained indefinitely (results and caches
-// do). Loops that build and drop many graphs should use a Builder.
+// so graphs from New may be retained indefinitely (results do). Loops
+// that build and drop many graphs should use a Builder.
 func New(adv *model.Adversary, horizon int) *Graph {
 	sc := scratchPool.Get().(*buildScratch)
 	g := build(adv, horizon, sc, nil)

@@ -20,10 +20,8 @@ import (
 // (SweepProgress/AnalysisProgress) into the job's SSE feed, and maps the
 // outcome onto the terminal states.
 
-// engineFor builds the per-job engine. Sweep jobs disable the graph
-// cache: the aggregating path then recycles builder arenas per worker
-// (the revive fast path), which is both the fast configuration for
-// exhaustive spaces and the one that feeds the rebuilt/revived counters.
+// engineFor builds the per-job engine from the defaults and the
+// request's parameters, validated eagerly by NewEngine.
 func (s *Server) engineFor(req *JobRequest) (*setconsensus.Engine, error) {
 	p := setconsensus.DefaultEngineParams()
 	p.Parallelism = s.params.EngineParallelism
@@ -44,9 +42,6 @@ func (s *Server) engineFor(req *JobRequest) (*setconsensus.Engine, error) {
 		// The workload-sweep default, as in the CLIs: each adversary's
 		// own failure count.
 		p.T = setconsensus.PatternCrashBound
-	}
-	if req.Kind == KindSweep {
-		p.GraphCache = 0
 	}
 	return setconsensus.NewEngine(p, setconsensus.WithGovernor(s.gov))
 }
@@ -128,14 +123,17 @@ func (s *Server) deadlineFor(req *JobRequest) time.Duration {
 // here into a failed job with the stack retained — one bad workload
 // must never take the daemon down.
 func (s *Server) run(baseCtx context.Context, j *job) {
-	j.setRunning()
-	s.metrics.running.Add(1)
-	defer s.metrics.running.Add(-1)
-
+	// The cancel func is installed before the job is published as
+	// running: a Cancel that sees StateRunning must find it, or the
+	// cancellation is lost and the job runs on to its deadline.
 	jobCtx, cancel := context.WithCancelCause(baseCtx)
 	j.mu.Lock()
 	j.cancel = cancel
 	j.mu.Unlock()
+	j.setRunning()
+	s.metrics.running.Add(1)
+	defer s.metrics.running.Add(-1)
+
 	ctx, cancelTimeout := context.WithTimeout(jobCtx, s.deadlineFor(&j.req))
 	defer cancelTimeout()
 	defer cancel(nil)

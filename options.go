@@ -15,7 +15,8 @@ const (
 	// Oracle is the deterministic full-information simulator
 	// (internal/sim): the reference semantics. It computes one knowledge
 	// graph per adversary and consults the protocol's decision rule at
-	// every node; graphs are shared across protocols and cached.
+	// every node; one graph is shared by the protocols run on an
+	// adversary.
 	Oracle BackendKind = iota
 	// Goroutines is the concurrent message-passing engine
 	// (internal/runtime): one goroutine per process, channels as links, a
@@ -69,15 +70,18 @@ const PatternCrashBound = -2
 //	                      PatternCrashBound (-2) the adversary's failure count
 //	K            1        coordination degree (1 = consensus)
 //	Horizon      0        0 means each protocol's WorstCaseTime
-//	GraphCache   64       cached knowledge graphs; 0 disables
 //	Parallelism  NumCPU   Sweep worker-pool size
 type EngineParams struct {
 	Backend     BackendKind
 	T           int
 	K           int
 	Horizon     int
-	GraphCache  int
 	Parallelism int
+
+	// Deprecated: the engine keeps no knowledge-graph cache, so
+	// GraphCache defaults to 0 and is ignored. It stays only until the
+	// benchmark, its last reader, stops reading it.
+	GraphCache int
 }
 
 // DefaultEngineParams returns the documented defaults.
@@ -87,7 +91,6 @@ func DefaultEngineParams() EngineParams {
 		T:           -1,
 		K:           1,
 		Horizon:     0,
-		GraphCache:  64,
 		Parallelism: goruntime.NumCPU(),
 	}
 }
@@ -110,9 +113,6 @@ func (p EngineParams) Validate() error {
 	}
 	if p.Horizon > 0 && p.Backend != Oracle {
 		return fmt.Errorf("engine: WithHorizon is only honored by the Oracle backend; the %s backend always runs the compact protocol to its own horizon", p.Backend)
-	}
-	if p.GraphCache < 0 {
-		return fmt.Errorf("engine: graph cache size must be ≥ 0, got %d", p.GraphCache)
 	}
 	if p.Parallelism < 1 {
 		return fmt.Errorf("engine: need parallelism ≥ 1, got %d", p.Parallelism)
@@ -170,13 +170,6 @@ func WithDegree(k int) Option {
 // and New rejects the combination.
 func WithHorizon(h int) Option {
 	return func(c *engineConfig) { c.params.Horizon = h }
-}
-
-// WithGraphCache bounds the number of knowledge graphs the engine keeps
-// across calls (keyed by adversary and horizon). 0 disables caching;
-// Sweep still shares one graph per adversary within a sweep.
-func WithGraphCache(entries int) Option {
-	return func(c *engineConfig) { c.params.GraphCache = entries }
 }
 
 // WithParallelism sets the Sweep worker-pool size.

@@ -222,68 +222,59 @@ func TestAggregatorTracksWireBits(t *testing.T) {
 }
 
 // TestSweepSourceRecycledGraphsGolden pins the graph-recycling worker
-// path: SweepSource with the graph cache disabled rebuilds each shard's
-// knowledge graphs in a per-worker reused arena and releases them as
-// soon as their results are aggregated. The summary must be identical
-// to the cached engine's, which never recycles — a stale-arena bug or a
-// Result that outlives its Release would diverge here.
+// path: SweepSource rebuilds each shard's knowledge graphs in a
+// per-worker reused arena and releases them as soon as their results
+// are aggregated. The summary must be identical to the streaming
+// sweep's, which builds a fresh graph per adversary and never recycles —
+// a stale-arena bug or a Result that outlives its Release would diverge
+// here.
 func TestSweepSourceRecycledGraphsGolden(t *testing.T) {
 	space := setconsensus.Space{N: 3, T: 2, MaxRound: 2, Values: []int{0, 1}}
 	refs := []string{"optmin", "upmin", "floodmin"}
-	cached := setconsensus.New(setconsensus.WithCrashBound(2))
-	recycled := setconsensus.New(setconsensus.WithCrashBound(2), setconsensus.WithGraphCache(0))
-
-	summaries := make([]*setconsensus.Summary, 2)
-	for i, eng := range []*setconsensus.Engine{cached, recycled} {
-		src, err := setconsensus.SpaceSource(space)
-		if err != nil {
-			t.Fatal(err)
-		}
-		summaries[i], err = eng.SweepSource(context.Background(), refs, src)
-		if err != nil {
-			t.Fatal(err)
-		}
+	src, err := setconsensus.SpaceSource(space)
+	if err != nil {
+		t.Fatal(err)
 	}
-	want, got := summaries[0], summaries[1]
-	if got.Runs() != want.Runs() {
-		t.Fatalf("recycled path ran %d, cached %d", got.Runs(), want.Runs())
+	eng := setconsensus.New(setconsensus.WithCrashBound(2))
+	want := sequentialSummary(t, eng, refs, src)
+	got, err := eng.SweepSource(context.Background(), refs, src)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, p := range got.Protocols {
-		w := want.Protocols[i]
-		if p.Ref != w.Ref || p.Runs != w.Runs || p.Undecided != w.Undecided ||
-			p.Violations != w.Violations || p.MaxTime != w.MaxTime || p.SumTime != w.SumTime {
-			t.Errorf("protocol %s: recycled %+v, cached %+v", p.Ref, p, w)
-		}
-		for tm, n := range w.TimeHist {
-			if p.TimeHist[tm] != n {
-				t.Errorf("protocol %s: hist[%d] = %d, want %d", p.Ref, tm, p.TimeHist[tm], n)
-			}
-		}
-	}
+	requireSummariesEqual(t, got, want, src.Label())
 }
 
 // TestSweepSourceMetersPatches pins the delta-order sweep's build
 // economics exactly: on a pattern-block-aligned sweep of an exhaustive
-// space with the graph cache disabled, the engine performs one full
-// knowledge-graph build per canonical failure pattern and patches every
-// other adversary of the block (same pattern, one input changed). Any
-// drift — a chunk boundary landing mid-block, a patch silently falling
-// back to a rebuild, a revive sneaking in without a cache — breaks an
-// equality here.
+// space, the engine performs one full knowledge-graph build per
+// canonical failure pattern and patches every other adversary of the
+// block (same pattern, one input changed). Any drift — a chunk boundary
+// landing mid-block, a patch silently falling back to a rebuild, a
+// revive sneaking in, an engine configuration that bypasses the Builder
+// — breaks an equality here. The "cli" engine is built with exactly
+// cli.SweepWorkload's options, so the CLI cannot fall off the patch
+// path unnoticed.
 func TestSweepSourceMetersPatches(t *testing.T) {
 	space := setconsensus.Space{N: 3, T: 2, MaxRound: 2, Values: []int{0, 1}}
 	refs := []string{"upmin"}
-	for _, workers := range []int{1, 4} {
-		eng := setconsensus.New(
-			setconsensus.WithCrashBound(2),
-			setconsensus.WithGraphCache(0),
-			setconsensus.WithParallelism(workers),
-		)
+	engines := []struct {
+		name string
+		eng  *setconsensus.Engine
+	}{
+		{"workers=1", setconsensus.New(setconsensus.WithCrashBound(2), setconsensus.WithParallelism(1))},
+		{"workers=4", setconsensus.New(setconsensus.WithCrashBound(2), setconsensus.WithParallelism(4))},
+		{"cli", setconsensus.New(
+			setconsensus.WithBackend(setconsensus.Oracle),
+			setconsensus.WithCrashBound(setconsensus.PatternCrashBound),
+			setconsensus.WithDegree(2),
+		)},
+	}
+	for _, tc := range engines {
 		src, err := setconsensus.SpaceSource(space)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum, err := eng.SweepSource(context.Background(), refs, src)
+		sum, err := tc.eng.SweepSource(context.Background(), refs, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,17 +284,17 @@ func TestSweepSourceMetersPatches(t *testing.T) {
 			t.Fatalf("space yields %d adversaries, not a multiple of block %d", total, block)
 		}
 		patterns := int64(total / block)
-		st := eng.Stats()
+		st := tc.eng.Stats()
 		if st.GraphsRebuilt != patterns {
-			t.Errorf("workers=%d: GraphsRebuilt = %d, want one per pattern (%d)",
-				workers, st.GraphsRebuilt, patterns)
+			t.Errorf("%s: GraphsRebuilt = %d, want one per pattern (%d)",
+				tc.name, st.GraphsRebuilt, patterns)
 		}
 		if st.GraphsRevived != 0 {
-			t.Errorf("workers=%d: GraphsRevived = %d without a cache", workers, st.GraphsRevived)
+			t.Errorf("%s: GraphsRevived = %d, want 0 in delta order", tc.name, st.GraphsRevived)
 		}
 		if want := int64(total) - patterns; st.GraphsPatched != want {
-			t.Errorf("workers=%d: GraphsPatched = %d, want total-patterns = %d",
-				workers, st.GraphsPatched, want)
+			t.Errorf("%s: GraphsPatched = %d, want total-patterns = %d",
+				tc.name, st.GraphsPatched, want)
 		}
 	}
 }
