@@ -46,7 +46,7 @@
 //	    -protocol optmin -t 2 -workload "space:n=4,t=2,r=2,v=0..1"
 //
 //	# The same sweep under a seeded fault schedule (crashes, stragglers,
-//	# one torn checkpoint write): the table is still byte-identical, the
+//	# one torn checkpoint append): the table is still byte-identical, the
 //	# fault tally and breaker/retry counters go to stderr.
 //	setconsensus -coordinate -workers 3 -checkpoint sweep.ckpt \
 //	    -chaos "seed=7,crash=0.1,straggler=0.2,torn#1" \

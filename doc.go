@@ -190,10 +190,15 @@
 //	lease       a time-bounded grant of one range to one worker; an
 //	            expired lease (stalled or vanished worker) is re-issued,
 //	            and duplicate completions merge idempotently by offset
-//	checkpoint  the coordinator's state — done ranges with their partial
-//	            Summaries, pending ranges with attempt counts, the
-//	            enumeration frontier — written atomically to a JSON file
-//	            after every completed range
+//	checkpoint  the coordinator's state as an append-only journal at
+//	            exactly the -checkpoint path: a header (version 3,
+//	            workload, refs, range size), then one record per finished
+//	            range with its partial Summary and one per charged failed
+//	            attempt, each line the CRC-32 of its JSON body, a space,
+//	            the body; appended as each range finishes, never
+//	            rewritten, so the bytes written grow linearly with the
+//	            range count. Version 1 and 2 JSON checkpoints are
+//	            rejected with ErrCheckpointVersion, not migrated
 //	resume      re-running the same invocation against an existing
 //	            checkpoint: the file is validated against the workload,
 //	            protocol refs, and range size, finished ranges are
@@ -205,7 +210,7 @@
 //	chaos       deterministic fault injection (internal/chaos): a seeded
 //	            injector with named points — worker crash, straggler
 //	            stall, dropped/duplicated completion, transient HTTP
-//	            error, SSE disconnect, torn checkpoint write — threaded
+//	            error, SSE disconnect, torn checkpoint append — threaded
 //	            through the coordinator, both worker transports, and the
 //	            service client; nil (the default) never fires. CLI
 //	            surface: setconsensus -coordinate -chaos SPEC, tallies
@@ -219,11 +224,16 @@
 //	            passes, the worker gets exactly one trial range —
 //	            success closes the breaker, failure re-opens it with a
 //	            doubled window
-//	.bak        the last-good checkpoint sibling: checkpoints embed a
-//	            CRC-32 of their own JSON, intact writes refresh the
-//	            .bak, and a torn or tampered primary falls back to it
-//	            automatically on resume (version and identity
-//	            mismatches still reject with typed errors)
+//	torn tail   the end of a checkpoint journal whose record fails its
+//	            CRC — a crash mid-append, a flipped byte: resume keeps
+//	            the longest prefix of intact records, drops the tail
+//	            (counted as CheckpointTailsDropped), cuts it off before
+//	            the first new append, and re-sweeps its ranges. A torn
+//	            append seen in-process (the chaos torn point) is
+//	            repaired on the spot by cutting back and writing the
+//	            record again. A file without an intact header, and
+//	            version or identity mismatches, reject with typed errors
+//	            and are left untouched
 //
 // The resource-governance vocabulary (PR 9, internal/govern):
 //
@@ -259,7 +269,7 @@
 // (pinned by TestRangePartitionEquivalence); kill-and-resume
 // byte-equality is drilled end-to-end by scripts/smoke_coord.sh in CI,
 // and scripts/smoke_chaos.sh re-drills it under an armed fault schedule
-// with a torn-checkpoint recovery leg.
+// with a torn-tail recovery leg.
 //
 // # Performance
 //

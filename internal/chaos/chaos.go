@@ -53,9 +53,10 @@ const (
 	// service's panic isolation: the job must fail typed (stack
 	// retained) while the daemon keeps serving.
 	PointPanic Point = "panic"
-	// PointTornCheckpoint tears a checkpoint write: a truncated blob
-	// reaches the target path instead of the atomic rename, exercising
-	// checksum detection and .bak fallback on the next load.
+	// PointTornCheckpoint tears a checkpoint append: only the first
+	// half of the journal record reaches the file, a short write the
+	// coordinator must repair by cutting the file back to the end of
+	// the last intact record and appending the record again.
 	PointTornCheckpoint Point = "torn"
 )
 

@@ -85,9 +85,9 @@ type CoordinateOpts struct {
 	// Join lists setconsensusd base URLs to enlist as remote workers;
 	// each receives range-scoped sweep jobs.
 	Join []string
-	// Checkpoint, when non-empty, enables durable resume: state is
-	// written atomically to this file on every completed range, and an
-	// existing file is resumed from.
+	// Checkpoint, when non-empty, enables durable resume: every
+	// completed range is appended to the journal at this path, and an
+	// existing journal is resumed from.
 	Checkpoint string
 	// RangeSize overrides the adversaries-per-range default (0 = keep).
 	RangeSize int
@@ -107,8 +107,8 @@ type CoordinateOpts struct {
 // leased to the in-process and remote workers, and the partial
 // summaries merge into the exact summary — and the exact rendered
 // table — the monolithic sweep produces. On cancellation the error is
-// returned after a final checkpoint, so re-running the same invocation
-// resumes instead of restarting.
+// returned with the checkpoint holding every range completed so far, so
+// re-running the same invocation resumes instead of restarting.
 func CoordinateWorkload(ctx context.Context, w io.Writer, workloadRef string, refs []string, backend setconsensus.BackendKind, k, t int, opts CoordinateOpts) (*setconsensus.Summary, error) {
 	src, err := setconsensus.ParseWorkload(workloadRef)
 	if err != nil {
@@ -195,9 +195,9 @@ func reportChaos(w io.Writer, inj *chaos.Seeded, st coord.Stats) {
 		faults = "none"
 	}
 	fmt.Fprintf(w, "chaos: injected %s\n", faults)
-	fmt.Fprintf(w, "coord: ranges=%d retries=%d refunds=%d expiries=%d trips=%d probations=%d quarantined=%d ckpt-fallbacks=%d\n",
+	fmt.Fprintf(w, "coord: ranges=%d retries=%d refunds=%d expiries=%d trips=%d probations=%d quarantined=%d ckpt-tails-dropped=%d\n",
 		st.RangesDone, st.RangeRetries, st.AttemptsRefunded, st.LeaseExpiries,
-		st.BreakerTrips, st.ProbationGrants, st.QuarantinedWorkers, st.CheckpointFallbacks)
+		st.BreakerTrips, st.ProbationGrants, st.QuarantinedWorkers, st.CheckpointTailsDropped)
 }
 
 // RunAnalysis resolves an analysis reference ("search:optmin:width=2",

@@ -41,11 +41,12 @@ func soakParams(rangeSize int) Params {
 
 // TestChaosSoakEngine is the headline acceptance test: a seeded fault
 // schedule — worker crashes, stragglers past the lease, dropped and
-// duplicated completions, and one torn checkpoint write — over
+// duplicated completions, and one torn checkpoint append — over
 // in-process engine workers must still complete and merge to the
 // byte-identical monolithic Summary. The test then resumes from the
-// surviving checkpoint state (possibly the .bak, if the torn write was
-// the last) to prove the on-disk trail stayed loadable throughout.
+// journal the chaotic run left — its torn append repaired — which must
+// load whole as the finished sweep and merge again with zero ranges
+// re-swept.
 func TestChaosSoakEngine(t *testing.T) {
 	inj := mustSpec(t, "seed=1337,crash=0.12,straggler=0.2,delay=90ms,drop=0.1,dup=0.15,torn#1")
 	cp := filepath.Join(t.TempDir(), "sweep.ckpt")
@@ -72,21 +73,29 @@ func TestChaosSoakEngine(t *testing.T) {
 	if inj.Total() == 0 {
 		t.Fatal("fault schedule fired nothing — the soak proved nothing")
 	}
+	if got := inj.Counts()[chaos.PointTornCheckpoint]; got != 1 {
+		t.Fatalf("torn appends fired %d times, want 1", got)
+	}
 	t.Logf("faults injected: %s; coordinator stats: %+v", inj, c.Stats())
 
-	// The checkpoint trail must still be loadable — through the .bak if
-	// the torn write was the last one standing.
 	p.Chaos = nil
 	c2, err := New(src.Label(), testRefs, p)
 	if err != nil {
 		t.Fatalf("checkpoint unusable after chaotic run: %v", err)
 	}
-	sum2, err := c2.Run(context.Background(), engineWorkers(t, 2), nil)
+	if got := c2.Stats().CheckpointTailsDropped; got != 0 {
+		t.Errorf("chaotic run's journal dropped %d tails on load, want 0", got)
+	}
+	var swept atomic.Int32
+	sum2, err := c2.Run(context.Background(), countSweeps(engineWorkers(t, 2), &swept), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := summaryJSON(t, sum2), summaryJSON(t, monolithic(t)); got != want {
 		t.Errorf("post-chaos resume differs from monolithic:\n got %s\nwant %s", got, want)
+	}
+	if n := swept.Load(); n != 0 {
+		t.Errorf("resume of the finished sweep re-swept %d ranges, want 0", n)
 	}
 }
 

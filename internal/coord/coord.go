@@ -1,8 +1,8 @@
 // Package coord implements distributed checkpointed sweeps: a
 // coordinator that shards one exhaustive adversary space across workers
 // by offset range, hands out time-bounded leases, merges the returned
-// partial Summaries, and checkpoints its state as atomic JSON so a
-// killed sweep resumes where it left off.
+// partial Summaries, and journals every finished range to an
+// append-only checkpoint so a killed sweep resumes where it left off.
 //
 // # Vocabulary
 //
@@ -19,19 +19,30 @@
 // completions deduplicate by range offset, so a slow worker's late
 // result and a re-issue's result merge exactly once.
 //
-// A checkpoint is the coordinator's durable state: the merged Summary
-// of every completed range plus the pending set (leases are deliberately
-// not persisted — on resume every outstanding range is pending again).
-// Checkpoints are written atomically (temp file + rename) on every
-// completion, carry an embedded checksum, and keep a .bak of the last
-// good file, so a SIGKILL — or a torn write — at any instant leaves a
-// loadable state.
+// A checkpoint is the coordinator's durable state, kept as an
+// append-only journal at exactly CheckpointPath: one line per record,
+// each the CRC-32 (IEEE) of the record's JSON body as %08x, a space,
+// the body, and a newline. The first record is a header (version 3,
+// workload, refs, range size); after it comes one record per finished
+// range (range, adversary count, summary) and one per charged failed
+// attempt (a failure or lease expiry whose attempt was not refunded).
+// Records are appended as the transitions happen, one write each, and
+// nothing is rewritten, so the bytes written per sweep grow linearly
+// with the range count. Leases are deliberately not journaled: on
+// resume every unfinished range is issued again.
 //
 // Resume is New with a CheckpointPath whose file exists: the
-// coordinator validates the checksum (falling back to the .bak when the
-// primary is corrupt or truncated), checks that workload, refs, and
-// range size match, then continues from the recorded frontier. The
-// final merged Summary is byte-identical to a single-process
+// coordinator checks the header against workload, refs, and range size,
+// then replays the longest prefix of intact records, deriving the
+// finished set, the end of the space and each unfinished range's
+// charged attempts. A torn or tampered tail — a SIGKILL or power loss
+// mid-append, a flipped byte — fails its checksum; it is dropped,
+// counted in Stats.CheckpointTailsDropped, cut off before the first new
+// append, and its ranges are swept again. A file without an intact v3
+// header is rejected and left untouched: ErrCheckpointVersion for the
+// version 1 and 2 JSON checkpoints of earlier releases (they are not
+// migrated; delete one to start over), ErrCheckpointCorrupt otherwise.
+// The final merged Summary is byte-identical to a single-process
 // Engine.SweepSource over the whole workload, because Summary.Merge is
 // associative and commutative over the partition.
 //
@@ -58,7 +69,7 @@ import (
 	"expvar"
 	"fmt"
 	"math/rand/v2"
-	"sort"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -127,9 +138,12 @@ type Params struct {
 	// before it is re-admitted for a single trial range. Consecutive
 	// trips double it, capped at 8× the configured value.
 	BreakerProbation time.Duration
-	// CheckpointPath, when non-empty, enables durable state: the file is
-	// loaded on New when it exists (resume) and written atomically on
-	// every range completion, with a .bak of the last good state.
+	// CheckpointPath, when non-empty, enables durable state: the
+	// append-only journal at exactly this path is replayed on New when
+	// it exists (resume), and every finished range or charged failed
+	// attempt is appended to it as it happens. A torn or tampered tail
+	// is dropped and re-swept; a version 1 or 2 checkpoint is rejected
+	// with ErrCheckpointVersion.
 	CheckpointPath string
 	// ProgressInterval throttles the aggregated progress feed.
 	ProgressInterval time.Duration
@@ -138,7 +152,7 @@ type Params struct {
 	Total int
 	// Chaos, when non-nil, injects faults at the coordinator's named
 	// injection points (dropped and duplicated completions, torn
-	// checkpoint writes). Nil — the default — never fires. Workers
+	// checkpoint appends). Nil — the default — never fires. Workers
 	// carry their own injector via WithChaos.
 	Chaos chaos.Injector
 }
@@ -241,28 +255,34 @@ type Coordinator struct {
 	refs     []string
 
 	mu        sync.Mutex
-	next      int                 // next unminted offset
+	next      int                 // next offset to mint
 	exhausted bool                // the space's end has been observed
 	end       int                 // space size, valid once exhausted
 	pending   []*rangeState       // claimable (possibly backoff-delayed), any order
 	leased    map[int]*rangeState // offset → outstanding lease
 	done      map[int]*doneRange  // offset → completed range
+	carried   map[int]int         // offset → attempts charged before a resume
 	breakers  map[string]*breaker // worker name → circuit breaker
 	doneAdv   int                 // adversaries across done ranges
 	doneRuns  int                 // runs across done ranges
 	fatal     error               // first unrecoverable error
+	wake      chan struct{}       // closed and replaced on every transition
 	lastEmit  time.Time           // progress throttle
 	progress  func(setconsensus.SweepProgress)
 	cancel    context.CancelFunc // cancels the run on fatal
 
+	journal     *os.File // checkpoint journal, open from the first append
+	journalSize int64    // bytes of intact records in the journal
+	ckptWritten int64    // bytes handed to the journal's writer
+
 	// Robustness counters, snapshotted by Stats.
-	statRetries     int64 // failed ranges re-queued for another attempt
-	statRefunds     int64 // range attempts refunded on breaker trips
-	statOverloads   int64 // overloaded (shedding/429) returns backed off
-	statExpiries    int64 // leases expired and re-issued
-	statTrips       int64 // breaker transitions into quarantine
-	statProbations  int64 // probation trial ranges granted
-	statCkptFallbak int64 // checkpoint loads served from the .bak
+	statRetries      int64 // failed ranges re-queued for another attempt
+	statRefunds      int64 // range attempts refunded on breaker trips
+	statOverloads    int64 // overloaded (shedding/429) returns backed off
+	statExpiries     int64 // leases expired and re-issued
+	statTrips        int64 // breaker transitions into quarantine
+	statProbations   int64 // probation trial ranges granted
+	statTailsDropped int64 // checkpoint loads that dropped a torn or tampered tail
 }
 
 // New builds a coordinator for one workload. workload is both the
@@ -271,7 +291,7 @@ type Coordinator struct {
 // the merged result is byte-identical to the monolithic one. When
 // p.CheckpointPath names an existing file, the coordinator resumes from
 // it (and rejects a checkpoint written for a different workload, ref
-// set, or range size).
+// set, or range size). New only reads the file.
 func New(workload string, refs []string, p Params) (*Coordinator, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -288,7 +308,9 @@ func New(workload string, refs []string, p Params) (*Coordinator, error) {
 		refs:     append([]string(nil), refs...),
 		leased:   make(map[int]*rangeState),
 		done:     make(map[int]*doneRange),
+		carried:  make(map[int]int),
 		breakers: make(map[string]*breaker),
+		wake:     make(chan struct{}),
 	}
 	if p.CheckpointPath != "" {
 		if err := c.loadCheckpoint(p.CheckpointPath); err != nil {
@@ -326,9 +348,9 @@ type Stats struct {
 	// QuarantinedWorkers is the gauge of workers currently open or on a
 	// probation trial.
 	QuarantinedWorkers int64 `json:"quarantinedWorkers"`
-	// CheckpointFallbacks counts checkpoint loads served from the .bak
-	// after a corrupt or truncated primary.
-	CheckpointFallbacks int64 `json:"checkpointFallbacks"`
+	// CheckpointTailsDropped counts checkpoint loads that dropped a torn
+	// or tampered tail of the journal; its ranges are swept again.
+	CheckpointTailsDropped int64 `json:"checkpointTailsDropped"`
 	// FaultsInjected totals the chaos injector's fired faults, when one
 	// is configured and countable.
 	FaultsInjected int64 `json:"faultsInjected"`
@@ -339,14 +361,14 @@ func (c *Coordinator) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := Stats{
-		RangesDone:          int64(len(c.done)),
-		RangeRetries:        c.statRetries,
-		AttemptsRefunded:    c.statRefunds,
-		OverloadBackoffs:    c.statOverloads,
-		LeaseExpiries:       c.statExpiries,
-		BreakerTrips:        c.statTrips,
-		ProbationGrants:     c.statProbations,
-		CheckpointFallbacks: c.statCkptFallbak,
+		RangesDone:             int64(len(c.done)),
+		RangeRetries:           c.statRetries,
+		AttemptsRefunded:       c.statRefunds,
+		OverloadBackoffs:       c.statOverloads,
+		LeaseExpiries:          c.statExpiries,
+		BreakerTrips:           c.statTrips,
+		ProbationGrants:        c.statProbations,
+		CheckpointTailsDropped: c.statTailsDropped,
 	}
 	for _, b := range c.breakers {
 		if b.state != breakerClosed {
@@ -380,62 +402,133 @@ func publishExpvar(c *Coordinator) {
 	})
 }
 
-// claimPoll bounds how often a waiting worker rescans for expired
-// leases, matured backoffs, and probation re-admissions.
-func (c *Coordinator) claimPoll() time.Duration {
-	poll := c.params.Lease / 4
-	if poll > 50*time.Millisecond {
-		poll = 50 * time.Millisecond
-	}
-	if poll < time.Millisecond {
-		poll = time.Millisecond
-	}
-	return poll
-}
-
 // claim hands worker the next range: an expired or matured pending
-// range first, else a freshly minted one. It blocks (polling) while
-// every candidate is leased out or backing off — or while the worker
-// itself is quarantined — returns ok=false when the sweep is complete,
-// and an error when the run is cancelled or has failed fatally.
+// range first, else a freshly minted one. While every candidate is
+// leased out or backing off — or while the worker itself is
+// quarantined — it blocks until a transition wakes it or the nearest
+// future deadline passes (claimWaitLocked). It returns ok=false when the
+// sweep is complete, and an error when the run is cancelled or has
+// failed fatally.
 func (c *Coordinator) claim(ctx context.Context, worker string) (*rangeState, bool, error) {
+	var timer *time.Timer
+	defer func() {
+		if timer != nil {
+			timer.Stop()
+		}
+	}()
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, false, err
 		}
 		c.mu.Lock()
+		now := time.Now()
+		c.expireLeasesLocked(now)
 		if c.fatal != nil {
 			err := c.fatal
 			c.mu.Unlock()
 			return nil, false, err
 		}
-		now := time.Now()
-		c.expireLeasesLocked(now)
 		if admitted, trial := c.workerAdmitLocked(worker, now); admitted {
-			if rs := c.takePendingLocked(now); rs != nil {
-				c.grantLocked(rs, worker, now, trial)
-				c.mu.Unlock()
-				return rs, true, nil
+			rs := c.takePendingLocked(now)
+			if rs == nil {
+				rs = c.mintLocked()
 			}
-			if !c.exhausted {
-				rs := &rangeState{Range: Range{Offset: c.next, Limit: c.params.RangeSize}}
-				c.next += c.params.RangeSize
+			if rs != nil {
 				c.grantLocked(rs, worker, now, trial)
 				c.mu.Unlock()
 				return rs, true, nil
 			}
 		}
-		idle := c.exhausted && len(c.leased) == 0 && len(c.pending) == 0
-		c.mu.Unlock()
-		if idle {
+		// Done: nothing left to mint, lease out or retry.
+		if c.exhausted && c.next >= c.end && len(c.leased) == 0 && len(c.pending) == 0 {
+			c.mu.Unlock()
 			return nil, false, nil
+		}
+		wait, timed := c.claimWaitLocked(worker, now)
+		wake := c.wake
+		c.mu.Unlock()
+
+		var tick <-chan time.Time
+		if timed {
+			if timer == nil {
+				timer = time.NewTimer(wait)
+			} else {
+				timer.Reset(wait)
+			}
+			tick = timer.C
 		}
 		select {
 		case <-ctx.Done():
 			return nil, false, ctx.Err()
-		case <-time.After(c.claimPoll()):
+		case <-wake:
+		case <-tick:
 		}
 	}
+}
+
+// claimWaitLocked is how long a claim that found nothing to take may
+// block before it scans again: until the nearest future deadline among
+// the lease expiries, the pending ranges' backoffs and the worker's own
+// probation. timed=false means there is none, and only a transition
+// can unblock the claim. A deadline the scan at now already acted on is
+// skipped, so the wait is always positive: a lease expires once the
+// clock is strictly after its expiry (expireLeasesLocked), so its
+// deadline is one tick past it.
+func (c *Coordinator) claimWaitLocked(worker string, now time.Time) (wait time.Duration, timed bool) {
+	var next time.Time
+	consider := func(t time.Time) {
+		if t.After(now) && (next.IsZero() || t.Before(next)) {
+			next = t
+		}
+	}
+	for _, rs := range c.leased {
+		consider(rs.expiry.Add(time.Nanosecond))
+	}
+	for _, rs := range c.pending {
+		consider(rs.notBefore)
+	}
+	if b := c.breakers[worker]; b != nil && b.state == breakerOpen {
+		consider(b.reopenAt)
+	}
+	if next.IsZero() {
+		return 0, false
+	}
+	return next.Sub(now), true
+}
+
+// wakeLocked wakes every blocked claim to scan the changed state.
+func (c *Coordinator) wakeLocked() {
+	close(c.wake)
+	c.wake = make(chan struct{})
+}
+
+// failLocked records the run's first unrecoverable error, cancels the
+// run, and wakes every blocked claim to return it.
+func (c *Coordinator) failLocked(err error) {
+	if c.fatal == nil {
+		c.fatal = err
+		if c.cancel != nil {
+			c.cancel()
+		}
+	}
+	c.wakeLocked()
+}
+
+// mintLocked returns the next range of the space not yet finished, or
+// nil once the end is known and reached. Live, every offset below next
+// has been minted; after a resume next restarts at 0 and the walk
+// re-issues each unfinished range of the earlier run in offset order,
+// with the attempts it was charged there.
+func (c *Coordinator) mintLocked() *rangeState {
+	for !c.exhausted || c.next < c.end {
+		off := c.next
+		c.next += c.params.RangeSize
+		if _, done := c.done[off]; done {
+			continue
+		}
+		return &rangeState{Range: Range{Offset: off, Limit: c.params.RangeSize}, attempts: c.carried[off]}
+	}
+	return nil
 }
 
 // workerAdmitLocked decides whether worker may be granted a range right
@@ -457,8 +550,10 @@ func (c *Coordinator) workerAdmitLocked(worker string, now time.Time) (admitted,
 
 // expireLeasesLocked returns every expired lease to the pending queue
 // and charges the silent leaseholder's breaker — an unresponsive worker
-// is indistinguishable from a crashed one.
+// is indistinguishable from a crashed one. An attempt that is not
+// refunded is journaled.
 func (c *Coordinator) expireLeasesLocked(now time.Time) {
+	expired := false
 	for off, rs := range c.leased {
 		if now.After(rs.expiry) {
 			holder := rs.worker
@@ -466,11 +561,18 @@ func (c *Coordinator) expireLeasesLocked(now time.Time) {
 			delete(c.leased, off)
 			c.pending = append(c.pending, rs)
 			c.statExpiries++
+			expired = true
 			if c.noteWorkerFailureLocked(holder, now) && rs.attempts > 0 {
 				rs.attempts--
 				c.statRefunds++
+			} else if err := c.appendLocked(journalEntry{Failed: &rs.Range}); err != nil {
+				c.failLocked(err)
+				return
 			}
 		}
+	}
+	if expired {
+		c.wakeLocked()
 	}
 }
 
@@ -593,9 +695,10 @@ func (c *Coordinator) backoffFor(attempts int) time.Duration {
 // complete records one worker's outcome for rs. Success merges the
 // summary (idempotently: a duplicate completion of an already-done
 // offset is dropped), detects exhaustion from a short count, and
-// checkpoints. Failure charges the worker's breaker, then re-queues the
-// range with jittered exponential backoff until MaxAttempts grants are
-// spent, then fails the whole run.
+// journals the range. Failure charges the worker's breaker, journals
+// the attempt unless the breaker refunded it, then re-queues the range
+// with jittered exponential backoff until MaxAttempts grants are spent,
+// then fails the whole run. Every transition wakes the blocked claims.
 func (c *Coordinator) complete(ctx context.Context, worker string, rs *rangeState, sum *setconsensus.Summary, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -631,18 +734,19 @@ func (c *Coordinator) complete(ctx context.Context, worker string, rs *rangeStat
 			rs.notBefore = now.Add(c.backoffFor(rs.overloads))
 			delete(c.leased, off)
 			c.pending = append(c.pending, rs)
+			c.wakeLocked()
 			return
 		}
 		rs.overloads = 0
 		if c.noteWorkerFailureLocked(worker, now) && rs.attempts > 0 {
 			rs.attempts--
 			c.statRefunds++
+		} else if aerr := c.appendLocked(journalEntry{Failed: &rs.Range}); aerr != nil {
+			c.failLocked(aerr)
+			return
 		}
 		if rs.attempts >= c.params.MaxAttempts {
-			c.fatal = fmt.Errorf("coord: range %s failed after %d attempts: %w", rs.Range, rs.attempts, err)
-			if c.cancel != nil {
-				c.cancel()
-			}
+			c.failLocked(fmt.Errorf("coord: range %s failed after %d attempts: %w", rs.Range, rs.attempts, err))
 			return
 		}
 		rs.worker, rs.liveAdv, rs.liveRuns = "", 0, 0
@@ -650,6 +754,7 @@ func (c *Coordinator) complete(ctx context.Context, worker string, rs *rangeStat
 		delete(c.leased, off)
 		c.pending = append(c.pending, rs)
 		c.statRetries++
+		c.wakeLocked()
 		return
 	}
 
@@ -663,27 +768,32 @@ func (c *Coordinator) complete(ctx context.Context, worker string, rs *rangeStat
 	c.done[off] = &doneRange{Range: rs.Range, Count: count, Summary: sum}
 	c.doneAdv += count
 	c.doneRuns += sum.Runs()
-	if count < rs.Limit && (!c.exhausted || off+count < c.end) {
-		// The space ended inside this range: stop minting and drop pending
-		// ranges that lie wholly past the end (they could only be empty).
-		c.exhausted = true
-		c.end = off + count
-		kept := c.pending[:0]
-		for _, p := range c.pending {
-			if p.Offset < c.end {
-				kept = append(kept, p)
-			}
-		}
-		c.pending = kept
-	}
-	if werr := c.writeCheckpointLocked(); werr != nil && c.fatal == nil {
-		c.fatal = werr
-		if c.cancel != nil {
-			c.cancel()
-		}
+	c.noteCountLocked(rs.Range, count)
+	if err := c.appendLocked(journalEntry{Done: &rs.Range, Count: count, Summary: sum}); err != nil {
+		c.failLocked(err)
 		return
 	}
+	c.wakeLocked()
 	c.emitProgressLocked(true)
+}
+
+// noteCountLocked pins the end of the space when range r held fewer
+// adversaries than its limit: the space ended inside it, so minting
+// stops and pending ranges wholly past the end — they could only be
+// empty — are dropped.
+func (c *Coordinator) noteCountLocked(r Range, count int) {
+	if count >= r.Limit || (c.exhausted && r.Offset+count >= c.end) {
+		return
+	}
+	c.exhausted = true
+	c.end = r.Offset + count
+	kept := c.pending[:0]
+	for _, p := range c.pending {
+		if p.Offset < c.end {
+			kept = append(kept, p)
+		}
+	}
+	c.pending = kept
 }
 
 // dropPendingLocked removes any queued re-issue of offset off.
@@ -751,9 +861,9 @@ func (c *Coordinator) Run(ctx context.Context, workers []Worker, progress func(s
 	c.mu.Lock()
 	c.progress = progress
 	c.cancel = cancel
-	// Seed the checkpoint eagerly: a kill before the first completion
-	// must still leave a loadable file.
-	if err := c.writeCheckpointLocked(); err != nil {
+	// Open the journal eagerly: a kill before the first completion must
+	// still leave a loadable file.
+	if err := c.openJournalLocked(); err != nil {
 		c.mu.Unlock()
 		return nil, err
 	}
@@ -793,14 +903,15 @@ func (c *Coordinator) Run(ctx context.Context, workers []Worker, progress func(s
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	cerr := c.closeJournalLocked()
 	if c.fatal != nil {
 		return nil, c.fatal
 	}
 	if err := ctx.Err(); err != nil {
-		// Interrupted: persist the frontier once more (cheap, idempotent)
-		// so the resume sees the freshest state.
-		_ = c.writeCheckpointLocked()
 		return nil, err
+	}
+	if cerr != nil {
+		return nil, cerr
 	}
 	sum, err := c.mergedLocked()
 	if err != nil {
@@ -815,32 +926,31 @@ func (c *Coordinator) Run(ctx context.Context, workers []Worker, progress func(s
 
 // mergedLocked verifies that the done set tiles [0, end) and folds the
 // per-range summaries, in offset order, into one Summary labeled with
-// the workload — the same label a monolithic sweep would carry.
+// the workload — the same label a monolithic sweep would carry. It
+// merges exactly the offsets it verified, and fails on any other done
+// range that is not an empty range past the end (one minted before the
+// end was known).
 func (c *Coordinator) mergedLocked() (*setconsensus.Summary, error) {
 	if !c.exhausted {
 		return nil, fmt.Errorf("coord: sweep finished without observing the end of the space")
 	}
+	for off, d := range c.done {
+		tiled := off < c.end && off%c.params.RangeSize == 0
+		if !tiled && (off < c.end || d.Count != 0) {
+			return nil, fmt.Errorf("coord: completed range %s lies outside the space's tiling of [0,%d)", d.Range, c.end)
+		}
+	}
+	merged := agg.New(c.workload, c.refs)
 	for off := 0; off < c.end; off += c.params.RangeSize {
 		d, ok := c.done[off]
 		if !ok {
 			return nil, fmt.Errorf("coord: range at offset %d missing from completed set", off)
 		}
-		want := c.end - off
-		if want > c.params.RangeSize {
-			want = c.params.RangeSize
-		}
+		want := min(c.end-off, c.params.RangeSize)
 		if d.Count != want {
 			return nil, fmt.Errorf("coord: range %s yielded %d adversaries, want %d", d.Range, d.Count, want)
 		}
-	}
-	offs := make([]int, 0, len(c.done))
-	for off := range c.done {
-		offs = append(offs, off)
-	}
-	sort.Ints(offs)
-	merged := agg.New(c.workload, c.refs)
-	for _, off := range offs {
-		if err := merged.Merge(c.done[off].Summary); err != nil {
+		if err := merged.Merge(d.Summary); err != nil {
 			return nil, fmt.Errorf("coord: merging range at offset %d: %w", off, err)
 		}
 	}

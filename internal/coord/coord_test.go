@@ -132,13 +132,9 @@ func TestKillAndResumeEngine(t *testing.T) {
 	if err != nil && !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run: %v", err)
 	}
-	blob, rerr := os.ReadFile(cp)
-	if rerr != nil {
-		t.Fatalf("no checkpoint after interrupt: %v", rerr)
-	}
-	var saved checkpoint
-	if err := json.Unmarshal(blob, &saved); err != nil {
-		t.Fatalf("checkpoint not valid JSON: %v", err)
+	saved := readJournal(t, cp)
+	if saved.tail != 0 {
+		t.Fatalf("interrupted run left a %d-byte torn tail", saved.tail)
 	}
 
 	c2, err := New(src.Label(), testRefs, p)
@@ -146,8 +142,8 @@ func TestKillAndResumeEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	doneBefore := len(c2.done)
-	if err == nil && len(saved.Done) != doneBefore {
-		t.Errorf("resume loaded %d done ranges, checkpoint has %d", doneBefore, len(saved.Done))
+	if saved.done() != doneBefore {
+		t.Errorf("resume loaded %d done ranges, checkpoint has %d", doneBefore, saved.done())
 	}
 	var redone atomic.Int32
 	sum, err := c2.Run(context.Background(), countingWorkers(engineWorkers(t, 2), doneBefore, &redone), nil)
@@ -192,9 +188,12 @@ const fakeTotal = 23
 // fakeSum builds the summary a worker would return for the window
 // [off, off+lim) of a synthetic 23-adversary space with deterministic
 // per-adversary decision times.
-func fakeSum(off, lim int) *setconsensus.Summary {
+func fakeSum(off, lim int) *setconsensus.Summary { return fakeSumOf(fakeTotal, off, lim) }
+
+// fakeSumOf is fakeSum over a synthetic space of total adversaries.
+func fakeSumOf(total, off, lim int) *setconsensus.Summary {
 	s := agg.New("fake", testRefs)
-	for i := off; i < off+lim && i < fakeTotal; i++ {
+	for i := off; i < off+lim && i < total; i++ {
 		for _, ref := range testRefs {
 			_ = s.Observe(ref, agg.Obs{Time: i % 3})
 		}
@@ -254,6 +253,36 @@ func TestLeaseExpiryReissues(t *testing.T) {
 	}
 }
 
+// TestClaimWakesOnCompletion: a claim blocked behind the last
+// outstanding lease returns when that range completes, not when the
+// lease — an hour here — would expire.
+func TestClaimWakesOnCompletion(t *testing.T) {
+	p := testParams(5)
+	p.Lease = time.Hour
+	c, err := New("fake", testRefs, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	// Whoever draws the range holding the end of the space sweeps it
+	// slowly, so the other worker has finished everything else and is
+	// blocked in claim when it completes.
+	sweep := func(_ context.Context, r Range) (*setconsensus.Summary, error) {
+		if r.Offset < fakeTotal && fakeTotal < r.Offset+r.Limit {
+			time.Sleep(50 * time.Millisecond)
+		}
+		return fakeSum(r.Offset, r.Limit), nil
+	}
+	sum, err := c.Run(ctx, []Worker{&fakeWorker{name: "a", sweep: sweep}, &fakeWorker{name: "b", sweep: sweep}}, nil)
+	if err != nil {
+		t.Fatalf("sweep did not finish: %v", err)
+	}
+	if got := summaryJSON(t, sum); got != goldenFake(t) {
+		t.Errorf("summary wrong:\n got %s\nwant %s", got, goldenFake(t))
+	}
+}
+
 // TestDuplicateCompletionIsIdempotent feeds the same range result twice
 // (as a re-issue race would); the second completion must be dropped.
 func TestDuplicateCompletionIsIdempotent(t *testing.T) {
@@ -290,6 +319,7 @@ func TestBoundedRetry(t *testing.T) {
 	p := testParams(5)
 	p.MaxAttempts = 3
 	p.RetryBackoff = time.Millisecond
+	p.BreakerProbation = 10 * time.Millisecond
 	c, err := New("fake", testRefs, p)
 	if err != nil {
 		t.Fatal(err)
@@ -330,8 +360,9 @@ func TestBoundedRetry(t *testing.T) {
 }
 
 // TestCheckpointMismatchRejected: resuming under a different workload,
-// ref set, or range size must fail loudly instead of merging apples
-// into oranges.
+// ref set, or range size must fail loudly, typed as
+// ErrCheckpointMismatch and leaving the journal untouched, instead of
+// merging apples into oranges.
 func TestCheckpointMismatchRejected(t *testing.T) {
 	cp := filepath.Join(t.TempDir(), "sweep.ckpt")
 	p := testParams(5)
@@ -341,6 +372,10 @@ func TestCheckpointMismatchRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := c.Run(context.Background(), []Worker{plainFake("w")}, nil); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(cp)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
@@ -355,9 +390,10 @@ func TestCheckpointMismatchRejected(t *testing.T) {
 	} {
 		q := testParams(tc.size)
 		q.CheckpointPath = cp
-		if _, err := New(tc.workload, tc.refs, q); err == nil {
-			t.Errorf("%s mismatch accepted on resume", tc.name)
+		if _, err := New(tc.workload, tc.refs, q); !errors.Is(err, ErrCheckpointMismatch) {
+			t.Errorf("%s mismatch on resume: err = %v, want %v", tc.name, err, ErrCheckpointMismatch)
 		}
+		assertUnchanged(t, cp, before)
 	}
 }
 

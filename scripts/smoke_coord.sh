@@ -2,10 +2,12 @@
 # Smoke test for coordinated sweeps, run by the CI `smoke-coord` job and
 # runnable locally: build the CLI and the server, take a single-process
 # sweep as the reference output, then (1) start a coordinated sweep with
-# a checkpoint file, SIGKILL it mid-flight once at least one range has
-# completed, assert the checkpoint holds a resumable partial state,
-# re-run the identical invocation and check the resumed output is
-# byte-identical to the reference; (2) run a coordinated sweep that
+# a checkpoint journal, SIGKILL it mid-flight once at least one range
+# has completed, assert the journal holds a resumable partial state
+# (a version 3 header, every record's CRC intact, at least one finished
+# range, the sweep not yet finished), re-run the identical invocation
+# and check the resumed output is byte-identical to the reference;
+# (2) run a coordinated sweep that
 # enlists a live setconsensusd via -join and check that distributed
 # output is byte-identical too, with the server's /metrics reflecting
 # the range jobs it ran.
@@ -39,6 +41,30 @@ protocols="optmin,upmin"
 range_size=2048
 ckpt="$workdir/sweep.ckpt"
 
+# journal(path) parses the checkpoint journal — one record per line, the
+# %08x CRC-32 of the JSON body, a space, the body — and fails unless
+# every line is intact. finished() reports whether the done records tile
+# the space up to its end.
+journal_py='
+import json, zlib
+def journal(path):
+    lines = open(path, "rb").read().split(b"\n")
+    tail = lines.pop()
+    assert not tail, "torn tail of %d bytes" % len(tail)
+    recs = []
+    for i, line in enumerate(lines):
+        crc, _, body = line.partition(b" ")
+        assert len(crc) == 8 and int(crc, 16) == zlib.crc32(body), "record %d fails its CRC" % i
+        recs.append(json.loads(body))
+    assert recs, "no header"
+    return recs[0], recs[1:]
+def finished(hdr, recs):
+    size = hdr["rangeSize"]
+    done = {r["done"]["offset"]: r.get("count", 0) for r in recs if "done" in r}
+    ends = [off + n for off, n in done.items() if n < size]
+    return bool(ends) and all(off in done for off in range(0, min(ends), size))
+'
+
 echo "== single-process reference sweep"
 "$workdir/setconsensus" -protocol "$protocols" -workload "$workload" \
     >"$workdir/mono.txt"
@@ -53,14 +79,9 @@ for _ in $(seq 1 500); do
     if ! kill -0 "$coordpid" 2>/dev/null; then
         break # finished before we could kill it: resume still must work
     fi
-    if [ -s "$ckpt" ] && python3 -c "
-import json, sys
-try:
-    d = json.load(open('$ckpt'))
-except Exception:
-    sys.exit(1)  # mid-rename or partial read: poll again
-sys.exit(0 if len(d.get('done', [])) >= 1 else 1)
-" 2>/dev/null; then
+    # A grep, not a Python start-up, per probe: the whole sweep takes
+    # a fraction of a second, so the probe must be cheap to land early.
+    if grep -q '^[0-9a-f]\{8\} {"done":' "$ckpt" 2>/dev/null; then
         kill -KILL "$coordpid"
         killed=yes
         break
@@ -72,16 +93,13 @@ coordpid=""
 if [ -z "$killed" ]; then
     echo "WARN: sweep finished before SIGKILL landed; resume will be a no-op merge"
 else
-    echo "   killed with $(python3 -c "
-import json
-print(len(json.load(open('$ckpt'))['done']))") ranges done"
-    python3 -c "
-import json, sys
-d = json.load(open('$ckpt'))
-assert d['version'] == 2, d['version']
-assert d.get('checksum'), 'checkpoint carries no integrity checksum'
-assert len(d['done']) >= 1, 'no completed ranges in checkpoint'
-assert d['pending'] or not d['exhausted'], 'checkpoint already complete; kill landed too late'
+    python3 -c "$journal_py
+hdr, recs = journal('$ckpt')
+assert hdr['version'] == 3, hdr['version']
+done = sum('done' in r for r in recs)
+assert done >= 1, 'no completed ranges in checkpoint'
+assert not finished(hdr, recs), 'checkpoint already complete; kill landed too late'
+print('   killed with %d ranges done; %d records, every CRC intact' % (done, len(recs)))
 print('   checkpoint is a resumable partial state')
 "
 fi
