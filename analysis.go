@@ -3,6 +3,7 @@ package setconsensus
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"setconsensus/internal/enum"
 	"setconsensus/internal/experiments"
@@ -16,12 +17,14 @@ import (
 // protocols over workloads, Analyze runs the paper's unbeatability
 // machinery — the bounded deviation search and the Lemma 1/2/3
 // certificate constructions — as named, parameterized analysis families
-// on the same engine plumbing. Run compilation goes through the pooled
-// Backend.RunInto path with a recycled knowledge Builder arena, candidate
-// testing and certificate construction shard across the configured
-// worker pool, progress streams like SweepSourceStream, and the outcome
-// is a structured AnalysisReport whose fields are identical at any
-// parallelism.
+// on the same engine plumbing. The search's compile stage runs on the
+// sweep executor: each worker compiles the pattern-block-aligned chunks
+// it is handed through the pooled Backend.RunInto path, with its kit's
+// knowledge Builder, into a fragment of the compact run table, and the
+// fragments merge back in space order. Candidate testing and certificate
+// construction shard across the same worker pool, progress streams like
+// SweepSourceStream, and the outcome is a structured AnalysisReport whose
+// fields are identical at any parallelism.
 
 // AnalysisRun executes one parsed analysis on an engine. The progress
 // callback may be nil; when set, it receives serialized, throttled stage
@@ -44,6 +47,12 @@ type AnalysisSpec struct {
 	Params string
 	// New builds the runnable analysis for one parsed argument set.
 	New func(args WorkloadArgs) (AnalysisRun, error)
+	// CountUpperBound, when set, bounds the adversaries the analysis
+	// enumerates for one parsed argument set at the given engine degree:
+	// the pre-deduplication size of its compile space, as
+	// Space.CountUpperBound. Families that enumerate no space (the
+	// certificate families) leave it nil.
+	CountUpperBound func(args WorkloadArgs, degree int) (float64, error)
 }
 
 // AnalysisRegistry maps analysis family names to specs. The zero value
@@ -100,8 +109,26 @@ func (r *AnalysisRegistry) Parse(ref string) (AnalysisRun, error) {
 	return spec.New(newWorkloadArgs("analysis", ref, vals))
 }
 
+// CountUpperBound resolves an analysis reference and bounds the
+// adversaries it enumerates on an engine of the given degree — the
+// analysis counterpart of a Source's CountUpperBound, for admission
+// controllers such as the job service's space budget. ok is false for
+// families that enumerate no space.
+func (r *AnalysisRegistry) CountUpperBound(ref string, degree int) (ub float64, ok bool, err error) {
+	spec, argStr, err := r.reg.splitRef(ref)
+	if err != nil || spec.CountUpperBound == nil {
+		return 0, false, err
+	}
+	vals, err := parseArgPairs("analysis", ref, argStr)
+	if err != nil {
+		return 0, false, err
+	}
+	ub, err = spec.CountUpperBound(newWorkloadArgs("analysis", ref, vals), degree)
+	return ub, err == nil, err
+}
+
 // Analyze resolves ref in the engine's analysis registry and runs it to
-// completion: compile on the pooled run path, then candidate testing or
+// completion: compile on the sweep executor, then candidate testing or
 // certificate construction sharded over the engine's worker pool. The
 // report is deterministic in the analysis configuration alone —
 // Parallelism changes wall-clock, never a field.
@@ -141,60 +168,41 @@ type searchConfig struct {
 	uniform  bool
 }
 
-// searchAnalysisSpec builds the spec of one deviation-search family over
-// a named base protocol.
-func searchAnalysisSpec(name string, aliases []string, baseRef string, uniform bool) AnalysisSpec {
-	return AnalysisSpec{
-		Name:    name,
-		Aliases: aliases,
-		Summary: fmt.Sprintf("bounded deviation search: no ≤width-view early-decision rule beats %s on an exhaustive space", baseRef),
-		Params:  "n=3 t=2 k=<engine degree> r=t+1 v=0..k width=2 uniform=" + fmt.Sprint(uniform),
-		New: func(args WorkloadArgs) (AnalysisRun, error) {
-			var cfg searchConfig
-			var err error
-			if cfg.n, err = args.Int("n", 3); err != nil {
-				return nil, err
-			}
-			if cfg.t, err = args.Int("t", 2); err != nil {
-				return nil, err
-			}
-			if cfg.k, err = args.Int("k", 0); err != nil {
-				return nil, err
-			}
-			if cfg.r, err = args.Int("r", 0); err != nil {
-				return nil, err
-			}
-			if cfg.vLo, cfg.vHi, err = args.Range("v", 0, -1); err != nil {
-				return nil, err
-			}
-			if cfg.width, err = args.Int("width", 2); err != nil {
-				return nil, err
-			}
-			if cfg.uniform, err = args.Bool("uniform", uniform); err != nil {
-				return nil, err
-			}
-			if err := args.Finish(); err != nil {
-				return nil, err
-			}
-			return func(ctx context.Context, e *Engine, progress func(AnalysisProgress)) (*AnalysisReport, error) {
-				return e.runSearchAnalysis(ctx, name, baseRef, cfg, progress)
-			}, nil
-		},
+// parseSearchConfig consumes a deviation-search family's arguments.
+func parseSearchConfig(args WorkloadArgs, uniform bool) (searchConfig, error) {
+	var cfg searchConfig
+	var err error
+	if cfg.n, err = args.Int("n", 3); err != nil {
+		return cfg, err
 	}
+	if cfg.t, err = args.Int("t", 2); err != nil {
+		return cfg, err
+	}
+	if cfg.k, err = args.Int("k", 0); err != nil {
+		return cfg, err
+	}
+	if cfg.r, err = args.Int("r", 0); err != nil {
+		return cfg, err
+	}
+	if cfg.vLo, cfg.vHi, err = args.Range("v", 0, -1); err != nil {
+		return cfg, err
+	}
+	if cfg.width, err = args.Int("width", 2); err != nil {
+		return cfg, err
+	}
+	if cfg.uniform, err = args.Bool("uniform", uniform); err != nil {
+		return cfg, err
+	}
+	return cfg, args.Finish()
 }
 
-// runSearchAnalysis executes one deviation-search family end to end:
-// compile every run of the exhaustive space through the pooled
-// Backend.RunInto / Builder revive path, then shard the candidate tests
-// across the worker pool.
-func (e *Engine) runSearchAnalysis(ctx context.Context, family, baseRef string, cfg searchConfig, progress func(AnalysisProgress)) (rep *AnalysisReport, err error) {
-	if e.backend.Kind() != Oracle {
-		return nil, fmt.Errorf("engine: analysis %q simulates full-information deviation rules and requires the Oracle backend (have %s)",
-			family, e.backend.Kind())
-	}
+// resolve fills in the defaults that depend on the engine's degree: the
+// search's k, the base protocol's parameters, and the exhaustive space
+// the compile stage enumerates.
+func (cfg searchConfig) resolve(degree int) (int, Params, enum.Space, error) {
 	k := cfg.k
 	if k == 0 {
-		k = e.params.K
+		k = degree
 	}
 	r := cfg.r
 	if r == 0 {
@@ -206,16 +214,60 @@ func (e *Engine) runSearchAnalysis(ctx context.Context, family, baseRef string, 
 	}
 	p := Params{N: cfg.n, T: cfg.t, K: k}
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return 0, Params{}, enum.Space{}, err
 	}
 	values := make([]int, 0, vHi-vLo+1)
 	for v := vLo; v <= vHi; v++ {
 		values = append(values, v)
 	}
-	space := enum.Space{N: cfg.n, T: cfg.t, MaxRound: r, Values: values}
-	comp, err := unbeat.NewCompiler(unbeat.SearchParams{
-		Space: space, K: k, T: cfg.t, Uniform: cfg.uniform, Width: cfg.width,
-	})
+	return k, p, enum.Space{N: cfg.n, T: cfg.t, MaxRound: r, Values: values}, nil
+}
+
+// searchAnalysisSpec builds the spec of one deviation-search family over
+// a named base protocol.
+func searchAnalysisSpec(name string, aliases []string, baseRef string, uniform bool) AnalysisSpec {
+	return AnalysisSpec{
+		Name:    name,
+		Aliases: aliases,
+		Summary: fmt.Sprintf("bounded deviation search: no ≤width-view early-decision rule beats %s on an exhaustive space", baseRef),
+		Params:  "n=3 t=2 k=<engine degree> r=t+1 v=0..k width=2 uniform=" + fmt.Sprint(uniform),
+		New: func(args WorkloadArgs) (AnalysisRun, error) {
+			cfg, err := parseSearchConfig(args, uniform)
+			if err != nil {
+				return nil, err
+			}
+			return func(ctx context.Context, e *Engine, progress func(AnalysisProgress)) (*AnalysisReport, error) {
+				return e.runSearchAnalysis(ctx, name, baseRef, cfg, progress)
+			}, nil
+		},
+		CountUpperBound: func(args WorkloadArgs, degree int) (float64, error) {
+			cfg, err := parseSearchConfig(args, uniform)
+			if err != nil {
+				return 0, err
+			}
+			_, _, space, err := cfg.resolve(degree)
+			if err != nil {
+				return 0, err
+			}
+			return space.CountUpperBound(), nil
+		},
+	}
+}
+
+// runSearchAnalysis executes one deviation-search family end to end:
+// compile every run of the exhaustive space on the sweep executor, then
+// shard the candidate tests across the worker pool.
+func (e *Engine) runSearchAnalysis(ctx context.Context, family, baseRef string, cfg searchConfig, progress func(AnalysisProgress)) (*AnalysisReport, error) {
+	if e.backend.Kind() != Oracle {
+		return nil, fmt.Errorf("engine: analysis %q simulates full-information deviation rules and requires the Oracle backend (have %s)",
+			family, e.backend.Kind())
+	}
+	k, p, space, err := cfg.resolve(e.params.K)
+	if err != nil {
+		return nil, err
+	}
+	sp := unbeat.SearchParams{Space: space, K: k, T: cfg.t, Uniform: cfg.uniform, Width: cfg.width}
+	first, err := unbeat.NewCompiler(sp)
 	if err != nil {
 		return nil, err
 	}
@@ -227,59 +279,83 @@ func (e *Engine) runSearchAnalysis(ctx context.Context, family, baseRef string, 
 	if ent.err != nil {
 		return nil, ent.err
 	}
+	src, err := SpaceSource(space)
+	if err != nil {
+		return nil, err
+	}
 
-	// Compile stage: one pooled run per adversary, graphs rebuilt in the
-	// worker kit's recycled Builder arena (same-pattern blocks revive)
-	// and released as soon as the run is interned. The space size is
-	// unknown up front, so snapshots carry Total 0 until Finish closes
-	// the stage.
+	// Compile stage, on the sweep executor: the feeder cuts the space
+	// into pattern-block-aligned chunks, and each worker compiles the
+	// chunks it is handed into its own fragment Compiler — one pooled run
+	// per adversary, graphs built in the worker kit's Builder arena
+	// (same-pattern runs patch) and released as soon as the run is
+	// interned — recording each chunk as a segment at its offset. Merge
+	// then tiles the fragments into the table a sequential compile would
+	// build. The space size is unknown up front, so snapshots carry
+	// Total 0 until Finish closes the stage.
 	sink := unbeat.NewProgressSink(progress)
 	sink.Stage("compile", 0)
-	kit := e.getKit()
-	// Panic isolation for the compile stage: protocol code runs here in
-	// the calling goroutine, so a panic is converted into a typed
-	// analysis failure and the kit — possibly mid-mutation — is
-	// discarded instead of repooled.
-	defer func() {
-		if pe := govern.Recovered("engine: analysis compile", recover()); pe != nil {
-			rep, err = nil, pe
-			e.discardKit(kit)
-			return
+	var (
+		mu    sync.Mutex
+		frags []*unbeat.Compiler
+	)
+	err = e.sweepExec(ctx, []string{baseRef}, src, func(ctx context.Context, _ []*ProtocolSpec, jobs <-chan *sweepChunk) (err error) {
+		mu.Lock()
+		frag := first
+		if len(frags) > 0 {
+			frag, _ = unbeat.NewCompiler(sp) // sp passed NewCompiler above
 		}
-		e.putKit(kit)
-	}()
-	req := &kit.buf.req
-	var aerr error
-	err = space.ForEach(func(adv *model.Adversary) bool {
-		if aerr = ctx.Err(); aerr != nil {
-			return false
+		frags = append(frags, frag)
+		mu.Unlock()
+		kit := e.getKit()
+		// Worker-level panic isolation, innermost so the captured stack
+		// keeps the panic-origin frames: a panicking protocol becomes a
+		// typed analysis error, and the kit — possibly left mid-mutation —
+		// is discarded rather than repooled.
+		defer func() {
+			if pe := govern.Recovered("engine: analysis compile", recover()); pe != nil {
+				err = pe
+				e.discardKit(kit)
+				return
+			}
+			e.putKit(kit)
+		}()
+		req := &kit.buf.req
+		for chunk := range jobs {
+			frag.Segment(chunk.base)
+			for _, adv := range chunk.advs {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+				g := kit.builder.Build(adv, frag.Horizon())
+				*req = RunRequest{
+					Ref: baseRef, Spec: spec,
+					Proto: ent.proto, ProtoErr: ent.err, Name: ent.name,
+					Params: p, Adv: adv, Graph: g,
+				}
+				res, err := e.backend.RunInto(ctx, req, kit.buf)
+				if err != nil {
+					g.Release()
+					return err
+				}
+				frag.Add(adv, g, res.Decisions)
+				g.Release()
+				sink.Bump()
+			}
+			e.releaseChunk(chunk)
 		}
-		g := kit.builder.Build(adv, comp.Horizon())
-		*req = RunRequest{
-			Ref: baseRef, Spec: spec,
-			Proto: ent.proto, ProtoErr: ent.err, Name: ent.name,
-			Params: p, Adv: adv, Graph: g,
-		}
-		res, err := e.backend.RunInto(ctx, req, kit.buf)
-		if err != nil {
-			aerr = err
-			g.Release()
-			return false
-		}
-		comp.Add(adv, g, res.Decisions)
-		g.Release()
-		sink.Bump()
-		return true
+		return nil
 	})
-	if aerr != nil {
-		return nil, aerr
-	}
 	if err != nil {
 		return nil, err
 	}
 	sink.Finish()
+	cs, err := unbeat.Merge(frags...)
+	if err != nil {
+		return nil, err
+	}
 
-	srep, err := comp.Compiled().Search(ctx, unbeat.SearchOptions{
+	srep, err := cs.Search(ctx, unbeat.SearchOptions{
 		Parallelism: e.params.Parallelism,
 		Progress:    progress,
 	})

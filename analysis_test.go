@@ -17,13 +17,19 @@ func analysisEngine(par int, opts ...setconsensus.Option) *setconsensus.Engine {
 
 // TestAnalyzeParallelEquivalence pins the acceptance contract:
 // Engine.Analyze with Parallelism 1 and Parallelism N produce identical
-// AnalysisReports, field for field, for every built-in family. Run with
-// -race in CI this also exercises the sharded candidate testing and
-// certificate accumulators.
+// AnalysisReports, field for field, for every built-in family. For the
+// searches that covers the compile stage too: at Parallelism N it runs
+// as N fragments on the sweep executor, merged back in space order, so
+// view ids, counters and the witness — rebuilt from its run's offset on
+// the beaten u-Pmin[2] space — must not move. Run with -race in CI this
+// also exercises the fragment merge, the sharded candidate testing and
+// the certificate accumulators.
 func TestAnalyzeParallelEquivalence(t *testing.T) {
 	refs := []string{
 		"search:optmin:n=3,t=2,r=2,width=2",
 		"search:upmin:n=3,t=2,r=2,width=2",
+		"search:upmin:n=3,t=2,k=2,width=2",
+		"search:optmin:n=4,t=2,r=2,k=2,width=1",
 		"lemma2:c=2",
 		"forced:k=2",
 	}
@@ -34,7 +40,10 @@ func TestAnalyzeParallelEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, par := range []int{2, 4} {
+			if seq.Search != nil && seq.Search.Beaten && seq.Search.Witness.Adversary == "" {
+				t.Fatalf("beaten search without a strict-win adversary: %+v", seq.Search.Witness)
+			}
+			for _, par := range []int{2, 3, 4, 8} {
 				got, err := analysisEngine(par).Analyze(ctx, ref)
 				if err != nil {
 					t.Fatal(err)
@@ -69,6 +78,53 @@ func TestAnalyzeSearchMatchesDirectSearch(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rep.Search, direct) {
 		t.Fatalf("engine compile path diverges from direct search:\nengine: %+v\ndirect: %+v", rep.Search, direct)
+	}
+}
+
+// TestAnalyzeOptminN5 is the n=5 tier: Optmin[2] stays unbeaten at width
+// 1 on the 2,391,363-run space with five processes and two crashes.
+func TestAnalyzeOptminN5(t *testing.T) {
+	if testing.Short() {
+		t.Skip("n=5 search: 2.4M runs")
+	}
+	rep, err := analysisEngine(2).Analyze(context.Background(), "search:optmin:n=5,t=2,k=2,width=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := rep.Search; s.Beaten || s.Runs != 2391363 || s.Views != 35 || s.Candidates != 35 {
+		t.Fatalf("n=5 Optmin[2] search: %s", rep)
+	}
+}
+
+// TestAnalysisCountUpperBound pins the admission bound of analysis
+// references: a search reports its compile space's CountUpperBound at
+// the given degree (the degree sets k, and with it the value range, when
+// the reference leaves them out), a certificate family reports none.
+func TestAnalysisCountUpperBound(t *testing.T) {
+	reg := setconsensus.DefaultAnalyses()
+	cases := []struct {
+		ref    string
+		degree int
+		ub     float64
+		ok     bool
+	}{
+		{"search:upmin:n=5,t=3,r=2,k=2,width=1", 1, 82153683, true},
+		{"search:optmin:n=5,t=2,k=2,width=1", 1, 5657283, true},
+		{"search:optmin:n=5,t=2,width=1", 2, 5657283, true},
+		{"search:optmin:n=3,t=2,r=2,width=2", 1, 1736, true},
+		{"forced:k=2", 2, 0, false},
+		{"lemma2", 2, 0, false},
+	}
+	for _, c := range cases {
+		ub, ok, err := reg.CountUpperBound(c.ref, c.degree)
+		if err != nil || ub != c.ub || ok != c.ok {
+			t.Errorf("%s at degree %d: (%v, %v, %v), want (%v, %v, nil)", c.ref, c.degree, ub, ok, err, c.ub, c.ok)
+		}
+	}
+	for _, ref := range []string{"nonsense", "search:optmin:bogus=1", "search:optmin:n=1"} {
+		if _, _, err := reg.CountUpperBound(ref, 1); err == nil {
+			t.Errorf("%s: no error", ref)
+		}
 	}
 }
 

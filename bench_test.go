@@ -320,8 +320,8 @@ func BenchmarkGovernedSweep(b *testing.B) {
 	}
 }
 
-// Analysis pipeline: the staged deviation search (compile on the pooled
-// run path, candidate testing sharded over the worker pool) through
+// Analysis pipeline: the staged deviation search (compile and candidate
+// testing both sharded over the worker pool) through
 // Engine.Analyze, on the seeded uniform n=4 space whose candidate
 // testing is heavy enough to exercise the reworked stage. The
 // pre-refactor sequential unbeat.Search on this space is retained as

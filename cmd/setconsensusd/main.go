@@ -23,7 +23,9 @@
 // the work unit `setconsensus -coordinate -join` fans out across
 // servers. Range-scoped jobs are admitted against -max-space by their
 // window, not the full space, so a fleet can collectively sweep a
-// space far beyond any single server's per-job budget.
+// space far beyond any single server's per-job budget. Search analysis
+// jobs are admitted against -max-space by the upper bound of the space
+// they compile.
 //
 // Every budget is a flag: worker count, queue depth, per-job deadline,
 // max adversary space per job, retained results. SIGINT/SIGTERM drain

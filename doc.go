@@ -130,17 +130,24 @@
 //	forced         Lemma 1/3 cannot-decide certificates    k=<engine k> m=2 extra=2
 //
 // An analysis is a staged pipeline owned by the Engine. The search
-// families compile every run of an exhaustive space through the pooled
-// Backend.RunInto path (knowledge graphs rebuilt in a recycled Builder
-// arena, view sequences interned by zero-copy binary fingerprints into
-// slab-carved compiled runs), then stride the deviation candidates
-// across the worker pool: each worker owns scratch and private counters
-// merged once, candidates simulate only the runs their views occur in,
-// and the first dominating candidate in canonical order short-circuits
-// the remaining work. The certificate families shard graph nodes across
-// the same pool. Reports are deterministic in the configuration alone —
-// Engine.Analyze with Parallelism 1 and Parallelism N return identical
-// AnalysisReports, pinned by tests under -race.
+// families compile every run of an exhaustive space on the sweep
+// executor: each worker compiles the pattern-block-aligned chunks it is
+// handed through the pooled Backend.RunInto path (knowledge graphs
+// patched in the worker's Builder arena, views interned by zero-copy
+// binary fingerprints) into its own fragment of a compact run table —
+// int32 view ids, decision columns and input-value words, nothing per
+// run for the collector to trace — and the fragments merge in space
+// order, re-interned so view ids match a sequential compile. No run
+// keeps its adversary: a witness rebuilds its strict-win adversary from
+// the run's offset in the space. The search then strides the deviation
+// candidates across the worker pool: each worker owns scratch and
+// private counters merged once, candidates simulate only the runs their
+// views occur in, and the first dominating candidate in canonical order
+// short-circuits the remaining work. The certificate families shard
+// graph nodes across the same pool. Reports are deterministic in the
+// configuration alone — Engine.Analyze with Parallelism 1 and
+// Parallelism N return identical AnalysisReports, pinned by tests under
+// -race.
 //
 // The AnalysisReport schema is typed end to end: search outcomes carry a
 // SearchReport whose Witness (if any) is the deviation list plus the
@@ -357,15 +364,19 @@
 // pure functions of the view, so one instance serves all workers.
 //
 // The analysis pipeline reuses all of it: search compilation runs on
-// RunInto with Builder-revived graphs and interns views through
+// the sweep executor's pooled chunks and per-worker kits, through
+// RunInto with Builder-patched graphs, and interns views through
 // Graph.AppendFingerprint (the zero-copy form of Fingerprint — map
-// lookup via string(bytes), key materialized only on a miss), compiled
-// runs are carved from slabs, and candidate testing is allocation-free
-// per candidate (per-worker testScratch; pinned by
-// internal/unbeat/scratch_test.go). The pre-pipeline search is retained
-// verbatim as internal/unbeat/reference.go, enforced report-for-report
-// by equivalence tests and measured by the
-// BenchmarkAnalyze/BenchmarkSearchReference ablation pair.
+// lookup via string(bytes), key materialized only on a miss). Compiled
+// runs live in a struct-of-arrays table (about 90 B per run at n=5,
+// where the per-run records it replaced held about 1.2 KB), value sets
+// are copied into a slab, and occurrence sets exist only for deviation
+// views, each carved at its exact length from one slab. Candidate
+// testing is allocation-free per candidate (per-worker testScratch;
+// pinned by internal/unbeat/scratch_test.go). The pre-pipeline search is
+// retained verbatim, test-only, in internal/unbeat/reference_test.go,
+// enforced report-for-report by equivalence tests and measured by the
+// BenchmarkSearchPipeline/BenchmarkSearchReference ablation pair.
 //
 // BENCH_baseline.json records the measured trajectory per PR
 // (pr4_post is the sharded/pooled sweep: BenchmarkSweepSource 3.4ms →

@@ -271,6 +271,13 @@ func (g *Graph) Vals(i model.Proc, m int) *bitset.Set {
 	return &s
 }
 
+// ValsWords returns the words of Vals⟨i,m⟩ (bit v&63 of word v>>6 is
+// value v) without copying: the slice aliases the graph's arena, so it is
+// read-only and valid only until the graph is released. It serves
+// consumers that pack value sets into their own slabs, where Vals would
+// allocate a set per call.
+func (g *Graph) ValsWords(i model.Proc, m int) []uint64 { return g.valsWords(i, m) }
+
 // Min returns Min⟨i,m⟩, the minimal value i has seen by time m. Every view
 // contains at least the process's own initial node, so Min is total.
 func (g *Graph) Min(i model.Proc, m int) model.Value {

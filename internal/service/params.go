@@ -74,8 +74,9 @@ type Params struct {
 	// (CountUpperBound — the pre-deduplication size, so size the budget
 	// to the bound, not the canonical count), above this are rejected at
 	// submission; sources that cannot be sized up front are cancelled
-	// mid-run the moment they exceed it. Both paths surface
-	// ErrSpaceBudget.
+	// mid-run the moment they exceed it. Analysis jobs are sized by the
+	// upper bound of the space their search compiles (the certificate
+	// families enumerate none). Every path surfaces ErrSpaceBudget.
 	MaxSpaceSize int
 
 	// JobDeadline is the hard per-job context deadline. Requests may ask

@@ -54,12 +54,24 @@ func (s *Server) admit(req *JobRequest) (setconsensus.Source, error) {
 	if err := req.validate(); err != nil {
 		return nil, err
 	}
-	if _, err := s.engineFor(req); err != nil {
+	eng, err := s.engineFor(req)
+	if err != nil {
 		return nil, err
 	}
 	if req.Kind == KindAnalysis {
 		if _, err := setconsensus.ParseAnalysis(req.Analysis); err != nil {
 			return nil, err
+		}
+		// Search families enumerate an exhaustive space at the job's
+		// degree and keep every compiled run, so they are sized like
+		// sweeps; certificate families enumerate none and report no bound.
+		ub, ok, err := setconsensus.DefaultAnalyses().CountUpperBound(req.Analysis, eng.Params().K)
+		if err != nil {
+			return nil, err
+		}
+		if ok && ub > float64(s.params.MaxSpaceSize) {
+			return nil, fmt.Errorf("%w: analysis %q enumerates up to %.0f adversaries, budget %d",
+				ErrSpaceBudget, req.Analysis, ub, s.params.MaxSpaceSize)
 		}
 		return nil, nil
 	}

@@ -244,6 +244,45 @@ func TestSubmissionErrors(t *testing.T) {
 	}
 }
 
+// TestAnalysisSpaceBudget pins admission of analysis jobs on a default
+// budget: a search is sized by the upper bound of the space it compiles
+// and rejected over budget with 422, as sweep jobs are, while searches
+// within budget and the certificate families, which enumerate no space,
+// are admitted.
+func TestAnalysisSpaceBudget(t *testing.T) {
+	s, c := newTestServer(t, func(p *Params) { p.MaxSpaceSize = Default().MaxSpaceSize })
+	ctx := context.Background()
+
+	// 82,153,683 adversaries before deduplication, against 10,000,000.
+	over := `{"kind":"analysis","analysis":"search:upmin:n=5,t=3,r=2,k=2,width=1"}`
+	resp, err := c.http().Post(c.url("/v1/jobs"), "application/json", strings.NewReader(over))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(body), "budget") {
+		t.Fatalf("over-budget search = %d %s, want 422 naming the budget", resp.StatusCode, body)
+	}
+
+	// Within budget. Admission alone is checked: the n=5 search (bound
+	// 5,657,283) would take seconds and half a gigabyte to run.
+	for _, ref := range []string{"search:optmin:n=5,t=2,k=2,width=1", "forced:k=2", "lemma2"} {
+		if _, err := s.admit(&JobRequest{Kind: KindAnalysis, Analysis: ref}); err != nil {
+			t.Errorf("%s not admitted: %v", ref, err)
+		}
+	}
+	// The benchmark daemon's analysis job is admitted and runs.
+	st, err := c.SubmitAndWait(ctx, JobRequest{Kind: KindAnalysis, Analysis: "search:optmin:n=3,t=2,r=2,width=2",
+		Params: JobParams{K: 1}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateDone || st.Analysis == nil || st.Analysis.Search == nil {
+		t.Fatalf("analysis job finished %s (%q)", st.State, st.Error)
+	}
+}
+
 // TestBadProtocolRefFailsJob pins that references admission cannot
 // resolve synchronously (protocol refs bind at sweep time) surface as a
 // failed job, not a hung one.

@@ -9,16 +9,30 @@ import (
 	"setconsensus/internal/sim"
 )
 
+// searchRun is one adversary's compiled form in the reference search:
+// per process, the interned view id at each active time up to the base
+// protocol's decision, plus the base decision itself. The pipeline keeps
+// the same facts in its struct-of-arrays run table instead.
+type searchRun struct {
+	adv      *model.Adversary
+	seq      [][]int // seq[i][m] = view id, m ≤ decision time (or last active)
+	decTime  []int   // base decision time, −1 if none
+	decValue []model.Value
+	correct  []bool
+	present  *bitset.Set // values present in the input vector
+}
+
 // referenceSearch is the pre-pipeline deviation search, kept verbatim as
 // the behavioral reference for the staged implementation (the same
 // arrangement internal/knowledge uses for its arena rewrite): a single
 // sequential pass that allocates a deviation map per candidate and a
-// decided-value bitset per (candidate, run). Equivalence tests pin the
-// pipeline's verdicts and counters against it, and the benchmark pair
-// BenchmarkAnalyze / BenchmarkSearchReference measures what the staged,
-// scratch-based rework buys. Counters follow the pipeline's beaten-case
-// convention (canonical prefix through the winner) so reports compare
-// field for field; the witness is typed the same way.
+// decided-value bitset per (candidate, run), and keeps every run's
+// adversary. It is test-only: equivalence tests pin the pipeline's
+// verdicts and counters against it, and the benchmark pair
+// BenchmarkSearchPipeline / BenchmarkSearchReference measures what the
+// staged, scratch-based rework buys. Counters follow the pipeline's
+// beaten-case convention (canonical prefix through the winner) so
+// reports compare field for field; the witness is typed the same way.
 func referenceSearch(base sim.Protocol, p SearchParams) (*SearchReport, error) {
 	if p.Width < 1 || p.Width > 2 {
 		return nil, fmt.Errorf("unbeat: search width must be 1 or 2, got %d", p.Width)

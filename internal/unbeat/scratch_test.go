@@ -29,16 +29,15 @@ func width2Compiled(t *testing.T) *Compiled {
 // the worker's scratch is warm.
 func TestViolatesScratchAllocFree(t *testing.T) {
 	cs := width2Compiled(t)
-	if len(cs.devs) < 2 || len(cs.runs) == 0 {
-		t.Fatalf("degenerate compiled space: %d devs, %d runs", len(cs.devs), len(cs.runs))
+	if len(cs.devs) < 2 || cs.table.runs() == 0 {
+		t.Fatalf("degenerate compiled space: %d devs, %d runs", len(cs.devs), cs.table.runs())
 	}
 	sc := &testScratch{}
 	sc.devs[0], sc.devs[1] = cs.devs[0], cs.devs[1]
-	sr := cs.runs[0]
-	cs.violates(sc.devs[:2], sr, sc) // warm the decided set
+	cs.violates(sc.devs[:2], 0, sc) // warm the decided set
 	allocs := testing.AllocsPerRun(100, func() {
-		for _, sr := range cs.runs {
-			cs.violates(sc.devs[:2], sr, sc)
+		for r := range cs.table.runs() {
+			cs.violates(sc.devs[:2], r, sc)
 		}
 	})
 	if allocs != 0 {
@@ -107,7 +106,7 @@ func TestSearchWidth2AllocationBounded(t *testing.T) {
 	// Stage bookkeeping (violation sets, occurs table, report) scales
 	// with views + runs; the old code paid ≥ one allocation per tested
 	// candidate plus one per (candidate, run).
-	bound := float64(4*(rep.Views+len(cs.viewVals)) + rep.Runs/4 + 64)
+	bound := float64(4*(rep.Views+len(cs.viewPre)) + rep.Runs/4 + 64)
 	if allocs > bound {
 		t.Fatalf("width-2 search allocated %.0f objects (bound %.0f) for %d pair-runs — per-pair scratch regressed",
 			allocs, bound, pairWork)

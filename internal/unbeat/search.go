@@ -1,9 +1,11 @@
 package unbeat
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -29,10 +31,13 @@ import (
 // The search is a staged pipeline:
 //
 //	compile — every run of the space is executed once and flattened into
-//	          interned view-id sequences plus the base protocol's
-//	          decisions (Compiler.Add; any graph/run machinery feeds it,
-//	          which is how Engine.Analyze drives it through the pooled
-//	          Backend.RunInto / knowledge.Builder revive path);
+//	          a compact run table: interned view ids plus the base
+//	          protocol's decisions, with run r standing for the space's
+//	          r-th adversary (Compiler.Add). Compilers are fragments:
+//	          each records the space windows it compiled as segments, and
+//	          Merge tiles the fragments back into the table a sequential
+//	          compile builds — which is how Engine.Analyze runs the stage
+//	          on its sweep executor, one fragment per worker;
 //	shard   — deviation candidates are strided across a worker pool in
 //	          canonical enumeration order, each worker folding into
 //	          private accumulators merged once (the internal/agg
@@ -44,7 +49,9 @@ import (
 //
 // Reports are deterministic regardless of parallelism: counters describe
 // either the full enumeration (unbeaten) or the canonical prefix ending
-// at the minimal dominating candidate (beaten).
+// at the minimal dominating candidate (beaten). No run keeps its
+// adversary: a witness rebuilds its strict-win adversary from the run's
+// offset with Space.From.
 
 // SearchParams configures the deviation search.
 type SearchParams struct {
@@ -80,58 +87,68 @@ type SearchOptions struct {
 	Progress func(Progress)
 }
 
-// searchRun is one adversary's compiled form: per process, the interned
-// view id at each active time up to the base protocol's decision, plus
-// the base decision itself.
-type searchRun struct {
-	adv      *model.Adversary
-	seq      [][]int // seq[i][m] = view id, m ≤ decision time (or last active)
-	decTime  []int   // base decision time, −1 if none
-	decValue []model.Value
-	correct  []bool
-	present  *bitset.Set // values present in the input vector
+// runTable holds compiled runs as struct-of-arrays: per process, the
+// interned view id at each active time up to the base protocol's
+// decision, plus the base decision itself. Row (r, i) — process i of run
+// r — is ids[ends[r*n+i]:ends[r*n+i+1]], and every per-process column is
+// indexed r*n+i, so a compiled space is a handful of flat arrays whatever
+// its size, with nothing per run for the collector to trace.
+type runTable struct {
+	n, pw   int      // processes per run; words per value set
+	ids     []int32  // interned view ids of every row, back to back
+	ends    []int32  // row ends in ids; ends[0] = 0
+	decTime []int8   // base decision time, −1 if none
+	decVal  []int32  // base decision value (meaningful when decTime ≥ 0)
+	correct []uint64 // [r] mask of the processes correct in run r
+	present []uint64 // [r*pw:(r+1)*pw] values present in run r's input vector
 }
 
-// Compiler is the compile stage of the search pipeline: it folds one
-// executed run at a time into the interned view table and the compiled
-// run list. Feed it with Add — the engine does so through its pooled
-// run path — then seal it with Compiled. A Compiler is not safe for
-// concurrent use; compilation is the cheap, sequential stage (one pass
-// over the space) ahead of the candidate-testing fan-out.
-type Compiler struct {
-	p        SearchParams
-	horizon  int
-	ids      map[string]int
-	viewVals []*bitset.Set // per view id: Vals of the view
-	viewPre  []bool        // ever occurs strictly before a base decision
-	runs     []*searchRun
-	fpBuf    []byte // reused fingerprint build buffer (zero-copy interning)
+func (t *runTable) runs() int { return len(t.correct) }
 
-	// prevRun supports delta reuse across consecutive Adds: when the
+// row returns the interned view ids of process i in run r.
+func (t *runTable) row(r, i int) []int32 {
+	k := r*t.n + i
+	return t.ids[t.ends[k]:t.ends[k+1]]
+}
+
+// segment records that the compiler's runs from start up to the next
+// segment's start (or the end of its table) are the space's adversaries
+// from offset base on.
+type segment struct{ base, start int }
+
+// Compiler is the compile stage of the search pipeline: it folds one
+// executed run at a time into its interned view table and run table.
+// Feed it with Add, then seal one or more compilers with Merge. A
+// Compiler compiles a fragment of the space: Segment marks where in the
+// space's enumeration the following Adds sit, so several compilers —
+// one per worker of the engine's sweep executor — can each compile
+// whichever pattern-block-aligned chunks they are handed, and Merge
+// tiles the fragments back into the space in order. A Compiler is not
+// safe for concurrent use; the fan-out is one Compiler per goroutine.
+type Compiler struct {
+	p       SearchParams
+	horizon int
+	ids     map[string]int32 // view fingerprint → id, in this fragment's first-occurrence order
+	keys    []string         // [id] the view's fingerprint, the key Merge re-interns by
+	vals    []uint64         // [id*pw:(id+1)*pw] Vals of the view
+	viewPre []bool           // [id] ever occurs strictly before a base decision
+	table   runTable
+	segs    []segment
+	fpBuf   []byte // reused fingerprint build buffer (zero-copy interning)
+	err     error  // a table limit exceeded; surfaced by Merge
+
+	// prev supports delta reuse across consecutive Adds: when the
 	// incoming run shares the previous run's failure pattern (by pointer)
 	// and differs in at most one process's input — the enumeration's
 	// Gray-code delta order makes that the common case — every view that
 	// has not seen the changed input has a fingerprint identical to the
 	// previous run's view at the same (proc, time), so its interned id is
-	// copied instead of recomputed. Only ids already interned are reused,
-	// never assigned, so the interning order (and with it deviation
-	// ordinals and report determinism) is byte-identical to a cold
-	// compile.
-	prevRun *searchRun
-
-	// Compiled runs are carved out of block allocations: one compiled
-	// space holds thousands of runs whose row lengths are known before
-	// filling, so per-run make calls would dominate the compile stage's
-	// allocation profile (they did: ~16 allocations per run before the
-	// slabs).
-	runSlab  []searchRun
-	rowSlab  [][]int
-	intSlab  []int
-	valSlab  []model.Value
-	boolSlab []bool
-	setSlab  []bitset.Set
-	wordSlab []uint64
-	presentW int // words per present set, fixed by the space's value range
+	// copied from the previous run's row instead of recomputed. Only ids
+	// already interned are reused, never assigned, so the interning order
+	// (and with it deviation ordinals and report determinism) is
+	// byte-identical to a cold compile. prev is the previous Add's
+	// adversary, held only until the next Add.
+	prev *model.Adversary
 }
 
 // NewCompiler validates the parameters and returns an empty compiler.
@@ -142,76 +159,65 @@ func NewCompiler(p SearchParams) (*Compiler, error) {
 	if err := p.Space.Validate(); err != nil {
 		return nil, err
 	}
+	if p.Space.N > 64 {
+		return nil, fmt.Errorf("unbeat: search spaces hold at most 64 processes, got %d", p.Space.N)
+	}
 	maxV := 0
 	for _, v := range p.Space.Values {
-		if v > maxV {
-			maxV = v
+		if v < 0 {
+			return nil, fmt.Errorf("unbeat: search values must be non-negative, got %d", v)
 		}
+		maxV = max(maxV, v)
 	}
-	return &Compiler{p: p, horizon: p.T/p.K + 1, ids: make(map[string]int, 1<<10), presentW: maxV>>6 + 1}, nil
+	return &Compiler{
+		p:       p,
+		horizon: p.T/p.K + 1,
+		ids:     make(map[string]int32, 1<<10),
+		table:   runTable{n: p.Space.N, pw: maxV>>6 + 1, ends: []int32{0}},
+	}, nil
 }
-
-// carve cuts an exact-capacity slice of n elements off a slab,
-// reblocking when the slab runs dry. Carved slices are independent
-// values; the slab is only the backing memory (the enum.advSlab
-// arrangement).
-func carve[T any](slab *[]T, n, block int) []T {
-	if len(*slab) < n {
-		if block < n {
-			block = n
-		}
-		*slab = make([]T, block)
-	}
-	out := (*slab)[:n:n]
-	*slab = (*slab)[n:]
-	return out
-}
-
-// compileSlabRuns sizes the compile slabs: runs per struct block, and
-// the element blocks scaled to cover that many typical runs.
-const compileSlabRuns = 128
 
 // Horizon is the knowledge-graph horizon compiled runs must be built to.
 func (c *Compiler) Horizon() int { return c.horizon }
 
-// Runs reports how many runs have been compiled so far.
-func (c *Compiler) Runs() int { return len(c.runs) }
+// Segment starts a new segment: the next Add compiles the space's
+// base-th adversary, and each Add after it the adversary that follows,
+// until the next Segment. A compiler whose first Add precedes any
+// Segment call starts at offset 0, so a single compiler fed the whole
+// enumeration in order needs no Segment call at all.
+func (c *Compiler) Segment(base int) {
+	c.segs = append(c.segs, segment{base: base, start: c.table.runs()})
+}
 
 // Add compiles one run: adv's knowledge graph g (built to Horizon, by
 // any construction — the engine feeds revived Builder arenas) and the
-// base protocol's decisions on it. Add copies everything it keeps, so g
-// may be released and decisions reused immediately after the call.
+// base protocol's decisions on it. adv must be the space's adversary at
+// the run's offset (see Segment): witnesses rebuild it from that offset.
+// Add copies everything it keeps, so g may be released and decisions
+// reused immediately after the call.
 func (c *Compiler) Add(adv *model.Adversary, g *knowledge.Graph, decisions []*sim.Decision) {
-	n := adv.N()
-	if len(c.runSlab) == 0 {
-		c.runSlab = make([]searchRun, compileSlabRuns)
+	if c.err != nil {
+		return
 	}
-	sr := &c.runSlab[0]
-	c.runSlab = c.runSlab[1:]
-	sr.adv = adv
-	sr.seq = carve(&c.rowSlab, n, compileSlabRuns*n)
-	sr.decTime = carve(&c.intSlab, n, compileSlabRuns*n*(c.horizon+2))
-	sr.decValue = carve(&c.valSlab, n, compileSlabRuns*n)
-	sr.correct = carve(&c.boolSlab, n, compileSlabRuns*n)
-	if len(c.setSlab) == 0 {
-		c.setSlab = make([]bitset.Set, compileSlabRuns)
+	if len(c.segs) == 0 {
+		c.Segment(0)
 	}
-	sr.present = &c.setSlab[0]
-	c.setSlab = c.setSlab[1:]
-	*sr.present = bitset.Wrap(carve(&c.wordSlab, c.presentW, compileSlabRuns*c.presentW))
-	for _, v := range adv.Inputs {
-		sr.present.Add(v)
+	t := &c.table
+	n, pw, r := t.n, t.pw, t.runs()
+	if adv.N() != n {
+		c.err = fmt.Errorf("unbeat: compiled an %d-process run into an %d-process space", adv.N(), n)
+		return
 	}
-	// Delta reuse (see prevRun): diff this run's inputs against the
-	// previous run's when the failure pattern is shared. changed is the
-	// single differing process, -1 when the inputs are identical; any
-	// wider diff (or a pattern change) disables reuse for this run.
-	prev := c.prevRun
+	// Delta reuse (see prev): diff this run's inputs against the previous
+	// run's when the failure pattern is shared. changed is the single
+	// differing process, -1 when the inputs are identical; any wider diff
+	// (or a pattern change) disables reuse for this run.
+	prev := c.prev
 	changed, reuse := -1, false
-	if prev != nil && prev.adv.Pattern == adv.Pattern && prev.adv.N() == n {
+	if prev != nil && prev.Pattern == adv.Pattern {
 		reuse = true
 		for p, v := range adv.Inputs {
-			if v != prev.adv.Inputs[p] {
+			if v != prev.Inputs[p] {
 				if changed >= 0 {
 					reuse, changed = false, -1
 					break
@@ -220,32 +226,40 @@ func (c *Compiler) Add(adv *model.Adversary, g *knowledge.Graph, decisions []*si
 			}
 		}
 	}
-	for i := 0; i < n; i++ {
-		if reuse {
-			sr.correct[i] = prev.correct[i] // pattern-derived: same pattern, same answer
-		} else {
-			sr.correct[i] = adv.Pattern.Correct(i)
-		}
-		sr.decTime[i] = -1
-		if i < len(decisions) && decisions[i] != nil {
-			sr.decTime[i] = decisions[i].Time
-			sr.decValue[i] = decisions[i].Value
-		}
-		last := sr.decTime[i]
-		if last < 0 {
-			// Crashed before deciding: views until last active time.
-			last = adv.Pattern.CrashRound(i) - 1
-			if last > c.horizon {
-				last = c.horizon
+	var correct uint64
+	if reuse {
+		correct = t.correct[r-1] // pattern-derived: same pattern, same answer
+	} else {
+		for i := 0; i < n; i++ {
+			if adv.Pattern.Correct(i) {
+				correct |= 1 << uint(i)
 			}
 		}
-		var prow []int
-		if reuse {
-			prow = prev.seq[i]
+	}
+	t.correct = append(t.correct, correct)
+	t.present = append(t.present, make([]uint64, pw)...)
+	present := t.present[r*pw:]
+	for _, v := range adv.Inputs {
+		present[v>>6] |= 1 << uint(v&63)
+	}
+	for i := 0; i < n; i++ {
+		dt, dv := -1, model.Value(0)
+		if i < len(decisions) && decisions[i] != nil {
+			dt, dv = decisions[i].Time, decisions[i].Value
 		}
-		row := carve(&c.intSlab, last+1, compileSlabRuns*n*(c.horizon+2))
+		t.decTime = append(t.decTime, int8(dt))
+		t.decVal = append(t.decVal, int32(dv))
+		last := dt
+		if last < 0 {
+			// Crashed before deciding: views until last active time.
+			last = min(adv.Pattern.CrashRound(i)-1, c.horizon)
+		}
+		var prow []int32
+		if reuse {
+			prow = t.row(r-1, i)
+		}
 		for m := 0; m <= last; m++ {
-			var id int
+			var id int32
 			if m < len(prow) && (changed < 0 || !g.Seen(i, m, changed, 0)) {
 				// The view has not seen the changed input (or nothing
 				// changed): its fingerprint — layers and sender masks are
@@ -257,54 +271,243 @@ func (c *Compiler) Add(adv *model.Adversary, g *knowledge.Graph, decisions []*si
 				// Interning is the compile hot path: the fingerprint is
 				// built into the compiler's reused buffer and looked up
 				// zero-copy; only a first-seen view materializes a key
-				// string.
+				// string and a value-set slot.
 				c.fpBuf = g.AppendFingerprint(c.fpBuf[:0], i, m)
 				var ok bool
 				if id, ok = c.ids[string(c.fpBuf)]; !ok {
-					id = len(c.viewVals)
-					c.ids[string(c.fpBuf)] = id
-					c.viewVals = append(c.viewVals, g.Vals(i, m))
+					id = int32(len(c.keys))
+					key := string(c.fpBuf)
+					c.ids[key] = id
+					c.keys = append(c.keys, key)
+					c.vals = append(c.vals, make([]uint64, pw)...)
+					copy(c.vals[len(c.vals)-pw:], g.ValsWords(i, m))
 					c.viewPre = append(c.viewPre, false)
 				}
 			}
-			if m < sr.decTime[i] || sr.decTime[i] < 0 {
+			if m < dt || dt < 0 {
 				c.viewPre[id] = true
 			}
-			row[m] = id
+			t.ids = append(t.ids, id)
 		}
-		sr.seq[i] = row
+		if len(t.ids) > math.MaxInt32 {
+			c.err = fmt.Errorf("unbeat: compiled space exceeds %d view-id slots", math.MaxInt32)
+			return
+		}
+		t.ends = append(t.ends, int32(len(t.ids)))
 	}
-	c.runs = append(c.runs, sr)
-	c.prevRun = sr
+	c.prev = adv
 }
 
-// Compiled seals the compiler into the shard/test stages' input: the
+// piece is one non-empty segment of a fragment, placed in the space.
+type piece struct {
+	frag, base, start, runs int
+	ids                     int // global offset of the piece's first view id
+}
+
+// Merge seals compiled fragments into the input of the shard/test stages.
+// The fragments' segments must tile the space's offsets [0, runs)
+// exactly — a gap or an overlap is an error — and every fragment must
+// have been built for the same search. Merge re-interns the fragments'
+// view ids in global first-occurrence order (a view's pre-decision flag
+// is the OR over the fragments that saw it), so view ids, deviation
+// ordinals and everything the search reports are byte-identical to a
+// single compiler fed the whole space in order, however the space was
+// split. Merge consumes the fragments: they must not be used afterwards.
+func Merge(frags ...*Compiler) (*Compiled, error) {
+	if len(frags) == 0 {
+		return nil, fmt.Errorf("unbeat: merge of no fragments")
+	}
+	p := frags[0].p
+	var pieces []piece
+	for fi, f := range frags {
+		if f.err != nil {
+			return nil, f.err
+		}
+		if !sameSearch(f.p, p) {
+			return nil, fmt.Errorf("unbeat: merge of fragments compiled for different searches")
+		}
+		for si, s := range f.segs {
+			end := f.table.runs()
+			if si+1 < len(f.segs) {
+				end = f.segs[si+1].start
+			}
+			if s.base < 0 {
+				return nil, fmt.Errorf("unbeat: merge: segment at negative offset %d", s.base)
+			}
+			if end > s.start {
+				pieces = append(pieces, piece{frag: fi, base: s.base, start: s.start, runs: end - s.start})
+			}
+		}
+	}
+	slices.SortFunc(pieces, func(a, b piece) int { return cmp.Compare(a.base, b.base) })
+	runs, inOrder := 0, true
+	for _, pc := range pieces {
+		if pc.base > runs {
+			return nil, fmt.Errorf("unbeat: merge: runs [%d, %d) were never compiled", runs, pc.base)
+		}
+		if pc.base < runs {
+			return nil, fmt.Errorf("unbeat: merge: runs [%d, %d) were compiled twice", pc.base, min(runs, pc.base+pc.runs))
+		}
+		inOrder = inOrder && pc.frag == 0 && pc.start == runs
+		runs += pc.runs
+	}
+	cs := &Compiled{p: p}
+	if len(frags) == 1 && inOrder {
+		// One fragment compiled in space order is the sequential compile:
+		// its ids already are in global first-occurrence order.
+		f := frags[0]
+		cs.table, cs.vals, cs.viewPre = f.table, f.vals, f.viewPre
+	} else if err := cs.mergeTables(frags, pieces, runs); err != nil {
+		return nil, err
+	}
+	for _, f := range frags {
+		*f = Compiler{err: fmt.Errorf("unbeat: compiler already merged")}
+	}
+	cs.seal()
+	return cs, nil
+}
+
+// sameSearch reports whether two fragments were compiled for one search.
+func sameSearch(a, b SearchParams) bool {
+	return a.K == b.K && a.T == b.T && a.Uniform == b.Uniform && a.Width == b.Width &&
+		a.Space.N == b.Space.N && a.Space.T == b.Space.T && a.Space.MaxRound == b.Space.MaxRound &&
+		slices.Equal(a.Space.Values, b.Space.Values)
+}
+
+// mergeTables builds the global table from the fragments' pieces (sorted
+// by offset and tiling [0, runs)): one pass in space order assigns global
+// view ids at first occurrence, then each fragment's pieces are copied
+// into place, ids remapped, and the fragment's table is dropped.
+func (cs *Compiled) mergeTables(frags []*Compiler, pieces []piece, runs int) error {
+	n, pw := frags[0].table.n, frags[0].table.pw
+	remap := make([][]int32, len(frags))
+	for fi, f := range frags {
+		remap[fi] = make([]int32, len(f.keys))
+		for id := range remap[fi] {
+			remap[fi][id] = -1
+		}
+	}
+	// Fingerprints are unique within a fragment, so only views shared
+	// across fragments need the global interning map.
+	var global map[string]int32
+	if len(frags) > 1 {
+		global = make(map[string]int32, len(frags[0].keys))
+	}
+	total := 0
+	for pi := range pieces {
+		pc := &pieces[pi]
+		f, rm := frags[pc.frag], remap[pc.frag]
+		t := &f.table
+		lo, hi := t.ends[pc.start*n], t.ends[(pc.start+pc.runs)*n]
+		pc.ids = total
+		total += int(hi - lo)
+		for _, id := range t.ids[lo:hi] {
+			if rm[id] >= 0 {
+				continue
+			}
+			gid := int32(len(cs.viewPre))
+			if global != nil {
+				if g, ok := global[f.keys[id]]; ok {
+					gid = g
+				} else {
+					global[f.keys[id]] = gid
+				}
+			}
+			if int(gid) == len(cs.viewPre) {
+				cs.vals = append(cs.vals, f.vals[int(id)*pw:int(id+1)*pw]...)
+				cs.viewPre = append(cs.viewPre, false)
+			}
+			cs.viewPre[gid] = cs.viewPre[gid] || f.viewPre[id]
+			rm[id] = gid
+		}
+	}
+	if total > math.MaxInt32 {
+		return fmt.Errorf("unbeat: compiled space exceeds %d view-id slots", math.MaxInt32)
+	}
+	g := runTable{
+		n: n, pw: pw,
+		ids:     make([]int32, total),
+		ends:    make([]int32, runs*n+1),
+		decTime: make([]int8, runs*n),
+		decVal:  make([]int32, runs*n),
+		correct: make([]uint64, runs),
+		present: make([]uint64, runs*pw),
+	}
+	for fi, f := range frags {
+		t, rm := &f.table, remap[fi]
+		for _, pc := range pieces {
+			if pc.frag != fi {
+				continue
+			}
+			b, s, c := pc.base, pc.start, pc.runs
+			lo, hi := t.ends[s*n], t.ends[(s+c)*n]
+			for j, id := range t.ids[lo:hi] {
+				g.ids[pc.ids+j] = rm[id]
+			}
+			shift := int32(pc.ids) - lo
+			for k := 1; k <= c*n; k++ {
+				g.ends[b*n+k] = t.ends[s*n+k] + shift
+			}
+			copy(g.decTime[b*n:(b+c)*n], t.decTime[s*n:(s+c)*n])
+			copy(g.decVal[b*n:(b+c)*n], t.decVal[s*n:(s+c)*n])
+			copy(g.correct[b:b+c], t.correct[s:s+c])
+			copy(g.present[b*pw:(b+c)*pw], t.present[s*pw:(s+c)*pw])
+		}
+		f.table = runTable{} // copied: let the fragment's table go
+	}
+	cs.table = g
+	return nil
+}
+
+// seal derives the shard/test stages' inputs from the merged table: the
 // deviation-point list in canonical order (view-interning order, value
-// ascending within a view), the compiled runs, the per-view occurrence
-// sets that let candidate testing touch only the runs a deviation can
-// change, and the base protocol's own violation set (normally empty —
-// it is the premise of the whole search). The compiler must not be
-// Added to afterwards.
-func (c *Compiler) Compiled() *Compiled {
-	cs := &Compiled{p: c.p, runs: c.runs, viewVals: c.viewVals}
+// ascending within a view), the occurrence sets that let candidate
+// testing touch only the runs a deviation can change, and the base
+// protocol's own violation set (normally empty — it is the premise of
+// the whole search).
+func (cs *Compiled) seal() {
+	t, pw := &cs.table, cs.table.pw
 	// Deviation points: views that occur strictly before a base decision
 	// (deciding there is a strict improvement), with any value the view
 	// has seen (anything else instantly violates Validity).
-	for id, pre := range c.viewPre {
+	for id, pre := range cs.viewPre {
 		if !pre {
 			continue
 		}
-		c.viewVals[id].ForEach(func(v int) bool {
+		vals := bitset.Wrap(cs.vals[id*pw : (id+1)*pw])
+		vals.ForEach(func(v int) bool {
 			cs.devs = append(cs.devs, Deviation{View: id, Value: v})
 			return true
 		})
 	}
-	// occurs[view] = runs whose interned sequences contain the view.
-	cs.occurs = make([]bitset.Set, len(c.viewVals))
-	for ri, sr := range c.runs {
-		for _, row := range sr.seq {
-			for _, id := range row {
-				cs.occurs[id].Add(ri)
+	// occurs[view] = runs whose rows contain the view. Only deviation
+	// views are ever looked up, so only they get a set, each carved from
+	// one slab at its exact length (through its last occurrence).
+	last := make([]int32, len(cs.viewPre))
+	for r := range t.runs() {
+		for _, id := range t.ids[t.ends[r*t.n]:t.ends[(r+1)*t.n]] {
+			last[id] = int32(r)
+		}
+	}
+	words := 0
+	for id, pre := range cs.viewPre {
+		if pre {
+			words += int(last[id])>>6 + 1
+		}
+	}
+	slab := make([]uint64, words)
+	cs.occurs = make([]bitset.Set, len(cs.viewPre))
+	for id, pre := range cs.viewPre {
+		if pre {
+			w := int(last[id])>>6 + 1
+			cs.occurs[id] = bitset.Wrap(slab[:w])
+			slab = slab[w:]
+		}
+	}
+	for r := range t.runs() {
+		for _, id := range t.ids[t.ends[r*t.n]:t.ends[(r+1)*t.n]] {
+			if cs.viewPre[id] {
+				cs.occurs[id].Add(r)
 			}
 		}
 	}
@@ -313,23 +516,23 @@ func (c *Compiler) Compiled() *Compiled {
 	// sets, so these runs stay violated for every candidate that does
 	// not touch them.
 	sc := &testScratch{}
-	for ri, sr := range c.runs {
-		if bad, _ := cs.violates(nil, sr, sc); bad {
-			cs.baseBad.Add(ri)
+	for r := range t.runs() {
+		if bad, _ := cs.violates(nil, r, sc); bad {
+			cs.baseBad.Add(r)
 		}
 	}
-	return cs
 }
 
 // Compiled is the sealed output of the compile stage, ready for
 // (repeated) candidate testing.
 type Compiled struct {
-	p        SearchParams
-	runs     []*searchRun
-	viewVals []*bitset.Set
-	devs     []Deviation
-	occurs   []bitset.Set // [view] → runs containing the view
-	baseBad  bitset.Set   // runs violated by the base protocol itself
+	p       SearchParams
+	table   runTable
+	vals    []uint64     // [view*pw:(view+1)*pw] Vals of the view
+	viewPre []bool       // [view] occurs strictly before a base decision
+	devs    []Deviation  // deviation points in canonical order
+	occurs  []bitset.Set // [view] → runs containing it; empty unless viewPre
+	baseBad bitset.Set   // runs violated by the base protocol itself
 }
 
 // testScratch is the per-worker scratch of the test stage: the candidate
@@ -343,24 +546,28 @@ type testScratch struct {
 	relevant bitset.Set
 }
 
-// violates simulates a candidate (deviation list, distinct views) on one
-// run and reports (taskViolated, strictWinObserved).
-func (cs *Compiled) violates(devs []Deviation, sr *searchRun, sc *testScratch) (bool, bool) {
+// violates simulates a candidate (deviation list, distinct views) on run
+// r and reports (taskViolated, strictWinObserved).
+func (cs *Compiled) violates(devs []Deviation, r int, sc *testScratch) (bool, bool) {
+	t := &cs.table
 	decided := sc.decided.Clear()
 	strict := false
 	undecidedCorrect := false
-	for i := range sr.seq {
-		dTime, dVal := sr.decTime[i], sr.decValue[i]
+	correct := t.correct[r]
+	present := t.present[r*t.pw : (r+1)*t.pw]
+	for i := 0; i < t.n; i++ {
+		k := r*t.n + i
+		dTime := int(t.decTime[k])
 		final := dTime
-		finalVal := dVal
+		finalVal := model.Value(t.decVal[k])
 		// A candidate is a function of the view: whenever a deviating
 		// view occurs while the process is undecided, it decides the
 		// deviation's value — strictly early if before the base
 		// decision, as a value override if at it.
 	seq:
-		for m, id := range sr.seq[i] {
+		for m, id := range t.ids[t.ends[k]:t.ends[k+1]] {
 			for _, d := range devs {
-				if d.View != id {
+				if int32(d.View) != id {
 					continue
 				}
 				final, finalVal = m, d.Value
@@ -370,16 +577,17 @@ func (cs *Compiled) violates(devs []Deviation, sr *searchRun, sc *testScratch) (
 				break seq
 			}
 		}
+		isCorrect := correct&(1<<uint(i)) != 0
 		if final < 0 {
-			if sr.correct[i] {
+			if isCorrect {
 				undecidedCorrect = true
 			}
 			continue
 		}
-		if !sr.present.Contains(finalVal) {
+		if finalVal < 0 || finalVal>>6 >= len(present) || present[finalVal>>6]&(1<<uint(finalVal&63)) == 0 {
 			return true, strict // Validity broken
 		}
-		if cs.p.Uniform || sr.correct[i] {
+		if cs.p.Uniform || isCorrect {
 			decided.Add(finalVal)
 		}
 	}
@@ -402,7 +610,7 @@ func (cs *Compiled) testCandidate(devs []Deviation, relevant *bitset.Set, sc *te
 	strictAnywhere := false
 	ok := true
 	relevant.ForEach(func(ri int) bool {
-		bad, strict := cs.violates(devs, cs.runs[ri], sc)
+		bad, strict := cs.violates(devs, ri, sc)
 		if bad {
 			ok = false
 			return false
@@ -415,15 +623,21 @@ func (cs *Compiled) testCandidate(devs []Deviation, relevant *bitset.Set, sc *te
 
 // witness builds the typed witness of a dominating candidate: its
 // deviations plus the first enumerated run on which it strictly wins.
+// Runs keep no adversary; run r is the space's r-th, so the winning one
+// is rebuilt from its offset.
 func (cs *Compiled) witness(devs []Deviation) *Witness {
 	w := &Witness{Deviations: append([]Deviation(nil), devs...)}
 	sc := &testScratch{}
-	for _, sr := range cs.runs {
-		if _, strict := cs.violates(devs, sr, sc); strict {
-			w.AdvFingerprint = advFingerprintHex(sr.adv)
-			w.Adversary = sr.adv.String()
+	for r := range cs.table.runs() {
+		if _, strict := cs.violates(devs, r, sc); !strict {
+			continue
+		}
+		for _, adv := range cs.p.Space.From(r) {
+			w.AdvFingerprint = advFingerprintHex(adv)
+			w.Adversary = adv.String()
 			break
 		}
+		break
 	}
 	return w
 }
@@ -587,7 +801,7 @@ func (cs *Compiled) Search(ctx context.Context, opts SearchOptions) (*SearchRepo
 		workers = 1
 	}
 	prog := NewProgressSink(opts.Progress)
-	report := &SearchReport{Runs: len(cs.runs), Views: len(cs.devs)}
+	report := &SearchReport{Runs: cs.table.runs(), Views: len(cs.devs)}
 	nd := len(cs.devs)
 
 	// Stage: width-1. Runs to completion even when a winner appears
@@ -615,7 +829,7 @@ func (cs *Compiled) Search(ctx context.Context, opts SearchOptions) (*SearchRepo
 			vio := &singleViolated[di]
 			strictAnywhere := false
 			cs.occurs[d.View].ForEach(func(ri int) bool {
-				bad, strict := cs.violates(sc.devs[:1], cs.runs[ri], sc)
+				bad, strict := cs.violates(sc.devs[:1], ri, sc)
 				if bad {
 					vio.Add(ri)
 				}
@@ -777,5 +991,9 @@ func Search(ctx context.Context, base sim.Protocol, p SearchParams) (*SearchRepo
 	if err != nil {
 		return nil, err
 	}
-	return c.Compiled().Search(ctx, SearchOptions{Parallelism: 1})
+	cs, err := Merge(c)
+	if err != nil {
+		return nil, err
+	}
+	return cs.Search(ctx, SearchOptions{Parallelism: 1})
 }

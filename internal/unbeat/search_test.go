@@ -144,7 +144,11 @@ func compileFor(t *testing.T, base sim.Protocol, p SearchParams) *Compiled {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c.Compiled()
+	cs, err := Merge(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cs
 }
 
 // TestSearchParallelEquivalence pins the determinism contract: the
@@ -188,15 +192,17 @@ func TestSearchParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestSearchMatchesReference pins the staged pipeline node for node
-// against the retained pre-pipeline implementation (reference.go): same
-// verdict, same counters, same witness, on unbeaten and beaten spaces.
-func TestSearchMatchesReference(t *testing.T) {
-	cases := []struct {
-		name string
-		base sim.Protocol
-		p    SearchParams
-	}{
+// searchCase is one search configuration of the equivalence tests.
+type searchCase struct {
+	name string
+	base sim.Protocol
+	p    SearchParams
+}
+
+// referenceCases are the configurations the pipeline is pinned against
+// the reference search on: unbeaten and beaten, width 1 and 2, k 1 and 2.
+func referenceCases() []searchCase {
+	return []searchCase{
 		{"optmin-w2", core.MustOptmin(core.Params{N: 3, T: 2, K: 1}),
 			SearchParams{Space: enum.Space{N: 3, T: 2, MaxRound: 3, Values: []model.Value{0, 1}}, K: 1, T: 2, Width: 2}},
 		{"upmin-w2", core.MustUPmin(core.Params{N: 3, T: 2, K: 1}),
@@ -206,7 +212,14 @@ func TestSearchMatchesReference(t *testing.T) {
 		{"floodmin-beaten", baseline.Must(baseline.FloodMin, core.Params{N: 3, T: 1, K: 1}),
 			SearchParams{Space: enum.Space{N: 3, T: 1, MaxRound: 1, Values: []model.Value{0, 1}}, K: 1, T: 1, Width: 2}},
 	}
-	for _, c := range cases {
+}
+
+// TestSearchMatchesReference pins the staged pipeline node for node
+// against the retained pre-pipeline implementation (reference_test.go):
+// same verdict, same counters, same witness, on unbeaten and beaten
+// spaces.
+func TestSearchMatchesReference(t *testing.T) {
+	for _, c := range referenceCases() {
 		t.Run(c.name, func(t *testing.T) {
 			want, err := referenceSearch(c.base, c.p)
 			if err != nil {
