@@ -22,18 +22,19 @@ type Aggregator struct {
 	// path, which addresses protocols by index instead of map lookup.
 	tasksByIdx []Task
 	// advs counts the adversaries fully folded by the sharded path — one
-	// atomic bump per adversary (not per run), so the progress feed costs
-	// the hot loop a single uncontended add per len(tasksByIdx) runs.
+	// atomic add per claimed window, not per adversary: the workers share
+	// this cache line, and the fold reads tasksByIdx from it on every run.
 	advs atomic.Int64
 }
 
 // SweepProgress is one streamed snapshot of a running aggregating sweep:
 // the count of adversaries fully folded so far and the runs they
-// contributed (adversaries × protocols — foldOne folds all protocols of
-// an adversary before bumping). It is the sweep-side analogue of
-// AnalysisProgress, consumed by Engine.SweepSourceProgress and streamed
-// over SSE by the job service. Total stays 0 for exhaustive spaces,
-// whose canonical size is only discovered by walking them.
+// contributed (adversaries × protocols — a worker folds all protocols
+// of a claimed window's adversaries before counting them). It is the
+// sweep-side analogue of AnalysisProgress, consumed by
+// Engine.SweepSourceProgress and streamed over SSE by the job service.
+// Total stays 0 for exhaustive spaces, whose canonical size is only
+// discovered by walking them.
 type SweepProgress struct {
 	Adversaries int `json:"adversaries"`
 	Runs        int `json:"runs"`
@@ -47,8 +48,8 @@ func (a *Aggregator) Progress() SweepProgress {
 	return SweepProgress{Adversaries: n, Runs: n * len(a.tasksByIdx)}
 }
 
-// advDone records one fully folded adversary for the progress feed.
-func (a *Aggregator) advDone() { a.advs.Add(1) }
+// advsDone records n fully folded adversaries for the progress feed.
+func (a *Aggregator) advsDone(n int) { a.advs.Add(int64(n)) }
 
 // NewAggregator builds an aggregator for the named protocols, verifying
 // every run against the task its protocol claims to solve at the

@@ -3,6 +3,7 @@ package setconsensus
 import (
 	"context"
 	"fmt"
+	"iter"
 	"sync"
 
 	"setconsensus/internal/enum"
@@ -284,22 +285,22 @@ func (e *Engine) runSearchAnalysis(ctx context.Context, family, baseRef string, 
 		return nil, err
 	}
 
-	// Compile stage, on the sweep executor: the feeder cuts the space
-	// into pattern-block-aligned chunks, and each worker compiles the
-	// chunks it is handed into its own fragment Compiler — one pooled run
-	// per adversary, graphs built in the worker kit's Builder arena
-	// (same-pattern runs patch) and released as soon as the run is
-	// interned — recording each chunk as a segment at its offset. Merge
-	// then tiles the fragments into the table a sequential compile would
-	// build. The space size is unknown up front, so snapshots carry
-	// Total 0 until Finish closes the stage.
+	// Compile stage, on the sweep executor: each worker claims windows of
+	// the space — a pattern block each, or a slice of a block above
+	// windowCap — enumerates them itself, and compiles them into its own
+	// fragment Compiler — one pooled run per adversary, graphs built in
+	// the worker kit's Builder arena (at most one full build per window,
+	// every other run patches) and released as soon as the run is
+	// interned — recording each window as a segment at its offset. Merge then tiles the fragments into the table a sequential
+	// compile would build. The space size is unknown up front, so
+	// snapshots carry Total 0 until Finish closes the stage.
 	sink := unbeat.NewProgressSink(progress)
 	sink.Stage("compile", 0)
 	var (
 		mu    sync.Mutex
 		frags []*unbeat.Compiler
 	)
-	err = e.sweepExec(ctx, []string{baseRef}, src, func(ctx context.Context, _ []*ProtocolSpec, jobs <-chan *sweepChunk) (err error) {
+	err = e.sweepExec(ctx, []string{baseRef}, src, func(ctx context.Context, _ []*ProtocolSpec, chunks iter.Seq[*sweepChunk]) (err error) {
 		mu.Lock()
 		frag := first
 		if len(frags) > 0 {
@@ -321,10 +322,10 @@ func (e *Engine) runSearchAnalysis(ctx context.Context, family, baseRef string, 
 			e.putKit(kit)
 		}()
 		req := &kit.buf.req
-		for chunk := range jobs {
+		for chunk := range chunks {
 			frag.Segment(chunk.base)
 			for _, adv := range chunk.advs {
-				if err := ctx.Err(); err != nil {
+				if err := sweepCancelled(ctx); err != nil {
 					return err
 				}
 				g := kit.builder.Build(adv, frag.Horizon())
@@ -342,7 +343,6 @@ func (e *Engine) runSearchAnalysis(ctx context.Context, family, baseRef string, 
 				g.Release()
 				sink.Bump()
 			}
-			e.releaseChunk(chunk)
 		}
 		return nil
 	})

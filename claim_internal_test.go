@@ -1,0 +1,291 @@
+package setconsensus
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"iter"
+	"math/rand"
+	"runtime"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"setconsensus/internal/govern"
+	"setconsensus/internal/knowledge"
+	"setconsensus/internal/model"
+)
+
+// gateProtocol never decides; the first Decide of its first run closes
+// blocked and waits for release.
+type gateProtocol struct {
+	once             *sync.Once
+	blocked, release chan struct{}
+}
+
+func (gateProtocol) Name() string               { return "gate" }
+func (gateProtocol) WorstCaseDecisionTime() int { return 2 }
+func (p gateProtocol) Decide(*knowledge.Graph, model.Proc, int) (model.Value, bool) {
+	p.once.Do(func() {
+		close(p.blocked)
+		<-p.release
+	})
+	return 0, false
+}
+
+// TestSweepSourceJoinsSourceIterator pins the executor's lifetime
+// contract: SweepSource returns only after the source iterator it pulled
+// has returned. At Parallelism 1 the worker's first Decide blocks while
+// the source iterator is parked before its 33rd adversary, behind a gate
+// the test opens only after SweepSource has returned. An executor that
+// leaves the iterator running — a feeder goroutine still inside it —
+// returns first and fails here; one that joins its iterator can only
+// return once the iterator has.
+func TestSweepSourceJoinsSourceIterator(t *testing.T) {
+	gate := gateProtocol{once: new(sync.Once), blocked: make(chan struct{}), release: make(chan struct{})}
+	reg := NewRegistry()
+	reg.MustRegister(ProtocolSpec{
+		Name:          "gate",
+		WorstCaseTime: func(Params) int { return 2 },
+		New:           func(Params) (Protocol, error) { return gate, nil },
+	})
+	eng := New(WithRegistry(reg), WithParallelism(1))
+	defer eng.Close()
+
+	adv := NewBuilder(3, 0).MustBuild()
+	iterGate, iterDone := make(chan struct{}), make(chan struct{})
+	src := FuncSource("gated", -1, func(yield func(*Adversary) bool) {
+		defer close(iterDone)
+		for i := 0; ; i++ {
+			if i == 32 {
+				<-iterGate
+			}
+			if !yield(adv) {
+				return
+			}
+		}
+	})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := eng.SweepSource(ctx, []string{"gate"}, src)
+		errc <- err
+	}()
+	<-gate.blocked
+	cancel()
+	close(gate.release)
+	select {
+	case err := <-errc:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("SweepSource = %v, want context.Canceled", err)
+		}
+		select {
+		case <-iterDone:
+		default:
+			t.Error("SweepSource returned while the source iterator is still running")
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("SweepSource did not return after cancellation")
+	}
+	close(iterGate)
+	select {
+	case <-iterDone:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the source iterator never returned")
+	}
+}
+
+// claimed is one window a claimer handed out, copied out of its chunk.
+type claimed struct {
+	base int
+	advs []*Adversary
+}
+
+// claimAll drains a fresh claimer for src with the given number of
+// concurrent workers and returns every window, sorted by base.
+func claimAll(t *testing.T, e *Engine, src Source, workers int) []claimed {
+	t.Helper()
+	count, known := src.Count()
+	var (
+		mu      sync.Mutex
+		windows []claimed
+		failed  error
+		wg      sync.WaitGroup
+	)
+	cl := newClaimer(e, src, count, known, workers, func(err error) { failed = err })
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for c := range cl.chunks(context.Background(), e) {
+				mu.Lock()
+				windows = append(windows, claimed{c.base, append([]*Adversary(nil), c.advs...)})
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	cl.close()
+	if failed != nil {
+		t.Fatal(failed)
+	}
+	sort.Slice(windows, func(i, j int) bool { return windows[i].base < windows[j].base })
+	return windows
+}
+
+func advKey(a *Adversary) string {
+	return fmt.Sprintf("%v/%x", a.Inputs, a.Pattern.AppendFingerprint(nil))
+}
+
+// TestClaimWindowsTile drives the claim path directly: on randomized
+// small spaces and one whose single block exceeds windowCap, RangeSource
+// windows over them (block-unaligned offsets and limits included),
+// slices and a plain stream, the windows 1–4 concurrent workers claim,
+// sorted by base, must reproduce Seq adversary for adversary, and every
+// window of a space must lie inside one pattern block and hold at most
+// windowCap adversaries.
+func TestClaimWindowsTile(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	e := New()
+	var spaces []Space
+	for len(spaces) < 16 {
+		n := 2 + rng.Intn(3)
+		space := Space{N: n, T: rng.Intn(min(3, n)), MaxRound: 1 + rng.Intn(2), Values: []int{0, 1, 2}[:1+rng.Intn(3)]}
+		if space.CountUpperBound() > 12000 {
+			continue // keep the race-detector stress of this test cheap
+		}
+		spaces = append(spaces, space)
+	}
+	// One failure-free block of 512 adversaries, cut into slices.
+	spaces = append(spaces, Space{N: 9, T: 0, MaxRound: 1, Values: []int{0, 1}})
+	for _, space := range spaces {
+		spaceSrc, err := SpaceSource(space)
+		if err != nil {
+			t.Fatal(err)
+		}
+		advs, err := space.Adversaries()
+		if err != nil {
+			t.Fatal(err)
+		}
+		total, block := len(advs), space.PatternBlock()
+		off, lim := rng.Intn(total+1), rng.Intn(total+2)
+		type tc struct {
+			name   string
+			src    Source
+			origin int // space offset of the stream's first adversary; -1: not a space
+		}
+		cases := []tc{
+			{"space", spaceSrc, 0},
+			{fmt.Sprintf("range@%d+%d", off, lim), RangeSource(spaceSrc, off, lim), off},
+			{fmt.Sprintf("range@%d+%d@1+%d", off, lim, lim), RangeSource(RangeSource(spaceSrc, off, lim), 1, lim), off + 1},
+			{"slice", SliceSource(advs...), -1},
+			{fmt.Sprintf("slice@%d+%d", off, lim), RangeSource(SliceSource(advs...), off, lim), -1},
+			{"stream", FuncSource("stream", -1, spaceSrc.Seq()), -1},
+		}
+		for _, c := range cases {
+			var want []string
+			for a := range c.src.Seq() {
+				want = append(want, advKey(a))
+			}
+			for workers := 1; workers <= 4; workers++ {
+				label := fmt.Sprintf("%s %s workers=%d", space.Label(), c.name, workers)
+				var got []string
+				for _, w := range claimAll(t, e, c.src, workers) {
+					if w.base != len(got) {
+						t.Fatalf("%s: window at %d, want %d", label, w.base, len(got))
+					}
+					if c.origin >= 0 {
+						first, last := c.origin+w.base, c.origin+w.base+len(w.advs)-1
+						if first/block != last/block {
+							t.Fatalf("%s: window [%d,%d] straddles a block of %d", label, first, last, block)
+						}
+						if len(w.advs) > windowCap {
+							t.Fatalf("%s: window [%d,%d] holds more than %d adversaries", label, first, last, windowCap)
+						}
+					}
+					for _, a := range w.advs {
+						got = append(got, advKey(a))
+					}
+				}
+				if strings.Join(got, "\n") != strings.Join(want, "\n") {
+					t.Fatalf("%s: claimed %d adversaries, Seq yields %d, or their order differs", label, len(got), len(want))
+				}
+			}
+		}
+	}
+}
+
+// panickingSeq yields adv forever and panics at its 41st adversary.
+func panickingSeq(adv *Adversary) iter.Seq[*Adversary] {
+	return func(yield func(*Adversary) bool) {
+		for i := 0; ; i++ {
+			if i == 40 {
+				panic("panickingSeq: boom")
+			}
+			if !yield(adv) {
+				return
+			}
+		}
+	}
+}
+
+// TestSweepSourcePanicIsolated runs a source whose iterator panics
+// mid-stream through the aggregating and the materializing executor: the
+// sweep must fail with a *govern.PanicError whose stack holds the
+// iterator's frame, leave no goroutine behind — the pulled iterator
+// included — and the same engine's next sweep must equal a fresh
+// engine's.
+func TestSweepSourcePanicIsolated(t *testing.T) {
+	ctx := context.Background()
+	refs := []string{"optmin", "upmin"}
+	space := Space{N: 3, T: 2, MaxRound: 2, Values: []int{0, 1}}
+	spaceSrc, err := SpaceSource(space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := New(WithCrashBound(2)).SweepSource(ctx, refs, spaceSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adv := NewBuilder(3, 0).MustBuild()
+	paths := []struct {
+		name  string
+		sweep func(e *Engine, src Source) error
+	}{
+		{"SweepSource", func(e *Engine, src Source) error {
+			_, err := e.SweepSource(ctx, refs, src)
+			return err
+		}},
+		{"SweepSourceStream", func(e *Engine, src Source) error {
+			return e.SweepSourceStream(ctx, refs, src, func(*Result) {})
+		}},
+	}
+	for _, path := range paths {
+		for _, par := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/parallelism=%d", path.name, par), func(t *testing.T) {
+				before := runtime.NumGoroutine()
+				e := New(WithCrashBound(2), WithParallelism(par))
+				err := path.sweep(e, FuncSource("panicking", -1, panickingSeq(adv)))
+				pe, ok := govern.AsPanic(err)
+				if !ok {
+					t.Fatalf("sweep = %v, want a *govern.PanicError", err)
+				}
+				if !strings.Contains(string(pe.Stack), "panickingSeq") {
+					t.Fatalf("panic stack lacks the iterator's frame:\n%s", pe.Stack)
+				}
+				settleGoroutines(t, before)
+				got, err := e.SweepSource(ctx, refs, spaceSrc)
+				if err != nil {
+					t.Fatalf("sweep after a recovered source panic: %v", err)
+				}
+				if SummaryTable(got).Render() != SummaryTable(want).Render() {
+					t.Fatal("sweep after a recovered source panic differs from a fresh engine's")
+				}
+			})
+		}
+	}
+}

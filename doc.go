@@ -131,10 +131,11 @@
 //
 // An analysis is a staged pipeline owned by the Engine. The search
 // families compile every run of an exhaustive space on the sweep
-// executor: each worker compiles the pattern-block-aligned chunks it is
-// handed through the pooled Backend.RunInto path (knowledge graphs
-// patched in the worker's Builder arena, views interned by zero-copy
-// binary fingerprints) into its own fragment of a compact run table —
+// executor: each worker claims whole pattern blocks of the space,
+// enumerates them itself, and compiles them through the pooled
+// Backend.RunInto path (knowledge graphs patched in the worker's
+// Builder arena, views interned by zero-copy binary fingerprints) into
+// its own fragment of a compact run table —
 // int32 view ids, decision columns and input-value words, nothing per
 // run for the collector to trace — and the fragments merge in space
 // order, re-interned so view ids match a sequential compile. No run
@@ -327,16 +328,18 @@
 //	               worklist, so a patch is O(views seeing the change), not
 //	               O(graph)
 //
-// Sweep executors align worker chunk boundaries to multiples of the
-// pattern-block stride (PatternBlocked / Space.PatternBlock), so a chunk
-// pays one full build at its first adversary and patches the rest;
-// Engine.Stats meters the split exactly (GraphsRebuilt = one per
-// canonical pattern, GraphsPatched = everything else, pinned by
-// TestSweepSourceMetersPatches). The unbeatability compile stage rides
-// the same order: Compiler.Add diffs consecutive adversaries and copies
-// interned view ids forward for every view the changed process never
-// reaches, skipping fingerprint encoding and interning for the bulk of
-// each block.
+// The sweep executor hands out exhaustive spaces one pattern block at a
+// time, so a block of up to 256 adversaries pays one full build at its
+// first adversary and patches the rest at any parallelism; Engine.Stats
+// meters the split exactly (GraphsRebuilt = one per canonical pattern,
+// GraphsPatched = everything else, pinned by
+// TestSweepSourceMetersPatches). A larger block is handed out in aligned
+// slices of 256, and at Parallelism > 1 each slice may pay its own full
+// build. The unbeatability compile stage rides the same order:
+// Compiler.Add diffs consecutive adversaries and copies interned view
+// ids forward for every view the changed process never reaches,
+// skipping fingerprint encoding and interning for the bulk of each
+// block.
 //
 // The aggregating sweep itself is sharded and pooled. Each SweepSource
 // worker folds its runs into private per-protocol accumulators
@@ -349,11 +352,20 @@
 // decisions, scratch-set task verification (internal/check.Scratch),
 // and no rendered adversary strings — the display string is a memoized
 // lazy closure, materialized only when a retained Result actually needs
-// it. Enumeration feeds workers through pooled chunks and dedups
-// canonical failure patterns on compact binary fingerprints
-// (FailurePattern.AppendFingerprint) built in one reused buffer,
-// carving adversaries out of slab blocks. The aggregating path
-// allocates ~2 objects per adversary, all of them the adversary itself.
+// it. Each worker claims its next window under one mutex and
+// enumerates it itself. An exhaustive space (SpaceSource, or a
+// RangeSource over one) hands out windows from a shared enum.Cursor, which walks and dedups the failure patterns once per
+// sweep on compact binary fingerprints
+// (FailurePattern.AppendFingerprint) built in one reused buffer and
+// materializes each block's canonical pattern once; the claiming worker
+// decodes the Gray code and carves adversaries out of slab blocks with
+// its own enum.Walker, outside the lock. Any other Source is pulled
+// under the claim lock (iter.Pull), a chunk per claim, and the sweep
+// returns only after that iterator has. Claims fill pooled chunks, and
+// the workers share nothing per adversary: cancellation is polled on
+// the Done channel and progress is counted per window. The aggregating
+// path allocates ~2 objects per adversary, all of them the adversary
+// itself.
 //
 // Identity keys are compact binary encodings, not rendered strings: both
 // the per-view Fingerprint (view interning in the unbeatability search
@@ -364,7 +376,7 @@
 // pure functions of the view, so one instance serves all workers.
 //
 // The analysis pipeline reuses all of it: search compilation runs on
-// the sweep executor's pooled chunks and per-worker kits, through
+// the sweep executor's claimed windows and per-worker kits, through
 // RunInto with Builder-patched graphs, and interns views through
 // Graph.AppendFingerprint (the zero-copy form of Fingerprint — map
 // lookup via string(bytes), key materialized only on a miss). Compiled

@@ -3,11 +3,14 @@ package setconsensus
 import (
 	"context"
 	"fmt"
+	"iter"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"setconsensus/internal/agg"
+	"setconsensus/internal/enum"
 	"setconsensus/internal/govern"
 	"setconsensus/internal/knowledge"
 	"setconsensus/internal/model"
@@ -25,7 +28,8 @@ import (
 //
 // Workloads too large to materialize stream through Engine.SweepSource,
 // which shards a Source across the same worker pool and folds results
-// into a constant-memory Summary.
+// into a constant-memory Summary. Each worker claims its next window of
+// the source under one lock and enumerates it itself (see sweepExec).
 //
 // # Recycle contract
 //
@@ -70,10 +74,11 @@ type Engine struct {
 	kitMu   sync.Mutex
 	kitFree []*runKit
 
-	// chunkMu/chunkFree recycle the feeder's sweepChunk arrays, bounded
-	// the same way; chunkBytes is the engine's receipt of every chunk
-	// byte currently accounted to the governor (pooled or in flight), so
-	// Close can return the remainder even for chunks a panic dropped.
+	// chunkMu/chunkFree recycle the sweepChunk arrays workers fill with
+	// their claimed windows, bounded the same way; chunkBytes is the
+	// engine's receipt of every chunk byte currently accounted to the
+	// governor (pooled or in flight), so Close can return the remainder
+	// even for chunks a panic dropped.
 	chunkMu    sync.Mutex
 	chunkFree  []*sweepChunk
 	chunkBytes atomic.Int64
@@ -91,7 +96,7 @@ type Engine struct {
 	// Pool hit-rate counters: a hit is a checkout served from the
 	// freelist, a miss a fresh allocation. statKit* meters the
 	// per-worker runKit pool (RunBuffer + builder arena — the expensive
-	// warm-up state), statChunk* the feeder's sweepChunk pool. While the
+	// warm-up state), statChunk* the sweepChunk pool. While the
 	// governor sheds, release paths drop buffers instead of repooling
 	// them, so a falling hit rate is the observable symptom of sweeps
 	// running over the soft memory ceiling.
@@ -304,10 +309,10 @@ func (e *Engine) protoFor(ref string, spec *ProtocolSpec, p Params) protoEntry {
 // The pool hit-rate pairs meter the two freelists behind aggregating
 // sweeps: RunKitHits/RunKitMisses count per-worker runKit (RunBuffer +
 // builder arena) checkouts served warm from the pool versus freshly
-// allocated, and ChunkHits/ChunkMisses the same for the feeder's
-// sweepChunk arrays. A steady sweep's hit rate converges to ~1; misses
-// growing mid-sweep mean the governor is shedding pooled buffers over
-// the soft memory ceiling.
+// allocated, and ChunkHits/ChunkMisses the same for the sweepChunk
+// arrays workers fill, one per claimed window. A steady sweep's hit
+// rate converges to ~1; misses growing mid-sweep mean the governor is
+// shedding pooled buffers over the soft memory ceiling.
 type EngineStats struct {
 	GraphsRebuilt int64 `json:"graphsRebuilt"`
 	GraphsRevived int64 `json:"graphsRevived"`
@@ -404,12 +409,19 @@ func (e *Engine) SweepStream(ctx context.Context, refs []string, advs []*Adversa
 
 // SweepSource streams every adversary of src through every named
 // protocol and folds the results online into a Summary. The source is
-// sharded across the worker pool in deterministic chunks and never
+// sharded across the worker pool in deterministic windows and never
 // materialized: memory is bounded by the Summary, the in-flight chunks,
 // and whatever the source itself retains (an exhaustive SpaceSource
 // keeps its canonical-pattern dedup set) — never by the number of
 // results. Per adversary, all protocols share one knowledge graph, as
 // in Sweep.
+//
+// Cancelling ctx stops the workers at their next adversary, but the
+// sweep returns only once everything it started has finished — each
+// worker, and the source iterator the workers pull any source but an
+// exhaustive space from: a cancelled sweep waits for the iterator's
+// current step to return, so a Source must not block
+// indefinitely between yields.
 //
 // This is the allocation-free sweep variant: every run goes through the
 // pooled Backend.RunInto path, each worker folds its shard into private
@@ -424,7 +436,8 @@ func (e *Engine) SweepSource(ctx context.Context, refs []string, src Source) (*S
 // aggregation: emit is called once per finished run, in completion
 // order, from a single goroutine at a time. Emitted Results are fresh
 // (emit may retain them), so this path pays the per-run allocations the
-// aggregating SweepSource avoids.
+// aggregating SweepSource avoids. Cancelling ctx stops the sweep as
+// SweepSource describes.
 func (e *Engine) SweepSourceStream(ctx context.Context, refs []string, src Source, emit func(*Result)) error {
 	if src == nil {
 		return fmt.Errorf("engine: nil source")
@@ -437,17 +450,18 @@ func (e *Engine) SweepSourceStream(ctx context.Context, refs []string, src Sourc
 	})
 }
 
-// sourceChunk bounds how many adversaries a worker claims at once from a
-// streamed source. Chunking amortizes channel handoffs on huge spaces
-// without starving workers on small ones.
+// sourceChunk bounds how many adversaries a worker pulls per claim from
+// a plain stream. Claims of that size amortize the claim lock on huge
+// streams without starving workers on small ones.
 const sourceChunk = 32
 
-// chunkSizeFor picks the shard size: small known workloads go one
-// adversary at a time (maximum parallelism), large or unknown ones in
-// fixed chunks. Degenerate counts fall back to the streaming chunk
-// size: a Source whose Count lies (reports known with count ≤ 0 yet
-// yields adversaries) or a clamped-to-zero worker total must degrade to
-// the unknown-count behavior, not divide by zero or starve the pool.
+// chunkSizeFor picks the claim size of plain streams: small known
+// workloads go one adversary at a time (maximum parallelism), large
+// or unknown ones in fixed chunks. Degenerate counts fall back to the
+// streaming chunk size: a Source whose Count lies (reports known with
+// count ≤ 0 yet yields adversaries) or a clamped-to-zero worker total
+// must degrade to the unknown-count behavior, not divide by zero or
+// starve the pool.
 //
 // block, when > 1, is the source's pattern-block stride (PatternBlocked):
 // the enumeration changes failure pattern exactly at multiples of it, so
@@ -493,27 +507,36 @@ func alignChunk(c, block int) int {
 	return c
 }
 
-// sweepChunk is one work unit: a run of consecutive adversaries and the
-// global index of the first. Chunks recycle through the engine's
-// bounded freelist — the feeder takes one, fills it, and hands it to a
-// worker, which releases it after its last adversary is processed — so
-// a streaming sweep allocates a bounded handful of chunk arrays
-// regardless of workload size. metered is the chunk's share of the
-// governor's account (8 bytes per pointer of capacity), zero on
-// ungoverned engines.
+// windowCap bounds a window of an exhaustive space. A window is one whole
+// pattern block, so its worker full-builds the block's graph once and
+// patches every other adversary; only a block larger than windowCap is
+// cut, into block-relative slices of windowCap adversaries, so one huge
+// block still spreads over the workers and a chunk array stays small.
+// Such a slice starts with a full build unless its worker's builder
+// still holds the block's pattern, so at Parallelism > 1 a cut block may
+// be built once per slice.
+const windowCap = 256
+
+// sweepChunk is one claimed work unit: a run of consecutive adversaries
+// and the stream index of the first. Chunks recycle through the engine's
+// bounded freelist — a worker takes one per claim, fills it with its
+// window, and returns it once the window's last adversary is processed —
+// so a sweep allocates a bounded handful of chunk arrays regardless of
+// workload size. metered is the chunk's share of the governor's account
+// (8 bytes per pointer of capacity), zero on ungoverned engines.
 type sweepChunk struct {
 	base    int
 	advs    []*Adversary
 	metered int64
 }
 
-// chunkPoolBound bounds the chunk freelist: at most workers+feeder
-// chunks are ever in flight, so anything beyond that headroom is churn
+// chunkPoolBound bounds the chunk freelist: a sweep's worker holds at
+// most one chunk at a time, so anything beyond that headroom is churn
 // from a finished sweep.
-func (e *Engine) chunkPoolBound() int { return e.params.Parallelism + 2 }
+func (e *Engine) chunkPoolBound() int { return e.params.Parallelism }
 
 // newChunk takes a pooled chunk ready to hold size adversaries starting
-// at global index base, metering the engine's chunk-pool hit rate and,
+// at stream index base, metering the engine's chunk-pool hit rate and,
 // under a governor, the array capacity it creates.
 func (e *Engine) newChunk(base, size int) *sweepChunk {
 	e.chunkMu.Lock()
@@ -576,13 +599,173 @@ func (e *Engine) releaseChunk(c *sweepChunk) {
 	e.dropChunk(c)
 }
 
+// spaceCursor returns a window cursor over the stream offsets [from, to)
+// of an exhaustive space's source — a SpaceSource, or a RangeSource over
+// one — and origin, the space offset of the source's first adversary: a
+// window's stream index is its Base minus origin. ok is false for any
+// other source.
+func spaceCursor(src Source, from, to int) (cur *enum.Cursor, origin int, ok bool) {
+	switch s := src.(type) {
+	case *spaceSource:
+		return enum.NewCursor(s.space, from, to), 0, true
+	case *rangeSource:
+		cur, origin, ok := spaceCursor(s.src, enum.WindowEnd(s.offset, from), enum.WindowEnd(s.offset, min(s.limit, to)))
+		return cur, origin + s.offset, ok
+	}
+	return nil, 0, false
+}
+
+// sweepClaimer hands out one sweep's work, a window per claim, under one
+// mutex. An exhaustive space is cut by a shared window cursor
+// (spaceCursor), and the claiming worker enumerates its window outside
+// the lock. Any other source is pulled under the lock, a filled chunk
+// per claim, from one iter.Pull over its Seq. The pull runs caller code
+// with the lock held, so every path releases the lock by a deferred
+// unlock — a worker unwinding out of a claim must not strand the others;
+// a panic in that code is recovered inside the pulled iterator, with its
+// stack, and fails the sweep.
+type sweepClaimer struct {
+	mu     sync.Mutex
+	cursor *enum.Cursor // nil for a plain stream
+	origin int          // the cursor's offset of the stream's first adversary
+	pull   func() (*sweepChunk, bool)
+	stop   func()
+}
+
+// newClaimer builds src's claimer. fail receives a panic recovered from
+// the source's iterator; it must cancel the sweep.
+func newClaimer(e *Engine, src Source, count int, known bool, workers int, fail func(error)) *sweepClaimer {
+	cl := new(sweepClaimer)
+	if cur, origin, ok := spaceCursor(src, 0, math.MaxInt); ok {
+		cl.cursor, cl.origin = cur, origin
+		return cl
+	}
+	block := 1
+	if pb, ok := src.(PatternBlocked); ok {
+		block = pb.PatternBlock()
+	}
+	size := chunkSizeFor(count, known, workers, block)
+	// The pulled iterator fills whole chunks, so a claim switches into it
+	// once, not once per adversary. It is suspended only while it hands a
+	// chunk over, so it holds a partly filled chunk only when a panic
+	// unwinds it, and then releases it.
+	cl.pull, cl.stop = iter.Pull(func(yield func(*sweepChunk) bool) {
+		var c *sweepChunk
+		// Source iterators run arbitrary workload code: a panic there
+		// becomes a typed sweep failure, its stack captured here, on the
+		// iterator's own frames, and the pulled stream simply ends.
+		defer func() {
+			if pe := govern.Recovered("engine: sweep source", recover()); pe != nil {
+				fail(pe)
+			}
+			if c != nil {
+				e.releaseChunk(c)
+			}
+		}()
+		handOver := func() bool {
+			full := c
+			c = nil
+			return yield(full)
+		}
+		next := 0
+		for adv := range src.Seq() {
+			if c == nil {
+				c = e.newChunk(next, size)
+			}
+			c.advs = append(c.advs, adv)
+			next++
+			if len(c.advs) == size && !handOver() {
+				return
+			}
+		}
+		if c != nil {
+			handOver()
+		}
+	})
+	return cl
+}
+
+// close finishes the pulled iterator, if any: it returns only once the
+// source's Seq has returned. Call it after every worker has stopped.
+func (cl *sweepClaimer) close() {
+	if cl.stop != nil {
+		cl.stop()
+	}
+}
+
+// claim takes the next window and returns it in a pooled chunk, nil once
+// the source is exhausted. walker is the calling worker's own.
+func (cl *sweepClaimer) claim(e *Engine, walker *enum.Walker) *sweepChunk {
+	if cl.cursor == nil {
+		return cl.claimPulled()
+	}
+	w, ok := cl.nextWindow()
+	if !ok {
+		return nil
+	}
+	c := e.newChunk(w.Base-cl.origin, w.Len)
+	c.advs = walker.Append(c.advs, w)
+	return c
+}
+
+// nextWindow cuts the next window under the lock.
+func (cl *sweepClaimer) nextWindow() (enum.Window, bool) {
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	return cl.cursor.Next(windowCap)
+}
+
+// claimPulled pulls the next chunk of a plain stream under the lock.
+func (cl *sweepClaimer) claimPulled() *sweepChunk {
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	c, _ := cl.pull()
+	return c
+}
+
+// chunks is one worker's sequence of claimed chunks. Each chunk goes
+// back to the pool when the loop body moves on or breaks; a chunk whose
+// body panicked is not repooled (Close settles its bytes). Claims stop
+// once ctx is done.
+func (cl *sweepClaimer) chunks(ctx context.Context, e *Engine) iter.Seq[*sweepChunk] {
+	return func(yield func(*sweepChunk) bool) {
+		var walker enum.Walker
+		for sweepCancelled(ctx) == nil {
+			c := cl.claim(e, &walker)
+			if c == nil {
+				return
+			}
+			more := yield(c)
+			e.releaseChunk(c)
+			if !more {
+				return
+			}
+		}
+	}
+}
+
+// sweepCancelled reports a sweep context's cancellation without its
+// lock: every worker polls the one sweep context per adversary, and
+// Context.Err takes a mutex they would contend for, while a
+// non-blocking receive on the Done channel only reads it.
+func sweepCancelled(ctx context.Context) error {
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	default:
+		return nil
+	}
+}
+
 // sweepExec is the shared executor skeleton behind every sweep variant:
-// it resolves the protocol specs, spins the worker pool and the feeder
-// goroutine that cuts the source into deterministic pooled chunks, and
-// funnels out the first error (or context cancellation). body runs once
-// per worker, owns all worker-local state, and must release every chunk
-// it drains.
-func (e *Engine) sweepExec(ctx context.Context, refs []string, src Source, body func(ctx context.Context, specs []*ProtocolSpec, jobs <-chan *sweepChunk) error) error {
+// it resolves the protocol specs, builds the sweep's claimer, runs the
+// worker pool — each worker claiming windows and enumerating them itself —
+// and funnels out the first error (or context cancellation). body runs
+// once per worker, owns all worker-local state, and ranges over its own
+// chunk sequence. sweepExec starts no goroutine but its workers, and
+// returns only once every worker has returned and the source iterator it
+// pulled, if any, has finished.
+func (e *Engine) sweepExec(ctx context.Context, refs []string, src Source, body func(ctx context.Context, specs []*ProtocolSpec, chunks iter.Seq[*sweepChunk]) error) error {
 	if e.err != nil {
 		return e.err
 	}
@@ -612,13 +795,7 @@ func (e *Engine) sweepExec(ctx context.Context, refs []string, src Source, body 
 	if known && count > 0 && workers > count {
 		workers = count
 	}
-	block := 1
-	if pb, ok := src.(PatternBlocked); ok {
-		block = pb.PatternBlock()
-	}
-	chunkSize := chunkSizeFor(count, known, workers, block)
 
-	jobs := make(chan *sweepChunk)
 	var (
 		wg       sync.WaitGroup
 		errOnce  sync.Once
@@ -628,58 +805,18 @@ func (e *Engine) sweepExec(ctx context.Context, refs []string, src Source, body 
 		errOnce.Do(func() { firstErr = err })
 		cancel()
 	}
+	cl := newClaimer(e, src, count, known, workers, fail)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := body(ctx, specs, jobs); err != nil {
+			if err := body(ctx, specs, cl.chunks(ctx, e)); err != nil {
 				fail(err)
 			}
 		}()
 	}
-
-	// The feeder pulls from the source iterator and hands out chunks; it
-	// runs aside the workers so unbounded sources never buffer more than
-	// one chunk ahead. Source iterators run arbitrary workload code, so
-	// a panic there is converted into a typed sweep failure rather than
-	// a process crash; the recovery defer runs before close(jobs), so
-	// the workers still drain and exit cleanly.
-	go func() {
-		defer close(jobs)
-		defer func() {
-			if pe := govern.Recovered("engine: sweep feeder", recover()); pe != nil {
-				fail(pe)
-			}
-		}()
-		next := 0
-		var chunk *sweepChunk
-		send := func() bool {
-			select {
-			case jobs <- chunk:
-				chunk = nil
-				return true
-			case <-ctx.Done():
-				e.releaseChunk(chunk)
-				chunk = nil
-				return false
-			}
-		}
-		for adv := range src.Seq() {
-			if chunk == nil {
-				chunk = e.newChunk(next, chunkSize)
-			}
-			chunk.advs = append(chunk.advs, adv)
-			next++
-			if len(chunk.advs) == chunkSize && !send() {
-				return
-			}
-		}
-		if chunk != nil {
-			send()
-		}
-	}()
-
 	wg.Wait()
+	cl.close()
 	if firstErr != nil {
 		return firstErr
 	}
@@ -692,20 +829,19 @@ func (e *Engine) sweepExec(ctx context.Context, refs []string, src Source, body 
 // protocol indices. Aggregating sweeps use sweepAggregate instead,
 // which replaces deliver with per-worker folding.
 func (e *Engine) sweep(ctx context.Context, refs []string, src Source, deliver func(advIdx, refIdx int, r *Result)) error {
-	return e.sweepExec(ctx, refs, src, func(ctx context.Context, specs []*ProtocolSpec, jobs <-chan *sweepChunk) (err error) {
+	return e.sweepExec(ctx, refs, src, func(ctx context.Context, specs []*ProtocolSpec, chunks iter.Seq[*sweepChunk]) (err error) {
 		// Worker-level panic isolation: a panicking protocol becomes a
 		// typed sweep error (stack captured at the recovery site), the
 		// other workers drain via the shared cancel, and the process
 		// lives on.
 		defer govern.Capture("engine: sweep worker", &err)
 		var memo protoMemo
-		for chunk := range jobs {
+		for chunk := range chunks {
 			for i, adv := range chunk.advs {
 				if err := e.sweepOne(ctx, refs, specs, adv, chunk.base+i, deliver, &memo); err != nil {
 					return err
 				}
 			}
-			e.releaseChunk(chunk)
 		}
 		return nil
 	})
@@ -716,11 +852,12 @@ func (e *Engine) sweep(ctx context.Context, refs []string, src Source, deliver f
 // private shard of agg.Acc accumulators — one per protocol — and folds
 // every run into them with plain integer bumps: no Result escapes, no
 // lock is taken, no map is written. A worker merges its shard into the
-// Aggregator exactly once, when the job channel is drained; the merge
-// is the only synchronization point of the whole sweep, so throughput
-// scales with Parallelism instead of flatlining on an aggregator lock.
+// Aggregator exactly once, when its chunk sequence ends; the merge is
+// the only synchronization point of the whole sweep besides the claims,
+// so throughput scales with Parallelism instead of flatlining on an
+// aggregator lock.
 func (e *Engine) sweepAggregate(ctx context.Context, refs []string, src Source, a *Aggregator) error {
-	return e.sweepExec(ctx, refs, src, func(ctx context.Context, specs []*ProtocolSpec, jobs <-chan *sweepChunk) (err error) {
+	return e.sweepExec(ctx, refs, src, func(ctx context.Context, specs []*ProtocolSpec, chunks iter.Seq[*sweepChunk]) (err error) {
 		kit := e.getKit()
 		// Worker-level panic isolation, innermost so the captured stack
 		// keeps the panic-origin frames: a panicking protocol run
@@ -736,13 +873,13 @@ func (e *Engine) sweepAggregate(ctx context.Context, refs []string, src Source, 
 		}()
 		shard := make([]agg.Acc, len(refs))
 		var memo protoMemo
-		for chunk := range jobs {
+		for chunk := range chunks {
 			for _, adv := range chunk.advs {
 				if err := e.foldOne(ctx, refs, specs, adv, a, shard, kit, &memo); err != nil {
 					return err
 				}
 			}
-			e.releaseChunk(chunk)
+			a.advsDone(len(chunk.advs))
 		}
 		a.mergeShard(shard)
 		return nil
@@ -905,7 +1042,7 @@ func (e *Engine) sweepOne(ctx context.Context, refs []string, specs []*ProtocolS
 	}
 	advStr := advString(adv)
 	for refIdx, spec := range specs {
-		if err := ctx.Err(); err != nil {
+		if err := sweepCancelled(ctx); err != nil {
 			return err
 		}
 		res, err := e.backend.Run(ctx, newRunRequest(refs[refIdx], spec, memo.entries[refIdx], p, adv, advStr, g))
@@ -924,7 +1061,7 @@ func (e *Engine) sweepOne(ctx context.Context, refs []string, specs []*ProtocolS
 // in the worker's reused arena and released as soon as the adversary's
 // runs are folded — safe because nothing escapes the fold.
 func (e *Engine) foldOne(ctx context.Context, refs []string, specs []*ProtocolSpec, adv *Adversary, a *Aggregator, shard []agg.Acc, kit *runKit, memo *protoMemo) error {
-	if err := ctx.Err(); err != nil {
+	if err := sweepCancelled(ctx); err != nil {
 		return err
 	}
 	p, err := e.runParams(adv)
@@ -951,7 +1088,6 @@ func (e *Engine) foldOne(ctx context.Context, refs []string, specs []*ProtocolSp
 		}
 		a.fold(&shard[refIdx], refIdx, res, kit.buf)
 	}
-	a.advDone()
 	return nil
 }
 
@@ -964,9 +1100,11 @@ const sweepProgressInterval = 100 * time.Millisecond
 // progress receives throttled SweepProgress snapshots every interval
 // (every ≤ 0 means the 100ms default), serialized from one goroutine at
 // a time, followed by exactly one final snapshot after the last run has
-// folded. The run path itself is untouched: workers bump one atomic per
-// adversary and a side ticker reads it, so progress costs the hot loop
-// nothing measurable. Cancelling ctx aborts the sweep promptly.
+// folded. The run path itself is untouched: workers add to one atomic
+// per claimed window and a side ticker reads it, so progress costs the
+// hot loop nothing measurable. Cancelling ctx stops the sweep as
+// SweepSource describes: at the workers' next adversary, and only after
+// the source iterator's current step returns.
 func (e *Engine) SweepSourceProgress(ctx context.Context, refs []string, src Source, every time.Duration, progress func(SweepProgress)) (*Summary, error) {
 	if e.err != nil {
 		return nil, e.err

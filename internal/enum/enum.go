@@ -17,6 +17,13 @@
 // that depends on the flipped input; the offset→adversary decode is
 // shared with From/Range, so delta traversals checkpoint and tile
 // identically to the canonical ones.
+//
+// Every traversal is a Cursor and a Walker. The Cursor walks and dedups
+// the failure patterns once and cuts the offsets into Windows, each
+// inside one pattern block; the Walker decodes a window's Gray code and
+// carves its adversaries. A sharded sweep shares one Cursor under a lock
+// and gives each worker its own Walker, so workers enumerate the windows
+// they claim in parallel.
 package enum
 
 import (
@@ -133,7 +140,7 @@ func (sl *advSlab) carve(inputs []model.Value, pattern *model.FailurePattern) *m
 // the input Gray code directly at the right vector.
 func (s Space) From(offset int) iter.Seq2[int, *model.Adversary] {
 	return func(yield func(int, *model.Adversary) bool) {
-		s.deltaFrom(offset, func(idx int, adv *model.Adversary, _ int) bool {
+		s.deltaFrom(offset, math.MaxInt, func(idx int, adv *model.Adversary, _ int) bool {
 			return yield(idx, adv)
 		})
 	}
@@ -159,7 +166,7 @@ type Delta struct {
 // points where they must rebuild from scratch.
 func (s Space) DeltaOrder(offset int) iter.Seq2[int, Delta] {
 	return func(yield func(int, Delta) bool) {
-		s.deltaFrom(offset, func(idx int, adv *model.Adversary, changed int) bool {
+		s.deltaFrom(offset, math.MaxInt, func(idx int, adv *model.Adversary, changed int) bool {
 			return yield(idx, Delta{Adv: adv, Changed: changed})
 		})
 	}
@@ -175,69 +182,10 @@ func (s Space) DeltaRange(offset, limit int) iter.Seq2[int, Delta] {
 		if limit <= 0 {
 			return
 		}
-		left := limit
-		s.deltaFrom(offset, func(idx int, adv *model.Adversary, changed int) bool {
-			if !yield(idx, Delta{Adv: adv, Changed: changed}) {
-				return false
-			}
-			left--
-			return left > 0
+		s.deltaFrom(offset, WindowEnd(offset, limit), func(idx int, adv *model.Adversary, changed int) bool {
+			return yield(idx, Delta{Adv: adv, Changed: changed})
 		})
 	}
-}
-
-// deltaFrom is the shared core of From, DeltaOrder, and DeltaRange: the
-// canonical offset-addressed walk, annotated with the changed process
-// index (-1 at block starts and resume entry points).
-func (s Space) deltaFrom(offset int, yield func(int, *model.Adversary, int) bool) {
-	if s.Validate() != nil || offset < 0 {
-		return
-	}
-	block := s.inputCount()
-	seen := make(map[string]struct{})
-	keyBuf := make([]byte, 0, 64)
-	var slab advSlab
-	idx := 0
-	s.forEachPattern(func(fp *model.FailurePattern, crashers []model.Proc) bool {
-		// Dedup on the raw pattern's binary fingerprint: it strips
-		// unobservable deliveries during encoding, so it equals the
-		// canonical pattern's fingerprint without building it. The
-		// enumeration hands over the crasher subset already sorted, so
-		// the fingerprint skips its map-collect-and-sort prologue.
-		keyBuf = fp.AppendFingerprintSorted(keyBuf[:0], crashers)
-		if _, dup := seen[string(keyBuf)]; dup {
-			return true
-		}
-		seen[string(keyBuf)] = struct{}{}
-		if idx+block <= offset {
-			idx += block // fast-skip: the whole block precedes the offset
-			return true
-		}
-		canon := fp.Canonical()
-		start := 0
-		if idx < offset {
-			start = offset - idx
-		}
-		cont := true
-		s.forEachInputsDeltaFrom(start, func(i int, inputs []model.Value, changed int) bool {
-			cont = yield(idx+i, slab.carve(inputs, canon), changed)
-			return cont
-		})
-		idx += block
-		return cont
-	})
-}
-
-// PatternBlock returns the number of consecutive offsets each canonical
-// failure pattern spans in the enumeration order: len(Values)^N. Sharded
-// consumers align chunk boundaries to multiples of it so that within a
-// chunk every adversary after the first differs from its predecessor in a
-// single input value.
-func (s Space) PatternBlock() int {
-	if s.Validate() != nil {
-		return 1
-	}
-	return s.inputCount()
 }
 
 // Range yields the window [offset, offset+limit) of the enumeration of
@@ -253,16 +201,48 @@ func (s Space) Range(offset, limit int) iter.Seq2[int, *model.Adversary] {
 		if limit <= 0 {
 			return
 		}
-		left := limit
-		for idx, adv := range s.From(offset) {
-			if !yield(idx, adv) {
-				return
-			}
-			if left--; left == 0 {
-				return
-			}
+		s.deltaFrom(offset, WindowEnd(offset, limit), func(idx int, adv *model.Adversary, _ int) bool {
+			return yield(idx, adv)
+		})
+	}
+}
+
+// WindowEnd is the end offset+limit of the window [offset, offset+limit)
+// for non-negative operands, saturating at math.MaxInt instead of
+// overflowing.
+func WindowEnd(offset, limit int) int {
+	if offset > math.MaxInt-limit {
+		return math.MaxInt
+	}
+	return offset + limit
+}
+
+// deltaFrom is the shared core of From, Range, DeltaOrder, and
+// DeltaRange: the canonical walk over the offsets [from, to), annotated
+// with the changed process index (-1 at block starts and at the entry
+// point). It is a Cursor cut into whole-block Windows and one Walker
+// enumerating them.
+func (s Space) deltaFrom(from, to int, yield func(int, *model.Adversary, int) bool) {
+	c := NewCursor(s, from, to)
+	var w Walker
+	for {
+		win, ok := c.Next(0)
+		if !ok || !w.walk(win, yield) {
+			return
 		}
 	}
+}
+
+// PatternBlock returns the number of consecutive offsets each canonical
+// failure pattern spans in the enumeration order: len(Values)^N. Sharded
+// consumers align chunk boundaries to multiples of it so that within a
+// chunk every adversary after the first differs from its predecessor in a
+// single input value.
+func (s Space) PatternBlock() int {
+	if s.Validate() != nil {
+		return 1
+	}
+	return s.inputCount()
 }
 
 // ForEach calls fn for every canonically distinct adversary in the space,
@@ -289,156 +269,304 @@ func (s Space) Adversaries() ([]*model.Adversary, error) {
 	return out, err
 }
 
-// forEachPattern enumerates failure patterns: every subset of processes of
-// size ≤ T, every assignment of crash rounds, every delivery subset. fn
-// additionally receives the crasher subset in increasing order — exactly
-// the pattern's faulty set — so dedup consumers fingerprint without
-// re-collecting it from the pattern's map.
-func (s Space) forEachPattern(fn func(*model.FailurePattern, []model.Proc) bool) {
-	var crashers []model.Proc
-	var rec func(next int) bool
-	rec = func(next int) bool {
-		// Current subset (possibly empty): enumerate its configurations.
-		if !s.forEachConfig(crashers, fn) {
-			return false
+// Window is a run of consecutive adversaries of a space's enumeration
+// that lies inside one failure-pattern block: the unit a Cursor cuts and
+// a Walker enumerates. A sharded sweep cuts windows under its claim lock
+// and lets each worker enumerate the windows it claimed.
+type Window struct {
+	Base    int                   // offset of the window's first adversary
+	Len     int                   // number of adversaries
+	Pattern *model.FailurePattern // the block's canonical pattern, shared by every window of the block
+
+	start  int // index of the first input vector within the block
+	values []model.Value
+}
+
+// Cursor cuts the offsets [from, to) of a space's enumeration into
+// Windows. It walks and deduplicates the failure patterns once, in
+// order, and materializes each surviving block's canonical pattern once,
+// however many windows the block is cut into; whole blocks before from
+// are skipped without a Canonical call. A Cursor is not safe for
+// concurrent use: sharded consumers call Next under a lock and enumerate
+// the windows outside it.
+type Cursor struct {
+	s         Space
+	block     int
+	next, end int // the offsets still to hand out: [next, end)
+	found     int // offset one past the last canonical block discovered
+	pat       *model.FailurePattern
+	patBase   int // offset of pat's block
+	patterns  patternWalk
+	seen      map[string]struct{}
+	key       []byte
+	done      bool
+}
+
+// NewCursor returns a cursor over the offsets [from, to) of the
+// enumeration of All; to may be math.MaxInt for the rest of the space.
+// An invalid space or a negative from yields no windows.
+func NewCursor(s Space, from, to int) *Cursor {
+	c := &Cursor{s: s, next: from, end: to}
+	if s.Validate() != nil || from < 0 {
+		c.done = true
+		return c
+	}
+	c.block = s.inputCount()
+	c.seen = make(map[string]struct{})
+	c.key = make([]byte, 0, 64)
+	c.patterns.s = s
+	return c
+}
+
+// Next cuts the next window: the rest of the current pattern block, ended
+// early at the cursor's end and, when max > 0, at the next block-relative
+// multiple of max — so a block larger than max is cut into aligned slices
+// of at most max adversaries, and every window lies inside one block.
+// ok is false once the range is exhausted.
+func (c *Cursor) Next(max int) (w Window, ok bool) {
+	if c.done || c.next >= c.end {
+		return Window{}, false
+	}
+	if c.pat == nil || c.next >= c.patBase+c.block {
+		if !c.advance() {
+			c.done = true
+			return Window{}, false
 		}
-		if len(crashers) == s.T {
+	}
+	lo, hi := c.next, min(c.patBase+c.block, c.end)
+	if max > 0 {
+		hi = min(hi, c.patBase+((lo-c.patBase)/max+1)*max)
+	}
+	c.next = hi
+	return Window{Base: lo, Len: hi - lo, Pattern: c.pat, start: lo - c.patBase, values: c.s.Values}, true
+}
+
+// advance walks the failure patterns to the next canonical block that
+// ends past c.next and materializes its canonical pattern. Dedup runs on
+// the raw pattern's binary fingerprint: it strips unobservable
+// deliveries during encoding, so it equals the canonical pattern's
+// fingerprint without building it. The walk hands over the crasher
+// subset already sorted, so the fingerprint skips its
+// map-collect-and-sort prologue.
+func (c *Cursor) advance() bool {
+	for c.patterns.next() {
+		c.key = c.patterns.fp.AppendFingerprintSorted(c.key[:0], c.patterns.crashers)
+		if _, dup := c.seen[string(c.key)]; dup {
+			continue
+		}
+		c.seen[string(c.key)] = struct{}{}
+		base := c.found
+		c.found += c.block
+		if c.found <= c.next {
+			continue // fast-skip: the whole block precedes the next offset
+		}
+		c.pat, c.patBase = c.patterns.fp.Canonical(), base
+		return true
+	}
+	return false
+}
+
+// patternWalk enumerates a space's raw failure patterns: every subset of
+// at most T crashers in lexicographic pre-order ({}, {0}, {0,1}, ...,
+// {1}, ...), and for each subset every assignment of crash rounds
+// 1..MaxRound and delivery subsets, round-major, with the last crasher's
+// assignment varying fastest. It is an odometer rather than a recursion
+// so a Cursor can stop after any pattern and resume at its next claim.
+// The pattern is mutated in place between steps — its delivery sets
+// included — so callers must not retain it (dedup survivors materialize a
+// Canonical copy).
+type patternWalk struct {
+	s        Space
+	fp       *model.FailurePattern
+	crashers []model.Proc // the current subset, increasing
+	configs  int          // assignments per crasher: MaxRound × 2^(N−1)
+	config   []int        // per crasher: (round−1)·2^(N−1) + delivery mask
+	sets     []*bitset.Set
+}
+
+// next steps to the next raw pattern; false after the last. The first
+// step yields the failure-free pattern.
+func (w *patternWalk) next() bool {
+	if w.fp == nil {
+		w.fp = model.NewFailurePattern(w.s.N)
+		w.configs = w.s.MaxRound << uint(w.s.N-1)
+		return true
+	}
+	for i := len(w.crashers) - 1; i >= 0; i-- {
+		if w.config[i]++; w.config[i] < w.configs {
+			w.assign(i)
+			for j := i + 1; j < len(w.crashers); j++ {
+				w.config[j] = 0
+				w.assign(j)
+			}
 			return true
 		}
-		for p := next; p < s.N; p++ {
-			crashers = append(crashers, p)
-			ok := rec(p + 1)
-			crashers = crashers[:len(crashers)-1]
-			if !ok {
-				return false
+	}
+	if !w.nextSubset() {
+		return false
+	}
+	clear(w.fp.Crashes)
+	for i := range w.crashers {
+		w.config[i] = 0
+		w.assign(i)
+	}
+	return true
+}
+
+// nextSubset moves to the next crasher subset in pre-order: the first
+// child (append the successor of the largest crasher) while the subset
+// is below T, else the next sibling of the nearest ancestor that has one.
+func (w *patternWalk) nextSubset() bool {
+	if m := len(w.crashers); m < w.s.T {
+		first := 0
+		if m > 0 {
+			first = w.crashers[m-1] + 1
+		}
+		if first < w.s.N {
+			w.push(first)
+			return true
+		}
+	}
+	for m := len(w.crashers); m > 0; m-- {
+		last := w.crashers[m-1]
+		w.crashers = w.crashers[:m-1]
+		if last+1 < w.s.N {
+			w.push(last + 1)
+			return true
+		}
+	}
+	return false
+}
+
+func (w *patternWalk) push(p model.Proc) {
+	w.crashers = append(w.crashers, p)
+	if len(w.config) < len(w.crashers) {
+		w.config = append(w.config, 0)
+		w.sets = append(w.sets, bitset.New(w.s.N))
+	}
+}
+
+// assign writes crasher i's crash from its assignment index: the round,
+// and the delivery subset of the other N−1 processes as a mask.
+func (w *patternWalk) assign(i int) {
+	p := w.crashers[i]
+	half := 1 << uint(w.s.N-1)
+	round, mask := w.config[i]/half+1, w.config[i]%half
+	d := w.sets[i]
+	// Spreading the mask around a zero bit at p maps mask bit b to
+	// process b for b < p and to b+1 past it, as one word operation when
+	// the set is single-word.
+	if dw := d.Words(); len(dw) == 1 {
+		low := uint64(mask) & (1<<uint(p) - 1)
+		dw[0] = low | uint64(mask)>>uint(p)<<uint(p+1)
+	} else {
+		d.Clear()
+		for b := 0; b < w.s.N-1; b++ {
+			if mask&(1<<uint(b)) != 0 {
+				q := b
+				if b >= p {
+					q = b + 1
+				}
+				d.Add(q)
 			}
 		}
-		return true
 	}
-	rec(0)
+	w.fp.Crashes[p] = model.Crash{Round: round, Delivered: d}
 }
 
-// forEachConfig enumerates, for a fixed crasher subset, all crash rounds
-// and delivery sets. The pattern handed to fn is mutated in place between
-// calls — its delivery sets included — so fn must not retain it (dedup
-// survivors materialize a Canonical copy).
-func (s Space) forEachConfig(crashers []model.Proc, fn func(*model.FailurePattern, []model.Proc) bool) bool {
-	fp := model.NewFailurePattern(s.N)
-	var rec func(idx int) bool
-	rec = func(idx int) bool {
-		if idx == len(crashers) {
-			return fn(fp, crashers)
-		}
-		p := crashers[idx]
-		d := bitset.New(s.N)
-		dw := d.Words()
-		for round := 1; round <= s.MaxRound; round++ {
-			for mask := 0; mask < 1<<uint(s.N-1); mask++ {
-				// The mask enumerates delivery subsets of the other N−1
-				// processes; spreading it around a zero bit at p maps mask
-				// bit b to process b for b < p and to b+1 past it — the
-				// same assignment the per-bit loop over "others" made, as
-				// one word operation when the set is single-word.
-				if len(dw) == 1 {
-					low := uint64(mask) & (1<<uint(p) - 1)
-					dw[0] = low | uint64(mask)>>uint(p)<<uint(p+1)
-				} else {
-					d.Clear()
-					for b := 0; b < s.N-1; b++ {
-						if mask&(1<<uint(b)) != 0 {
-							q := b
-							if b >= p {
-								q = b + 1
-							}
-							d.Add(q)
-						}
-					}
-				}
-				fp.Crashes[p] = model.Crash{Round: round, Delivered: d}
-				if !rec(idx + 1) {
-					return false
-				}
-			}
-		}
-		delete(fp.Crashes, p)
-		return true
-	}
-	return rec(0)
-}
-
-// forEachInputsFrom enumerates input vectors over s.Values beginning at
-// the start-th vector, calling fn with each vector's index within the
-// block. It is forEachInputsDeltaFrom with the changed index discarded.
-func (s Space) forEachInputsFrom(start int, fn func(int, []model.Value) bool) bool {
-	return s.forEachInputsDeltaFrom(start, func(i int, inputs []model.Value, _ int) bool {
-		return fn(i, inputs)
-	})
-}
-
-// forEachInputsDeltaFrom enumerates input vectors over s.Values beginning
-// at the start-th vector, calling fn with each vector's index within the
-// block and the index of the single process whose value differs from the
-// previous vector (-1 for the first vector yielded, which has no
-// predecessor in this traversal).
+// Walker enumerates Windows: it decodes the reflected Gray code over the
+// input vectors and carves each adversary from a slab. Its scratch
+// survives from window to window, so a worker enumerating window after
+// window allocates only the adversaries themselves. The zero Walker is
+// ready to use; a Walker is not safe for concurrent use.
 //
-// The order is the reflected mixed-radix Gray code over base len(Values)
-// with process 0 as the most significant digit: consecutive vectors differ
-// in exactly one digit, by one position up or down s.Values. The vector at
-// index i is decoded directly from the plain base-b expansion a[0..N-1] of
-// i: scanning most-significant first with a reflection flag that starts
-// clear, digit j is a[j] (flag clear) or b-1-a[j] (flag set), and the flag
-// toggles whenever the decoded digit is odd — an odd digit at level j
-// means the levels below run through their sub-sequence reversed. Resuming
-// mid-block therefore costs O(N), and the flag at each level is the
-// digit's current sweep direction.
-func (s Space) forEachInputsDeltaFrom(start int, fn func(int, []model.Value, int) bool) bool {
-	base := len(s.Values)
-	// One backing array for both per-digit tables: this runs once per
-	// pattern block, and the enumeration's allocation profile is pinned
-	// by benchmarks.
-	scratch := make([]int, 2*s.N)
-	digits, dirs := scratch[:s.N], scratch[s.N:]
-	for i, rem := s.N-1, start; i >= 0; i-- {
-		digits[i] = rem % base
+// The input vectors of a block follow the reflected mixed-radix Gray code
+// over base len(Values) with process 0 as the most significant digit:
+// consecutive vectors differ in exactly one digit, by one position up or
+// down Values. The vector at index i is decoded directly from the plain
+// base-b expansion a[0..N-1] of i: scanning most-significant first with a
+// reflection flag that starts clear, digit j is a[j] (flag clear) or
+// b-1-a[j] (flag set), and the flag toggles whenever the decoded digit is
+// odd — an odd digit at level j means the levels below run through their
+// sub-sequence reversed. Entering a window mid-block therefore costs
+// O(N), and the flag at each level is the digit's current sweep
+// direction.
+type Walker struct {
+	digits, dirs []int
+	inputs       []model.Value
+	values       []model.Value
+	slab         advSlab
+}
+
+// Append appends the window's adversaries to dst in enumeration order.
+func (w *Walker) Append(dst []*model.Adversary, win Window) []*model.Adversary {
+	w.walk(win, func(_ int, adv *model.Adversary, _ int) bool {
+		dst = append(dst, adv)
+		return true
+	})
+	return dst
+}
+
+// walk yields the window's adversaries with their offsets and the index
+// of the process whose input changed since the previous one (-1 for the
+// window's first). It returns false when yield stopped the walk.
+func (w *Walker) walk(win Window, yield func(int, *model.Adversary, int) bool) bool {
+	if win.Len <= 0 {
+		return true
+	}
+	w.seek(win)
+	changed := -1
+	for i := 0; ; {
+		if !yield(win.Base+i, w.slab.carve(w.inputs, win.Pattern), changed) {
+			return false
+		}
+		if i++; i == win.Len {
+			return true
+		}
+		changed = w.step()
+	}
+}
+
+// seek decodes the window's first input vector and the sweep direction
+// of every digit.
+func (w *Walker) seek(win Window) {
+	n, base := win.Pattern.N, len(win.values)
+	if len(w.digits) != n {
+		w.digits, w.dirs, w.inputs = make([]int, n), make([]int, n), make([]model.Value, n)
+	}
+	w.values = win.values
+	for i, rem := n-1, win.start; i >= 0; i-- {
+		w.digits[i] = rem % base
 		rem /= base
 	}
 	flip := false
-	for j := 0; j < s.N; j++ {
+	for j := 0; j < n; j++ {
 		if flip {
-			digits[j] = base - 1 - digits[j]
-			dirs[j] = -1
+			w.digits[j] = base - 1 - w.digits[j]
+			w.dirs[j] = -1
 		} else {
-			dirs[j] = 1
+			w.dirs[j] = 1
 		}
-		if digits[j]&1 == 1 {
+		if w.digits[j]&1 == 1 {
 			flip = !flip
 		}
+		w.inputs[j] = w.values[w.digits[j]]
 	}
-	inputs := make([]model.Value, s.N)
-	for j, d := range digits {
-		inputs[j] = s.Values[d]
+}
+
+// step moves to the next input vector of the block: the least
+// significant digit that can advance in its current direction moves, and
+// the digits below it, which cannot, reverse direction. Exactly one digit
+// changes; step returns its process index, or -1 past the block's last
+// vector.
+func (w *Walker) step() int {
+	for j := len(w.digits) - 1; j >= 0; j-- {
+		if next := w.digits[j] + w.dirs[j]; next >= 0 && next < len(w.values) {
+			w.digits[j] = next
+			w.inputs[j] = w.values[next]
+			return j
+		}
+		w.dirs[j] = -w.dirs[j]
 	}
-	changed := -1
-	for i := start; ; i++ {
-		if !fn(i, inputs, changed) {
-			return false
-		}
-		// Step: move the least significant digit that can advance in its
-		// current direction; digits that cannot reverse direction instead.
-		// A step changes exactly one digit — that digit's process index is
-		// reported as changed. No digit able to move ends the block.
-		j := s.N - 1
-		for ; j >= 0; j-- {
-			if next := digits[j] + dirs[j]; next >= 0 && next < base {
-				digits[j] = next
-				inputs[j] = s.Values[next]
-				break
-			}
-			dirs[j] = -dirs[j]
-		}
-		if j < 0 {
-			return true
-		}
-		changed = j
-	}
+	return -1
 }

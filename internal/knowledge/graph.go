@@ -19,8 +19,9 @@
 // non-delivery sets are hoisted once per graph, and the hidden tables are
 // union popcounts — so building a graph costs a handful of allocations
 // regardless of n and horizon. The naive implementation it replaced is
-// retained in reference.go and the two are cross-checked node-for-node
-// over randomized adversaries in equiv_test.go.
+// retained, test-only, in reference_test.go, and the two are
+// cross-checked node-for-node over randomized adversaries in
+// equiv_test.go.
 package knowledge
 
 import (

@@ -28,7 +28,7 @@ type metrics struct {
 	graphsPatched atomic.Int64
 	runKitHits    atomic.Int64 // run-buffer kit pool hits/misses, per EngineStats
 	runKitMisses  atomic.Int64
-	chunkHits     atomic.Int64 // feeder chunk pool hits/misses, per EngineStats
+	chunkHits     atomic.Int64 // sweep chunk pool hits/misses, per EngineStats
 	chunkMisses   atomic.Int64
 
 	sseOpened atomic.Int64 // event streams opened, cumulative

@@ -46,8 +46,8 @@ var promHelp = map[string]string{
 	"graphs_patched":   "Knowledge graphs delta-patched from the previous input assignment, cumulative.",
 	"pool_runkit_hits": "Per-worker run-kit (RunBuffer + builder arena) pool checkouts served warm, cumulative.",
 	"pool_runkit_miss": "Per-worker run-kit pool checkouts that allocated fresh, cumulative.",
-	"pool_chunk_hits":  "Sweep feeder chunk pool checkouts served warm, cumulative.",
-	"pool_chunk_miss":  "Sweep feeder chunk pool checkouts that allocated fresh, cumulative.",
+	"pool_chunk_hits":  "Sweep chunk pool checkouts served warm, cumulative.",
+	"pool_chunk_miss":  "Sweep chunk pool checkouts that allocated fresh, cumulative.",
 	"sse_opened":       "Job event streams opened, cumulative.",
 	"sse_broken":       "Job event streams that ended before delivering the terminal event, cumulative.",
 

@@ -60,10 +60,10 @@ setconsensusd_mem_soft_limit_bytes 0
 # HELP setconsensusd_panics_recovered Worker panics recovered into typed job failures, cumulative.
 # TYPE setconsensusd_panics_recovered counter
 setconsensusd_panics_recovered 0
-# HELP setconsensusd_pool_chunk_hits Sweep feeder chunk pool checkouts served warm, cumulative.
+# HELP setconsensusd_pool_chunk_hits Sweep chunk pool checkouts served warm, cumulative.
 # TYPE setconsensusd_pool_chunk_hits counter
 setconsensusd_pool_chunk_hits 0
-# HELP setconsensusd_pool_chunk_miss Sweep feeder chunk pool checkouts that allocated fresh, cumulative.
+# HELP setconsensusd_pool_chunk_miss Sweep chunk pool checkouts that allocated fresh, cumulative.
 # TYPE setconsensusd_pool_chunk_miss counter
 setconsensusd_pool_chunk_miss 0
 # HELP setconsensusd_pool_runkit_hits Per-worker run-kit (RunBuffer + builder arena) pool checkouts served warm, cumulative.

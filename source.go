@@ -19,6 +19,11 @@ import (
 // adversaries in the same order. Count reports the exact stream length
 // when it is known without enumeration — exhaustive spaces, whose
 // canonical size is only discovered by walking them, report unknown.
+//
+// A sweep pulls Seq's adversaries from its workers and returns only once
+// the iterator has returned, a cancelled sweep included: Seq must not
+// block indefinitely between yields, or cancelling the sweep waits for
+// it.
 type Source interface {
 	// Label names the workload for summaries and tables.
 	Label() string
@@ -46,11 +51,13 @@ type RangeSeq interface {
 // chunking: PatternBlock reports the stride (in stream offsets) at which
 // the source's failure pattern changes. Within a stride every adversary
 // after the first differs from its predecessor in a single input value
-// (the enumeration's Gray-code delta order), so sweep executors align
-// worker chunk boundaries to multiples of it — full knowledge-graph
-// builds then happen only where the pattern changes, and every other
-// adversary rides the builder's patch kernel. Sources with no such
-// structure report 1 (or simply do not implement the interface).
+// (the enumeration's Gray-code delta order), so the sweep executor
+// aligns the chunks it pulls from such a stream to multiples of it —
+// full knowledge-graph builds then happen only where the pattern
+// changes, and every other adversary rides the builder's patch kernel.
+// (SpaceSource, and RangeSource over it, never reach that path: workers
+// claim them as whole-block windows.) Sources with no such structure
+// report 1 (or simply do not implement the interface).
 type PatternBlocked interface {
 	PatternBlock() int
 }
@@ -118,10 +125,10 @@ func (s *rangeSource) CountUpperBound() float64 {
 }
 
 // PatternBlock forwards the underlying source's pattern-block stride
-// when this window starts on a block boundary — a coordinator carving a
-// space into block-aligned ranges keeps delta-aware chunking in every
-// shard. A window starting mid-block reports 1: its local offsets are
-// shifted against the stride, so alignment would be wrong.
+// when this window starts on a block boundary, so a range over a plain
+// pattern-blocked stream keeps delta-aware chunking. A window starting
+// mid-block reports 1: its local offsets are shifted against the
+// stride, so alignment would be wrong.
 func (s *rangeSource) PatternBlock() int {
 	if pb, ok := s.src.(PatternBlocked); ok {
 		if b := pb.PatternBlock(); b > 1 && s.offset%b == 0 {

@@ -245,56 +245,61 @@ func TestSweepSourceRecycledGraphsGolden(t *testing.T) {
 }
 
 // TestSweepSourceMetersPatches pins the delta-order sweep's build
-// economics exactly: on a pattern-block-aligned sweep of an exhaustive
-// space, the engine performs one full knowledge-graph build per
-// canonical failure pattern and patches every other adversary of the
-// block (same pattern, one input changed). Any drift — a chunk boundary
-// landing mid-block, a patch silently falling back to a rebuild, a
-// revive sneaking in, an engine configuration that bypasses the Builder
-// — breaks an equality here. The "cli" engine is built with exactly
-// cli.SweepWorkload's options, so the CLI cannot fall off the patch
-// path unnoticed.
+// economics exactly: on a sweep of an exhaustive space, the engine
+// performs one full knowledge-graph build per canonical failure pattern
+// and patches every other adversary of the block (same pattern, one
+// input changed), at any parallelism — each pattern block is one claimed
+// window, the n=4 space's block of 81 included. Any drift — a window
+// boundary landing mid-block, a patch silently falling back to a
+// rebuild, a revive sneaking in, an engine configuration that bypasses
+// the Builder — breaks an equality here. The "cli" engine is built with
+// exactly cli.SweepWorkload's options, so the CLI cannot fall off the
+// patch path unnoticed.
 func TestSweepSourceMetersPatches(t *testing.T) {
-	space := setconsensus.Space{N: 3, T: 2, MaxRound: 2, Values: []int{0, 1}}
 	refs := []string{"upmin"}
-	engines := []struct {
-		name string
-		eng  *setconsensus.Engine
-	}{
-		{"workers=1", setconsensus.New(setconsensus.WithCrashBound(2), setconsensus.WithParallelism(1))},
-		{"workers=4", setconsensus.New(setconsensus.WithCrashBound(2), setconsensus.WithParallelism(4))},
-		{"cli", setconsensus.New(
-			setconsensus.WithBackend(setconsensus.Oracle),
-			setconsensus.WithCrashBound(setconsensus.PatternCrashBound),
-			setconsensus.WithDegree(2),
-		)},
-	}
-	for _, tc := range engines {
-		src, err := setconsensus.SpaceSource(space)
-		if err != nil {
-			t.Fatal(err)
+	for _, space := range []setconsensus.Space{
+		{N: 3, T: 2, MaxRound: 2, Values: []int{0, 1}},
+		{N: 4, T: 1, MaxRound: 2, Values: []int{0, 1, 2}},
+	} {
+		engines := []struct {
+			name string
+			eng  *setconsensus.Engine
+		}{
+			{"workers=1", setconsensus.New(setconsensus.WithCrashBound(2), setconsensus.WithParallelism(1))},
+			{"workers=4", setconsensus.New(setconsensus.WithCrashBound(2), setconsensus.WithParallelism(4))},
+			{"cli", setconsensus.New(
+				setconsensus.WithBackend(setconsensus.Oracle),
+				setconsensus.WithCrashBound(setconsensus.PatternCrashBound),
+				setconsensus.WithDegree(2),
+			)},
 		}
-		sum, err := tc.eng.SweepSource(context.Background(), refs, src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total := sum.Runs() / len(refs)
-		block := space.PatternBlock()
-		if block <= 1 || total%block != 0 {
-			t.Fatalf("space yields %d adversaries, not a multiple of block %d", total, block)
-		}
-		patterns := int64(total / block)
-		st := tc.eng.Stats()
-		if st.GraphsRebuilt != patterns {
-			t.Errorf("%s: GraphsRebuilt = %d, want one per pattern (%d)",
-				tc.name, st.GraphsRebuilt, patterns)
-		}
-		if st.GraphsRevived != 0 {
-			t.Errorf("%s: GraphsRevived = %d, want 0 in delta order", tc.name, st.GraphsRevived)
-		}
-		if want := int64(total) - patterns; st.GraphsPatched != want {
-			t.Errorf("%s: GraphsPatched = %d, want total-patterns = %d",
-				tc.name, st.GraphsPatched, want)
+		for _, tc := range engines {
+			src, err := setconsensus.SpaceSource(space)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum, err := tc.eng.SweepSource(context.Background(), refs, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total := sum.Runs() / len(refs)
+			block := space.PatternBlock()
+			if block <= 1 || total%block != 0 {
+				t.Fatalf("%s: space yields %d adversaries, not a multiple of block %d", space.Label(), total, block)
+			}
+			patterns := int64(total / block)
+			st := tc.eng.Stats()
+			if st.GraphsRebuilt != patterns {
+				t.Errorf("%s %s: GraphsRebuilt = %d, want one per pattern (%d)",
+					space.Label(), tc.name, st.GraphsRebuilt, patterns)
+			}
+			if st.GraphsRevived != 0 {
+				t.Errorf("%s %s: GraphsRevived = %d, want 0 in delta order", space.Label(), tc.name, st.GraphsRevived)
+			}
+			if want := int64(total) - patterns; st.GraphsPatched != want {
+				t.Errorf("%s %s: GraphsPatched = %d, want total-patterns = %d",
+					space.Label(), tc.name, st.GraphsPatched, want)
+			}
 		}
 	}
 }
