@@ -25,6 +25,8 @@ type Aggregator struct {
 	// atomic add per claimed window, not per adversary: the workers share
 	// this cache line, and the fold reads tasksByIdx from it on every run.
 	advs atomic.Int64
+	// total is the swept source's Count, when it reports one.
+	total int
 }
 
 // SweepProgress is one streamed snapshot of a running aggregating sweep:
@@ -33,8 +35,8 @@ type Aggregator struct {
 // of a claimed window's adversaries before counting them). It is the
 // sweep-side analogue of AnalysisProgress, consumed by
 // Engine.SweepSourceProgress and streamed over SSE by the job service.
-// Total stays 0 for exhaustive spaces, whose canonical size is only
-// discovered by walking them.
+// Total is the workload's adversary count when its Source reports one
+// (every built-in workload does), 0 otherwise.
 type SweepProgress struct {
 	Adversaries int `json:"adversaries"`
 	Runs        int `json:"runs"`
@@ -45,7 +47,7 @@ type SweepProgress struct {
 // with a running sweep; the snapshot is monotone.
 func (a *Aggregator) Progress() SweepProgress {
 	n := int(a.advs.Load())
-	return SweepProgress{Adversaries: n, Runs: n * len(a.tasksByIdx)}
+	return SweepProgress{Adversaries: n, Runs: n * len(a.tasksByIdx), Total: a.total}
 }
 
 // advsDone records n fully folded adversaries for the progress feed.

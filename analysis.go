@@ -48,12 +48,11 @@ type AnalysisSpec struct {
 	Params string
 	// New builds the runnable analysis for one parsed argument set.
 	New func(args WorkloadArgs) (AnalysisRun, error)
-	// CountUpperBound, when set, bounds the adversaries the analysis
+	// Count, when set, returns the number of adversaries the analysis
 	// enumerates for one parsed argument set at the given engine degree:
-	// the pre-deduplication size of its compile space, as
-	// Space.CountUpperBound. Families that enumerate no space (the
-	// certificate families) leave it nil.
-	CountUpperBound func(args WorkloadArgs, degree int) (float64, error)
+	// the Space.Count of its compile space. Families that enumerate no
+	// space (the certificate families) leave it nil.
+	Count func(args WorkloadArgs, degree int) (int, error)
 }
 
 // AnalysisRegistry maps analysis family names to specs. The zero value
@@ -110,22 +109,22 @@ func (r *AnalysisRegistry) Parse(ref string) (AnalysisRun, error) {
 	return spec.New(newWorkloadArgs("analysis", ref, vals))
 }
 
-// CountUpperBound resolves an analysis reference and bounds the
+// Count resolves an analysis reference and returns the number of
 // adversaries it enumerates on an engine of the given degree — the
-// analysis counterpart of a Source's CountUpperBound, for admission
-// controllers such as the job service's space budget. ok is false for
-// families that enumerate no space.
-func (r *AnalysisRegistry) CountUpperBound(ref string, degree int) (ub float64, ok bool, err error) {
+// analysis counterpart of a Source's Count, for admission controllers
+// such as the job service's space budget. ok is false for families that
+// enumerate no space.
+func (r *AnalysisRegistry) Count(ref string, degree int) (n int, ok bool, err error) {
 	spec, argStr, err := r.reg.splitRef(ref)
-	if err != nil || spec.CountUpperBound == nil {
+	if err != nil || spec.Count == nil {
 		return 0, false, err
 	}
 	vals, err := parseArgPairs("analysis", ref, argStr)
 	if err != nil {
 		return 0, false, err
 	}
-	ub, err = spec.CountUpperBound(newWorkloadArgs("analysis", ref, vals), degree)
-	return ub, err == nil, err
+	n, err = spec.Count(newWorkloadArgs("analysis", ref, vals), degree)
+	return n, err == nil, err
 }
 
 // Analyze resolves ref in the engine's analysis registry and runs it to
@@ -217,9 +216,9 @@ func (cfg searchConfig) resolve(degree int) (int, Params, enum.Space, error) {
 	if err := p.Validate(); err != nil {
 		return 0, Params{}, enum.Space{}, err
 	}
-	values := make([]int, 0, vHi-vLo+1)
-	for v := vLo; v <= vHi; v++ {
-		values = append(values, v)
+	values, err := valueRange(vLo, vHi)
+	if err != nil {
+		return 0, Params{}, enum.Space{}, err
 	}
 	return k, p, enum.Space{N: cfg.n, T: cfg.t, MaxRound: r, Values: values}, nil
 }
@@ -241,7 +240,7 @@ func searchAnalysisSpec(name string, aliases []string, baseRef string, uniform b
 				return e.runSearchAnalysis(ctx, name, baseRef, cfg, progress)
 			}, nil
 		},
-		CountUpperBound: func(args WorkloadArgs, degree int) (float64, error) {
+		Count: func(args WorkloadArgs, degree int) (int, error) {
 			cfg, err := parseSearchConfig(args, uniform)
 			if err != nil {
 				return 0, err
@@ -250,7 +249,10 @@ func searchAnalysisSpec(name string, aliases []string, baseRef string, uniform b
 			if err != nil {
 				return 0, err
 			}
-			return space.CountUpperBound(), nil
+			if err := space.Validate(); err != nil {
+				return 0, err
+			}
+			return space.Count(), nil
 		},
 	}
 }
@@ -291,11 +293,12 @@ func (e *Engine) runSearchAnalysis(ctx context.Context, family, baseRef string, 
 	// fragment Compiler — one pooled run per adversary, graphs built in
 	// the worker kit's Builder arena (at most one full build per window,
 	// every other run patches) and released as soon as the run is
-	// interned — recording each window as a segment at its offset. Merge then tiles the fragments into the table a sequential
-	// compile would build. The space size is unknown up front, so
-	// snapshots carry Total 0 until Finish closes the stage.
+	// interned — recording each window as a segment at its offset. Merge
+	// then tiles the fragments into the table a sequential compile would
+	// build. The stage's total is the space's count, so it closes itself
+	// with the last run.
 	sink := unbeat.NewProgressSink(progress)
-	sink.Stage("compile", 0)
+	sink.Stage("compile", space.Count())
 	var (
 		mu    sync.Mutex
 		frags []*unbeat.Compiler
@@ -349,7 +352,6 @@ func (e *Engine) runSearchAnalysis(ctx context.Context, family, baseRef string, 
 	if err != nil {
 		return nil, err
 	}
-	sink.Finish()
 	cs, err := unbeat.Merge(frags...)
 	if err != nil {
 		return nil, err

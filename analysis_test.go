@@ -96,33 +96,34 @@ func TestAnalyzeOptminN5(t *testing.T) {
 	}
 }
 
-// TestAnalysisCountUpperBound pins the admission bound of analysis
-// references: a search reports its compile space's CountUpperBound at
-// the given degree (the degree sets k, and with it the value range, when
-// the reference leaves them out), a certificate family reports none.
-func TestAnalysisCountUpperBound(t *testing.T) {
+// TestAnalysisCount pins the admission count of analysis references: a
+// search reports its compile space's exact Count at the given degree
+// (the degree sets k, and with it the value range, when the reference
+// leaves them out) — the runs its compile stage holds — and a
+// certificate family reports none.
+func TestAnalysisCount(t *testing.T) {
 	reg := setconsensus.DefaultAnalyses()
 	cases := []struct {
 		ref    string
 		degree int
-		ub     float64
+		n      int
 		ok     bool
 	}{
-		{"search:upmin:n=5,t=3,r=2,k=2,width=1", 1, 82153683, true},
-		{"search:optmin:n=5,t=2,k=2,width=1", 1, 5657283, true},
-		{"search:optmin:n=5,t=2,width=1", 2, 5657283, true},
-		{"search:optmin:n=3,t=2,r=2,width=2", 1, 1736, true},
+		{"search:upmin:n=5,t=3,r=2,k=2,width=1", 1, 5015763, true},
+		{"search:optmin:n=5,t=2,k=2,width=1", 1, 2391363, true},
+		{"search:optmin:n=5,t=2,width=1", 2, 2391363, true},
+		{"search:optmin:n=3,t=2,r=2,width=2", 1, 776, true},
 		{"forced:k=2", 2, 0, false},
 		{"lemma2", 2, 0, false},
 	}
 	for _, c := range cases {
-		ub, ok, err := reg.CountUpperBound(c.ref, c.degree)
-		if err != nil || ub != c.ub || ok != c.ok {
-			t.Errorf("%s at degree %d: (%v, %v, %v), want (%v, %v, nil)", c.ref, c.degree, ub, ok, err, c.ub, c.ok)
+		n, ok, err := reg.Count(c.ref, c.degree)
+		if err != nil || n != c.n || ok != c.ok {
+			t.Errorf("%s at degree %d: (%v, %v, %v), want (%v, %v, nil)", c.ref, c.degree, n, ok, err, c.n, c.ok)
 		}
 	}
-	for _, ref := range []string{"nonsense", "search:optmin:bogus=1", "search:optmin:n=1"} {
-		if _, _, err := reg.CountUpperBound(ref, 1); err == nil {
+	for _, ref := range []string{"nonsense", "search:optmin:bogus=1", "search:optmin:n=1", "search:optmin:n=30,t=29"} {
+		if _, _, err := reg.Count(ref, 1); err == nil {
 			t.Errorf("%s: no error", ref)
 		}
 	}
@@ -167,6 +168,9 @@ func TestAnalyzeStreamProgressStages(t *testing.T) {
 			if len(stages) == 0 || stages[len(stages)-1] != p.Stage {
 				stages = append(stages, p.Stage)
 				lastDone = -1
+			}
+			if p.Stage == "compile" && p.Total != 776 {
+				t.Errorf("compile snapshot %+v, want the space's 776 runs as its total", p)
 			}
 			if p.Done < lastDone {
 				t.Fatalf("stage %s: done went backwards (%d after %d)", p.Stage, p.Done, lastDone)

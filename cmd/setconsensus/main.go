@@ -85,7 +85,7 @@ func main() {
 	coordinate := flag.Bool("coordinate", false, "shard the -workload sweep across workers with leases and checkpointed resume")
 	workers := flag.Int("workers", 0, "coordinated sweep: number of in-process engine workers (default 2 when -join is empty)")
 	join := flag.String("join", "", "coordinated sweep: comma-separated setconsensusd base URLs to enlist as remote workers")
-	checkpoint := flag.String("checkpoint", "", "coordinated sweep: checkpoint file; written atomically per completed range, resumed from when it exists")
+	checkpoint := flag.String("checkpoint", "", "coordinated sweep: checkpoint journal; each finished range is appended as it completes, and an existing journal is resumed from")
 	rangeSize := flag.Int("range-size", 0, "coordinated sweep: adversaries per work range (0 = default)")
 	lease := flag.Duration("lease", 0, "coordinated sweep: per-range worker lease before re-issue (0 = default)")
 	chaosSpec := flag.String("chaos", "", "coordinated sweep: fault-injection spec, e.g. \"seed=7,crash=0.1,straggler=0.2,delay=20ms,torn#1\"; faults tally to stderr, output stays byte-identical")

@@ -23,9 +23,9 @@
 // the work unit `setconsensus -coordinate -join` fans out across
 // servers. Range-scoped jobs are admitted against -max-space by their
 // window, not the full space, so a fleet can collectively sweep a
-// space far beyond any single server's per-job budget. Search analysis
-// jobs are admitted against -max-space by the upper bound of the space
-// they compile.
+// space far beyond any single server's per-job budget. Every job is
+// admitted on an exact count: a workload's, and for a search analysis
+// that of the space it compiles.
 //
 // Every budget is a flag: worker count, queue depth, per-job deadline,
 // max adversary space per job, retained results. SIGINT/SIGTERM drain
@@ -69,7 +69,7 @@ func run() error {
 	addr := flag.String("addr", def.Addr, "listen address")
 	workers := flag.Int("workers", def.Workers, "concurrent jobs")
 	queue := flag.Int("queue", def.QueueDepth, "queued-job bound")
-	maxSpace := flag.Int("max-space", def.MaxSpaceSize, "per-job adversary-space budget (enumeration upper bound)")
+	maxSpace := flag.Int("max-space", def.MaxSpaceSize, "per-job adversary budget: a job whose workload or search space counts more adversaries is rejected")
 	deadline := flag.Duration("deadline", def.JobDeadline, "hard per-job deadline")
 	results := flag.Int("results", def.ResultBound, "retained finished jobs")
 	parallelism := flag.Int("parallelism", def.EngineParallelism, "per-job engine worker-pool size")

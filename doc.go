@@ -63,8 +63,9 @@
 //	space         exhaustive canonical space    n=3 t=2 r=2 v=0..1
 //
 // Sources compose: SliceSource bridges materialized slices (Sweep itself
-// runs on it), SpaceSource streams an enum.Space, RandomSource samples a
-// seed deterministically, LimitSource bounds a stream to a budget,
+// runs on it), SpaceSource streams an enum.Space and counts it exactly
+// in closed form, RandomSource samples a seed deterministically,
+// LimitSource bounds a stream to a budget,
 // ConcatSources chains workloads, and FuncSource adapts any custom
 // iterator. Aggregation is reusable outside SweepSource via
 // Engine.NewAggregator plus Aggregator.Add.
@@ -194,7 +195,10 @@
 //
 //	range       a window [offset, offset+limit) of the workload's
 //	            canonical enumeration order — the unit of distribution,
-//	            swept via RangeSource
+//	            swept via RangeSource. The coordinator takes the
+//	            workload's count up front and mints exactly the ranges
+//	            that tile [0, count); a worker enters its range by
+//	            unranking the offset, never by walking the prefix
 //	lease       a time-bounded grant of one range to one worker; an
 //	            expired lease (stalled or vanished worker) is re-issued,
 //	            and duplicate completions merge idempotently by offset
@@ -353,13 +357,14 @@
 // and no rendered adversary strings — the display string is a memoized
 // lazy closure, materialized only when a retained Result actually needs
 // it. Each worker claims its next window under one mutex and
-// enumerates it itself. An exhaustive space (SpaceSource, or a
-// RangeSource over one) hands out windows from a shared enum.Cursor, which walks and dedups the failure patterns once per
-// sweep on compact binary fingerprints
-// (FailurePattern.AppendFingerprint) built in one reused buffer and
-// materializes each block's canonical pattern once; the claiming worker
-// decodes the Gray code and carves adversaries out of slab blocks with
-// its own enum.Walker, outside the lock. Any other Source is pulled
+// enumerates it itself. An exhaustive space (SpaceSource, or any nesting
+// of RangeSource and LimitSource over one) hands out windows from a
+// shared enum.Cursor, which steps to each block's canonical failure
+// pattern — the canonical patterns are generated directly, those whose
+// unobservable delivery bits are clear, so nothing is deduplicated —
+// and materializes it once; the claiming worker decodes the Gray code
+// and carves adversaries out of slab blocks with its own enum.Walker,
+// outside the lock. Any other Source is pulled
 // under the claim lock (iter.Pull), a chunk per claim, and the sweep
 // returns only after that iterator has. Claims fill pooled chunks, and
 // the workers share nothing per adversary: cancellation is polled on

@@ -462,14 +462,7 @@ const sourceChunk = 32
 // count ≤ 0 yet yields adversaries) or a clamped-to-zero worker total
 // must degrade to the unknown-count behavior, not divide by zero or
 // starve the pool.
-//
-// block, when > 1, is the source's pattern-block stride (PatternBlocked):
-// the enumeration changes failure pattern exactly at multiples of it, so
-// the chunk size is aligned to keep every chunk boundary on a block
-// boundary — a worker full-builds there anyway. A misaligned chunk would
-// instead start mid-block, paying a spurious full build where the
-// previous chunk's worker could have patched.
-func chunkSizeFor(count int, known bool, workers, block int) int {
+func chunkSizeFor(count int, known bool, workers int) int {
 	c := sourceChunk
 	if known && count > 0 {
 		if workers < 1 {
@@ -481,27 +474,6 @@ func chunkSizeFor(count int, known bool, workers, block int) int {
 		}
 		if c > sourceChunk {
 			c = sourceChunk
-		}
-	}
-	return alignChunk(c, block)
-}
-
-// alignChunk aligns a chunk size to a pattern-block stride: the largest
-// multiple of block not exceeding c when a whole block fits, else the
-// largest divisor of block not exceeding c (consecutive chunks of a
-// divisor tile each block exactly). Either way every chunk boundary
-// lands on a block boundary; c is returned unchanged when no alignment
-// is possible or needed.
-func alignChunk(c, block int) int {
-	if block <= 1 || c <= 1 {
-		return c
-	}
-	if c >= block {
-		return c - c%block
-	}
-	for d := c; d > 1; d-- {
-		if block%d == 0 {
-			return d
 		}
 	}
 	return c
@@ -600,10 +572,10 @@ func (e *Engine) releaseChunk(c *sweepChunk) {
 }
 
 // spaceCursor returns a window cursor over the stream offsets [from, to)
-// of an exhaustive space's source — a SpaceSource, or a RangeSource over
-// one — and origin, the space offset of the source's first adversary: a
-// window's stream index is its Base minus origin. ok is false for any
-// other source.
+// of an exhaustive space's source — a SpaceSource, or any nesting of
+// RangeSource and LimitSource over one — and origin, the space offset of
+// the source's first adversary: a window's stream index is its Base
+// minus origin. ok is false for any other source.
 func spaceCursor(src Source, from, to int) (cur *enum.Cursor, origin int, ok bool) {
 	switch s := src.(type) {
 	case *spaceSource:
@@ -611,6 +583,8 @@ func spaceCursor(src Source, from, to int) (cur *enum.Cursor, origin int, ok boo
 	case *rangeSource:
 		cur, origin, ok := spaceCursor(s.src, enum.WindowEnd(s.offset, from), enum.WindowEnd(s.offset, min(s.limit, to)))
 		return cur, origin + s.offset, ok
+	case *limitSource:
+		return spaceCursor(s.src, from, min(s.n, to))
 	}
 	return nil, 0, false
 }
@@ -640,11 +614,7 @@ func newClaimer(e *Engine, src Source, count int, known bool, workers int, fail 
 		cl.cursor, cl.origin = cur, origin
 		return cl
 	}
-	block := 1
-	if pb, ok := src.(PatternBlocked); ok {
-		block = pb.PatternBlock()
-	}
-	size := chunkSizeFor(count, known, workers, block)
+	size := chunkSizeFor(count, known, workers)
 	// The pulled iterator fills whole chunks, so a claim switches into it
 	// once, not once per adversary. It is suspended only while it hands a
 	// chunk over, so it holds a partly filled chunk only when a panic
@@ -1100,7 +1070,8 @@ const sweepProgressInterval = 100 * time.Millisecond
 // progress receives throttled SweepProgress snapshots every interval
 // (every ≤ 0 means the 100ms default), serialized from one goroutine at
 // a time, followed by exactly one final snapshot after the last run has
-// folded. The run path itself is untouched: workers add to one atomic
+// folded. Every snapshot's Total is the source's Count, when it reports
+// one. The run path itself is untouched: workers add to one atomic
 // per claimed window and a side ticker reads it, so progress costs the
 // hot loop nothing measurable. Cancelling ctx stops the sweep as
 // SweepSource describes: at the workers' next adversary, and only after
@@ -1116,6 +1087,7 @@ func (e *Engine) SweepSourceProgress(ctx context.Context, refs []string, src Sou
 	if err != nil {
 		return nil, err
 	}
+	a.total, _ = src.Count()
 	var stop, done chan struct{}
 	if progress != nil {
 		if every <= 0 {

@@ -81,48 +81,19 @@ func TestChunkSizeForDegenerate(t *testing.T) {
 		count   int
 		known   bool
 		workers int
-		block   int
 		want    int
 	}{
-		{count: 0, known: false, workers: 4, block: 1, want: sourceChunk}, // unknown stream
-		{count: 0, known: true, workers: 4, block: 1, want: sourceChunk},  // lying Count: stream anyway
-		{count: -3, known: true, workers: 4, block: 1, want: sourceChunk}, // nonsense negative count
-		{count: 5, known: true, workers: 0, block: 1, want: 1},            // clamped worker total
-		{count: 5, known: true, workers: 4, block: 1, want: 1},            // count slightly above workers
-		{count: 1000000, known: true, workers: 4, block: 1, want: sourceChunk},
-		{count: 64, known: true, workers: 4, block: 1, want: 4},
+		{count: 0, known: false, workers: 4, want: sourceChunk}, // unknown stream
+		{count: 0, known: true, workers: 4, want: sourceChunk},  // lying Count: stream anyway
+		{count: -3, known: true, workers: 4, want: sourceChunk}, // nonsense negative count
+		{count: 5, known: true, workers: 0, want: 1},            // clamped worker total
+		{count: 5, known: true, workers: 4, want: 1},            // count slightly above workers
+		{count: 1000000, known: true, workers: 4, want: sourceChunk},
+		{count: 64, known: true, workers: 4, want: 4},
 	}
 	for _, c := range cases {
-		if got := chunkSizeFor(c.count, c.known, c.workers, c.block); got != c.want {
-			t.Errorf("chunkSizeFor(%d, %v, %d, %d) = %d, want %d", c.count, c.known, c.workers, c.block, got, c.want)
-		}
-	}
-}
-
-// TestChunkSizeForBlockAlignment pins the delta-order alignment rule:
-// chunk boundaries land on pattern-block boundaries whenever the block
-// stride makes that possible, so workers only full-build where the
-// pattern changes anyway.
-func TestChunkSizeForBlockAlignment(t *testing.T) {
-	cases := []struct {
-		count   int
-		known   bool
-		workers int
-		block   int
-		want    int
-	}{
-		{count: 0, known: false, workers: 4, block: 8, want: 32},  // 8 | 32: already aligned
-		{count: 0, known: false, workers: 4, block: 27, want: 27}, // round down to one block
-		{count: 0, known: false, workers: 4, block: 16, want: 32},
-		{count: 0, known: false, workers: 4, block: 81, want: 27},  // divisor of an oversized block
-		{count: 0, known: false, workers: 4, block: 625, want: 25}, // 5^4: largest divisor ≤ 32
-		{count: 200, known: true, workers: 2, block: 8, want: 24},  // 200/8=25 → down to 24
-		{count: 64, known: true, workers: 4, block: 8, want: 4},    // chunk 4 divides block 8
-		{count: 5, known: true, workers: 4, block: 8, want: 1},     // single-adversary chunks stay
-	}
-	for _, c := range cases {
-		if got := chunkSizeFor(c.count, c.known, c.workers, c.block); got != c.want {
-			t.Errorf("chunkSizeFor(%d, %v, %d, %d) = %d, want %d", c.count, c.known, c.workers, c.block, got, c.want)
+		if got := chunkSizeFor(c.count, c.known, c.workers); got != c.want {
+			t.Errorf("chunkSizeFor(%d, %v, %d) = %d, want %d", c.count, c.known, c.workers, got, c.want)
 		}
 	}
 }

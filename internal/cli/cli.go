@@ -122,9 +122,7 @@ func CoordinateWorkload(ctx context.Context, w io.Writer, workloadRef string, re
 		p.Lease = opts.Lease
 	}
 	p.CheckpointPath = opts.Checkpoint
-	if n, known := src.Count(); known {
-		p.Total = n
-	}
+	p.Total, _ = src.Count() // a workload that reports no count fails coord.New
 	var inj *chaos.Seeded
 	if opts.Chaos != "" {
 		inj, err = chaos.ParseSpec(opts.Chaos)

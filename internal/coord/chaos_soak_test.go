@@ -28,8 +28,8 @@ func mustSpec(t *testing.T, spec string) *chaos.Seeded {
 // attempt budget (refunded on breaker trips anyway), fast jittered
 // backoff, and a breaker tight enough to actually trip under the
 // schedule.
-func soakParams(rangeSize int) Params {
-	p := testParams(rangeSize)
+func soakParams(rangeSize, total int) Params {
+	p := testParams(rangeSize, total)
 	p.Lease = 60 * time.Millisecond
 	p.MaxAttempts = 10
 	p.RetryBackoff = time.Millisecond
@@ -51,7 +51,7 @@ func TestChaosSoakEngine(t *testing.T) {
 	inj := mustSpec(t, "seed=1337,crash=0.12,straggler=0.2,delay=90ms,drop=0.1,dup=0.15,torn#1")
 	cp := filepath.Join(t.TempDir(), "sweep.ckpt")
 	src := testSource(t)
-	p := soakParams(7)
+	p := soakParams(7, spaceTotal(t))
 	p.CheckpointPath = cp
 	p.Chaos = inj
 
@@ -107,7 +107,7 @@ func TestChaosSoakRemote(t *testing.T) {
 	inj := mustSpec(t, "seed=4242,crash=0.1,straggler=0.15,delay=90ms,http=0.15,sse=0.25")
 	base := remoteHarness(t)
 	src := testSource(t)
-	p := soakParams(7)
+	p := soakParams(7, spaceTotal(t))
 
 	c, err := New(src.Label(), testRefs, p)
 	if err != nil {
@@ -146,7 +146,7 @@ func TestChaosSoakRemote(t *testing.T) {
 // quarantine the bad fleet (refunding their range attempts) and the
 // lone healthy worker must still finish the exact sweep.
 func TestQuarantineAllButOne(t *testing.T) {
-	p := testParams(5)
+	p := testParams(5, fakeTotal)
 	p.MaxAttempts = 4
 	p.RetryBackoff = time.Millisecond
 	p.RetryBackoffCap = 4 * time.Millisecond
@@ -197,7 +197,7 @@ func TestQuarantineAllButOne(t *testing.T) {
 // breaker but then recovers must be re-admitted after probation via a
 // half-open trial, close its breaker on success, and participate again.
 func TestProbationReadmission(t *testing.T) {
-	p := testParams(5)
+	p := testParams(5, fakeTotal)
 	p.MaxAttempts = 6
 	p.RetryBackoff = time.Millisecond
 	p.RetryBackoffCap = 4 * time.Millisecond
@@ -238,7 +238,7 @@ func TestProbationReadmission(t *testing.T) {
 // exact either way.
 func TestDropAndDupInjection(t *testing.T) {
 	inj := mustSpec(t, "drop#1,dup#1")
-	p := testParams(5)
+	p := testParams(5, fakeTotal)
 	p.Lease = 30 * time.Millisecond
 	p.MaxAttempts = 6
 	p.RetryBackoff = time.Millisecond
@@ -263,7 +263,7 @@ func TestDropAndDupInjection(t *testing.T) {
 // TestBackoffBounds pins the jittered exponential schedule: every delay
 // stays within [0, cap], and the first attempt within [0, base].
 func TestBackoffBounds(t *testing.T) {
-	p := testParams(5)
+	p := testParams(5, fakeTotal)
 	p.RetryBackoff = 8 * time.Millisecond
 	p.RetryBackoffCap = 20 * time.Millisecond
 	c, err := New("fake", testRefs, p)
@@ -295,16 +295,23 @@ func TestParamsValidateTyped(t *testing.T) {
 		{"zero lease", func(p *Params) { p.Lease = 0 }, ErrLease},
 		{"zero attempts", func(p *Params) { p.MaxAttempts = 0 }, ErrMaxAttempts},
 		{"negative backoff", func(p *Params) { p.RetryBackoff = -time.Second }, ErrRetryBackoff},
+		{"zero total", func(p *Params) { p.Total = 0 }, ErrTotal},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := Default()
+			p.Total = fakeTotal
 			tc.mut(&p)
 			if err := p.Validate(); !errors.Is(err, tc.want) {
 				t.Errorf("Validate() = %v, want %v", err, tc.want)
 			}
 		})
 	}
-	if err := Default().Validate(); err != nil {
+	p := Default()
+	p.Total = fakeTotal
+	if err := p.Validate(); err != nil {
 		t.Errorf("defaults invalid: %v", err)
+	}
+	if _, err := New("fake", testRefs, Default()); !errors.Is(err, ErrTotal) {
+		t.Errorf("New without a total = %v, want %v", err, ErrTotal)
 	}
 }

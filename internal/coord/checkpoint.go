@@ -181,11 +181,12 @@ func (c *Coordinator) replayJournal(path string, blob []byte) error {
 
 // applyEntry folds one intact journal record into the starting state,
 // enforcing the structural rules every record a coordinator writes
-// obeys: a range is [k·RangeSize, (k+1)·RangeSize), a finished range's
-// count lies in [0, RangeSize] and agrees with its non-nil summary, and
-// no range finishes twice. The exhaustion point follows from the short
-// ranges exactly as it does live; unfinished ranges are re-minted in
-// offset order (mintLocked), each with its charged attempts.
+// obeys: a range is [k·RangeSize, (k+1)·RangeSize) with an offset below
+// Total, a finished range's count lies in [0, RangeSize], agrees with
+// its non-nil summary and is the range's share of the space,
+// min(RangeSize, Total−offset), and no range finishes twice. Unfinished
+// ranges are re-minted in offset order (mintLocked), each with its
+// charged attempts.
 func (c *Coordinator) applyEntry(e journalEntry) error {
 	switch {
 	case e.Done != nil && e.Failed == nil:
@@ -207,13 +208,15 @@ func (c *Coordinator) applyEntry(e journalEntry) error {
 		if n := e.Summary.Adversaries(); n != e.Count {
 			return fmt.Errorf("range %s counts %d adversaries, its summary %d", r, e.Count, n)
 		}
+		if want := c.wantCount(r.Offset); e.Count != want {
+			return fmt.Errorf("range %s holds %d adversaries, want %d of a %d-adversary workload", r, e.Count, want, c.params.Total)
+		}
 		if _, dup := c.done[r.Offset]; dup {
 			return fmt.Errorf("range %s finished twice", r)
 		}
-		c.done[r.Offset] = &doneRange{Range: r, Count: e.Count, Summary: e.Summary}
+		c.done[r.Offset] = e.Summary
 		c.doneAdv += e.Count
 		c.doneRuns += e.Summary.Runs()
-		c.noteCountLocked(r, e.Count)
 	case e.Failed != nil && e.Done == nil && e.Summary == nil && e.Count == 0:
 		if err := c.checkRange(*e.Failed); err != nil {
 			return err
@@ -225,11 +228,20 @@ func (c *Coordinator) applyEntry(e journalEntry) error {
 	return nil
 }
 
-// checkRange rejects a range off the [k·RangeSize, (k+1)·RangeSize) grid.
+// checkRange rejects a range no coordinator mints: one off the
+// [k·RangeSize, (k+1)·RangeSize) grid, or at or past the end of the
+// space. Coordinators that found the end of a space by leasing past it
+// journaled the empty ranges they leased there in the same version 3
+// format; their journals are rejected here too, and the sweep re-runs
+// from scratch.
 func (c *Coordinator) checkRange(r Range) error {
 	size := c.params.RangeSize
 	if r.Offset < 0 || r.Offset%size != 0 || r.Limit != size {
 		return fmt.Errorf("range %s is not a [k·%d, (k+1)·%d) window", r, size, size)
+	}
+	if r.Offset >= c.params.Total {
+		return fmt.Errorf("range %s starts past the end of the %d-adversary workload "+
+			"(coordinators that found the end by leasing past it wrote such records; delete the journal to start over)", r, c.params.Total)
 	}
 	return nil
 }

@@ -9,6 +9,9 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -77,7 +80,7 @@ func readJournal(t testing.TB, path string) journalFile {
 // left, and returns the golden summary JSON a resume must reproduce.
 func seedJournal(t *testing.T, cp string) string {
 	t.Helper()
-	p := testParams(5)
+	p := testParams(5, fakeTotal)
 	p.CheckpointPath = cp
 	c, err := New("fake", testRefs, p)
 	if err != nil {
@@ -228,7 +231,7 @@ func TestCheckpointFailureModes(t *testing.T) {
 			tc.corrupt(t, cp)
 
 			before, _ := os.ReadFile(cp)
-			p := testParams(5)
+			p := testParams(5, fakeTotal)
 			p.CheckpointPath = cp
 			c, err := New("fake", testRefs, p)
 			if tc.wantErr != nil {
@@ -271,7 +274,7 @@ func TestCheckpointFailureModes(t *testing.T) {
 func TestCheckpointVersionOneRejected(t *testing.T) {
 	cp := filepath.Join(t.TempDir(), "sweep.ckpt")
 	writeFile(t, cp, v1Checkpoint)
-	p := testParams(5)
+	p := testParams(5, fakeTotal)
 	p.CheckpointPath = cp
 	if _, err := New("fake", testRefs, p); !errors.Is(err, ErrCheckpointVersion) {
 		t.Fatalf("v1 checkpoint: err = %v, want %v", err, ErrCheckpointVersion)
@@ -284,7 +287,7 @@ func TestCheckpointVersionOneRejected(t *testing.T) {
 func TestCheckpointIdentityMismatchTyped(t *testing.T) {
 	cp := filepath.Join(t.TempDir(), "sweep.ckpt")
 	seedJournal(t, cp)
-	p := testParams(5)
+	p := testParams(5, fakeTotal)
 	p.CheckpointPath = cp
 	if _, err := New("other", testRefs, p); !errors.Is(err, ErrCheckpointMismatch) {
 		t.Fatalf("workload mismatch: err = %v, want %v", err, ErrCheckpointMismatch)
@@ -299,7 +302,7 @@ func TestCheckpointIdentityMismatchTyped(t *testing.T) {
 // golden bytes.
 func TestTornWriteInjectionRecovers(t *testing.T) {
 	cp := filepath.Join(t.TempDir(), "sweep.ckpt")
-	p := testParams(5)
+	p := testParams(5, fakeTotal)
 	p.CheckpointPath = cp
 	c1, err := New("fake", testRefs, p)
 	if err != nil {
@@ -366,10 +369,11 @@ func TestTornWriteInjectionRecovers(t *testing.T) {
 
 // TestForgedCheckpointRejected: a checksum-valid record that no
 // coordinator writes — a range off the [k·RangeSize, (k+1)·RangeSize)
-// grid, a count outside [0, limit] or disagreeing with its summary, a
-// missing summary, a range finished twice — rejects the whole journal
-// as corrupt and leaves it untouched, instead of merging a forged range
-// into the result.
+// grid or at or past the end of the space, a count outside [0, limit],
+// disagreeing with its summary or other than the range's share of the
+// space, a missing summary, a range finished twice — rejects the whole
+// journal as corrupt and leaves it untouched, instead of merging a
+// forged range into the result.
 func TestForgedCheckpointRejected(t *testing.T) {
 	at := func(off int) *Range { return &Range{Offset: off, Limit: 5} }
 	for _, tc := range []struct {
@@ -379,12 +383,15 @@ func TestForgedCheckpointRejected(t *testing.T) {
 		{"off-grid offset", journalEntry{Done: at(3), Count: 5, Summary: fakeSum(3, 5)}},
 		{"negative offset", journalEntry{Done: at(-5), Count: 0, Summary: fakeSum(-5, 0)}},
 		{"short limit", journalEntry{Done: &Range{Offset: 25, Limit: 4}, Summary: fakeSum(25, 4)}},
-		{"count above limit", journalEntry{Done: at(25), Count: 6, Summary: fakeSumOf(31, 25, 6)}},
-		{"negative count", journalEntry{Done: at(25), Count: -1, Summary: fakeSum(25, 5)}},
-		{"nil summary", journalEntry{Done: at(25)}},
-		{"nil summary row", json.RawMessage(`{"done":{"offset":25,"limit":5},"summary":{"workload":"fake","protocols":[null]}}`)},
-		{"count disagrees with summary", journalEntry{Done: at(25), Count: 2, Summary: fakeSum(25, 5)}},
+		{"count above limit", journalEntry{Done: at(20), Count: 6, Summary: fakeSumOf(26, 20, 6)}},
+		{"negative count", journalEntry{Done: at(20), Count: -1, Summary: fakeSum(20, 5)}},
+		{"nil summary", journalEntry{Done: at(20)}},
+		{"nil summary row", json.RawMessage(`{"done":{"offset":20,"limit":5},"summary":{"workload":"fake","protocols":[null]}}`)},
+		{"count disagrees with summary", journalEntry{Done: at(20), Count: 2, Summary: fakeSum(20, 5)}},
 		{"range finished twice", journalEntry{Done: at(0), Count: 5, Summary: fakeSum(0, 5)}},
+		{"done range past the end", journalEntry{Done: at(25), Count: 0, Summary: fakeSum(25, 5)}},
+		{"failed attempt past the end", journalEntry{Failed: at(25)}},
+		{"count short of the range's share", journalEntry{Done: at(20), Count: 5, Summary: fakeSumOf(25, 20, 5)}},
 		{"off-grid failed attempt", journalEntry{Failed: at(7)}},
 		{"failed attempt with a summary", journalEntry{Failed: at(25), Summary: fakeSum(25, 5)}},
 		{"neither kind", journalEntry{}},
@@ -404,7 +411,7 @@ func TestForgedCheckpointRejected(t *testing.T) {
 			blob := append(readJournal(t, cp).blob, line...)
 			writeFile(t, cp, string(blob))
 
-			p := testParams(5)
+			p := testParams(5, fakeTotal)
 			p.CheckpointPath = cp
 			if _, err := New("fake", testRefs, p); !errors.Is(err, ErrCheckpointCorrupt) {
 				t.Fatalf("forged record %s: err = %v, want %v", body, err, ErrCheckpointCorrupt)
@@ -414,40 +421,145 @@ func TestForgedCheckpointRejected(t *testing.T) {
 	}
 }
 
+// TestEndDiscoveryJournalRejected resumes a journal in the format of
+// coordinators that found a space's end by leasing past it: a finished
+// sweep whose workers also journaled the empty ranges they leased past
+// the end. The journal is intact, but a coordinator that knows Total
+// never writes those records, so it is rejected as corrupt, with the
+// remedy in the message, and left as it is.
+func TestEndDiscoveryJournalRejected(t *testing.T) {
+	cp := filepath.Join(t.TempDir(), "sweep.ckpt")
+	seedJournal(t, cp)
+	blob := readJournal(t, cp).blob
+	for _, off := range []int{25, 30} {
+		body, err := json.Marshal(journalEntry{Done: &Range{Offset: off, Limit: 5}, Summary: fakeSum(off, 5)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob = fmt.Appendf(blob, "%08x %s\n", crc32.ChecksumIEEE(body), body)
+	}
+	writeFile(t, cp, string(blob))
+
+	p := testParams(5, fakeTotal)
+	p.CheckpointPath = cp
+	_, err := New("fake", testRefs, p)
+	if !errors.Is(err, ErrCheckpointCorrupt) || !strings.Contains(err.Error(), "delete the journal to start over") {
+		t.Fatalf("journal with empty ranges past the end: err = %v, want %v naming the remedy", err, ErrCheckpointCorrupt)
+	}
+	assertUnchanged(t, cp, blob)
+}
+
 // TestMergeRejectsUntiledRanges: the merge folds exactly the offsets it
-// verified — the multiples of RangeSize below the end — and fails on any
-// other completed range, unless it is an empty range past the end
-// (minted before the end was known). A stray range at offset 3 used to
-// be merged too, turning the 23-adversary sweep into 28 with no error.
+// verified — the multiples of RangeSize below Total — and fails on any
+// other completed range, an empty one past the end included. A stray
+// range at offset 3 used to be merged too, turning the 23-adversary
+// sweep into 28 with no error.
 func TestMergeRejectsUntiledRanges(t *testing.T) {
-	build := func(extra *doneRange) *Coordinator {
+	build := func(at int, extra *setconsensus.Summary) *Coordinator {
 		t.Helper()
-		c, err := New("fake", testRefs, testParams(5))
+		c, err := New("fake", testRefs, testParams(5, fakeTotal))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for off := 0; off < fakeTotal; off += 5 {
-			sum := fakeSum(off, 5)
-			c.done[off] = &doneRange{Range: Range{Offset: off, Limit: 5}, Count: sum.Adversaries(), Summary: sum}
+			c.done[off] = fakeSum(off, 5)
 		}
-		c.done[extra.Offset] = extra
-		c.exhausted, c.end = true, fakeTotal
+		c.done[at] = extra
 		return c
 	}
-	sum, err := build(&doneRange{Range: Range{Offset: 25, Limit: 5}, Summary: fakeSum(25, 5)}).mergedLocked()
+	sum, err := build(20, fakeSum(20, 5)).mergedLocked()
 	if err != nil {
-		t.Fatalf("empty range past the end: %v", err)
+		t.Fatalf("the tiling alone: %v", err)
 	}
 	if got := summaryJSON(t, sum); got != goldenFake(t) {
-		t.Errorf("merge with an empty range past the end:\n got %s\nwant %s", got, goldenFake(t))
+		t.Errorf("merge of the tiling:\n got %s\nwant %s", got, goldenFake(t))
 	}
-	for _, stray := range []*doneRange{
-		{Range: Range{Offset: 3, Limit: 5}, Count: 5, Summary: fakeSum(3, 5)},
-		{Range: Range{Offset: 25, Limit: 5}, Count: 2, Summary: fakeSumOf(27, 25, 5)},
+	for _, stray := range []struct {
+		at  int
+		sum *setconsensus.Summary
+	}{
+		{25, fakeSum(25, 5)},
+		{3, fakeSum(3, 5)},
+		{25, fakeSumOf(27, 25, 5)},
 	} {
-		if sum, err := build(stray).mergedLocked(); err == nil {
-			t.Errorf("merged stray range %s: %d adversaries, no error", stray.Range, sum.Adversaries())
+		if sum, err := build(stray.at, stray.sum).mergedLocked(); err == nil {
+			t.Errorf("merged stray range at %d: %d adversaries, no error", stray.at, sum.Adversaries())
 		}
+	}
+}
+
+// TestResumeLeasesOnlyMissingRanges pins the resume that a crash
+// mid-append leaves behind: the journal is cut inside the record of
+// range 10, so ranges 10, 15 and the short last range 20 are lost, and
+// whoever of three workers draws range 20 sweeps it slowly. The others
+// finish 10 and 15 first and claim again while 20 is out; they must
+// wait for it instead of leasing ranges past the end, so the resumed run
+// leases and journals exactly the three missing ranges.
+func TestResumeLeasesOnlyMissingRanges(t *testing.T) {
+	cp := filepath.Join(t.TempDir(), "sweep.ckpt")
+	golden := seedJournal(t, cp)
+	cutAt(t, cp, func(j journalFile) int { return (j.ends[2] + j.ends[3]) / 2 })
+	p := testParams(5, fakeTotal)
+	p.CheckpointPath = cp
+	c, err := New("fake", testRefs, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu     sync.Mutex
+		leased []int
+	)
+	sweep := func(_ context.Context, r Range) (*setconsensus.Summary, error) {
+		mu.Lock()
+		leased = append(leased, r.Offset)
+		mu.Unlock()
+		if r.Offset+r.Limit > fakeTotal {
+			time.Sleep(50 * time.Millisecond)
+		}
+		return fakeSum(r.Offset, r.Limit), nil
+	}
+	ws := []Worker{&fakeWorker{"a", sweep}, &fakeWorker{"b", sweep}, &fakeWorker{"c", sweep}}
+	sum, err := c.Run(context.Background(), ws, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := summaryJSON(t, sum); got != golden {
+		t.Errorf("resumed summary differs from golden:\n got %s\nwant %s", got, golden)
+	}
+	sort.Ints(leased)
+	if fmt.Sprint(leased) != "[10 15 20]" {
+		t.Errorf("resume leased ranges at %v, want exactly the missing [10 15 20]", leased)
+	}
+	j := readJournal(t, cp)
+	var journaled []int
+	for _, e := range j.entries {
+		if e.Done != nil {
+			journaled = append(journaled, e.Done.Offset)
+		}
+		if e.Failed != nil {
+			t.Errorf("journal holds a failed attempt at %s", e.Failed)
+		}
+	}
+	if got := fmt.Sprint(journaled[2:]); len(journaled) != 5 || got != "[10 15 20]" && got != "[15 10 20]" {
+		t.Errorf("journal holds done records %v, want the kept [0 5] and then exactly 10, 15 and 20", journaled)
+	}
+}
+
+// TestWrongCountFailsRun: a worker whose summary for a range holds a
+// count other than the range's share of the space — here the whole
+// 5-adversary window for the 3-adversary last range — fails the run,
+// naming both counts, instead of merging a wrong summary.
+func TestWrongCountFailsRun(t *testing.T) {
+	c, err := New("fake", testRefs, testParams(5, fakeTotal))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &fakeWorker{name: "w", sweep: func(_ context.Context, r Range) (*setconsensus.Summary, error) {
+		return fakeSumOf(fakeTotal+5, r.Offset, r.Limit), nil
+	}}
+	_, err = c.Run(context.Background(), []Worker{w}, nil)
+	if err == nil || !strings.Contains(err.Error(), "yielded 5 adversaries, want 3") {
+		t.Fatalf("run with a miscounted range = %v, want an error naming 5 and 3", err)
 	}
 }
 
@@ -458,7 +570,7 @@ func TestCheckpointBytesLinear(t *testing.T) {
 	perRange := func(total, ranges int) float64 {
 		t.Helper()
 		cp := filepath.Join(t.TempDir(), "sweep.ckpt")
-		p := testParams(5)
+		p := testParams(5, total)
 		p.CheckpointPath = cp
 		c, err := New("fake", testRefs, p)
 		if err != nil {
@@ -491,7 +603,7 @@ func TestCheckpointBytesLinear(t *testing.T) {
 // MaxAttempts across restarts.
 func TestFailedAttemptsSurviveResume(t *testing.T) {
 	cp := filepath.Join(t.TempDir(), "sweep.ckpt")
-	p := testParams(5)
+	p := testParams(5, fakeTotal)
 	p.CheckpointPath = cp
 	p.MaxAttempts = 2
 	p.RetryBackoff = time.Millisecond
@@ -600,7 +712,7 @@ func TestClaimWaitNeverZeroOrStale(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c, err := New("fake", testRefs, testParams(5))
+			c, err := New("fake", testRefs, testParams(5, fakeTotal))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -617,7 +729,7 @@ func TestClaimWaitNeverZeroOrStale(t *testing.T) {
 
 	// The expiry instant itself is not yet past the lease; one tick on,
 	// the scan re-queues it.
-	c, err := New("fake", testRefs, testParams(5))
+	c, err := New("fake", testRefs, testParams(5, fakeTotal))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -641,7 +753,7 @@ func TestClaimWaitNeverZeroOrStale(t *testing.T) {
 func FuzzCheckpointLoad(f *testing.F) {
 	// The seed journal carries a failed attempt as well as done ranges.
 	cp := filepath.Join(f.TempDir(), "seed.ckpt")
-	p := testParams(5)
+	p := testParams(5, fakeTotal)
 	p.CheckpointPath = cp
 	p.RetryBackoff = time.Millisecond
 	c, err := New("fake", testRefs, p)
@@ -672,7 +784,7 @@ func FuzzCheckpointLoad(f *testing.F) {
 	f.Add([]byte(v2Checkpoint))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := New("fake", testRefs, testParams(5))
+		c, err := New("fake", testRefs, testParams(5, fakeTotal))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -682,22 +794,20 @@ func FuzzCheckpointLoad(f *testing.F) {
 			}
 			return
 		}
-		for off, d := range c.done {
-			if d.Offset != off || off < 0 || off%5 != 0 || d.Limit != 5 || d.Count < 0 || d.Count > 5 || d.Summary == nil {
-				t.Fatalf("accepted malformed done range %s count %d summary %v", d.Range, d.Count, d.Summary)
+		for off, sum := range c.done {
+			if off < 0 || off >= fakeTotal || off%5 != 0 || sum == nil || sum.Adversaries() != min(5, fakeTotal-off) {
+				t.Fatalf("accepted malformed done range at offset %d, summary %v", off, sum)
 			}
 		}
 		for off := range c.carried {
-			if off < 0 || off%5 != 0 {
+			if off < 0 || off >= fakeTotal || off%5 != 0 {
 				t.Fatalf("accepted failed attempt at offset %d", off)
 			}
 		}
 		if size := int64(len(data)); c.journalSize > size || (c.journalSize < size) != (c.statTailsDropped == 1) {
 			t.Fatalf("kept %d of %d bytes, tails dropped %d", c.journalSize, size, c.statTailsDropped)
 		}
-		if c.exhausted {
-			_, _ = c.mergedLocked()
-		}
+		_, _ = c.mergedLocked()
 	})
 }
 

@@ -8,10 +8,12 @@
 //
 // A range is the unit of work: the window [offset, offset+limit) of a
 // workload's deterministic enumeration order, exactly what
-// enum.Space.Range and setconsensus.RangeSource yield. Ranges are
-// minted lazily — the coordinator does not need to know the space's
-// size up front; a range that comes back with fewer adversaries than
-// its limit pins the end of the space.
+// enum.Space.Range and setconsensus.RangeSource yield. The coordinator
+// takes the workload's adversary count up front (Params.Total; every
+// built-in workload reports one, an exhaustive space its exact canonical
+// count) and mints exactly the ranges that tile [0, Total): every limit
+// is RangeSize, and a range must come back with min(RangeSize,
+// Total−offset) adversaries, so only the last one is short.
 //
 // A lease is a time-bounded claim on one range by one worker. A lease
 // that expires before its result arrives puts the range back in the
@@ -34,11 +36,11 @@
 // Resume is New with a CheckpointPath whose file exists: the
 // coordinator checks the header against workload, refs, and range size,
 // then replays the longest prefix of intact records, deriving the
-// finished set, the end of the space and each unfinished range's
-// charged attempts. A torn or tampered tail — a SIGKILL or power loss
-// mid-append, a flipped byte — fails its checksum; it is dropped,
-// counted in Stats.CheckpointTailsDropped, cut off before the first new
-// append, and its ranges are swept again. A file without an intact v3
+// finished set and each unfinished range's charged attempts. A torn or
+// tampered tail — a SIGKILL or power loss mid-append, a flipped byte —
+// fails its checksum; it is dropped, counted in
+// Stats.CheckpointTailsDropped, cut off before the first new append,
+// and its ranges are swept again. A file without an intact v3
 // header is rejected and left untouched: ErrCheckpointVersion for the
 // version 1 and 2 JSON checkpoints of earlier releases (they are not
 // migrated; delete one to start over), ErrCheckpointCorrupt otherwise.
@@ -97,6 +99,9 @@ var (
 	ErrBackoffCap = errors.New("coord: bad retry backoff cap")
 	// ErrBreaker rejects negative circuit-breaker parameters.
 	ErrBreaker = errors.New("coord: bad circuit-breaker parameters")
+	// ErrTotal rejects a workload count below one: the coordinator mints
+	// the ranges of [0, Total) and cannot discover a space's end.
+	ErrTotal = errors.New("coord: need the workload's adversary count")
 )
 
 // Range is the unit of distributed work: the window
@@ -147,8 +152,10 @@ type Params struct {
 	CheckpointPath string
 	// ProgressInterval throttles the aggregated progress feed.
 	ProgressInterval time.Duration
-	// Total is the workload's adversary count when known up front
-	// (0 = unknown); it only feeds progress snapshots.
+	// Total is the workload's adversary count, its Source's Count:
+	// the coordinator mints exactly the ranges of [0, Total), checks
+	// every finished range's count against it, and reports it in every
+	// progress snapshot.
 	Total int
 	// Chaos, when non-nil, injects faults at the coordinator's named
 	// injection points (dropped and duplicated completions, torn
@@ -199,8 +206,8 @@ func (p Params) Validate() error {
 	if p.BreakerProbation < 0 {
 		return fmt.Errorf("%w: negative probation %v", ErrBreaker, p.BreakerProbation)
 	}
-	if p.Total < 0 {
-		return fmt.Errorf("coord: negative total %d", p.Total)
+	if p.Total < 1 {
+		return fmt.Errorf("%w (got %d)", ErrTotal, p.Total)
 	}
 	return nil
 }
@@ -218,14 +225,6 @@ type rangeState struct {
 	expiry    time.Time // lease expiry when leased
 	liveAdv   int       // leaseholder's latest progress snapshot
 	liveRuns  int
-}
-
-// doneRange is one completed range: its summary and the adversary count
-// it actually contained (short count = the space ended inside it).
-type doneRange struct {
-	Range
-	Count   int
-	Summary *setconsensus.Summary
 }
 
 // breakerState is the lifecycle of one worker's circuit breaker:
@@ -254,22 +253,20 @@ type Coordinator struct {
 	workload string // workload reference; also the merged Summary's label
 	refs     []string
 
-	mu        sync.Mutex
-	next      int                 // next offset to mint
-	exhausted bool                // the space's end has been observed
-	end       int                 // space size, valid once exhausted
-	pending   []*rangeState       // claimable (possibly backoff-delayed), any order
-	leased    map[int]*rangeState // offset → outstanding lease
-	done      map[int]*doneRange  // offset → completed range
-	carried   map[int]int         // offset → attempts charged before a resume
-	breakers  map[string]*breaker // worker name → circuit breaker
-	doneAdv   int                 // adversaries across done ranges
-	doneRuns  int                 // runs across done ranges
-	fatal     error               // first unrecoverable error
-	wake      chan struct{}       // closed and replaced on every transition
-	lastEmit  time.Time           // progress throttle
-	progress  func(setconsensus.SweepProgress)
-	cancel    context.CancelFunc // cancels the run on fatal
+	mu       sync.Mutex
+	next     int                           // next offset to mint
+	pending  []*rangeState                 // claimable (possibly backoff-delayed), any order
+	leased   map[int]*rangeState           // offset → outstanding lease
+	done     map[int]*setconsensus.Summary // offset → completed range's summary
+	carried  map[int]int                   // offset → attempts charged before a resume
+	breakers map[string]*breaker           // worker name → circuit breaker
+	doneAdv  int                           // adversaries across done ranges
+	doneRuns int                           // runs across done ranges
+	fatal    error                         // first unrecoverable error
+	wake     chan struct{}                 // closed and replaced on every transition
+	lastEmit time.Time                     // progress throttle
+	progress func(setconsensus.SweepProgress)
+	cancel   context.CancelFunc // cancels the run on fatal
 
 	journal     *os.File // checkpoint journal, open from the first append
 	journalSize int64    // bytes of intact records in the journal
@@ -307,7 +304,7 @@ func New(workload string, refs []string, p Params) (*Coordinator, error) {
 		workload: workload,
 		refs:     append([]string(nil), refs...),
 		leased:   make(map[int]*rangeState),
-		done:     make(map[int]*doneRange),
+		done:     make(map[int]*setconsensus.Summary),
 		carried:  make(map[int]int),
 		breakers: make(map[string]*breaker),
 		wake:     make(chan struct{}),
@@ -440,7 +437,7 @@ func (c *Coordinator) claim(ctx context.Context, worker string) (*rangeState, bo
 			}
 		}
 		// Done: nothing left to mint, lease out or retry.
-		if c.exhausted && c.next >= c.end && len(c.leased) == 0 && len(c.pending) == 0 {
+		if c.next >= c.params.Total && len(c.leased) == 0 && len(c.pending) == 0 {
 			c.mu.Unlock()
 			return nil, false, nil
 		}
@@ -515,12 +512,12 @@ func (c *Coordinator) failLocked(err error) {
 }
 
 // mintLocked returns the next range of the space not yet finished, or
-// nil once the end is known and reached. Live, every offset below next
-// has been minted; after a resume next restarts at 0 and the walk
-// re-issues each unfinished range of the earlier run in offset order,
-// with the attempts it was charged there.
+// nil once every range of [0, Total) has been minted. Live, every offset
+// below next has been minted; after a resume next restarts at 0 and the
+// walk re-issues each unfinished range of the earlier run in offset
+// order, with the attempts it was charged there.
 func (c *Coordinator) mintLocked() *rangeState {
-	for !c.exhausted || c.next < c.end {
+	for c.next < c.params.Total {
 		off := c.next
 		c.next += c.params.RangeSize
 		if _, done := c.done[off]; done {
@@ -694,11 +691,12 @@ func (c *Coordinator) backoffFor(attempts int) time.Duration {
 
 // complete records one worker's outcome for rs. Success merges the
 // summary (idempotently: a duplicate completion of an already-done
-// offset is dropped), detects exhaustion from a short count, and
-// journals the range. Failure charges the worker's breaker, journals
-// the attempt unless the breaker refunded it, then re-queues the range
-// with jittered exponential backoff until MaxAttempts grants are spent,
-// then fails the whole run. Every transition wakes the blocked claims.
+// offset is dropped) and journals the range; a summary whose count is
+// not the range's share of the space fails the run. Failure charges the
+// worker's breaker, journals the attempt unless the breaker refunded
+// it, then re-queues the range with jittered exponential backoff until
+// MaxAttempts grants are spent, then fails the whole run. Every
+// transition wakes the blocked claims.
 func (c *Coordinator) complete(ctx context.Context, worker string, rs *rangeState, sum *setconsensus.Summary, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -762,13 +760,17 @@ func (c *Coordinator) complete(ctx context.Context, worker string, rs *rangeStat
 	if _, dup := c.done[off]; dup {
 		return // duplicate completion after a re-issue: first result won
 	}
+	count := sum.Adversaries()
+	if want := c.wantCount(off); count != want {
+		c.failLocked(fmt.Errorf("coord: range %s from %s yielded %d adversaries, want %d of a %d-adversary workload",
+			rs.Range, worker, count, want, c.params.Total))
+		return
+	}
 	delete(c.leased, off)
 	c.dropPendingLocked(off)
-	count := sum.Adversaries()
-	c.done[off] = &doneRange{Range: rs.Range, Count: count, Summary: sum}
+	c.done[off] = sum
 	c.doneAdv += count
 	c.doneRuns += sum.Runs()
-	c.noteCountLocked(rs.Range, count)
 	if err := c.appendLocked(journalEntry{Done: &rs.Range, Count: count, Summary: sum}); err != nil {
 		c.failLocked(err)
 		return
@@ -777,23 +779,10 @@ func (c *Coordinator) complete(ctx context.Context, worker string, rs *rangeStat
 	c.emitProgressLocked(true)
 }
 
-// noteCountLocked pins the end of the space when range r held fewer
-// adversaries than its limit: the space ended inside it, so minting
-// stops and pending ranges wholly past the end — they could only be
-// empty — are dropped.
-func (c *Coordinator) noteCountLocked(r Range, count int) {
-	if count >= r.Limit || (c.exhausted && r.Offset+count >= c.end) {
-		return
-	}
-	c.exhausted = true
-	c.end = r.Offset + count
-	kept := c.pending[:0]
-	for _, p := range c.pending {
-		if p.Offset < c.end {
-			kept = append(kept, p)
-		}
-	}
-	c.pending = kept
+// wantCount is the number of adversaries the range at offset off holds:
+// all RangeSize of them, except in the last range.
+func (c *Coordinator) wantCount(off int) int {
+	return min(c.params.RangeSize, c.params.Total-off)
 }
 
 // dropPendingLocked removes any queued re-issue of offset off.
@@ -829,7 +818,7 @@ func (c *Coordinator) emitProgressLocked(force bool) {
 		return
 	}
 	c.lastEmit = now
-	p := setconsensus.SweepProgress{Adversaries: c.doneAdv, Runs: c.doneRuns, Total: c.totalLocked()}
+	p := setconsensus.SweepProgress{Adversaries: c.doneAdv, Runs: c.doneRuns, Total: c.params.Total}
 	for _, rs := range c.leased {
 		p.Adversaries += rs.liveAdv
 		p.Runs += rs.liveRuns
@@ -837,15 +826,8 @@ func (c *Coordinator) emitProgressLocked(force bool) {
 	c.progress(p)
 }
 
-func (c *Coordinator) totalLocked() int {
-	if c.exhausted {
-		return c.end
-	}
-	return c.params.Total
-}
-
-// Run executes the sweep on the given workers until the space is
-// exhausted and every range completed, then returns the merged Summary.
+// Run executes the sweep on the given workers until every range of the
+// space has completed, then returns the merged Summary.
 // progress, when non-nil, receives throttled aggregate SweepProgress
 // snapshots. On cancellation Run returns ctx's error with the
 // checkpoint (when configured) holding everything completed so far; a
@@ -919,38 +901,30 @@ func (c *Coordinator) Run(ctx context.Context, workers []Worker, progress func(s
 	}
 	if progress != nil {
 		c.progress = nil // final snapshot below supersedes the feed
-		progress(setconsensus.SweepProgress{Adversaries: c.doneAdv, Runs: c.doneRuns, Total: c.totalLocked()})
+		progress(setconsensus.SweepProgress{Adversaries: c.doneAdv, Runs: c.doneRuns, Total: c.params.Total})
 	}
 	return sum, nil
 }
 
-// mergedLocked verifies that the done set tiles [0, end) and folds the
+// mergedLocked verifies that the done set tiles [0, Total) and folds the
 // per-range summaries, in offset order, into one Summary labeled with
 // the workload — the same label a monolithic sweep would carry. It
 // merges exactly the offsets it verified, and fails on any other done
-// range that is not an empty range past the end (one minted before the
-// end was known).
+// range. (Every done range holds its share of the space: complete and
+// the journal replay admit no other.)
 func (c *Coordinator) mergedLocked() (*setconsensus.Summary, error) {
-	if !c.exhausted {
-		return nil, fmt.Errorf("coord: sweep finished without observing the end of the space")
-	}
-	for off, d := range c.done {
-		tiled := off < c.end && off%c.params.RangeSize == 0
-		if !tiled && (off < c.end || d.Count != 0) {
-			return nil, fmt.Errorf("coord: completed range %s lies outside the space's tiling of [0,%d)", d.Range, c.end)
+	for off := range c.done {
+		if off >= c.params.Total || off%c.params.RangeSize != 0 {
+			return nil, fmt.Errorf("coord: completed range at offset %d lies outside the space's tiling of [0,%d)", off, c.params.Total)
 		}
 	}
 	merged := agg.New(c.workload, c.refs)
-	for off := 0; off < c.end; off += c.params.RangeSize {
-		d, ok := c.done[off]
+	for off := 0; off < c.params.Total; off += c.params.RangeSize {
+		sum, ok := c.done[off]
 		if !ok {
 			return nil, fmt.Errorf("coord: range at offset %d missing from completed set", off)
 		}
-		want := min(c.end-off, c.params.RangeSize)
-		if d.Count != want {
-			return nil, fmt.Errorf("coord: range %s yielded %d adversaries, want %d", d.Range, d.Count, want)
-		}
-		if err := merged.Merge(d.Summary); err != nil {
+		if err := merged.Merge(sum); err != nil {
 			return nil, fmt.Errorf("coord: merging range at offset %d: %w", off, err)
 		}
 	}

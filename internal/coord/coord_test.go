@@ -66,11 +66,24 @@ func summaryJSON(t *testing.T, s *setconsensus.Summary) string {
 	return string(b)
 }
 
-func testParams(rangeSize int) Params {
+// testParams sizes a coordinator for a workload of total adversaries:
+// fakeTotal for the fake harness, spaceTotal for the real-engine tests.
+func testParams(rangeSize, total int) Params {
 	p := Default()
 	p.RangeSize = rangeSize
+	p.Total = total
 	p.ProgressInterval = time.Millisecond
 	return p
+}
+
+// spaceTotal is testWorkload's adversary count.
+func spaceTotal(t *testing.T) int {
+	t.Helper()
+	n, known := testSource(t).Count()
+	if !known {
+		t.Fatalf("%s reports no count", testWorkload)
+	}
+	return n
 }
 
 func engineWorkers(t *testing.T, n int) []Worker {
@@ -87,14 +100,17 @@ func engineWorkers(t *testing.T, n int) []Worker {
 // three in-process workers over small ranges merge to the exact bytes
 // of the monolithic sweep.
 func TestEngineWorkersMatchMonolithic(t *testing.T) {
-	src := testSource(t)
-	c, err := New(src.Label(), testRefs, testParams(7))
+	src, total := testSource(t), spaceTotal(t)
+	c, err := New(src.Label(), testRefs, testParams(7, total))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snaps atomic.Int32
-	sum, err := c.Run(context.Background(), engineWorkers(t, 3), func(setconsensus.SweepProgress) {
+	var snaps, untotaled atomic.Int32
+	sum, err := c.Run(context.Background(), engineWorkers(t, 3), func(p setconsensus.SweepProgress) {
 		snaps.Add(1)
+		if p.Total != total {
+			untotaled.Add(1)
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -105,6 +121,9 @@ func TestEngineWorkersMatchMonolithic(t *testing.T) {
 	}
 	if snaps.Load() == 0 {
 		t.Error("no progress snapshots delivered")
+	}
+	if n := untotaled.Load(); n > 0 {
+		t.Errorf("%d progress snapshots lack the space's total", n)
 	}
 	if sum.Adversaries() == 0 {
 		t.Fatal("empty sweep")
@@ -118,7 +137,7 @@ func TestEngineWorkersMatchMonolithic(t *testing.T) {
 func TestKillAndResumeEngine(t *testing.T) {
 	cp := filepath.Join(t.TempDir(), "sweep.ckpt")
 	src := testSource(t)
-	p := testParams(5)
+	p := testParams(5, spaceTotal(t))
 	p.CheckpointPath = cp
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -222,7 +241,7 @@ func plainFake(name string) *fakeWorker {
 // must be re-issued to the healthy worker and the merged result stay
 // exact — the stalled worker's late failure is ignored.
 func TestLeaseExpiryReissues(t *testing.T) {
-	p := testParams(5)
+	p := testParams(5, fakeTotal)
 	p.Lease = 20 * time.Millisecond
 	p.MaxAttempts = 5
 	c, err := New("fake", testRefs, p)
@@ -257,7 +276,7 @@ func TestLeaseExpiryReissues(t *testing.T) {
 // outstanding lease returns when that range completes, not when the
 // lease — an hour here — would expire.
 func TestClaimWakesOnCompletion(t *testing.T) {
-	p := testParams(5)
+	p := testParams(5, fakeTotal)
 	p.Lease = time.Hour
 	c, err := New("fake", testRefs, p)
 	if err != nil {
@@ -286,7 +305,7 @@ func TestClaimWakesOnCompletion(t *testing.T) {
 // TestDuplicateCompletionIsIdempotent feeds the same range result twice
 // (as a re-issue race would); the second completion must be dropped.
 func TestDuplicateCompletionIsIdempotent(t *testing.T) {
-	c, err := New("fake", testRefs, testParams(5))
+	c, err := New("fake", testRefs, testParams(5, fakeTotal))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +335,7 @@ func TestDuplicateCompletionIsIdempotent(t *testing.T) {
 // (within MaxAttempts); a hopeless worker exhausts the attempt budget
 // and fails the run with the range named.
 func TestBoundedRetry(t *testing.T) {
-	p := testParams(5)
+	p := testParams(5, fakeTotal)
 	p.MaxAttempts = 3
 	p.RetryBackoff = time.Millisecond
 	p.BreakerProbation = 10 * time.Millisecond
@@ -365,7 +384,7 @@ func TestBoundedRetry(t *testing.T) {
 // merging apples into oranges.
 func TestCheckpointMismatchRejected(t *testing.T) {
 	cp := filepath.Join(t.TempDir(), "sweep.ckpt")
-	p := testParams(5)
+	p := testParams(5, fakeTotal)
 	p.CheckpointPath = cp
 	c, err := New("fake", testRefs, p)
 	if err != nil {
@@ -388,7 +407,7 @@ func TestCheckpointMismatchRejected(t *testing.T) {
 		{"refs", "fake", []string{"optmin"}, 5},
 		{"range size", "fake", testRefs, 7},
 	} {
-		q := testParams(tc.size)
+		q := testParams(tc.size, fakeTotal)
 		q.CheckpointPath = cp
 		if _, err := New(tc.workload, tc.refs, q); !errors.Is(err, ErrCheckpointMismatch) {
 			t.Errorf("%s mismatch on resume: err = %v, want %v", tc.name, err, ErrCheckpointMismatch)
@@ -433,7 +452,7 @@ func remoteWorkers(base string, n int) []Worker {
 func TestRemoteWorkersMatchMonolithic(t *testing.T) {
 	base := remoteHarness(t)
 	src := testSource(t)
-	c, err := New(src.Label(), testRefs, testParams(7))
+	c, err := New(src.Label(), testRefs, testParams(7, spaceTotal(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +472,7 @@ func TestKillAndResumeRemote(t *testing.T) {
 	base := remoteHarness(t)
 	cp := filepath.Join(t.TempDir(), "sweep.ckpt")
 	src := testSource(t)
-	p := testParams(5)
+	p := testParams(5, spaceTotal(t))
 	p.CheckpointPath = cp
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -24,9 +24,9 @@ func rawPattern(fp *model.FailurePattern, crashers []model.Proc) string {
 	return b.String()
 }
 
-// TestPatternWalkMatchesRecursion pins the odometer to the recursive
-// enumeration it replaced: the same raw patterns, duplicates included,
-// in the same order, with the same crasher subsets.
+// TestPatternWalkMatchesRecursion pins the dedup oracle's raw odometer
+// to the recursive enumeration: the same raw patterns, duplicates
+// included, in the same order, with the same crasher subsets.
 func TestPatternWalkMatchesRecursion(t *testing.T) {
 	for _, s := range []Space{
 		{N: 2, T: 0, MaxRound: 1, Values: []model.Value{0}},
@@ -42,7 +42,7 @@ func TestPatternWalkMatchesRecursion(t *testing.T) {
 			return true
 		})
 		var got []string
-		w := patternWalk{s: s}
+		w := rawWalk{s: s}
 		for w.next() {
 			got = append(got, rawPattern(w.fp, w.crashers))
 		}
@@ -74,7 +74,7 @@ func TestCursorWindowsTile(t *testing.T) {
 		for _, a := range s.All() {
 			all = append(all, a.String())
 		}
-		block := s.PatternBlock()
+		block := s.inputCount()
 		for trial := 0; trial < 20; trial++ {
 			from := rng.Intn(len(all) + 2)
 			to := from + rng.Intn(len(all)+2)

@@ -227,10 +227,9 @@ func TestAllAdversariesValid(t *testing.T) {
 	if total == 0 {
 		t.Fatal("empty enumeration")
 	}
-	if ub := s.CountUpperBound(); float64(total) > ub {
-		t.Errorf("enumerated %d > upper bound %.0f", total, ub)
+	if total != s.Count() {
+		t.Errorf("enumerated %d, Count %d", total, s.Count())
 	}
-	t.Logf("space N=3 T=2 R=2 |V|=2: %d canonical adversaries (bound %.0f)", total, s.CountUpperBound())
 }
 
 func TestRangeTilesTheSpace(t *testing.T) {
@@ -281,7 +280,7 @@ func TestDeltaOrderMatchesAll(t *testing.T) {
 		for _, a := range s.All() {
 			all = append(all, a)
 		}
-		block := s.PatternBlock()
+		block := s.inputCount()
 		i := 0
 		for idx, d := range s.DeltaOrder(0) {
 			if idx != i {

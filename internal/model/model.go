@@ -293,8 +293,8 @@ func (a *Adversary) String() string {
 // canonical pattern. The encoding is varints (crasher, round) plus raw
 // delivery-mask words, sorted by crasher; it is an opaque key to hash
 // and compare, never to parse. The call itself allocates nothing beyond
-// growing b (up to 8 crashers sort in a stack buffer), so enumeration
-// hot loops can dedup millions of patterns through one reused buffer.
+// growing b (up to 8 crashers sort in a stack buffer), so hot loops can
+// key millions of patterns through one reused buffer.
 func (f *FailurePattern) AppendFingerprint(b []byte) []byte {
 	var stack [8]Proc
 	var procs []Proc
@@ -307,17 +307,6 @@ func (f *FailurePattern) AppendFingerprint(b []byte) []byte {
 	} else {
 		procs = f.sortedFaulty()
 	}
-	return f.AppendFingerprintSorted(b, procs)
-}
-
-// AppendFingerprintSorted is AppendFingerprint for callers that already
-// hold the faulty processes in increasing order — the enumeration walks
-// crasher subsets in exactly that order and fingerprints every raw
-// configuration it generates, so skipping the map iteration and sort
-// that otherwise start each call matters there. procs must be exactly
-// the faulty set, ascending; the appended bytes are identical to
-// AppendFingerprint's.
-func (f *FailurePattern) AppendFingerprintSorted(b []byte, procs []Proc) []byte {
 	w := (f.N + 63) >> 6
 	var tmp [binary.MaxVarintLen64]byte
 	if w == 1 && len(procs) <= 8 {

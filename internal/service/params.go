@@ -70,13 +70,12 @@ type Params struct {
 	QueueDepth int
 
 	// MaxSpaceSize is the per-job adversary budget. Jobs whose workload
-	// reports a known count, or an enumeration upper bound
-	// (CountUpperBound — the pre-deduplication size, so size the budget
-	// to the bound, not the canonical count), above this are rejected at
+	// reports a count above it — every built-in workload does, an
+	// exhaustive space its exact canonical count — are rejected at
 	// submission; sources that cannot be sized up front are cancelled
 	// mid-run the moment they exceed it. Analysis jobs are sized by the
-	// upper bound of the space their search compiles (the certificate
-	// families enumerate none). Every path surfaces ErrSpaceBudget.
+	// count of the space their search compiles (the certificate families
+	// enumerate none). Every path surfaces ErrSpaceBudget.
 	MaxSpaceSize int
 
 	// JobDeadline is the hard per-job context deadline. Requests may ask

@@ -64,14 +64,14 @@ func (s *Server) admit(req *JobRequest) (setconsensus.Source, error) {
 		}
 		// Search families enumerate an exhaustive space at the job's
 		// degree and keep every compiled run, so they are sized like
-		// sweeps; certificate families enumerate none and report no bound.
-		ub, ok, err := setconsensus.DefaultAnalyses().CountUpperBound(req.Analysis, eng.Params().K)
+		// sweeps; certificate families enumerate none and report no count.
+		n, ok, err := setconsensus.DefaultAnalyses().Count(req.Analysis, eng.Params().K)
 		if err != nil {
 			return nil, err
 		}
-		if ok && ub > float64(s.params.MaxSpaceSize) {
-			return nil, fmt.Errorf("%w: analysis %q enumerates up to %.0f adversaries, budget %d",
-				ErrSpaceBudget, req.Analysis, ub, s.params.MaxSpaceSize)
+		if ok && n > s.params.MaxSpaceSize {
+			return nil, fmt.Errorf("%w: analysis %q enumerates %d adversaries, budget %d",
+				ErrSpaceBudget, req.Analysis, n, s.params.MaxSpaceSize)
 		}
 		return nil, nil
 	}
@@ -83,21 +83,15 @@ func (s *Server) admit(req *JobRequest) (setconsensus.Source, error) {
 		return nil, fmt.Errorf("%w: workload %q yields %d adversaries, budget %d",
 			ErrSpaceBudget, req.Workload, n, s.params.MaxSpaceSize)
 	}
-	if b, ok := src.(interface{ CountUpperBound() float64 }); ok {
-		if ub := b.CountUpperBound(); ub > float64(s.params.MaxSpaceSize) {
-			return nil, fmt.Errorf("%w: workload %q enumerates up to %.0f adversaries, budget %d",
-				ErrSpaceBudget, req.Workload, ub, s.params.MaxSpaceSize)
-		}
-	}
 	return src, nil
 }
 
 // resolveWorkload parses a sweep job's workload reference and scopes it
 // to the request's offset window, when one is set. The window applies
-// before budget sizing, so a range-scoped job over an unboundedly large
-// space is admitted on its window (RangeSource.CountUpperBound is at
-// most the limit) — the admission contract coordinated fleets rely on.
-// A zero limit with a nonzero offset means the rest of the stream.
+// before budget sizing, so a range-scoped job over a space far beyond
+// the budget is admitted on its window (RangeSource's Count is the
+// window's) — the admission contract coordinated fleets rely on. A zero
+// limit with a nonzero offset means the rest of the stream.
 func resolveWorkload(req *JobRequest) (setconsensus.Source, error) {
 	src, err := setconsensus.ParseWorkload(req.Workload)
 	if err != nil {

@@ -134,6 +134,10 @@ func TestSweepJobMatchesLocalEngine(t *testing.T) {
 	if local := setconsensus.SummaryTable(want).Render(); got != local {
 		t.Fatalf("remote summary differs from local:\nremote:\n%s\nlocal:\n%s", got, local)
 	}
+	// The last progress snapshot reads as the whole of a known total.
+	if n, _ := src.Count(); st.Progress == nil || st.Progress.Adversaries != n || st.Progress.Total != n {
+		t.Errorf("terminal progress %+v, want %d of %d adversaries", st.Progress, n, n)
+	}
 
 	// The finished result is also served from the store.
 	st2, err := c.Get(ctx, st.ID)
@@ -245,7 +249,7 @@ func TestSubmissionErrors(t *testing.T) {
 }
 
 // TestAnalysisSpaceBudget pins admission of analysis jobs on a default
-// budget: a search is sized by the upper bound of the space it compiles
+// budget: a search is sized by the exact count of the space it compiles
 // and rejected over budget with 422, as sweep jobs are, while searches
 // within budget and the certificate families, which enumerate no space,
 // are admitted.
@@ -253,8 +257,8 @@ func TestAnalysisSpaceBudget(t *testing.T) {
 	s, c := newTestServer(t, func(p *Params) { p.MaxSpaceSize = Default().MaxSpaceSize })
 	ctx := context.Background()
 
-	// 82,153,683 adversaries before deduplication, against 10,000,000.
-	over := `{"kind":"analysis","analysis":"search:upmin:n=5,t=3,r=2,k=2,width=1"}`
+	// 211,165,785 adversaries, against 10,000,000.
+	over := `{"kind":"analysis","analysis":"search:upmin:n=6,t=3,r=2,k=2,width=1"}`
 	resp, err := c.http().Post(c.url("/v1/jobs"), "application/json", strings.NewReader(over))
 	if err != nil {
 		t.Fatal(err)
@@ -265,9 +269,9 @@ func TestAnalysisSpaceBudget(t *testing.T) {
 		t.Fatalf("over-budget search = %d %s, want 422 naming the budget", resp.StatusCode, body)
 	}
 
-	// Within budget. Admission alone is checked: the n=5 search (bound
-	// 5,657,283) would take seconds and half a gigabyte to run.
-	for _, ref := range []string{"search:optmin:n=5,t=2,k=2,width=1", "forced:k=2", "lemma2"} {
+	// Within budget. Admission alone is checked: the n=5 searches compile
+	// 5,015,763 and 2,391,363 runs, seconds and gigabytes of work.
+	for _, ref := range []string{"search:upmin:n=5,t=3,r=2,k=2,width=1", "search:optmin:n=5,t=2,k=2,width=1", "forced:k=2", "lemma2"} {
 		if _, err := s.admit(&JobRequest{Kind: KindAnalysis, Analysis: ref}); err != nil {
 			t.Errorf("%s not admitted: %v", ref, err)
 		}

@@ -99,7 +99,7 @@ func BenchmarkCompileDelta(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	block := p.Space.PatternBlock()
+	block := inputVectors(p.Space)
 	advs := make([]*model.Adversary, 0, block)
 	for _, d := range p.Space.DeltaOrder(0) {
 		advs = append(advs, d.Adv)

@@ -14,6 +14,16 @@ import (
 	"setconsensus/internal/sim"
 )
 
+// inputVectors is the length of each failure pattern's block in a
+// space's enumeration: len(Values)^N.
+func inputVectors(s enum.Space) int {
+	n := 1
+	for range s.N {
+		n *= len(s.Values)
+	}
+	return n
+}
+
 // compileSegments compiles the space's offsets [lo, hi) into c as one
 // segment, the way an executor worker compiles a chunk it is handed.
 func compileSegments(t *testing.T, c *Compiler, base sim.Protocol, advs []*model.Adversary, lo, hi int) {
@@ -81,7 +91,7 @@ func TestMergeMatchesSequentialCompile(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			block := c.p.Space.PatternBlock()
+			block := inputVectors(c.p.Space)
 			divisor := 1
 			for d := block / 2; d > 1 && divisor == 1; d-- {
 				if block%d == 0 {
@@ -125,7 +135,7 @@ func TestMergeRejectsUntiledSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	block := p.Space.PatternBlock()
+	block := inputVectors(p.Space)
 	frag := func(windows ...[2]int) *Compiler {
 		c, err := NewCompiler(p)
 		if err != nil {

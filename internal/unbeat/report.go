@@ -61,8 +61,7 @@ func (w *Witness) String() string {
 // Engine.AnalyzeStream the way SweepSourceStream emits Results: Stage
 // names the pipeline stage ("compile", "width-1", "width-2", "certify"),
 // Done counts processed units of that stage, and Total is the stage size
-// (0 when unknown up front, as during a compile over a space whose
-// canonical count is discovered by walking it).
+// (for the compile, the space's canonical count).
 type Progress struct {
 	Stage string `json:"stage"`
 	Done  int    `json:"done"`

@@ -748,21 +748,6 @@ func (p *ProgressSink) Bump() {
 	}
 }
 
-// Finish closes an unknown-total stage (Stage total 0): the final count
-// becomes the total and the closing snapshot is emitted. Known-total
-// stages close themselves when the last unit bumps.
-func (p *ProgressSink) Finish() {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	done := int(p.done.Load())
-	p.total = done
-	p.lastEmit = done
-	p.fn(Progress{Stage: p.stage, Done: done, Total: done})
-}
-
 // emit re-reads the counter under the mutex so a preempted worker can
 // never publish a snapshot older than one already delivered.
 func (p *ProgressSink) emit() {

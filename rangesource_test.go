@@ -110,8 +110,8 @@ func TestRangePartitionEquivalence(t *testing.T) {
 }
 
 // TestRangeSourceWindowing pins the RangeSource contract the partitions
-// rely on: clamped negatives, known-count clamping, and the window
-// upper bound admission reads.
+// rely on: clamped negatives, known-count clamping, and the exact window
+// count admission reads, over a space as over any counted stream.
 func TestRangeSourceWindowing(t *testing.T) {
 	src, err := setconsensus.ParseWorkload("random:n=3,t=1,count=10,seed=1")
 	if err != nil {
@@ -135,11 +135,19 @@ func TestRangeSourceWindowing(t *testing.T) {
 			t.Errorf("RangeSource(%d, %d) yielded %d adversaries, want %d", tc.off, tc.lim, got, tc.want)
 		}
 	}
-	b, ok := setconsensus.RangeSource(src, 2, 5).(interface{ CountUpperBound() float64 })
-	if !ok {
-		t.Fatal("RangeSource does not expose CountUpperBound")
+	space, err := setconsensus.ParseWorkload("space:n=3,t=1,r=2,v=0..1")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ub := b.CountUpperBound(); ub != 5 {
-		t.Errorf("CountUpperBound = %v, want 5 (the window limit)", ub)
+	total, known := space.Count()
+	if !known || total != 200 {
+		t.Fatalf("space Count() = %d, %v; want 200, true", total, known)
+	}
+	for _, tc := range []struct{ off, lim, want int }{
+		{0, 5, 5}, {196, 10, 4}, {200, 1, 0}, {1 << 40, 1 << 40, 0},
+	} {
+		if n, known := setconsensus.RangeSource(space, tc.off, tc.lim).Count(); !known || n != tc.want {
+			t.Errorf("space RangeSource(%d, %d).Count() = %d, %v; want %d, true", tc.off, tc.lim, n, known, tc.want)
+		}
 	}
 }

@@ -17,8 +17,9 @@ import (
 //
 // Implementations must be deterministic: two calls to Seq yield the same
 // adversaries in the same order. Count reports the exact stream length
-// when it is known without enumeration — exhaustive spaces, whose
-// canonical size is only discovered by walking them, report unknown.
+// when it is known without enumeration, as it is for every built-in
+// workload: exhaustive spaces count their canonical adversaries in
+// closed form.
 //
 // A sweep pulls Seq's adversaries from its workers and returns only once
 // the iterator has returned, a cancelled sweep included: Seq must not
@@ -38,28 +39,13 @@ type Source interface {
 // RangeSeq is the optional Source refinement behind offset-scoped
 // sweeps: SeqRange yields the window [offset, offset+limit) of the
 // stream without the caller enumerating (and discarding) the prefix.
-// SpaceSource implements it by resuming the enumeration mid-stream
-// (enum.Space.Range), SliceSource by reslicing; RangeSource falls back
-// to skip-by-enumeration for sources that do not implement it. The
-// windows must tile: concatenating SeqRange(0, c), SeqRange(c, c), ...
-// reproduces Seq exactly.
+// SpaceSource implements it by unranking the offset (enum.Space.Range),
+// SliceSource by reslicing; RangeSource falls back to
+// skip-by-enumeration for sources that do not implement it. The windows
+// must tile: concatenating SeqRange(0, c), SeqRange(c, c), ... reproduces
+// Seq exactly.
 type RangeSeq interface {
 	SeqRange(offset, limit int) iter.Seq[*Adversary]
-}
-
-// PatternBlocked is the optional Source refinement behind delta-aware
-// chunking: PatternBlock reports the stride (in stream offsets) at which
-// the source's failure pattern changes. Within a stride every adversary
-// after the first differs from its predecessor in a single input value
-// (the enumeration's Gray-code delta order), so the sweep executor
-// aligns the chunks it pulls from such a stream to multiples of it —
-// full knowledge-graph builds then happen only where the pattern
-// changes, and every other adversary rides the builder's patch kernel.
-// (SpaceSource, and RangeSource over it, never reach that path: workers
-// claim them as whole-block windows.) Sources with no such structure
-// report 1 (or simply do not implement the interface).
-type PatternBlocked interface {
-	PatternBlock() int
 }
 
 // rangeSource scopes another source to an offset window — the work unit
@@ -74,10 +60,10 @@ type rangeSource struct {
 // limit adversaries beginning with the offset-th. Sources implementing
 // RangeSeq (exhaustive spaces, slices) enter mid-stream; anything else
 // pays an enumerate-and-discard skip of the prefix, which is still
-// correct because every Source is deterministic and restartable.
-// Negative offsets and limits clamp to zero (an empty window, not an
-// error: a coordinator may legitimately issue a range past the end of a
-// space whose true size it has not discovered yet).
+// correct because every Source is deterministic and restartable. Its
+// Count is src's clipped to the window. Negative offsets and limits
+// clamp to zero, and a window past the end of the stream is empty: a
+// window is a slice of the stream, never an error.
 func RangeSource(src Source, offset, limit int) Source {
 	if offset < 0 {
 		offset = 0
@@ -95,8 +81,6 @@ func (s *rangeSource) Label() string {
 func (s *rangeSource) Count() (int, bool) {
 	c, ok := s.src.Count()
 	if !ok {
-		// The window cannot be sized without enumerating, but it is still
-		// bounded by the limit; CountUpperBound carries that bound.
 		return 0, false
 	}
 	c -= s.offset
@@ -107,35 +91,6 @@ func (s *rangeSource) Count() (int, bool) {
 		c = s.limit
 	}
 	return c, true
-}
-
-// CountUpperBound bounds the window for admission controllers: never
-// more than the limit, and never more than whatever bound the
-// underlying source reports. This is what lets a range-scoped job over
-// a space far beyond a server's MaxSpaceSize budget pass admission —
-// the job only ever sweeps its window.
-func (s *rangeSource) CountUpperBound() float64 {
-	ub := float64(s.limit)
-	if b, ok := s.src.(interface{ CountUpperBound() float64 }); ok {
-		if sub := b.CountUpperBound(); sub < ub {
-			ub = sub
-		}
-	}
-	return ub
-}
-
-// PatternBlock forwards the underlying source's pattern-block stride
-// when this window starts on a block boundary, so a range over a plain
-// pattern-blocked stream keeps delta-aware chunking. A window starting
-// mid-block reports 1: its local offsets are shifted against the
-// stride, so alignment would be wrong.
-func (s *rangeSource) PatternBlock() int {
-	if pb, ok := s.src.(PatternBlocked); ok {
-		if b := pb.PatternBlock(); b > 1 && s.offset%b == 0 {
-			return b
-		}
-	}
-	return 1
 }
 
 func (s *rangeSource) Seq() iter.Seq[*Adversary] {
@@ -204,42 +159,30 @@ func (s *sliceSource) Seq() iter.Seq[*Adversary] {
 }
 
 // spaceSource streams an exhaustive enum.Space without materializing it.
-type spaceSource struct{ space Space }
+type spaceSource struct {
+	space Space
+	count int
+}
 
 // SpaceSource wraps an exhaustive adversary space as a Source. The
-// stream is the canonical enumeration of Space.All; its length is
-// unknown up front (canonical deduplication happens during the walk), so
-// Count reports unknown and Space.CountUpperBound remains the guard
-// against accidentally huge spaces.
+// stream is the canonical enumeration of Space.All, and Count is its
+// exact length, Space.Count — known before a single adversary is
+// enumerated, so admission controllers size a space like any other
+// workload. A space whose count does not fit an int is rejected here.
 func SpaceSource(s Space) (Source, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	return &spaceSource{space: s}, nil
+	return &spaceSource{space: s, count: s.Count()}, nil
 }
 
 func (s *spaceSource) Label() string      { return s.space.Label() }
-func (s *spaceSource) Count() (int, bool) { return 0, false }
+func (s *spaceSource) Count() (int, bool) { return s.count, true }
 
-// CountUpperBound reports the space's pre-deduplication size bound
-// (Space.CountUpperBound). Admission controllers — the job service's
-// max-space budget — discover it through the optional
-//
-//	interface{ CountUpperBound() float64 }
-//
-// so unknown-count sources can still be bounded before a single
-// adversary is enumerated.
-func (s *spaceSource) CountUpperBound() float64 { return s.space.CountUpperBound() }
-
-// PatternBlock reports the space's pattern-block stride, len(Values)^N:
-// the enumeration emits each canonical failure pattern's input vectors
-// as that many consecutive offsets, in Gray-code delta order.
-func (s *spaceSource) PatternBlock() int { return s.space.PatternBlock() }
-
-// SeqRange resumes the canonical enumeration at offset and yields at
-// most limit adversaries (enum.Space.Range) — the RangeSeq refinement
-// that lets coordinated sweeps shard one exhaustive space into offset
-// windows without each worker walking the prefix's input vectors.
+// SeqRange enters the canonical enumeration at offset and yields at most
+// limit adversaries (enum.Space.Range) — the RangeSeq refinement that
+// lets coordinated sweeps shard one exhaustive space into offset windows
+// without any worker walking the prefix.
 func (s *spaceSource) SeqRange(offset, limit int) iter.Seq[*Adversary] {
 	return func(yield func(*Adversary) bool) {
 		for _, a := range s.space.Range(offset, limit) {
@@ -303,7 +246,7 @@ type limitSource struct {
 }
 
 // LimitSource yields at most n adversaries of src — the standard way to
-// bound an exhaustive space to a budget. Negative limits clamp to zero.
+// bound a stream to a budget. Negative limits clamp to zero.
 func LimitSource(src Source, n int) Source {
 	if n < 0 {
 		n = 0
@@ -325,20 +268,11 @@ func (s *limitSource) Count() (int, bool) {
 	return s.n, true
 }
 
-// PatternBlock forwards the underlying stride: truncation keeps the
-// stream aligned (it always starts at offset 0).
-func (s *limitSource) PatternBlock() int {
-	if pb, ok := s.src.(PatternBlocked); ok {
-		return pb.PatternBlock()
-	}
-	return 1
-}
-
 func (s *limitSource) Seq() iter.Seq[*Adversary] {
 	return func(yield func(*Adversary) bool) {
 		// Check the budget before pulling: producing the element past the
-		// limit can be expensive (a space walks duplicate patterns to
-		// reach its next canonical adversary) just to be discarded.
+		// limit would run arbitrary workload code just to discard its
+		// result.
 		left := s.n
 		if left == 0 {
 			return

@@ -41,15 +41,16 @@ func TestSpaceSourceMatchesEnumeration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, known := src.Count(); known {
-		t.Error("exhaustive space count must be unknown up front")
-	}
+	n, known := src.Count()
 	var want []string
 	if err := space.ForEach(func(a *setconsensus.Adversary) bool {
 		want = append(want, a.String())
 		return true
 	}); err != nil {
 		t.Fatal(err)
+	}
+	if !known || n != len(want) {
+		t.Errorf("space Count() = %d, %v; want the enumeration's %d, known up front", n, known, len(want))
 	}
 	got := drain(t, src)
 	if len(got) != len(want) {
@@ -139,11 +140,8 @@ func TestLimitAndConcatSources(t *testing.T) {
 		t.Fatalf("concat yielded %d", len(got))
 	}
 	// Unknown counts poison the sum.
-	space, err := setconsensus.SpaceSource(setconsensus.Space{N: 2, T: 0, MaxRound: 1, Values: []int{0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, known := setconsensus.ConcatSources(base, space).Count(); known {
+	unknown := setconsensus.FuncSource("unknown", -1, base.Seq())
+	if _, known := setconsensus.ConcatSources(base, unknown).Count(); known {
 		t.Error("concat with an unknown-count source must report unknown")
 	}
 }

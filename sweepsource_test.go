@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	setconsensus "setconsensus"
 )
@@ -121,6 +122,34 @@ func TestSweepSourceStreamsLargeSpace(t *testing.T) {
 		t.Fatalf("optmin over the space: %d undecided, %d violations", p.Undecided, p.Violations)
 	}
 	t.Logf("streamed %d canonical adversaries: hist %s", count, p.HistString())
+}
+
+// TestSweepSourceProgressReportsTotal: every progress snapshot of a
+// sweep over a counted source — a space, or a window of one — carries
+// the source's Count as Total, and the final one reaches it.
+func TestSweepSourceProgressReportsTotal(t *testing.T) {
+	space, err := setconsensus.SpaceSource(setconsensus.Space{N: 3, T: 1, MaxRound: 2, Values: []int{0, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := setconsensus.New(setconsensus.WithCrashBound(1), setconsensus.WithParallelism(2))
+	for _, src := range []setconsensus.Source{space, setconsensus.RangeSource(space, 190, 20)} {
+		want, _ := src.Count()
+		var last setconsensus.SweepProgress
+		_, err := eng.SweepSourceProgress(context.Background(), []string{"optmin"}, src, time.Millisecond,
+			func(p setconsensus.SweepProgress) {
+				if p.Total != want {
+					t.Errorf("%s: snapshot %+v, want Total %d", src.Label(), p, want)
+				}
+				last = p
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last.Adversaries != want || last.Total != want {
+			t.Errorf("%s: final snapshot %+v, want %d of %d", src.Label(), last, want, want)
+		}
+	}
 }
 
 // TestSweepSourceCancellation cancels after the first emitted result;
@@ -283,7 +312,10 @@ func TestSweepSourceMetersPatches(t *testing.T) {
 				t.Fatal(err)
 			}
 			total := sum.Runs() / len(refs)
-			block := space.PatternBlock()
+			block := 1
+			for range space.N {
+				block *= len(space.Values)
+			}
 			if block <= 1 || total%block != 0 {
 				t.Fatalf("%s: space yields %d adversaries, not a multiple of block %d", space.Label(), total, block)
 			}

@@ -3,6 +3,7 @@ package setconsensus
 import (
 	"fmt"
 	"iter"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -517,7 +518,7 @@ var defaultWorkloads = func() *WorkloadRegistry {
 	r.MustRegister(WorkloadSpec{
 		Name:    "space",
 		Summary: "exhaustive canonical adversary enumeration — every run of the model",
-		Params:  "n=3 t=2 r=2 v=0..1 (values range; count unknown up front)",
+		Params:  "n=3 t=2 r=2 v=0..1 (values range; exact count up front)",
 		New: func(args WorkloadArgs) (Source, error) {
 			n, err := args.Int("n", 3)
 			if err != nil {
@@ -538,15 +539,28 @@ var defaultWorkloads = func() *WorkloadRegistry {
 			if err := args.Finish(); err != nil {
 				return nil, err
 			}
-			values := make([]int, 0, vHi-vLo+1)
-			for v := vLo; v <= vHi; v++ {
-				values = append(values, v)
+			values, err := valueRange(vLo, vHi)
+			if err != nil {
+				return nil, fmt.Errorf("workload %q: %w", args.ref, err)
 			}
 			return SpaceSource(Space{N: n, T: t, MaxRound: maxRound, Values: values})
 		},
 	})
 	return r
 }()
+
+// valueRange returns the values lo, lo+1, ..., hi of a space (lo ≤ hi),
+// or an error when the range holds more values than an int counts.
+func valueRange(lo, hi int) ([]int, error) {
+	if hi-lo < 0 || hi-lo == math.MaxInt { // hi−lo+1 overflows
+		return nil, fmt.Errorf("value range %d..%d holds more values than an int counts", lo, hi)
+	}
+	values := make([]int, hi-lo+1)
+	for i := range values {
+		values[i] = lo + i
+	}
+	return values, nil
+}
 
 // DefaultWorkloads returns the registry holding every built-in workload:
 // the named adversary families of the paper ("hiddenpath",

@@ -114,20 +114,22 @@ func TestParseWorkloadParameters(t *testing.T) {
 
 func TestParseWorkloadErrors(t *testing.T) {
 	bad := []string{
-		"nonsense",                 // unknown workload
-		"collapse:r=1",             // family constraint violated (R ≥ 2)
-		"collapse:k=two",           // junk integer
-		"collapse:r=5..2",          // empty range
-		"collapse:bogus=1",         // unknown parameter
-		"collapse:k=2,k=3",         // duplicate parameter
-		"collapse:k",               // malformed pair
-		"space:n=1",                // invalid space
-		"random:t=9,n=3",           // t > n-1
-		"hiddenpath:depth=5,n=4",   // n < depth+2
-		"silentrounds:k=2,extra=1", // extra < k+1
-		"hiddenchains:c=0",         // c < 1
-		"random:count=-1",          // negative count
-		"collapse:low=maybe",       // junk boolean
+		"nonsense",                        // unknown workload
+		"collapse:r=1",                    // family constraint violated (R ≥ 2)
+		"collapse:k=two",                  // junk integer
+		"collapse:r=5..2",                 // empty range
+		"collapse:bogus=1",                // unknown parameter
+		"collapse:k=2,k=3",                // duplicate parameter
+		"collapse:k",                      // malformed pair
+		"space:n=1",                       // invalid space
+		"random:t=9,n=3",                  // t > n-1
+		"hiddenpath:depth=5,n=4",          // n < depth+2
+		"silentrounds:k=2,extra=1",        // extra < k+1
+		"hiddenchains:c=0",                // c < 1
+		"random:count=-1",                 // negative count
+		"collapse:low=maybe",              // junk boolean
+		"space:v=0..9223372036854775807",  // more values than an int counts
+		"space:v=-9223372036854775808..0", // likewise
 	}
 	for _, ref := range bad {
 		if _, err := setconsensus.ParseWorkload(ref); err == nil {
