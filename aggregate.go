@@ -12,8 +12,8 @@ import (
 // Aggregator folds streamed Results into a constant-memory Summary:
 // per-protocol decision-time histograms, undecided and task-violation
 // counts, and wire-bit totals. Engine.SweepSource drives one internally;
-// build one explicitly to aggregate SweepStream or hand-run Results. Add
-// is safe for concurrent use.
+// build one explicitly to aggregate SweepSourceStream, Sweep or hand-run
+// Results. Add is safe for concurrent use.
 type Aggregator struct {
 	mu    sync.Mutex
 	sum   *agg.Summary
@@ -81,8 +81,8 @@ func (e *Engine) NewAggregator(workload string, refs []string) (*Aggregator, err
 // fold computes one pooled run's observation and bumps the worker's
 // shard accumulator — the lock-free per-run half of the sharded
 // aggregation contract (mergeShard is the once-per-worker other half).
-// The Result is the RunBuffer's pooled result; nothing here retains it.
-func (a *Aggregator) fold(acc *agg.Acc, refIdx int, r *Result, buf *RunBuffer) {
+// The Result is the runBuffer's pooled result; nothing here retains it.
+func (a *Aggregator) fold(acc *agg.Acc, refIdx int, r *Result, buf *runBuffer) {
 	o := agg.Obs{Time: r.MaxCorrectTime}
 	if r.MaxCorrectTime >= 0 {
 		o.Violation = buf.verifyResult(r, a.tasksByIdx[refIdx]) != nil

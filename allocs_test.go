@@ -1,0 +1,75 @@
+//go:build !race
+
+package setconsensus_test
+
+import (
+	"context"
+	"testing"
+
+	setconsensus "setconsensus"
+)
+
+// TestRunPathAllocationPins pins the allocations of the one run path on a
+// warm single-worker engine over BenchmarkSweepSource's space, each at
+// its measured count plus one (Go 1.24, linux/amd64). None may rise
+// above its pin:
+//   - SweepSource folds every run out of the worker's pooled buffer, so
+//     its count does not grow with the space;
+//   - SweepSource over RangeSource(src, 256, 256) is the unit of a
+//     coordinated checkpointed sweep, which sweeps dozens of such ranges
+//     per operation, so one extra allocation per worker shows there many
+//     times over;
+//   - Sweep pays per run only for the detached Result it hands out (the
+//     Result with its extras, the decision pointers and their slab) and
+//     per adversary for the fresh graph and the adversary string;
+//   - Engine.Run is a one-adversary sweep on the same path.
+//
+// The race detector allocates on its own, hence the build tag.
+func TestRunPathAllocationPins(t *testing.T) {
+	ctx := context.Background()
+	eng := setconsensus.New(setconsensus.WithCrashBound(2), setconsensus.WithParallelism(1))
+	src, err := setconsensus.SpaceSource(sweepSpace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	advs, err := sweepSpace().Adversaries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := setconsensus.RangeSource(src, 256, 256)
+	cases := []struct {
+		name string
+		pin  float64
+		run  func() error
+	}{
+		{"SweepSource", 824, func() error {
+			_, err := eng.SweepSource(ctx, sweepSpaceRefs, src)
+			return err
+		}},
+		{"SweepSource/range", 331, func() error {
+			_, err := eng.SweepSource(ctx, sweepSpaceRefs, window)
+			return err
+		}},
+		{"Sweep", 15138, func() error {
+			_, err := eng.Sweep(ctx, sweepSpaceRefs, advs)
+			return err
+		}},
+		{"Run", 21, func() error {
+			_, err := eng.Run(ctx, "optmin", advs[len(advs)-1])
+			return err
+		}},
+	}
+	for _, c := range cases {
+		if err := c.run(); err != nil { // warm the engine's pools
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		got := testing.AllocsPerRun(10, func() {
+			if err := c.run(); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		})
+		if got > c.pin {
+			t.Errorf("%s: %.0f allocations per op, pinned at %.0f", c.name, got, c.pin)
+		}
+	}
+}

@@ -8,7 +8,6 @@ import (
 
 	"setconsensus/internal/enum"
 	"setconsensus/internal/experiments"
-	"setconsensus/internal/govern"
 	"setconsensus/internal/knowledge"
 	"setconsensus/internal/model"
 	"setconsensus/internal/unbeat"
@@ -20,7 +19,7 @@ import (
 // certificate constructions — as named, parameterized analysis families
 // on the same engine plumbing. The search's compile stage runs on the
 // sweep executor: each worker compiles the pattern-block-aligned chunks
-// it is handed through the pooled Backend.RunInto path, with its kit's
+// it claims through its kit's pooled run buffer, with the kit's
 // knowledge Builder, into a fragment of the compact run table, and the
 // fragments merge back in space order. Candidate testing and certificate
 // construction shard across the same worker pool, progress streams like
@@ -261,9 +260,9 @@ func searchAnalysisSpec(name string, aliases []string, baseRef string, uniform b
 // compile every run of the exhaustive space on the sweep executor, then
 // shard the candidate tests across the worker pool.
 func (e *Engine) runSearchAnalysis(ctx context.Context, family, baseRef string, cfg searchConfig, progress func(AnalysisProgress)) (*AnalysisReport, error) {
-	if e.backend.Kind() != Oracle {
+	if e.params.Backend != Oracle {
 		return nil, fmt.Errorf("engine: analysis %q simulates full-information deviation rules and requires the Oracle backend (have %s)",
-			family, e.backend.Kind())
+			family, e.params.Backend)
 	}
 	k, p, space, err := cfg.resolve(e.params.K)
 	if err != nil {
@@ -303,7 +302,7 @@ func (e *Engine) runSearchAnalysis(ctx context.Context, family, baseRef string, 
 		mu    sync.Mutex
 		frags []*unbeat.Compiler
 	)
-	err = e.sweepExec(ctx, []string{baseRef}, src, func(ctx context.Context, _ []*ProtocolSpec, chunks iter.Seq[*sweepChunk]) (err error) {
+	err = e.sweepExec(ctx, "engine: analysis compile", []string{baseRef}, src, func(ctx context.Context, _ []*ProtocolSpec, kit *runKit, chunks iter.Seq[*sweepChunk]) error {
 		mu.Lock()
 		frag := first
 		if len(frags) > 0 {
@@ -311,20 +310,6 @@ func (e *Engine) runSearchAnalysis(ctx context.Context, family, baseRef string, 
 		}
 		frags = append(frags, frag)
 		mu.Unlock()
-		kit := e.getKit()
-		// Worker-level panic isolation, innermost so the captured stack
-		// keeps the panic-origin frames: a panicking protocol becomes a
-		// typed analysis error, and the kit — possibly left mid-mutation —
-		// is discarded rather than repooled.
-		defer func() {
-			if pe := govern.Recovered("engine: analysis compile", recover()); pe != nil {
-				err = pe
-				e.discardKit(kit)
-				return
-			}
-			e.putKit(kit)
-		}()
-		req := &kit.buf.req
 		for chunk := range chunks {
 			frag.Segment(chunk.base)
 			for _, adv := range chunk.advs {
@@ -332,12 +317,7 @@ func (e *Engine) runSearchAnalysis(ctx context.Context, family, baseRef string, 
 					return err
 				}
 				g := kit.builder.Build(adv, frag.Horizon())
-				*req = RunRequest{
-					Ref: baseRef, Spec: spec,
-					Proto: ent.proto, ProtoErr: ent.err, Name: ent.name,
-					Params: p, Adv: adv, Graph: g,
-				}
-				res, err := e.backend.RunInto(ctx, req, kit.buf)
+				res, err := e.runInto(kit.buf, baseRef, spec, ent, p, adv, g)
 				if err != nil {
 					g.Release()
 					return err

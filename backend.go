@@ -1,7 +1,6 @@
 package setconsensus
 
 import (
-	"context"
 	"fmt"
 
 	"setconsensus/internal/check"
@@ -12,46 +11,36 @@ import (
 	"setconsensus/internal/wire"
 )
 
-// RunRequest carries everything one protocol run needs. The Engine
-// assembles it once per (protocol, adversary) pair and shares the
-// expensive parts across the runs of a sweep: the knowledge graph and
-// the adversary-string renderer are per-adversary, the constructed
-// protocol instance and its runtime name are cached per (ref, params).
-type RunRequest struct {
-	// Ref is the registry name the protocol was resolved from.
-	Ref  string
-	Spec *ProtocolSpec
-	// Proto is the constructed full-information protocol instance, nil
-	// when construction fails under these params (ProtoErr then holds
-	// why; the compact backends can still run their wire rule).
-	// Instances are cached and shared across runs and workers: decision
-	// rules are pure functions of the view, so sharing is safe by
-	// construction.
-	Proto    Protocol
-	ProtoErr error
-	// Name is the runtime display name ("Optmin[2]").
-	Name   string
-	Params Params
-	Adv    *model.Adversary
-	// AdvStr lazily renders the adversary's display string. The Engine
-	// passes one memoized closure per adversary, so the string is built
-	// at most once per adversary — and only when a Result that carries
-	// it is actually materialized. It is nil on the aggregating fold
-	// path (RunInto), whose pooled Results never render it.
-	AdvStr func() string
-	// Graph is non-nil exactly when the backend's NeedsGraph reports
+// runRequest carries everything one protocol run needs. The Engine fills
+// the one in its worker's runBuffer per (protocol, adversary) pair and
+// shares the expensive parts across the runs of a sweep: the knowledge
+// graph is per adversary, and the constructed protocol instance and its
+// runtime name are cached per (ref, params).
+type runRequest struct {
+	ref  string
+	spec *ProtocolSpec
+	// protoEntry holds the constructed full-information protocol
+	// instance, nil when construction fails under these params (err then
+	// holds why; the compact backends can still run their wire rule), and
+	// the runtime display name ("Optmin[2]"). Instances are cached and
+	// shared across runs and workers: decision rules are pure functions
+	// of the view, so sharing is safe by construction.
+	protoEntry
+	params Params
+	adv    *model.Adversary
+	// graph is non-nil exactly when the backend's needsGraph reports
 	// true.
-	Graph *knowledge.Graph
+	graph *knowledge.Graph
 }
 
-// RunBuffer is the per-worker scratch behind Backend.RunInto: one
+// runBuffer is a worker's scratch for its runs: the request, one
 // reusable Result, pooled decision storage, reusable verification sets,
-// and the backend-extra structs. A RunBuffer serves one goroutine; the
-// Result a RunInto call returns aliases the buffer and is valid only
-// until the next RunInto with the same buffer. See the recycle contract
-// in engine.go for who may retain what.
-type RunBuffer struct {
-	req    RunRequest
+// and the backend-extra structs. A runBuffer serves one goroutine; the
+// Result a run returns aliases the buffer and is valid only until the
+// next run on it. See the recycle contract in engine.go for who may
+// retain what.
+type runBuffer struct {
+	req    runRequest
 	res    Result
 	sim    sim.Scratch
 	simres sim.Result
@@ -59,49 +48,39 @@ type RunBuffer struct {
 	bits   BitStats
 }
 
-// NewRunBuffer returns an empty buffer ready for RunInto.
-func NewRunBuffer() *RunBuffer { return &RunBuffer{} }
-
-// Bytes reports the pooled scratch capacity the buffer pins — the
+// bytes reports the pooled scratch capacity the buffer pins — the
 // decision slab and the verification sets, the parts that grow with the
 // workload. The fixed-size struct shell is noise and not counted.
-func (b *RunBuffer) Bytes() int64 { return b.sim.Bytes() + b.verify.Bytes() }
+func (b *runBuffer) bytes() int64 { return b.sim.Bytes() + b.verify.Bytes() }
 
 // verifyResult checks a pooled result against task using only the
 // buffer's reusable storage; nothing allocates unless a violation
 // renders its diagnostic.
-func (b *RunBuffer) verifyResult(r *Result, task Task) error {
+func (b *runBuffer) verifyResult(r *Result, task Task) error {
 	b.simres.ProtocolName, b.simres.Adv, b.simres.Graph, b.simres.Decisions =
 		r.Protocol, r.adv, r.graph, r.Decisions
 	return b.verify.VerifyRun(&b.simres, task)
 }
 
-// Backend executes one protocol run. The three implementations adapt the
+// backend executes one protocol run. The three implementations adapt the
 // oracle simulator (internal/sim), the goroutine message-passing engine
 // (internal/runtime), and the compact wire runner (internal/wire) to one
-// contract: run the prepared request, return a unified Result — errors,
-// never panics.
-type Backend interface {
-	// Kind identifies the backend.
-	Kind() BackendKind
-	// NeedsGraph reports whether Run requires a precomputed knowledge
+// contract: run the buffer's request into its pooled storage and return
+// the buffer's Result — errors, never panics.
+type backend interface {
+	// needsGraph reports whether run requires a precomputed knowledge
 	// graph; the Engine supplies (and shares) one when it does.
-	NeedsGraph() bool
-	// Run executes the request into a fresh Result the caller may retain.
-	Run(ctx context.Context, req *RunRequest) (*Result, error)
-	// RunInto executes the request into buf's pooled storage and returns
-	// buf's Result, valid only until the next RunInto on the same
-	// buffer. It is the fold-oriented entry point of aggregating sweeps:
-	// no per-run heap objects, and no display extras — the Result's
-	// Adversary string and GraphStats are omitted (fold consumers read
-	// Result.Adv() when they need identity). RunInto does not poll the
-	// context either; the aggregating engine checks it once per
-	// adversary rather than once per run.
-	RunInto(ctx context.Context, req *RunRequest, buf *RunBuffer) (*Result, error)
+	needsGraph() bool
+	// run executes buf's request and returns buf's Result, valid only
+	// until the next run on the same buffer: no per-run heap objects, and
+	// no display extras — the Result's Adversary string and GraphStats
+	// are left for detach to fill in on the Results that escape. run does
+	// not poll a context; the engine checks it once per adversary.
+	run(buf *runBuffer) (*Result, error)
 }
 
 // backendFor maps a kind to its implementation.
-func backendFor(k BackendKind) (Backend, error) {
+func backendFor(k BackendKind) (backend, error) {
 	switch k {
 	case Oracle:
 		return oracleBackend{}, nil
@@ -127,64 +106,30 @@ func requireWireCapable(spec *ProtocolSpec, kind BackendKind) error {
 // shared knowledge graph.
 type oracleBackend struct{}
 
-func (oracleBackend) Kind() BackendKind { return Oracle }
-func (oracleBackend) NeedsGraph() bool  { return true }
+func (oracleBackend) needsGraph() bool { return true }
 
-func (oracleBackend) Run(ctx context.Context, req *RunRequest) (*Result, error) {
-	if req.Proto == nil {
-		return nil, req.ProtoErr
+func (oracleBackend) run(buf *runBuffer) (*Result, error) {
+	req := &buf.req
+	if req.proto == nil {
+		return nil, req.err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	simRes := sim.RunWithGraph(req.Proto, req.Graph)
-	res := newResult(req, Oracle, simRes.Decisions)
-	res.graph = req.Graph
-	res.GraphStats = graphStats(req.Graph)
-	return res, nil
-}
-
-func (oracleBackend) RunInto(_ context.Context, req *RunRequest, buf *RunBuffer) (*Result, error) {
-	if req.Proto == nil {
-		return nil, req.ProtoErr
-	}
-	sim.RunWithGraphInto(req.Proto, req.Graph, &buf.sim, &buf.simres)
-	res := newResultInto(buf, req, Oracle, buf.simres.Decisions)
-	res.graph = req.Graph
+	sim.RunWithGraphInto(req.proto, req.graph, &buf.sim, &buf.simres)
+	res := buf.result(Oracle, buf.simres.Decisions)
+	res.graph = req.graph
 	return res, nil
 }
 
 // goroutineBackend runs the concurrent message-passing engine.
 type goroutineBackend struct{}
 
-func (goroutineBackend) Kind() BackendKind { return Goroutines }
-func (goroutineBackend) NeedsGraph() bool  { return false }
+func (goroutineBackend) needsGraph() bool { return false }
 
-func (goroutineBackend) Run(ctx context.Context, req *RunRequest) (*Result, error) {
-	if err := requireWireCapable(req.Spec, Goroutines); err != nil {
+func (goroutineBackend) run(buf *runBuffer) (*Result, error) {
+	req := &buf.req
+	if err := requireWireCapable(req.spec, Goroutines); err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	rtRes, err := runtime.Run(req.Spec.WireRule, req.Params, req.Adv)
-	if err != nil {
-		return nil, err
-	}
-	decisions := make([]*Decision, len(rtRes.Decisions))
-	for i, d := range rtRes.Decisions {
-		if d != nil {
-			decisions[i] = &Decision{Value: d.Value, Time: d.Time}
-		}
-	}
-	return newResult(req, Goroutines, decisions), nil
-}
-
-func (goroutineBackend) RunInto(_ context.Context, req *RunRequest, buf *RunBuffer) (*Result, error) {
-	if err := requireWireCapable(req.Spec, Goroutines); err != nil {
-		return nil, err
-	}
-	rtRes, err := runtime.Run(req.Spec.WireRule, req.Params, req.Adv)
+	rtRes, err := runtime.Run(req.spec.WireRule, req.params, req.adv)
 	if err != nil {
 		return nil, err
 	}
@@ -194,45 +139,21 @@ func (goroutineBackend) RunInto(_ context.Context, req *RunRequest, buf *RunBuff
 			buf.sim.Put(i, Decision{Value: d.Value, Time: d.Time})
 		}
 	}
-	return newResultInto(buf, req, Goroutines, decs), nil
+	return buf.result(Goroutines, decs), nil
 }
 
 // wireBackend runs the deterministic compact-protocol runner with bit
 // accounting.
 type wireBackend struct{}
 
-func (wireBackend) Kind() BackendKind { return Wire }
-func (wireBackend) NeedsGraph() bool  { return false }
+func (wireBackend) needsGraph() bool { return false }
 
-func (wireBackend) Run(ctx context.Context, req *RunRequest) (*Result, error) {
-	if err := requireWireCapable(req.Spec, Wire); err != nil {
+func (wireBackend) run(buf *runBuffer) (*Result, error) {
+	req := &buf.req
+	if err := requireWireCapable(req.spec, Wire); err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	wRes, err := wire.Run(req.Spec.WireRule, req.Params, req.Adv)
-	if err != nil {
-		return nil, err
-	}
-	decisions := make([]*Decision, len(wRes.Decisions))
-	for i, d := range wRes.Decisions {
-		if d != nil {
-			decisions[i] = &Decision{Value: d.Value, Time: d.Time}
-		}
-	}
-	res := newResult(req, Wire, decisions)
-	bs := &BitStats{}
-	bitStatsInto(bs, wRes)
-	res.Bits = bs
-	return res, nil
-}
-
-func (wireBackend) RunInto(_ context.Context, req *RunRequest, buf *RunBuffer) (*Result, error) {
-	if err := requireWireCapable(req.Spec, Wire); err != nil {
-		return nil, err
-	}
-	wRes, err := wire.Run(req.Spec.WireRule, req.Params, req.Adv)
+	wRes, err := wire.Run(req.spec.WireRule, req.params, req.adv)
 	if err != nil {
 		return nil, err
 	}
@@ -242,7 +163,7 @@ func (wireBackend) RunInto(_ context.Context, req *RunRequest, buf *RunBuffer) (
 			buf.sim.Put(i, Decision{Value: d.Value, Time: d.Time})
 		}
 	}
-	res := newResultInto(buf, req, Wire, decs)
+	res := buf.result(Wire, decs)
 	bitStatsInto(&buf.bits, wRes)
 	res.Bits = &buf.bits
 	return res, nil

@@ -209,7 +209,7 @@ func TestClaimWindowsTile(t *testing.T) {
 			{"stream", FuncSource("stream", -1, spaceSrc.Seq()), -1},
 		}
 		for _, c := range cases {
-			if _, _, ok := spaceCursor(c.src, 0, math.MaxInt); ok != (c.origin >= 0) {
+			if _, _, _, ok := spaceRange(c.src, 0, math.MaxInt); ok != (c.origin >= 0) {
 				t.Fatalf("%s %s: claimed as windows = %v, want %v", space.Label(), c.name, ok, c.origin >= 0)
 			}
 			var want []string

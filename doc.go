@@ -29,11 +29,11 @@
 // Batch workloads — the all-protocols-vs-all-adversaries comparisons that
 // unbeatability is defined by — go through Engine.Sweep, which fans the
 // cross product out over a worker pool, shares a single knowledge graph
-// per adversary across all protocols, honors context cancellation, and
-// can stream results as they finish:
+// per adversary across all protocols, and honors context cancellation;
+// SweepSourceStream streams results as they finish:
 //
 //	results, err := eng.Sweep(ctx, setconsensus.Protocols(), advs)
-//	err = eng.SweepStream(ctx, refs, advs, func(r *setconsensus.Result) { ... })
+//	err = eng.SweepSourceStream(ctx, refs, setconsensus.SliceSource(advs...), func(r *setconsensus.Result) { ... })
 //
 // # Workloads and Sources
 //
@@ -133,10 +133,10 @@
 // An analysis is a staged pipeline owned by the Engine. The search
 // families compile every run of an exhaustive space on the sweep
 // executor: each worker claims whole pattern blocks of the space,
-// enumerates them itself, and compiles them through the pooled
-// Backend.RunInto path (knowledge graphs patched in the worker's
-// Builder arena, views interned by zero-copy binary fingerprints) into
-// its own fragment of a compact run table —
+// enumerates them itself, and compiles them through its pooled run
+// buffer (knowledge graphs patched in the worker's Builder arena, views
+// interned by zero-copy binary fingerprints) into its own fragment of
+// a compact run table —
 // int32 view ids, decision columns and input-value words, nothing per
 // run for the collector to trace — and the fragments merge in space
 // order, re-interned so view ids match a sequential compile. No run
@@ -298,7 +298,7 @@
 // Graph.Release recycles even those. The engine has one graph lifetime
 // per path: aggregating sweeps (SweepSource) and the analysis compile
 // give each worker a private builder, so a whole shard reuses one
-// arena, while Run, Sweep and the stream variants build one fresh graph
+// arena, while Run, Sweep and SweepSourceStream build one fresh graph
 // per adversary, because a Result may keep its graph. Because an
 // exhaustive enumeration yields every input vector of one canonical
 // failure pattern consecutively, the Builder additionally revives a
@@ -347,30 +347,29 @@
 //
 // The aggregating sweep itself is sharded and pooled. Each SweepSource
 // worker folds its runs into private per-protocol accumulators
-// (internal/agg.Acc — plain integer bumps, no maps, no locks) and
-// merges them into the shared Summary exactly once, when its shard is
-// drained (Summary.Merge is the public form of the same operation), so
+// (internal/agg.Acc — plain integer bumps, no maps, no locks) and merges
+// them into the shared Summary exactly once, when its shard is drained
+// (Summary.Merge is the public form of the same operation), so
 // throughput scales with Parallelism instead of serializing on an
-// aggregator mutex. Runs go through Backend.RunInto, which executes
-// into a per-worker RunBuffer: one reused Result, slab-backed
-// decisions, scratch-set task verification (internal/check.Scratch),
-// and no rendered adversary strings — the display string is a memoized
-// lazy closure, materialized only when a retained Result actually needs
-// it. Each worker claims its next window under one mutex and
-// enumerates it itself. An exhaustive space (SpaceSource, or any nesting
-// of RangeSource and LimitSource over one) hands out windows from a
-// shared enum.Cursor, which steps to each block's canonical failure
-// pattern — the canonical patterns are generated directly, those whose
-// unobservable delivery bits are clear, so nothing is deduplicated —
-// and materializes it once; the claiming worker decodes the Gray code
+// aggregator mutex. Every run, a sweep's or Engine.Run's, executes into
+// a per-worker run buffer: one reused Result, slab-backed decisions,
+// scratch-set task verification (internal/check.Scratch), and no
+// adversary string. Run, Sweep and SweepSourceStream hand out detached
+// copies: decisions in one fresh slab, the adversary string rendered
+// once per adversary. Each worker claims its next window under one mutex
+// and enumerates it itself. An exhaustive space (SpaceSource, or any
+// nesting of RangeSource and LimitSource over one) hands out windows
+// from a shared enum.Cursor, which steps to each block's canonical
+// failure pattern — the canonical patterns are generated directly, those
+// whose unobservable delivery bits are clear, so nothing is deduplicated
+// — and materializes it once; the claiming worker decodes the Gray code
 // and carves adversaries out of slab blocks with its own enum.Walker,
-// outside the lock. Any other Source is pulled
-// under the claim lock (iter.Pull), a chunk per claim, and the sweep
-// returns only after that iterator has. Claims fill pooled chunks, and
-// the workers share nothing per adversary: cancellation is polled on
-// the Done channel and progress is counted per window. The aggregating
-// path allocates ~2 objects per adversary, all of them the adversary
-// itself.
+// outside the lock. Any other Source is pulled under the claim lock
+// (iter.Pull), a chunk per claim, and the sweep returns only after that
+// iterator has. Claims fill pooled chunks, and the workers share nothing
+// per adversary: cancellation is polled on the Done channel and progress
+// is counted per window. The aggregating path allocates ~2 objects per
+// adversary, all of them the adversary itself.
 //
 // Identity keys are compact binary encodings, not rendered strings: both
 // the per-view Fingerprint (view interning in the unbeatability search
@@ -380,9 +379,9 @@
 // Protocol instances are cached per (ref, params) — decision rules are
 // pure functions of the view, so one instance serves all workers.
 //
-// The analysis pipeline reuses all of it: search compilation runs on
-// the sweep executor's claimed windows and per-worker kits, through
-// RunInto with Builder-patched graphs, and interns views through
+// The analysis pipeline reuses all of it: search compilation runs on the
+// sweep executor's claimed windows and per-worker kits, through pooled
+// run buffers with Builder-patched graphs, and interns views through
 // Graph.AppendFingerprint (the zero-copy form of Fingerprint — map
 // lookup via string(bytes), key materialized only on a miss). Compiled
 // runs live in a struct-of-arrays table (about 90 B per run at n=5,

@@ -18,7 +18,7 @@ import (
 
 // Engine is the context-aware entry point to every execution backend. It
 // resolves protocols by name through a Registry, runs them on the
-// configured Backend, shares one knowledge graph among the protocols run
+// configured backend, shares one knowledge graph among the protocols run
 // on an adversary, and batches whole protocol × adversary sweeps over a
 // worker pool.
 //
@@ -33,21 +33,24 @@ import (
 //
 // # Recycle contract
 //
-// The aggregating path (SweepSource) is allocation-free per run, which
-// rests on three reuse rules:
+// Every run — Run's, a sweep's, the analysis compile's — executes into a
+// worker's pooled buffer, and an aggregating sweep (SweepSource) is
+// allocation-free per run. That rests on three reuse rules:
 //
-//   - RunBuffer: the Result a Backend.RunInto call returns aliases the
-//     buffer — the engine folds it into the per-worker accumulators and
-//     never lets it escape. Anything that retains Results (Run, Sweep,
-//     the stream variants) goes through Backend.Run instead.
+//   - runBuffer: the Result a backend's run returns aliases the buffer.
+//     A folding sweep folds it into the per-worker accumulators and
+//     never lets it escape. Anything that hands Results out (Run, Sweep,
+//     SweepSourceStream) hands out detached copies (detach): fresh
+//     decisions, fresh extras, nothing of the buffer.
 //   - Knowledge graphs have one lifetime per path. Aggregating sweeps
 //     and the analysis compile build each graph in the worker's reused
 //     Builder arena and release it as soon as the adversary's runs are
 //     folded; consecutive adversaries sharing a failure pattern revive
-//     or patch the previous arena. Run, Sweep and the stream variants
+//     or patch the previous arena. Run, Sweep and SweepSourceStream
 //     build one fresh knowledge.New graph per adversary, shared by that
 //     adversary's protocols and never recycled, because
-//     Result.KnowledgeGraph lets callers keep it.
+//     Result.KnowledgeGraph lets callers keep it: it is the only graph a
+//     detached Result may hold.
 //   - Summary shards: each worker folds into private agg.Acc
 //     accumulators and merges them into the Aggregator exactly once,
 //     when its shard is drained (Summary.Merge is the public form of
@@ -56,7 +59,7 @@ type Engine struct {
 	params   EngineParams
 	reg      *Registry
 	analyses *AnalysisRegistry
-	backend  Backend
+	backend  backend
 	err      error // construction error, surfaced by every call
 
 	// gov, when set, meters the byte capacity of everything the engine
@@ -65,9 +68,9 @@ type Engine struct {
 	// the GC instead of pooling them. nil means ungoverned.
 	gov ResourceGovernor
 
-	// kitMu/kitFree recycle the per-worker aggregation state (RunBuffer,
-	// knowledge Builder) across SweepSource calls, so repeated sweeps on
-	// one engine pay no per-sweep warm-up allocations. An explicit
+	// kitMu/kitFree recycle the per-worker run state (runBuffer,
+	// knowledge Builder) across runs and sweeps, so repeated sweeps on one
+	// engine pay no per-sweep warm-up allocations. An explicit
 	// bounded freelist instead of a sync.Pool: the governor's account
 	// must see every buffer enter and leave, and sync.Pool's GC shedding
 	// would strand accounted bytes it silently dropped.
@@ -87,15 +90,15 @@ type Engine struct {
 	// harvested when a worker returns its kit — the engine-wide "graphs
 	// rebuilt vs revived vs delta-patched" observability counters behind
 	// Stats. They only move on the Builder path (aggregating sweeps and
-	// the analysis compile); the fresh graphs of Run and Sweep are not
-	// counted.
+	// the analysis compile); the fresh graphs of Run, Sweep and
+	// SweepSourceStream are not counted.
 	statBuilt   atomic.Int64
 	statRevived atomic.Int64
 	statPatched atomic.Int64
 
 	// Pool hit-rate counters: a hit is a checkout served from the
 	// freelist, a miss a fresh allocation. statKit* meters the
-	// per-worker runKit pool (RunBuffer + builder arena — the expensive
+	// per-worker runKit pool (runBuffer + builder arena — the expensive
 	// warm-up state), statChunk* the sweepChunk pool. While the
 	// governor sheds, release paths drop buffers instead of repooling
 	// them, so a falling hit rate is the observable symptom of sweeps
@@ -256,20 +259,6 @@ func (e *Engine) horizonFor(specs []*ProtocolSpec, p Params) int {
 	return h
 }
 
-// advString returns a lazily-memoized renderer of adv.String, shared by
-// every run of one adversary in a sweep: the string is built at most
-// once per adversary, and only when a Result that carries it is
-// actually materialized.
-func advString(adv *Adversary) func() string {
-	var s string
-	return func() string {
-		if s == "" {
-			s = adv.String()
-		}
-		return s
-	}
-}
-
 // protoFor resolves the shared protocol instance and runtime name for
 // (ref, p), constructing and caching on first use. Protocol instances
 // are pure decision rules (sim.Protocol's contract), so one instance
@@ -304,15 +293,16 @@ func (e *Engine) protoFor(ref string, spec *ProtocolSpec, p Params) protoEntry {
 // knowledge-graph builds, same-pattern revives (value layer refilled),
 // and delta patches (only the value rows touched by a single changed
 // input rewritten) on the Builder path: aggregating sweeps and every
-// analysis compile stage. The fresh graphs of Run, Sweep and the stream
-// variants are not counted.
-// The pool hit-rate pairs meter the two freelists behind aggregating
-// sweeps: RunKitHits/RunKitMisses count per-worker runKit (RunBuffer +
-// builder arena) checkouts served warm from the pool versus freshly
-// allocated, and ChunkHits/ChunkMisses the same for the sweepChunk
-// arrays workers fill, one per claimed window. A steady sweep's hit
-// rate converges to ~1; misses growing mid-sweep mean the governor is
-// shedding pooled buffers over the soft memory ceiling.
+// analysis compile stage. The fresh graphs of Run, Sweep and
+// SweepSourceStream are not counted.
+// The pool hit-rate pairs meter the two freelists behind every sweep:
+// RunKitHits/RunKitMisses count runKit (runBuffer + builder arena)
+// checkouts served warm from the pool versus freshly allocated — one per
+// sweep worker, analysis compile worker and Run call, materializing
+// sweeps included — and ChunkHits/ChunkMisses the same for the
+// sweepChunk arrays workers fill, one per claimed window. A steady
+// sweep's hit rate converges to ~1; misses growing mid-sweep mean the
+// governor is shedding pooled buffers over the soft memory ceiling.
 type EngineStats struct {
 	GraphsRebuilt int64 `json:"graphsRebuilt"`
 	GraphsRevived int64 `json:"graphsRevived"`
@@ -344,7 +334,11 @@ func (e *Engine) Stats() EngineStats {
 }
 
 // Run resolves ref in the registry and executes it against adv on the
-// configured backend.
+// configured backend. It is a one-adversary sweep: the run executes into
+// a pooled worker buffer on the sweep's own per-adversary path
+// (sweepAdversary), and the Result is a detached copy the caller may
+// keep, holding a fresh knowledge.New graph. A panicking protocol
+// surfaces as a typed error, as in a sweep.
 func (e *Engine) Run(ctx context.Context, ref string, adv *Adversary) (*Result, error) {
 	if e.err != nil {
 		return nil, e.err
@@ -356,26 +350,16 @@ func (e *Engine) Run(ctx context.Context, ref string, adv *Adversary) (*Result, 
 	if err != nil {
 		return nil, err
 	}
-	p, err := e.runParams(adv)
+	var res *Result
+	err = e.withKit("engine: run", func(kit *runKit) error {
+		w := sweepWorker{refs: []string{ref}, specs: []*ProtocolSpec{spec}, kit: kit,
+			deliver: func(_, _ int, r *Result) { res = r }}
+		return e.sweepAdversary(ctx, &w, adv, 0)
+	})
 	if err != nil {
 		return nil, err
 	}
-	var g *knowledge.Graph
-	if e.backend.NeedsGraph() {
-		g = knowledge.New(adv, e.horizonFor([]*ProtocolSpec{spec}, p))
-	}
-	ent := e.protoFor(ref, spec, p)
-	return e.backend.Run(ctx, newRunRequest(ref, spec, ent, p, adv, advString(adv), g))
-}
-
-// newRunRequest is the single place a protoEntry is wired into a
-// RunRequest, shared by the single-run and sweep paths.
-func newRunRequest(ref string, spec *ProtocolSpec, ent protoEntry, p Params, adv *Adversary, advStr func() string, g *knowledge.Graph) *RunRequest {
-	return &RunRequest{
-		Ref: ref, Spec: spec,
-		Proto: ent.proto, ProtoErr: ent.err, Name: ent.name,
-		Params: p, Adv: adv, AdvStr: advStr, Graph: g,
-	}
+	return res, nil
 }
 
 // Sweep runs every named protocol against every adversary and returns
@@ -391,7 +375,7 @@ func newRunRequest(ref string, spec *ProtocolSpec, ent protoEntry, p Params, adv
 // no error.
 func (e *Engine) Sweep(ctx context.Context, refs []string, advs []*Adversary) ([]*Result, error) {
 	results := make([]*Result, len(refs)*len(advs))
-	err := e.sweep(ctx, refs, SliceSource(advs...), func(advIdx, refIdx int, r *Result) {
+	err := e.sweep(ctx, refs, SliceSource(advs...), nil, func(advIdx, refIdx int, r *Result) {
 		results[advIdx*len(refs)+refIdx] = r
 	})
 	if err != nil {
@@ -400,19 +384,11 @@ func (e *Engine) Sweep(ctx context.Context, refs []string, advs []*Adversary) ([
 	return results, nil
 }
 
-// SweepStream is Sweep with streaming delivery: emit is called once per
-// finished run, in completion order, from a single goroutine at a time.
-// Cancelling ctx aborts the stream promptly and returns ctx.Err().
-func (e *Engine) SweepStream(ctx context.Context, refs []string, advs []*Adversary, emit func(*Result)) error {
-	return e.SweepSourceStream(ctx, refs, SliceSource(advs...), emit)
-}
-
 // SweepSource streams every adversary of src through every named
 // protocol and folds the results online into a Summary. The source is
 // sharded across the worker pool in deterministic windows and never
 // materialized: memory is bounded by the Summary, the in-flight chunks,
-// and whatever the source itself retains (an exhaustive SpaceSource
-// keeps its canonical-pattern dedup set) — never by the number of
+// and whatever the source itself retains — never by the number of
 // results. Per adversary, all protocols share one knowledge graph, as
 // in Sweep.
 //
@@ -423,8 +399,8 @@ func (e *Engine) SweepStream(ctx context.Context, refs []string, advs []*Adversa
 // current step to return, so a Source must not block
 // indefinitely between yields.
 //
-// This is the allocation-free sweep variant: every run goes through the
-// pooled Backend.RunInto path, each worker folds its shard into private
+// This is the allocation-free sweep variant: no Result escapes, so every
+// run folds straight out of its worker's pooled buffer into private
 // accumulators, and the shards merge into the Summary once per worker —
 // there is no per-run aggregator lock, so throughput scales with
 // Parallelism.
@@ -434,16 +410,17 @@ func (e *Engine) SweepSource(ctx context.Context, refs []string, src Source) (*S
 
 // SweepSourceStream is SweepSource with per-result delivery instead of
 // aggregation: emit is called once per finished run, in completion
-// order, from a single goroutine at a time. Emitted Results are fresh
-// (emit may retain them), so this path pays the per-run allocations the
-// aggregating SweepSource avoids. Cancelling ctx stops the sweep as
-// SweepSource describes.
+// order, from a single goroutine at a time. Emitted Results are detached
+// copies (emit may retain them), so this path pays the per-run
+// allocations the aggregating SweepSource avoids. Streaming
+// SliceSource(advs...) is Sweep with delivery in completion order.
+// Cancelling ctx stops the sweep as SweepSource describes.
 func (e *Engine) SweepSourceStream(ctx context.Context, refs []string, src Source, emit func(*Result)) error {
 	if src == nil {
 		return fmt.Errorf("engine: nil source")
 	}
 	var mu sync.Mutex
-	return e.sweep(ctx, refs, src, func(_, _ int, r *Result) {
+	return e.sweep(ctx, refs, src, nil, func(_, _ int, r *Result) {
 		mu.Lock()
 		defer mu.Unlock()
 		emit(r)
@@ -571,27 +548,26 @@ func (e *Engine) releaseChunk(c *sweepChunk) {
 	e.dropChunk(c)
 }
 
-// spaceCursor returns a window cursor over the stream offsets [from, to)
-// of an exhaustive space's source — a SpaceSource, or any nesting of
-// RangeSource and LimitSource over one — and origin, the space offset of
-// the source's first adversary: a window's stream index is its Base
-// minus origin. ok is false for any other source.
-func spaceCursor(src Source, from, to int) (cur *enum.Cursor, origin int, ok bool) {
+// spaceRange resolves the stream offsets [from, to) of an exhaustive
+// space's source — a SpaceSource, or any nesting of RangeSource and
+// LimitSource over one — to the offsets [lo, hi) of the space itself,
+// so a sweep (its claim cursor) and RangeSource.Seq enter the
+// enumeration directly at lo. ok is false for any other source.
+func spaceRange(src Source, from, to int) (space Space, lo, hi int, ok bool) {
 	switch s := src.(type) {
 	case *spaceSource:
-		return enum.NewCursor(s.space, from, to), 0, true
+		return s.space, from, to, true
 	case *rangeSource:
-		cur, origin, ok := spaceCursor(s.src, enum.WindowEnd(s.offset, from), enum.WindowEnd(s.offset, min(s.limit, to)))
-		return cur, origin + s.offset, ok
+		return spaceRange(s.src, enum.WindowEnd(s.offset, from), enum.WindowEnd(s.offset, min(s.limit, to)))
 	case *limitSource:
-		return spaceCursor(s.src, from, min(s.n, to))
+		return spaceRange(s.src, from, min(s.n, to))
 	}
-	return nil, 0, false
+	return Space{}, 0, 0, false
 }
 
 // sweepClaimer hands out one sweep's work, a window per claim, under one
 // mutex. An exhaustive space is cut by a shared window cursor
-// (spaceCursor), and the claiming worker enumerates its window outside
+// (spaceRange), and the claiming worker enumerates its window outside
 // the lock. Any other source is pulled under the lock, a filled chunk
 // per claim, from one iter.Pull over its Seq. The pull runs caller code
 // with the lock held, so every path releases the lock by a deferred
@@ -601,7 +577,7 @@ func spaceCursor(src Source, from, to int) (cur *enum.Cursor, origin int, ok boo
 type sweepClaimer struct {
 	mu     sync.Mutex
 	cursor *enum.Cursor // nil for a plain stream
-	origin int          // the cursor's offset of the stream's first adversary
+	origin int          // the space offset of the stream's first adversary
 	pull   func() (*sweepChunk, bool)
 	stop   func()
 }
@@ -610,8 +586,8 @@ type sweepClaimer struct {
 // the source's iterator; it must cancel the sweep.
 func newClaimer(e *Engine, src Source, count int, known bool, workers int, fail func(error)) *sweepClaimer {
 	cl := new(sweepClaimer)
-	if cur, origin, ok := spaceCursor(src, 0, math.MaxInt); ok {
-		cl.cursor, cl.origin = cur, origin
+	if space, lo, hi, ok := spaceRange(src, 0, math.MaxInt); ok {
+		cl.cursor, cl.origin = enum.NewCursor(space, lo, hi), lo
 		return cl
 	}
 	size := chunkSizeFor(count, known, workers)
@@ -727,15 +703,16 @@ func sweepCancelled(ctx context.Context) error {
 	}
 }
 
-// sweepExec is the shared executor skeleton behind every sweep variant:
-// it resolves the protocol specs, builds the sweep's claimer, runs the
-// worker pool — each worker claiming windows and enumerating them itself —
-// and funnels out the first error (or context cancellation). body runs
-// once per worker, owns all worker-local state, and ranges over its own
-// chunk sequence. sweepExec starts no goroutine but its workers, and
-// returns only once every worker has returned and the source iterator it
+// sweepExec is the executor skeleton behind every sweep and the
+// analysis compile: it resolves the protocol specs, builds the sweep's
+// claimer, runs the worker pool — each worker claiming windows and
+// enumerating them itself — and funnels out the first error (or context
+// cancellation). body runs once per worker, inside withKit under the
+// label what, owns all worker-local state, and ranges over its own chunk
+// sequence. sweepExec starts no goroutine but its workers, and returns
+// only once every worker has returned and the source iterator it
 // pulled, if any, has finished.
-func (e *Engine) sweepExec(ctx context.Context, refs []string, src Source, body func(ctx context.Context, specs []*ProtocolSpec, chunks iter.Seq[*sweepChunk]) error) error {
+func (e *Engine) sweepExec(ctx context.Context, what string, refs []string, src Source, body func(ctx context.Context, specs []*ProtocolSpec, kit *runKit, chunks iter.Seq[*sweepChunk]) error) error {
 	if e.err != nil {
 		return e.err
 	}
@@ -780,7 +757,9 @@ func (e *Engine) sweepExec(ctx context.Context, refs []string, src Source, body 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := body(ctx, specs, cl.chunks(ctx, e)); err != nil {
+			if err := e.withKit(what, func(kit *runKit) error {
+				return body(ctx, specs, kit, cl.chunks(ctx, e))
+			}); err != nil {
 				fail(err)
 			}
 		}()
@@ -793,77 +772,84 @@ func (e *Engine) sweepExec(ctx context.Context, refs []string, src Source, body 
 	return ctx.Err()
 }
 
-// sweep is the materializing executor behind Sweep and the stream
-// variants: a worker pool runs sweepOne per adversary, and deliver
-// receives every fresh Result tagged with its global adversary and
-// protocol indices. Aggregating sweeps use sweepAggregate instead,
-// which replaces deliver with per-worker folding.
-func (e *Engine) sweep(ctx context.Context, refs []string, src Source, deliver func(advIdx, refIdx int, r *Result)) error {
-	return e.sweepExec(ctx, refs, src, func(ctx context.Context, specs []*ProtocolSpec, chunks iter.Seq[*sweepChunk]) (err error) {
-		// Worker-level panic isolation: a panicking protocol becomes a
-		// typed sweep error (stack captured at the recovery site), the
-		// other workers drain via the shared cancel, and the process
-		// lives on.
-		defer govern.Capture("engine: sweep worker", &err)
-		var memo protoMemo
+// withKit runs body on a runKit checked out of the engine's pool: the
+// one panic boundary of every run. A panic in body — a protocol's, or a
+// caller's emit — becomes a typed *govern.PanicError labelled what, its
+// stack captured here while the panic-origin frames are still on it,
+// and the kit, which the panic may have left mid-mutation, is discarded
+// rather than repooled; the other workers of a sweep then drain via its
+// shared cancel, and the process lives on. Otherwise the kit goes back
+// to the pool.
+func (e *Engine) withKit(what string, body func(kit *runKit) error) (err error) {
+	kit := e.getKit()
+	defer func() {
+		if pe := govern.Recovered(what, recover()); pe != nil {
+			err = pe
+			e.discardKit(kit)
+			return
+		}
+		e.putKit(kit)
+	}()
+	return body(kit)
+}
+
+// sweepWorker is one sweep worker's state: the sweep's protocols, the
+// worker's kit and params memo, and where its runs go. With deliver set
+// the sweep's Results escape (Sweep, SweepSourceStream, Run): deliver
+// receives each run as a detached Result tagged with its adversary's
+// stream index and its protocol's index. Otherwise each run folds into
+// shard, the worker's private accumulators for a (SweepSource,
+// SweepSourceProgress).
+type sweepWorker struct {
+	refs    []string
+	specs   []*ProtocolSpec
+	kit     *runKit
+	memo    protoMemo
+	a       *Aggregator
+	shard   []agg.Acc
+	deliver func(advIdx, refIdx int, r *Result)
+}
+
+// sweep is the one worker body behind every sweep entry point: each
+// worker runs every protocol against every adversary of the windows it
+// claims (sweepAdversary). Exactly one of a and deliver is set. A
+// folding worker bumps its shard — one agg.Acc per protocol, plain
+// integer bumps: no Result escapes, no lock is taken, no map is written
+// — and merges it into a exactly once, when its chunk sequence ends; the
+// merge is the only synchronization point of the whole sweep besides
+// the claims, so throughput scales with Parallelism instead of
+// flatlining on an aggregator lock.
+func (e *Engine) sweep(ctx context.Context, refs []string, src Source, a *Aggregator, deliver func(advIdx, refIdx int, r *Result)) error {
+	return e.sweepExec(ctx, "engine: sweep worker", refs, src, func(ctx context.Context, specs []*ProtocolSpec, kit *runKit, chunks iter.Seq[*sweepChunk]) error {
+		w := sweepWorker{refs: refs, specs: specs, kit: kit, a: a, deliver: deliver}
+		if a != nil {
+			w.shard = make([]agg.Acc, len(refs))
+		}
 		for chunk := range chunks {
 			for i, adv := range chunk.advs {
-				if err := e.sweepOne(ctx, refs, specs, adv, chunk.base+i, deliver, &memo); err != nil {
+				if err := e.sweepAdversary(ctx, &w, adv, chunk.base+i); err != nil {
 					return err
 				}
 			}
+			if a != nil {
+				a.advsDone(len(chunk.advs))
+			}
+		}
+		if a != nil {
+			a.mergeShard(w.shard)
 		}
 		return nil
 	})
 }
 
-// sweepAggregate is the aggregating executor behind SweepSource. Each
-// worker owns a pooled runKit (RunBuffer + knowledge Builder) and a
-// private shard of agg.Acc accumulators — one per protocol — and folds
-// every run into them with plain integer bumps: no Result escapes, no
-// lock is taken, no map is written. A worker merges its shard into the
-// Aggregator exactly once, when its chunk sequence ends; the merge is
-// the only synchronization point of the whole sweep besides the claims,
-// so throughput scales with Parallelism instead of flatlining on an
-// aggregator lock.
-func (e *Engine) sweepAggregate(ctx context.Context, refs []string, src Source, a *Aggregator) error {
-	return e.sweepExec(ctx, refs, src, func(ctx context.Context, specs []*ProtocolSpec, chunks iter.Seq[*sweepChunk]) (err error) {
-		kit := e.getKit()
-		// Worker-level panic isolation, innermost so the captured stack
-		// keeps the panic-origin frames: a panicking protocol run
-		// becomes a typed sweep error, and the kit — possibly left
-		// mid-mutation — is discarded rather than repooled.
-		defer func() {
-			if pe := govern.Recovered("engine: sweep worker", recover()); pe != nil {
-				err = pe
-				e.discardKit(kit)
-				return
-			}
-			e.putKit(kit)
-		}()
-		shard := make([]agg.Acc, len(refs))
-		var memo protoMemo
-		for chunk := range chunks {
-			for _, adv := range chunk.advs {
-				if err := e.foldOne(ctx, refs, specs, adv, a, shard, kit, &memo); err != nil {
-					return err
-				}
-			}
-			a.advsDone(len(chunk.advs))
-		}
-		a.mergeShard(shard)
-		return nil
-	})
-}
-
-// runKit is the pooled per-worker state of an aggregating sweep or an
-// analysis compile: the RunBuffer behind Backend.RunInto and the
-// worker's knowledge Builder, which holds no storage until its first
-// Build. Kits recycle through the engine's bounded freelist so repeated
-// sweeps reuse warmed-up buffers; bufBytes is the RunBuffer capacity
-// last reported to the governor.
+// runKit is the pooled per-worker state of every run: the runBuffer the
+// backend runs into and the worker's knowledge Builder, which holds no
+// storage until its first Build (only folding sweeps and the analysis
+// compile build in it). Kits recycle through the engine's bounded
+// freelist so repeated sweeps reuse warmed-up buffers; bufBytes is the
+// runBuffer capacity last reported to the governor.
 type runKit struct {
-	buf      *RunBuffer
+	buf      *runBuffer
 	builder  *knowledge.Builder
 	bufBytes int64
 }
@@ -887,21 +873,21 @@ func (e *Engine) getKit() *runKit {
 		return kit
 	}
 	e.statKitMiss.Add(1)
-	kit = &runKit{buf: NewRunBuffer(), builder: knowledge.NewBuilder()}
+	kit = &runKit{buf: new(runBuffer), builder: knowledge.NewBuilder()}
 	if e.gov != nil {
 		kit.builder.SetMeter(e.gov)
 	}
 	return kit
 }
 
-// putKit harvests the kit's builder counters, settles its RunBuffer
+// putKit harvests the kit's builder counters, settles its runBuffer
 // byte account, and returns it to the freelist — unless the governor is
 // shedding (or the freelist is full), in which case the kit is
 // discarded and every byte it held goes back to the account.
 func (e *Engine) putKit(kit *runKit) {
 	e.harvestKit(kit)
 	if e.gov != nil {
-		if d := kit.buf.Bytes() - kit.bufBytes; d != 0 {
+		if d := kit.buf.bytes() - kit.bufBytes; d != 0 {
 			e.gov.Grow(d)
 			kit.bufBytes += d
 		}
@@ -930,7 +916,7 @@ func (e *Engine) harvestKit(kit *runKit) {
 
 // dropKit releases a retired kit's accounted bytes: the builder's whole
 // storage account (covering graphs a panic never Released) and the
-// RunBuffer capacity.
+// runBuffer capacity.
 func (e *Engine) dropKit(kit *runKit) {
 	kit.builder.Discard()
 	if e.gov != nil && kit.bufBytes != 0 {
@@ -996,41 +982,18 @@ func (e *Engine) memoFor(memo *protoMemo, refs []string, specs []*ProtocolSpec, 
 	memo.p, memo.valid = p, true
 }
 
-// sweepOne runs all protocols of a sweep against one adversary, sharing
-// one fresh knowledge graph (never recycled: the delivered Results may
-// keep it) and one memoized adversary-string renderer across them, and
-// delivers each fresh Result.
-func (e *Engine) sweepOne(ctx context.Context, refs []string, specs []*ProtocolSpec, adv *Adversary, advIdx int, deliver func(advIdx, refIdx int, r *Result), memo *protoMemo) error {
-	p, err := e.runParams(adv)
-	if err != nil {
-		return err
-	}
-	e.memoFor(memo, refs, specs, p)
-	var g *knowledge.Graph
-	if e.backend.NeedsGraph() {
-		g = knowledge.New(adv, memo.horizon)
-	}
-	advStr := advString(adv)
-	for refIdx, spec := range specs {
-		if err := sweepCancelled(ctx); err != nil {
-			return err
-		}
-		res, err := e.backend.Run(ctx, newRunRequest(refs[refIdx], spec, memo.entries[refIdx], p, adv, advStr, g))
-		if err != nil {
-			return err
-		}
-		deliver(advIdx, refIdx, res)
-	}
-	return nil
-}
-
-// foldOne runs all protocols of an aggregating sweep against one
-// adversary through the pooled RunInto path and folds each outcome into
-// the worker's shard. The context is polled once per adversary (RunInto
-// deliberately skips the per-run check); the knowledge graph is built
-// in the worker's reused arena and released as soon as the adversary's
-// runs are folded — safe because nothing escapes the fold.
-func (e *Engine) foldOne(ctx context.Context, refs []string, specs []*ProtocolSpec, adv *Adversary, a *Aggregator, shard []agg.Acc, kit *runKit, memo *protoMemo) error {
+// sweepAdversary runs every protocol of a sweep against one adversary
+// on the worker's kit, all of them sharing one knowledge graph, and
+// hands each run on. The context is polled once per adversary, before
+// its first run. The one branch is whether the Results escape. If they
+// do, the graph is a fresh knowledge.New graph, never recycled because
+// a kept Result may hold it, and each run goes to deliver as a detached
+// copy carrying the adversary string, rendered once per adversary. If
+// not, the graph is built in the kit's reused Builder arena — revived or
+// patched from the previous adversary's when they share a failure
+// pattern — and released as soon as the adversary's runs have folded,
+// which is safe because nothing escapes the fold.
+func (e *Engine) sweepAdversary(ctx context.Context, w *sweepWorker, adv *Adversary, advIdx int) error {
 	if err := sweepCancelled(ctx); err != nil {
 		return err
 	}
@@ -1038,27 +1001,40 @@ func (e *Engine) foldOne(ctx context.Context, refs []string, specs []*ProtocolSp
 	if err != nil {
 		return err
 	}
-	e.memoFor(memo, refs, specs, p)
-	var g *knowledge.Graph
-	if e.backend.NeedsGraph() {
-		g = kit.builder.Build(adv, memo.horizon)
+	e.memoFor(&w.memo, w.refs, w.specs, p)
+	var (
+		g      *knowledge.Graph
+		advStr string
+	)
+	switch {
+	case w.deliver != nil:
+		advStr = adv.String()
+		if e.backend.needsGraph() {
+			g = knowledge.New(adv, w.memo.horizon)
+		}
+	case e.backend.needsGraph():
+		g = w.kit.builder.Build(adv, w.memo.horizon)
 		defer g.Release()
 	}
-	req := &kit.buf.req
-	for refIdx, spec := range specs {
-		ent := &memo.entries[refIdx]
-		*req = RunRequest{
-			Ref: refs[refIdx], Spec: spec,
-			Proto: ent.proto, ProtoErr: ent.err, Name: ent.name,
-			Params: p, Adv: adv, Graph: g,
-		}
-		res, err := e.backend.RunInto(ctx, req, kit.buf)
+	for refIdx, spec := range w.specs {
+		res, err := e.runInto(w.kit.buf, w.refs[refIdx], spec, w.memo.entries[refIdx], p, adv, g)
 		if err != nil {
 			return err
 		}
-		a.fold(&shard[refIdx], refIdx, res, kit.buf)
+		if w.deliver != nil {
+			w.deliver(advIdx, refIdx, detach(res, advStr))
+		} else {
+			w.a.fold(&w.shard[refIdx], refIdx, res, w.kit.buf)
+		}
 	}
 	return nil
+}
+
+// runInto fills buf's request for one run and executes it on the
+// engine's backend. The Result aliases buf.
+func (e *Engine) runInto(buf *runBuffer, ref string, spec *ProtocolSpec, ent protoEntry, p Params, adv *Adversary, g *knowledge.Graph) (*Result, error) {
+	buf.req = runRequest{ref: ref, spec: spec, protoEntry: ent, params: p, adv: adv, graph: g}
+	return e.backend.run(buf)
 }
 
 // sweepProgressInterval is the default snapshot period of
@@ -1112,7 +1088,7 @@ func (e *Engine) SweepSourceProgress(ctx context.Context, refs []string, src Sou
 			}
 		}()
 	}
-	err = e.sweepAggregate(ctx, refs, src, a)
+	err = e.sweep(ctx, refs, src, a, nil)
 	if progress != nil {
 		// Quiesce the ticker before the closing snapshot so emission
 		// stays serialized and the final snapshot is the last delivered.

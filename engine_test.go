@@ -138,7 +138,7 @@ func TestEngineSweepEmptyInputs(t *testing.T) {
 	if results == nil || len(results) != 0 {
 		t.Errorf("empty advs: want empty non-nil slice, got %v", results)
 	}
-	if err := eng.SweepStream(ctx, []string{"optmin"}, nil, func(*setconsensus.Result) {
+	if err := eng.SweepSourceStream(ctx, []string{"optmin"}, setconsensus.SliceSource(), func(*setconsensus.Result) {
 		t.Error("empty advs must emit nothing")
 	}); err != nil {
 		t.Fatalf("empty advs stream: %v", err)
@@ -177,7 +177,7 @@ func TestEngineSweepStreamCancelAfterFirstEmit(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	emitted := 0
-	err := eng.SweepStream(ctx, refs, advs, func(*setconsensus.Result) {
+	err := eng.SweepSourceStream(ctx, refs, setconsensus.SliceSource(advs...), func(*setconsensus.Result) {
 		emitted++
 		if emitted == 1 {
 			cancel()
@@ -205,7 +205,7 @@ func TestEngineSweepCancellationMidSweep(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	emitted := 0
-	err := eng.SweepStream(ctx, refs, advs, func(*setconsensus.Result) {
+	err := eng.SweepSourceStream(ctx, refs, setconsensus.SliceSource(advs...), func(*setconsensus.Result) {
 		emitted++
 		if emitted == 2 {
 			cancel()

@@ -18,8 +18,8 @@ const fuzzEnumerated = 20000
 // adversaries stay small. Counts and a space's rounds stay unbounded: a
 // stream is only enumerated when its Count is at most fuzzEnumerated.
 func fuzzTooLarge(ref string) bool {
-	name, args, _ := strings.Cut(ref, ":")
-	space := strings.EqualFold(strings.TrimSpace(name), "space")
+	_, args, _ := strings.Cut(ref, ":")
+	space := fuzzSpace(ref)
 	for _, pair := range strings.Split(args, ",") {
 		key, val, _ := strings.Cut(pair, "=")
 		if key = strings.ToLower(strings.TrimSpace(key)); key == "count" || key == "seed" || space && key == "r" {
@@ -37,6 +37,14 @@ func fuzzTooLarge(ref string) bool {
 		}
 	}
 	return false
+}
+
+// fuzzSpace reports whether ref names the exhaustive "space" family, the
+// one whose RangeSource windows enter the enumeration without walking the
+// prefix.
+func fuzzSpace(ref string) bool {
+	name, _, _ := strings.Cut(ref, ":")
+	return strings.EqualFold(strings.TrimSpace(name), "space")
 }
 
 // FuzzParseWorkload feeds arbitrary references to the workload parser,
@@ -73,7 +81,7 @@ func FuzzParseWorkload(f *testing.F) {
 			return
 		}
 		n, known := src.Count()
-		if _, seeks := src.(setconsensus.RangeSeq); known && seeks && n > fuzzEnumerated {
+		if known && fuzzSpace(ref) && n > fuzzEnumerated {
 			// A short window anywhere in a large space yields exactly its
 			// Count.
 			lo := int(uint(off) % uint(n))

@@ -257,13 +257,21 @@ func (j *job) publishLocked(ev Event) {
 	}
 }
 
-// setRunning transitions queued → running.
-func (j *job) setRunning() {
+// setRunning transitions queued → running and installs the job's cancel
+// func in the same step, so a Cancel that sees StateRunning finds it. It
+// refuses a job that is already terminal — one a Cancel finished after
+// a worker took it off the queue — and reports whether the job may run.
+func (j *job) setRunning(cancel context.CancelCauseFunc) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.state.Terminal() {
+		return false
+	}
+	j.cancel = cancel
 	j.state = StateRunning
 	j.started = time.Now()
 	j.publishLocked(Event{Name: "state", Status: j.statusLocked()})
+	return true
 }
 
 // setProgress records and publishes a coalesced progress snapshot.
@@ -277,14 +285,10 @@ func (j *job) setProgress(p JobProgress) {
 	j.publishLocked(Event{Name: "progress", Status: j.statusLocked()})
 }
 
-// finish transitions to a terminal state, publishes the terminal event,
-// and closes every subscriber channel.
-func (j *job) finish(state JobState, err error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state.Terminal() {
-		return
-	}
+// finishLocked transitions to a terminal state, publishes the terminal
+// event, and closes every subscriber channel. The caller holds j.mu and
+// has seen that the job is not terminal yet (Server.finishJob).
+func (j *job) finishLocked(state JobState, err error) {
 	j.state = state
 	j.err = err
 	j.finished = time.Now()

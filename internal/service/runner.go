@@ -129,20 +129,20 @@ func (s *Server) deadlineFor(req *JobRequest) time.Duration {
 // here into a failed job with the stack retained — one bad workload
 // must never take the daemon down.
 func (s *Server) run(baseCtx context.Context, j *job) {
-	// The cancel func is installed before the job is published as
-	// running: a Cancel that sees StateRunning must find it, or the
-	// cancellation is lost and the job runs on to its deadline.
+	// The cancel func is installed as the job is published as running: a
+	// Cancel that sees StateRunning must find it, or the cancellation is
+	// lost and the job runs on to its deadline. A job a Cancel finished
+	// after a worker took it off the queue is not run at all.
 	jobCtx, cancel := context.WithCancelCause(baseCtx)
-	j.mu.Lock()
-	j.cancel = cancel
-	j.mu.Unlock()
-	j.setRunning()
+	defer cancel(nil)
+	if !j.setRunning(cancel) {
+		return
+	}
 	s.metrics.running.Add(1)
 	defer s.metrics.running.Add(-1)
 
 	ctx, cancelTimeout := context.WithTimeout(jobCtx, s.deadlineFor(&j.req))
 	defer cancelTimeout()
-	defer cancel(nil)
 
 	// The stuck-job watchdog: wd.Touch in the progress relays marks
 	// advancement; Watch cancels the job with govern.ErrStalled as the
@@ -214,10 +214,18 @@ func (s *Server) run(baseCtx context.Context, j *job) {
 	}
 }
 
-// finishJob applies the terminal transition, updates the store and
-// counters, and lets the metrics loop observe the final run totals.
+// finishJob applies a job's first terminal transition; a job already
+// terminal stays as it is, and nothing is recorded twice. The store
+// records the job (evicting the oldest finished jobs past ResultBound)
+// and its outcome counter moves under the job's lock, before the
+// terminal event goes out: a client that saw the event, or reads the
+// job's terminal status, finds the store and the counters settled.
 func (s *Server) finishJob(j *job, state JobState, err error) {
-	j.finish(state, err)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.state.Terminal() {
+		return
+	}
 	s.store.markFinished(j.id)
 	switch state {
 	case StateDone:
@@ -227,6 +235,7 @@ func (s *Server) finishJob(j *job, state JobState, err error) {
 	default:
 		s.metrics.failed.Add(1)
 	}
+	j.finishLocked(state, err)
 }
 
 // runSweep streams the workload through the engine's aggregating sweep,

@@ -98,10 +98,7 @@ func (s *Server) Start() {
 			defer s.workerWG.Done()
 			for j := range s.queue {
 				s.metrics.queueDepth.Add(-1)
-				if j.status().State.Terminal() {
-					continue // cancelled while queued
-				}
-				s.run(s.baseCtx, j)
+				s.run(s.baseCtx, j) // a job cancelled while queued is skipped
 			}
 		}()
 	}

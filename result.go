@@ -109,52 +109,71 @@ func (r *Result) MarshalJSON() ([]byte, error) {
 	return json.Marshal((*plain)(r))
 }
 
-// newResult assembles the backend-independent part of a Result from the
-// prepared request: the runtime name, the protocol instance, and the
-// memoized adversary-string renderer were all derived (and cached) by
-// the Engine, not re-derived per run.
-func newResult(req *RunRequest, backend BackendKind, decisions []*Decision) *Result {
-	r := &Result{
-		Protocol:  req.Name,
-		Ref:       req.Ref,
+// result assembles the backend-independent part of a run's Result in
+// the buffer's pooled Result: the runtime name and the protocol instance
+// were derived (and cached) by the Engine, not re-derived per run. The
+// Adversary display string and GraphStats are left empty: aggregation
+// reads counts, violation diagnostics render the adversary from
+// Result.Adv() directly, and detach fills both in on the Results that
+// escape. The returned pointer is &b.res; it is overwritten by the next
+// run on the same buffer.
+func (b *runBuffer) result(backend BackendKind, decisions []*Decision) *Result {
+	r := &b.res
+	*r = Result{
+		Protocol:  b.req.name,
+		Ref:       b.req.ref,
 		Backend:   backend.String(),
-		Params:    req.Params,
+		Params:    b.req.params,
 		Decisions: decisions,
-		adv:       req.Adv,
+		adv:       b.req.adv,
 	}
-	if req.AdvStr != nil {
-		r.Adversary = req.AdvStr()
-	}
-	sr := sim.Result{Adv: req.Adv, Decisions: decisions}
-	r.MaxCorrectTime = sr.MaxCorrectDecisionTime()
+	b.simres.ProtocolName, b.simres.Adv, b.simres.Graph, b.simres.Decisions =
+		b.req.name, b.req.adv, nil, decisions
+	r.MaxCorrectTime = b.simres.MaxCorrectDecisionTime()
 	return r
 }
 
-// newResultInto is newResult into the buffer's pooled Result: identical
-// fields, no per-run heap objects. The Adversary display string is
-// deliberately never rendered on this path — aggregation reads counts,
-// and violation diagnostics render the adversary from Result.Adv()
-// directly. The returned pointer is &buf.res; it is overwritten by the
-// next RunInto on the same buffer.
-func newResultInto(buf *RunBuffer, req *RunRequest, backend BackendKind, decisions []*Decision) *Result {
-	r := &buf.res
-	*r = Result{
-		Protocol:  req.Name,
-		Ref:       req.Ref,
-		Backend:   backend.String(),
-		Params:    req.Params,
-		Decisions: decisions,
-		adv:       req.Adv,
+// detached is the one allocation behind a detached Result: the Result
+// and the storage of its backend extras.
+type detached struct {
+	res  Result
+	gs   GraphStats
+	bits BitStats
+}
+
+// detach copies a run's pooled Result, which aliases its worker's
+// buffer, into a fresh Result the caller may keep: the decisions into
+// one fresh slab, the bit counts copied, the adversary string (rendered
+// once per adversary by the caller) filled in, and the graph stats
+// derived from the run's graph. The copy keeps that graph, so only a
+// run on a fresh knowledge.New graph may be detached, never one on a
+// worker's Builder arena.
+func detach(r *Result, adv string) *Result {
+	d := &detached{res: *r}
+	out := &d.res
+	out.Adversary = adv
+	out.Decisions = make([]*Decision, len(r.Decisions))
+	slab := make([]Decision, 0, len(r.Decisions))
+	for i, dec := range r.Decisions {
+		if dec != nil {
+			slab = append(slab, *dec)
+			out.Decisions[i] = &slab[len(slab)-1]
+		}
 	}
-	buf.simres.ProtocolName, buf.simres.Adv, buf.simres.Graph, buf.simres.Decisions =
-		req.Name, req.Adv, nil, decisions
-	r.MaxCorrectTime = buf.simres.MaxCorrectDecisionTime()
-	return r
+	if r.graph != nil {
+		d.gs = graphStats(r.graph)
+		out.GraphStats = &d.gs
+	}
+	if r.Bits != nil {
+		d.bits = *r.Bits
+		out.Bits = &d.bits
+	}
+	return out
 }
 
 // graphStats derives the oracle extras from a knowledge graph.
-func graphStats(g *knowledge.Graph) *GraphStats {
-	gs := &GraphStats{Horizon: g.Horizon}
+func graphStats(g *knowledge.Graph) GraphStats {
+	gs := GraphStats{Horizon: g.Horizon}
 	for i := 0; i < g.Adv.N(); i++ {
 		if !g.Active(i, g.Horizon) {
 			continue

@@ -3,6 +3,7 @@ package setconsensus
 import (
 	"fmt"
 	"iter"
+	"math"
 	"math/rand"
 
 	"setconsensus/internal/model"
@@ -36,18 +37,6 @@ type Source interface {
 	Count() (n int, known bool)
 }
 
-// RangeSeq is the optional Source refinement behind offset-scoped
-// sweeps: SeqRange yields the window [offset, offset+limit) of the
-// stream without the caller enumerating (and discarding) the prefix.
-// SpaceSource implements it by unranking the offset (enum.Space.Range),
-// SliceSource by reslicing; RangeSource falls back to
-// skip-by-enumeration for sources that do not implement it. The windows
-// must tile: concatenating SeqRange(0, c), SeqRange(c, c), ... reproduces
-// Seq exactly.
-type RangeSeq interface {
-	SeqRange(offset, limit int) iter.Seq[*Adversary]
-}
-
 // rangeSource scopes another source to an offset window — the work unit
 // of a coordinated sweep: each worker sweeps one range of the shared
 // space and the coordinator merges the partial Summaries.
@@ -57,13 +46,15 @@ type rangeSource struct {
 }
 
 // RangeSource yields the window [offset, offset+limit) of src — at most
-// limit adversaries beginning with the offset-th. Sources implementing
-// RangeSeq (exhaustive spaces, slices) enter mid-stream; anything else
-// pays an enumerate-and-discard skip of the prefix, which is still
-// correct because every Source is deterministic and restartable. Its
-// Count is src's clipped to the window. Negative offsets and limits
-// clamp to zero, and a window past the end of the stream is empty: a
-// window is a slice of the stream, never an error.
+// limit adversaries beginning with the offset-th. Over an exhaustive
+// space (a SpaceSource, or any nesting of RangeSource and LimitSource
+// over one) the window enters the enumeration at its offset, by
+// unranking, exactly as a sweep's workers do; anything else pays an
+// enumerate-and-discard skip of the prefix, which is still correct
+// because every Source is deterministic and restartable. Its Count is
+// src's clipped to the window. Negative offsets and limits clamp to
+// zero, and a window past the end of the stream is empty: a window is a
+// slice of the stream, never an error.
 func RangeSource(src Source, offset, limit int) Source {
 	if offset < 0 {
 		offset = 0
@@ -94,8 +85,14 @@ func (s *rangeSource) Count() (int, bool) {
 }
 
 func (s *rangeSource) Seq() iter.Seq[*Adversary] {
-	if r, ok := s.src.(RangeSeq); ok {
-		return r.SeqRange(s.offset, s.limit)
+	if space, lo, hi, ok := spaceRange(s, 0, math.MaxInt); ok {
+		return func(yield func(*Adversary) bool) {
+			for _, a := range space.Range(lo, hi-lo) {
+				if !yield(a) {
+					return
+				}
+			}
+		}
 	}
 	return func(yield func(*Adversary) bool) {
 		if s.limit == 0 {
@@ -132,22 +129,6 @@ func SliceSource(advs ...*Adversary) Source {
 
 func (s *sliceSource) Label() string      { return s.label }
 func (s *sliceSource) Count() (int, bool) { return len(s.advs), true }
-func (s *sliceSource) SeqRange(offset, limit int) iter.Seq[*Adversary] {
-	lo, hi := offset, offset+limit
-	if lo > len(s.advs) {
-		lo = len(s.advs)
-	}
-	if hi > len(s.advs) || hi < 0 { // hi < 0: offset+limit overflowed
-		hi = len(s.advs)
-	}
-	return func(yield func(*Adversary) bool) {
-		for _, a := range s.advs[lo:hi] {
-			if !yield(a) {
-				return
-			}
-		}
-	}
-}
 func (s *sliceSource) Seq() iter.Seq[*Adversary] {
 	return func(yield func(*Adversary) bool) {
 		for _, a := range s.advs {
@@ -178,20 +159,6 @@ func SpaceSource(s Space) (Source, error) {
 
 func (s *spaceSource) Label() string      { return s.space.Label() }
 func (s *spaceSource) Count() (int, bool) { return s.count, true }
-
-// SeqRange enters the canonical enumeration at offset and yields at most
-// limit adversaries (enum.Space.Range) — the RangeSeq refinement that
-// lets coordinated sweeps shard one exhaustive space into offset windows
-// without any worker walking the prefix.
-func (s *spaceSource) SeqRange(offset, limit int) iter.Seq[*Adversary] {
-	return func(yield func(*Adversary) bool) {
-		for _, a := range s.space.Range(offset, limit) {
-			if !yield(a) {
-				return
-			}
-		}
-	}
-}
 
 func (s *spaceSource) Seq() iter.Seq[*Adversary] {
 	return func(yield func(*Adversary) bool) {
