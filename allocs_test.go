@@ -13,8 +13,10 @@ import (
 // warm single-worker engine over BenchmarkSweepSource's space, each at
 // its measured count plus one (Go 1.24, linux/amd64). None may rise
 // above its pin:
-//   - SweepSource folds every run out of the worker's pooled buffer, so
-//     its count does not grow with the space;
+//   - SweepSource folds every run out of the worker's pooled buffer and
+//     carves each window's adversaries from the worker's reused arena,
+//     so its count does not grow with the space's adversaries, only with
+//     its failure patterns, each materialized once;
 //   - SweepSource over RangeSource(src, 256, 256) is the unit of a
 //     coordinated checkpointed sweep, which sweeps dozens of such ranges
 //     per operation, so one extra allocation per worker shows there many
@@ -22,7 +24,11 @@ import (
 //   - Sweep pays per run only for the detached Result it hands out (the
 //     Result with its extras, the decision pointers and their slab) and
 //     per adversary for the fresh graph and the adversary string;
-//   - Engine.Run is a one-adversary sweep on the same path.
+//   - Engine.Run is a one-adversary sweep on the same path;
+//   - SweepSource over RandomSource(1, 2000, n=6,t=3,maxv=2,maxr=3) at
+//     k=2, the benchmark's random workload cut to 2,000 adversaries,
+//     pays per adversary for its failure pattern's map and a share of
+//     the sampler's slabs, and per full graph build nothing.
 //
 // The race detector allocates on its own, hence the build tag.
 func TestRunPathAllocationPins(t *testing.T) {
@@ -37,16 +43,21 @@ func TestRunPathAllocationPins(t *testing.T) {
 		t.Fatal(err)
 	}
 	window := setconsensus.RangeSource(src, 256, 256)
+	random, err := setconsensus.RandomSource(1, 2000, setconsensus.RandomParams{N: 6, T: 3, MaxValue: 2, MaxRound: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	randEng := setconsensus.New(setconsensus.WithDegree(2), setconsensus.WithCrashBound(3), setconsensus.WithParallelism(1))
 	cases := []struct {
 		name string
 		pin  float64
 		run  func() error
 	}{
-		{"SweepSource", 824, func() error {
+		{"SweepSource", 703, func() error {
 			_, err := eng.SweepSource(ctx, sweepSpaceRefs, src)
 			return err
 		}},
-		{"SweepSource/range", 331, func() error {
+		{"SweepSource/range", 293, func() error {
 			_, err := eng.SweepSource(ctx, sweepSpaceRefs, window)
 			return err
 		}},
@@ -56,6 +67,10 @@ func TestRunPathAllocationPins(t *testing.T) {
 		}},
 		{"Run", 21, func() error {
 			_, err := eng.Run(ctx, "optmin", advs[len(advs)-1])
+			return err
+		}},
+		{"SweepSource/random", 3776, func() error {
+			_, err := randEng.SweepSource(ctx, sweepSpaceRefs, random)
 			return err
 		}},
 	}

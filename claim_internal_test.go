@@ -117,7 +117,7 @@ func claimAll(t *testing.T, e *Engine, src Source, workers int) []claimed {
 		failed  error
 		wg      sync.WaitGroup
 	)
-	cl := newClaimer(e, src, count, known, workers, func(err error) { failed = err })
+	cl := newClaimer(e, src, count, known, workers, false, func(err error) { failed = err })
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {

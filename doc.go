@@ -363,13 +363,21 @@
 // failure pattern — the canonical patterns are generated directly, those
 // whose unobservable delivery bits are clear, so nothing is deduplicated
 // — and materializes it once; the claiming worker decodes the Gray code
-// and carves adversaries out of slab blocks with its own enum.Walker,
-// outside the lock. Any other Source is pulled under the claim lock
-// (iter.Pull), a chunk per claim, and the sweep returns only after that
-// iterator has. Claims fill pooled chunks, and the workers share nothing
-// per adversary: cancellation is polled on the Done channel and progress
-// is counted per window. The aggregating path allocates ~2 objects per
-// adversary, all of them the adversary itself.
+// and carves adversaries with its own enum.Walker, outside the lock:
+// out of fresh slab blocks when the sweep's Results escape, since a kept
+// Result holds its adversary, and out of the walker's one reused arena
+// when they fold (SweepSource and the analysis compile), so the
+// aggregating path over a space allocates nothing per adversary, only
+// per failure pattern. The Builder and the search Compiler keep a copy
+// of the previous adversary's inputs, never the arena's adversary (the
+// recycle contract on Engine). Any other Source is pulled under the
+// claim lock (iter.Pull), a chunk per claim, and the sweep returns only
+// after that iterator has; a random stream is drawn by a model.Sampler,
+// which carves adversaries, patterns and delivery sets from 64-entry
+// slabs, so an adversary costs its pattern's map and a share of the
+// slabs. Claims fill pooled chunks, and the workers share nothing per
+// adversary: cancellation is polled on the Done channel and progress is
+// counted per window.
 //
 // Identity keys are compact binary encodings, not rendered strings: both
 // the per-view Fingerprint (view interning in the unbeatability search

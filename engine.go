@@ -35,7 +35,8 @@ import (
 //
 // Every run — Run's, a sweep's, the analysis compile's — executes into a
 // worker's pooled buffer, and an aggregating sweep (SweepSource) is
-// allocation-free per run. That rests on three reuse rules:
+// allocation-free per run and, over an exhaustive space, per adversary.
+// That rests on four reuse rules:
 //
 //   - runBuffer: the Result a backend's run returns aliases the buffer.
 //     A folding sweep folds it into the per-worker accumulators and
@@ -51,6 +52,18 @@ import (
 //     adversary's protocols and never recycled, because
 //     Result.KnowledgeGraph lets callers keep it: it is the only graph a
 //     detached Result may hold.
+//   - Adversary arenas: where no Result escapes (SweepSource,
+//     SweepSourceProgress, the analysis compile), a worker carves each
+//     window it claims of an exhaustive space from its enum.Walker's one
+//     reused arena (AppendReused), and its next claim overwrites them.
+//     Nothing may hold such an adversary past its window: the Builder
+//     and the search Compiler keep a copy of the previous adversary's
+//     inputs and its pattern pointer, never the adversary. Failure
+//     patterns are never reused, because revive and patch key on their
+//     pointer. Run, Sweep and SweepSourceStream keep fresh slabs
+//     (Append), because a kept Result holds its adversary, and so does
+//     every plain stream: a random stream's model.Sampler carves its
+//     adversaries from fresh slabs.
 //   - Summary shards: each worker folds into private agg.Acc
 //     accumulators and merges them into the Aggregator exactly once,
 //     when its shard is drained (Summary.Merge is the public form of
@@ -568,26 +581,30 @@ func spaceRange(src Source, from, to int) (space Space, lo, hi int, ok bool) {
 // sweepClaimer hands out one sweep's work, a window per claim, under one
 // mutex. An exhaustive space is cut by a shared window cursor
 // (spaceRange), and the claiming worker enumerates its window outside
-// the lock. Any other source is pulled under the lock, a filled chunk
-// per claim, from one iter.Pull over its Seq. The pull runs caller code
-// with the lock held, so every path releases the lock by a deferred
-// unlock — a worker unwinding out of a claim must not strand the others;
-// a panic in that code is recovered inside the pulled iterator, with its
-// stack, and fails the sweep.
+// the lock: into fresh slabs when the sweep's Results escape, since a
+// Result keeps its adversary, and otherwise (reuse) into its walker's
+// one reused arena, which the next claim overwrites. Any other source is
+// pulled under the lock, a filled chunk per claim, from one iter.Pull
+// over its Seq. The pull runs caller code with the lock held, so every
+// path releases the lock by a deferred unlock — a worker unwinding out
+// of a claim must not strand the others; a panic in that code is
+// recovered inside the pulled iterator, with its stack, and fails the
+// sweep.
 type sweepClaimer struct {
 	mu     sync.Mutex
 	cursor *enum.Cursor // nil for a plain stream
 	origin int          // the space offset of the stream's first adversary
+	reuse  bool         // carve windows from each worker's reused arena
 	pull   func() (*sweepChunk, bool)
 	stop   func()
 }
 
-// newClaimer builds src's claimer. fail receives a panic recovered from
-// the source's iterator; it must cancel the sweep.
-func newClaimer(e *Engine, src Source, count int, known bool, workers int, fail func(error)) *sweepClaimer {
+// newClaimer builds src's claimer; reuse is sweepExec's. fail receives a
+// panic recovered from the source's iterator; it must cancel the sweep.
+func newClaimer(e *Engine, src Source, count int, known bool, workers int, reuse bool, fail func(error)) *sweepClaimer {
 	cl := new(sweepClaimer)
 	if space, lo, hi, ok := spaceRange(src, 0, math.MaxInt); ok {
-		cl.cursor, cl.origin = enum.NewCursor(space, lo, hi), lo
+		cl.cursor, cl.origin, cl.reuse = enum.NewCursor(space, lo, hi), lo, reuse
 		return cl
 	}
 	size := chunkSizeFor(count, known, workers)
@@ -650,7 +667,11 @@ func (cl *sweepClaimer) claim(e *Engine, walker *enum.Walker) *sweepChunk {
 		return nil
 	}
 	c := e.newChunk(w.Base-cl.origin, w.Len)
-	c.advs = walker.Append(c.advs, w)
+	if cl.reuse {
+		c.advs = walker.AppendReused(c.advs, w)
+	} else {
+		c.advs = walker.Append(c.advs, w)
+	}
 	return c
 }
 
@@ -709,10 +730,13 @@ func sweepCancelled(ctx context.Context) error {
 // enumerating them itself — and funnels out the first error (or context
 // cancellation). body runs once per worker, inside withKit under the
 // label what, owns all worker-local state, and ranges over its own chunk
-// sequence. sweepExec starts no goroutine but its workers, and returns
-// only once every worker has returned and the source iterator it
-// pulled, if any, has finished.
-func (e *Engine) sweepExec(ctx context.Context, what string, refs []string, src Source, body func(ctx context.Context, specs []*ProtocolSpec, kit *runKit, chunks iter.Seq[*sweepChunk]) error) error {
+// sequence. reuse asserts that body is done with a chunk's adversaries
+// when the loop moves on and keeps nothing of them — no Result escapes —
+// so an exhaustive space's windows are carved from each worker's reused
+// arena. sweepExec starts no goroutine but its workers, and returns only
+// once every worker has returned and the source iterator it pulled, if
+// any, has finished.
+func (e *Engine) sweepExec(ctx context.Context, what string, refs []string, src Source, reuse bool, body func(ctx context.Context, specs []*ProtocolSpec, kit *runKit, chunks iter.Seq[*sweepChunk]) error) error {
 	if e.err != nil {
 		return e.err
 	}
@@ -752,7 +776,7 @@ func (e *Engine) sweepExec(ctx context.Context, what string, refs []string, src 
 		errOnce.Do(func() { firstErr = err })
 		cancel()
 	}
-	cl := newClaimer(e, src, count, known, workers, fail)
+	cl := newClaimer(e, src, count, known, workers, reuse, fail)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -820,7 +844,7 @@ type sweepWorker struct {
 // the claims, so throughput scales with Parallelism instead of
 // flatlining on an aggregator lock.
 func (e *Engine) sweep(ctx context.Context, refs []string, src Source, a *Aggregator, deliver func(advIdx, refIdx int, r *Result)) error {
-	return e.sweepExec(ctx, "engine: sweep worker", refs, src, func(ctx context.Context, specs []*ProtocolSpec, kit *runKit, chunks iter.Seq[*sweepChunk]) error {
+	return e.sweepExec(ctx, "engine: sweep worker", refs, src, deliver == nil, func(ctx context.Context, specs []*ProtocolSpec, kit *runKit, chunks iter.Seq[*sweepChunk]) error {
 		w := sweepWorker{refs: refs, specs: specs, kit: kit, a: a, deliver: deliver}
 		if a != nil {
 			w.shard = make([]agg.Acc, len(refs))

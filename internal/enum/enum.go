@@ -29,6 +29,14 @@
 // Walker decodes a window's Gray code and carves its adversaries. A
 // sharded sweep shares one Cursor under a lock and gives each worker its
 // own Walker, so workers enumerate the windows they claim in parallel.
+//
+// The adversaries of All, From, Range and Walker.Append are independent
+// values a consumer may keep. Walker.AppendReused carves them instead
+// from one arena the walker keeps and overwrites with the next window,
+// for consumers that fold each adversary and drop it: such a consumer
+// must not hold an adversary past the next window — a copy of its
+// inputs is fine — and may still key on the window's failure pattern by
+// pointer, because patterns are never reused.
 package enum
 
 import (
@@ -333,7 +341,7 @@ func (s Space) deltaFrom(from, to int, yield func(int, *model.Adversary, int) bo
 	var w Walker
 	for {
 		win, ok := c.Next(0)
-		if !ok || !w.walk(win, yield) {
+		if !ok || !w.walk(win, &w.slab, yield) {
 			return
 		}
 	}
@@ -725,8 +733,10 @@ func (u *unranker) weight(j int, free uint64) int {
 // Walker enumerates Windows: it decodes the reflected Gray code over the
 // input vectors and carves each adversary from a slab. Its scratch
 // survives from window to window, so a worker enumerating window after
-// window allocates only the adversaries themselves. The zero Walker is
-// ready to use; a Walker is not safe for concurrent use.
+// window allocates only the adversaries themselves (Append), or nothing
+// at all when it is done with each window's adversaries before the next
+// (AppendReused). The zero Walker is ready to use; a Walker is not safe
+// for concurrent use.
 //
 // The input vectors of a block follow the reflected mixed-radix Gray code
 // over base len(Values) with process 0 as the most significant digit:
@@ -744,28 +754,58 @@ type Walker struct {
 	inputs       []model.Value
 	values       []model.Value
 	slab         advSlab
+	arena        advSlab // AppendReused's storage, carved again from its start per window
 }
 
 // Append appends the window's adversaries to dst in enumeration order.
+// They are carved from fresh slabs: a consumer may keep them.
 func (w *Walker) Append(dst []*model.Adversary, win Window) []*model.Adversary {
-	w.walk(win, func(_ int, adv *model.Adversary, _ int) bool {
+	return w.appendFrom(dst, win, &w.slab)
+}
+
+// AppendReused is Append over one arena the walker keeps: the window's
+// adversaries are carved from storage the walker already holds, so a
+// worker enumerating window after window allocates nothing per
+// adversary once the arena has grown to its largest window. The next
+// AppendReused call overwrites them, so a consumer must be done with
+// them by then and must keep nothing of them — a copy of what it needs
+// to compare against the next window is fine, a pointer is not. Their
+// failure pattern is the window's, as with Append: it is never reused.
+func (w *Walker) AppendReused(dst []*model.Adversary, win Window) []*model.Adversary {
+	if win.Len <= 0 {
+		return dst
+	}
+	if len(w.arena.advs) < win.Len {
+		w.arena.advs = make([]model.Adversary, win.Len)
+	}
+	if n := win.Len * win.Pattern.N; len(w.arena.inputs) < n {
+		w.arena.inputs = make([]model.Value, n)
+	}
+	sl := w.arena
+	return w.appendFrom(dst, win, &sl)
+}
+
+// appendFrom appends the window's adversaries, carved from slab, to dst.
+func (w *Walker) appendFrom(dst []*model.Adversary, win Window, slab *advSlab) []*model.Adversary {
+	w.walk(win, slab, func(_ int, adv *model.Adversary, _ int) bool {
 		dst = append(dst, adv)
 		return true
 	})
 	return dst
 }
 
-// walk yields the window's adversaries with their offsets and the index
-// of the process whose input changed since the previous one (-1 for the
-// window's first). It returns false when yield stopped the walk.
-func (w *Walker) walk(win Window, yield func(int, *model.Adversary, int) bool) bool {
+// walk yields the window's adversaries, carved from slab, with their
+// offsets and the index of the process whose input changed since the
+// previous one (-1 for the window's first). It returns false when yield
+// stopped the walk.
+func (w *Walker) walk(win Window, slab *advSlab, yield func(int, *model.Adversary, int) bool) bool {
 	if win.Len <= 0 {
 		return true
 	}
 	w.seek(win)
 	changed := -1
 	for i := 0; ; {
-		if !yield(win.Base+i, w.slab.carve(w.inputs, win.Pattern), changed) {
+		if !yield(win.Base+i, slab.carve(w.inputs, win.Pattern), changed) {
 			return false
 		}
 		if i++; i == win.Len {

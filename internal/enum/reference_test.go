@@ -75,7 +75,7 @@ func (s Space) forEachConfig(crashers []model.Proc, fn func(*model.FailurePatter
 func (s Space) forEachInputsFrom(start int, fn func(int, []model.Value) bool) bool {
 	win := Window{Len: s.inputCount() - start, Pattern: model.NewFailurePattern(s.N), start: start, values: s.Values}
 	var w Walker
-	return w.walk(win, func(i int, adv *model.Adversary, _ int) bool {
+	return w.walk(win, &w.slab, func(i int, adv *model.Adversary, _ int) bool {
 		return fn(start+i, adv.Inputs)
 	})
 }
@@ -256,7 +256,7 @@ func walkCutter(c windowCutter, max int, yield func(off int, adv *model.Adversar
 	var w Walker
 	for {
 		win, ok := c.Next(max)
-		if !ok || !w.walk(win, yield) {
+		if !ok || !w.walk(win, &w.slab, yield) {
 			return
 		}
 	}

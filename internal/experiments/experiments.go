@@ -250,8 +250,9 @@ func E6Bounds() (*Table, error) {
 	for _, cfg := range []struct{ n, k, tb int }{{5, 1, 3}, {6, 2, 4}, {7, 3, 5}, {8, 2, 6}} {
 		params := core.Params{N: cfg.n, T: cfg.tb, K: cfg.k}
 		maxOpt, maxOptBound, maxU, maxUBound, violations := 0, 0, 0, 0, 0
+		smp := model.NewSampler(rng, model.RandomParams{N: cfg.n, T: cfg.tb, MaxValue: cfg.k, MaxRound: cfg.tb})
 		for trial := 0; trial < 500; trial++ {
-			adv := model.Random(rng, model.RandomParams{N: cfg.n, T: cfg.tb, MaxValue: cfg.k, MaxRound: cfg.tb})
+			adv := smp.Next()
 			f := adv.Pattern.NumFailures()
 			g := knowledge.New(adv, params.T/params.K+1)
 			oRes := sim.RunWithGraph(core.MustOptmin(params), g)

@@ -44,6 +44,11 @@ type Builder struct {
 	// adversary of each pattern block.
 	spareG  *Graph
 	lastPat *model.FailurePattern
+	// spareIn is a copy of the released graph's inputs, taken by Release:
+	// the released adversary itself may be overwritten once its graph is
+	// released (a sweep worker carves each window's adversaries from one
+	// reused arena), so the input diff of revive and Patch never reads it.
+	spareIn []model.Value
 	// scPat/scHorizon/scN record which (pattern, horizon, n) the build
 	// scratch currently describes — only full builds mutate sc, and
 	// revive's fillValues reads sc.cr and sc.base, so reviving is only
@@ -153,9 +158,10 @@ func (b *Builder) TakeCounts() (built, revived, patched int) {
 // repo-wide contract), same horizon and process count, scratch still
 // describing that pattern's full build, and adv's inputs narrow enough
 // for the reused value-set layout. When it can, changed and diffs
-// describe how adv's inputs differ from the spare's: diffs is the number
-// of differing positions capped at 2, and changed is the single differing
-// index when diffs == 1 (-1 when diffs == 0).
+// describe how adv's inputs differ from the spare's, as Release copied
+// them: diffs is the number of differing positions capped at 2, and
+// changed is the single differing index when diffs == 1 (-1 when diffs
+// == 0).
 func (b *Builder) spareMatches(adv *model.Adversary, horizon int) (changed, diffs int, ok bool) {
 	g := b.spareG
 	if g == nil || !b.hasSpare || adv.Pattern != b.lastPat || horizon != g.Horizon || adv.N() != g.n {
@@ -174,9 +180,8 @@ func (b *Builder) spareMatches(adv *model.Adversary, horizon int) (changed, diff
 		return -1, 0, false
 	}
 	changed = -1
-	old := g.Adv.Inputs
 	for p, v := range adv.Inputs {
-		if v != old[p] {
+		if v != b.spareIn[p] {
 			changed = p
 			if diffs++; diffs > 1 {
 				changed = -1
@@ -272,7 +277,10 @@ func (b *Builder) Patch(adv *model.Adversary, horizon, changedProc int) *Graph {
 // reuse by its next Build. The caller asserts that nothing reachable
 // retains the graph: its views, sets, and tables are invalidated, and
 // any later query on it will panic or read another graph's data. Graphs
-// built by New do not recycle; Release on them is a no-op.
+// built by New do not recycle; Release on them is a no-op. The graph's
+// adversary is not retained either: Release keeps a copy of its inputs
+// for the next Build's input diff, so the caller may overwrite or drop
+// the adversary as soon as Release returns.
 //
 // Under a metered builder whose meter refuses retention (the governor's
 // soft ceiling is crossed), Release frees the storage back to the GC
@@ -294,6 +302,7 @@ func (g *Graph) Release() {
 	o.hasSpare = true
 	o.spareG = g
 	o.lastPat = g.Adv.Pattern
+	o.spareIn = append(o.spareIn[:0], g.Adv.Inputs...)
 	g.store = storage{}
 	g.knownCrash, g.hiddenCount, g.hc, g.fails, g.minVal, g.cr = nil, nil, nil, nil, nil, nil
 	g.owner = nil
@@ -489,15 +498,24 @@ func build(adv *model.Adversary, horizon int, sc *buildScratch, owner *Builder) 
 	hidLen := nodes * (h + 1)
 	intsLen := kcLen + hidLen + 3*nodes + n
 
-	var st storage
+	// A builder's released spare lends its storage and its header: the
+	// header is overwritten by a fresh literal, so nothing of the spare's
+	// graph — its lazily built senders included — survives into this one.
+	var (
+		st storage
+		g  *Graph
+	)
 	if owner != nil && owner.hasSpare {
-		st = owner.spare
+		st, g = owner.spare, owner.spareG
 		owner.spare, owner.hasSpare = storage{}, false
 		owner.spareG, owner.lastPat = nil, nil
 	}
+	if g == nil {
+		g = new(Graph)
+	}
 	st.ensure(arenaLen, totalSets, nodes, intsLen, owner)
 
-	g := &Graph{
+	*g = Graph{
 		Adv: adv, Horizon: h,
 		n: n, w: w, wv: wv,
 		store: st, owner: owner,

@@ -123,3 +123,70 @@ func TestBuilderReviveAllocationFree(t *testing.T) {
 		t.Fatalf("revive build allocated %.1f objects per run, want 0", avg)
 	}
 }
+
+// TestBuilderKeepsNothingOfReleasedAdversary pins that a Builder reads
+// nothing of a released graph's adversary: a sweep worker carves each
+// window's adversaries from one reused arena, so the adversary of the
+// graph it released last is overwritten in place before its next Build.
+// Whatever the released adversary's inputs then read — the next
+// adversary's own, or anything else — the next Build over the same
+// pattern (a patch, a revive, or the identical-inputs reuse) must equal
+// knowledge.New's graph.
+func TestBuilderKeepsNothingOfReleasedAdversary(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	b := NewBuilder()
+	for trial := 0; trial < 40; trial++ {
+		prev := randomAdversary(rng, 5, 3, 3, 3)
+		b.Build(prev, 4).Release()
+		next := flip(prev, rng.Intn(prev.N()), rng.Intn(4))
+		if trial%2 == 1 {
+			for i := range next.Inputs {
+				next.Inputs[i] = rng.Intn(4)
+			}
+		}
+		overwrite := next.Inputs
+		if trial%4 >= 2 {
+			overwrite = []model.Value{3, 0, 3, 0, 3}
+		}
+		copy(prev.Inputs, overwrite)
+		g := b.Build(next, 4)
+		checkSameGraph(t, g, New(next, 4))
+		g.Release()
+	}
+}
+
+// checkSameGraph asserts two graphs of one adversary answer every query
+// alike: views (through their fingerprints, which also encode the
+// layer-0 inputs and every sender set), value sets and minima, and the
+// crash and hidden tables.
+func checkSameGraph(t *testing.T, got, want *Graph) {
+	t.Helper()
+	n, h := want.Adv.N(), want.Horizon
+	if got.Adv.N() != n || got.Horizon != h {
+		t.Fatalf("graph over %d processes to horizon %d, want %d to %d", got.Adv.N(), got.Horizon, n, h)
+	}
+	for m := 0; m <= h; m++ {
+		for i := 0; i < n; i++ {
+			if g, w := got.Fingerprint(i, m), want.Fingerprint(i, m); g != w {
+				t.Fatalf("view ⟨%d,%d⟩ differs from knowledge.New's", i, m)
+			}
+			if g, w := got.Vals(i, m), want.Vals(i, m); !g.Equal(w) {
+				t.Fatalf("Vals⟨%d,%d⟩ = %s, knowledge.New %s", i, m, g, w)
+			}
+			if g, w := got.Min(i, m), want.Min(i, m); g != w {
+				t.Fatalf("Min⟨%d,%d⟩ = %d, knowledge.New %d", i, m, g, w)
+			}
+			if g, w := got.HiddenCapacity(i, m), want.HiddenCapacity(i, m); g != w {
+				t.Fatalf("HiddenCapacity⟨%d,%d⟩ = %d, knowledge.New %d", i, m, g, w)
+			}
+			if g, w := got.FailuresKnown(i, m), want.FailuresKnown(i, m); g != w {
+				t.Fatalf("FailuresKnown⟨%d,%d⟩ = %d, knowledge.New %d", i, m, g, w)
+			}
+			for j := 0; j < n; j++ {
+				if g, w := got.KnownCrashRound(i, m, j), want.KnownCrashRound(i, m, j); g != w {
+					t.Fatalf("KnownCrashRound⟨%d,%d⟩(%d) = %d, knowledge.New %d", i, m, j, g, w)
+				}
+			}
+		}
+	}
+}

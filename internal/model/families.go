@@ -191,26 +191,10 @@ type RandomParams struct {
 // Random samples an adversary: a uniformly random number of crashes in
 // [0, T], each with a uniform crash round and an independently random
 // delivery subset, over uniform inputs. Deterministic given rng's seed.
+// It is a one-adversary draw of a Sampler, whose slabs it sizes to the
+// one draw; loops drawing many adversaries from one rng should keep a
+// Sampler instead.
 func Random(rng *rand.Rand, p RandomParams) *Adversary {
-	b := NewBuilder(p.N, 0)
-	for i := 0; i < p.N; i++ {
-		b.Input(i, rng.Intn(p.MaxValue+1))
-	}
-	crashes := 0
-	if p.T > 0 {
-		crashes = rng.Intn(p.T + 1)
-	}
-	perm := rng.Perm(p.N)
-	for c := 0; c < crashes; c++ {
-		victim := perm[c]
-		round := 1 + rng.Intn(p.MaxRound)
-		var recv []Proc
-		for q := 0; q < p.N; q++ {
-			if q != victim && rng.Intn(2) == 0 {
-				recv = append(recv, q)
-			}
-		}
-		b.CrashSendingTo(victim, round, recv...)
-	}
-	return b.MustBuild()
+	s := Sampler{rng: rng, p: p, slab: 1}
+	return s.Next()
 }

@@ -44,7 +44,7 @@ var promHelp = map[string]string{
 	"graphs_rebuilt":   "Knowledge graphs built from scratch on the arena-recycling path, cumulative.",
 	"graphs_revived":   "Knowledge graphs revived from a same-pattern arena, cumulative.",
 	"graphs_patched":   "Knowledge graphs delta-patched from the previous input assignment, cumulative.",
-	"pool_runkit_hits": "Per-worker run-kit (RunBuffer + builder arena) pool checkouts served warm, cumulative.",
+	"pool_runkit_hits": "Per-worker run-kit (run buffer + knowledge-graph builder arena) pool checkouts served warm, cumulative.",
 	"pool_runkit_miss": "Per-worker run-kit pool checkouts that allocated fresh, cumulative.",
 	"pool_chunk_hits":  "Sweep chunk pool checkouts served warm, cumulative.",
 	"pool_chunk_miss":  "Sweep chunk pool checkouts that allocated fresh, cumulative.",

@@ -66,7 +66,7 @@ setconsensusd_pool_chunk_hits 0
 # HELP setconsensusd_pool_chunk_miss Sweep chunk pool checkouts that allocated fresh, cumulative.
 # TYPE setconsensusd_pool_chunk_miss counter
 setconsensusd_pool_chunk_miss 0
-# HELP setconsensusd_pool_runkit_hits Per-worker run-kit (RunBuffer + builder arena) pool checkouts served warm, cumulative.
+# HELP setconsensusd_pool_runkit_hits Per-worker run-kit (run buffer + knowledge-graph builder arena) pool checkouts served warm, cumulative.
 # TYPE setconsensusd_pool_runkit_hits counter
 setconsensusd_pool_runkit_hits 0
 # HELP setconsensusd_pool_runkit_miss Per-worker run-kit pool checkouts that allocated fresh, cumulative.

@@ -219,7 +219,11 @@ func (s *Server) run(baseCtx context.Context, j *job) {
 // records the job (evicting the oldest finished jobs past ResultBound)
 // and its outcome counter moves under the job's lock, before the
 // terminal event goes out: a client that saw the event, or reads the
-// job's terminal status, finds the store and the counters settled.
+// job's terminal status, finds the store and the counters settled. A
+// job that has started also has its context cancelled with err as the
+// cause: finished from outside its run — by a Cancel that read the job
+// queued just before a worker started it — the run must not go on, and
+// finished by its run, the context has nothing left to do.
 func (s *Server) finishJob(j *job, state JobState, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -236,6 +240,9 @@ func (s *Server) finishJob(j *job, state JobState, err error) {
 		s.metrics.failed.Add(1)
 	}
 	j.finishLocked(state, err)
+	if j.cancel != nil {
+		j.cancel(err)
+	}
 }
 
 // runSweep streams the workload through the engine's aggregating sweep,

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 )
@@ -123,6 +124,48 @@ func TestFinishJobRecordsBeforeAnnouncing(t *testing.T) {
 	}
 	if c := s.metrics.cancelled.Load(); c != 1 {
 		t.Fatalf("jobs_cancelled = %d, want 1", c)
+	}
+	requireFinishedOnce(t, s, j.id)
+}
+
+// TestCancelRacingStartCancelsContext pins the race between Cancel and a
+// worker starting the job: Cancel reads the job's state under its lock,
+// drops the lock and only then acts, so a worker may start the job in
+// between. The test forces that interleaving — it reads StateQueued as
+// Cancel does, lets setRunning install the run's cancel func, then takes
+// Cancel's path for a queued job — and the job must end cancelled with
+// its context cancelled too, not reported cancelled while it runs on to
+// completion on a worker.
+func TestCancelRacingStartCancelsContext(t *testing.T) {
+	s := newIdleServer(t)
+	st, err := s.Submit(quickSweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := <-s.queue
+	if j.id != st.ID {
+		t.Fatalf("dequeued %s, submitted %s", j.id, st.ID)
+	}
+	j.mu.Lock()
+	state := j.state
+	j.mu.Unlock()
+	if state != StateQueued {
+		t.Fatalf("job is %s before its start, want queued", state)
+	}
+	ctx, cancel := context.WithCancelCause(s.baseCtx)
+	defer cancel(nil)
+	if !j.setRunning(cancel) {
+		t.Fatal("setRunning refused a queued job")
+	}
+	s.finishJob(j, StateCancelled, ErrCancelled) // Cancel's queued-job branch
+	if got := j.status(); got.State != StateCancelled {
+		t.Fatalf("job ended %s, want cancelled", got.State)
+	}
+	if ctx.Err() == nil {
+		t.Fatal("the job is reported cancelled, but its context is live: its run goes on")
+	}
+	if cause := context.Cause(ctx); !errors.Is(cause, ErrCancelled) {
+		t.Fatalf("context cause %v, want ErrCancelled", cause)
 	}
 	requireFinishedOnce(t, s, j.id)
 }

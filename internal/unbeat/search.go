@@ -137,18 +137,21 @@ type Compiler struct {
 	fpBuf   []byte // reused fingerprint build buffer (zero-copy interning)
 	err     error  // a table limit exceeded; surfaced by Merge
 
-	// prev supports delta reuse across consecutive Adds: when the
-	// incoming run shares the previous run's failure pattern (by pointer)
-	// and differs in at most one process's input — the enumeration's
-	// Gray-code delta order makes that the common case — every view that
-	// has not seen the changed input has a fingerprint identical to the
-	// previous run's view at the same (proc, time), so its interned id is
-	// copied from the previous run's row instead of recomputed. Only ids
-	// already interned are reused, never assigned, so the interning order
-	// (and with it deviation ordinals and report determinism) is
-	// byte-identical to a cold compile. prev is the previous Add's
-	// adversary, held only until the next Add.
-	prev *model.Adversary
+	// prevPat and prevIn support delta reuse across consecutive Adds:
+	// when the incoming run shares the previous run's failure pattern (by
+	// pointer) and differs in at most one process's input — the
+	// enumeration's Gray-code delta order makes that the common case —
+	// every view that has not seen the changed input has a fingerprint
+	// identical to the previous run's view at the same (proc, time), so
+	// its interned id is copied from the previous run's row instead of
+	// recomputed. Only ids already interned are reused, never assigned,
+	// so the interning order (and with it deviation ordinals and report
+	// determinism) is byte-identical to a cold compile. They are the
+	// previous Add's failure pattern and a copy of its inputs: the
+	// adversary itself is not kept, because the engine carves each
+	// window's adversaries from one reused arena.
+	prevPat *model.FailurePattern
+	prevIn  []model.Value
 }
 
 // NewCompiler validates the parameters and returns an empty compiler.
@@ -193,8 +196,8 @@ func (c *Compiler) Segment(base int) {
 // any construction — the engine feeds revived Builder arenas) and the
 // base protocol's decisions on it. adv must be the space's adversary at
 // the run's offset (see Segment): witnesses rebuild it from that offset.
-// Add copies everything it keeps, so g may be released and decisions
-// reused immediately after the call.
+// Add copies everything it keeps, so g may be released, decisions
+// reused and adv overwritten immediately after the call.
 func (c *Compiler) Add(adv *model.Adversary, g *knowledge.Graph, decisions []*sim.Decision) {
 	if c.err != nil {
 		return
@@ -208,16 +211,15 @@ func (c *Compiler) Add(adv *model.Adversary, g *knowledge.Graph, decisions []*si
 		c.err = fmt.Errorf("unbeat: compiled an %d-process run into an %d-process space", adv.N(), n)
 		return
 	}
-	// Delta reuse (see prev): diff this run's inputs against the previous
+	// Delta reuse (see prevPat): diff this run's inputs against the previous
 	// run's when the failure pattern is shared. changed is the single
 	// differing process, -1 when the inputs are identical; any wider diff
 	// (or a pattern change) disables reuse for this run.
-	prev := c.prev
 	changed, reuse := -1, false
-	if prev != nil && prev.Pattern == adv.Pattern {
+	if c.prevPat != nil && c.prevPat == adv.Pattern {
 		reuse = true
 		for p, v := range adv.Inputs {
-			if v != prev.Inputs[p] {
+			if v != c.prevIn[p] {
 				if changed >= 0 {
 					reuse, changed = false, -1
 					break
@@ -295,7 +297,7 @@ func (c *Compiler) Add(adv *model.Adversary, g *knowledge.Graph, decisions []*si
 		}
 		t.ends = append(t.ends, int32(len(t.ids)))
 	}
-	c.prev = adv
+	c.prevPat, c.prevIn = adv.Pattern, append(c.prevIn[:0], adv.Inputs...)
 }
 
 // piece is one non-empty segment of a fragment, placed in the space.

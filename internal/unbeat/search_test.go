@@ -151,6 +151,47 @@ func compileFor(t *testing.T, base sim.Protocol, p SearchParams) *Compiled {
 	return cs
 }
 
+// TestCompilerKeepsNothingOfPreviousAdversary pins that a Compiler reads
+// nothing of the adversary an earlier Add passed in: the engine carves
+// each window's adversaries from one reused arena, so the previous
+// adversary is overwritten in place before the next Add. Here each
+// adversary's inputs are overwritten with the next one's right after its
+// Add — the overwrite that makes a diff against the previous adversary
+// read "unchanged" — and the compile must still equal one over fresh
+// adversaries.
+func TestCompilerKeepsNothingOfPreviousAdversary(t *testing.T) {
+	for _, c := range referenceCases() {
+		t.Run(c.name, func(t *testing.T) {
+			want := compileFor(t, c.base, c.p)
+			advs, err := c.p.Space.Adversaries()
+			if err != nil {
+				t.Fatal(err)
+			}
+			comp, err := NewCompiler(c.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sc sim.Scratch
+			var res sim.Result
+			for i, adv := range advs {
+				g := knowledge.New(adv, comp.Horizon())
+				sim.RunWithGraphInto(c.base, g, &sc, &res)
+				comp.Add(adv, g, res.Decisions)
+				if i+1 < len(advs) {
+					copy(adv.Inputs, advs[i+1].Inputs)
+				}
+			}
+			got, err := Merge(comp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatal("compile over overwritten adversaries diverges from one over fresh adversaries")
+			}
+		})
+	}
+}
+
 // TestSearchParallelEquivalence pins the determinism contract: the
 // report of a parallel search is identical — field for field, witness
 // included — to the sequential one, on both unbeaten and beaten spaces.

@@ -180,9 +180,11 @@ type randomSource struct {
 
 // RandomSource yields count seeded random adversaries drawn from p
 // (uniform inputs, crash count, crash rounds, and delivery subsets). The
-// stream is deterministic in the seed and restartable. Like SpaceSource,
-// invalid parameters are rejected here, at construction — model.Random
-// panics on them, and a panic mid-sweep is unrecoverable.
+// stream is deterministic in the seed and restartable: successive
+// model.Random draws from a generator seeded with seed, slab-carved by a
+// model.Sampler. Like SpaceSource, invalid parameters are rejected here,
+// at construction — the sampler panics on them, and a panic mid-sweep is
+// unrecoverable.
 func RandomSource(seed int64, count int, p RandomParams) (Source, error) {
 	if p.N < 2 || p.T < 0 || p.T > p.N-1 || p.MaxValue < 0 || p.MaxRound < 1 || count < 0 {
 		return nil, fmt.Errorf("setconsensus: invalid random source (n=%d t=%d maxv=%d maxr=%d count=%d)",
@@ -197,9 +199,9 @@ func (s *randomSource) Label() string {
 func (s *randomSource) Count() (int, bool) { return s.count, true }
 func (s *randomSource) Seq() iter.Seq[*Adversary] {
 	return func(yield func(*Adversary) bool) {
-		rng := rand.New(rand.NewSource(s.seed))
+		smp := model.NewSampler(rand.New(rand.NewSource(s.seed)), s.p)
 		for i := 0; i < s.count; i++ {
-			if !yield(model.Random(rng, s.p)) {
+			if !yield(smp.Next()) {
 				return
 			}
 		}

@@ -335,3 +335,58 @@ func TestSweepSourceMetersPatches(t *testing.T) {
 		}
 	}
 }
+
+// TestDeliveredResultsKeepTheirAdversaries pins that the sweeps handing
+// Results out hand out adversaries their callers may keep: after Sweep
+// and SweepSourceStream return, every Result's Adv still renders the
+// adversary string its run recorded, each of the space's adversaries
+// once per protocol, and Sweep's is the very adversary passed in. A
+// folding sweep carves an exhaustive space's windows from each worker's
+// reused arena; a delivering path that took the arena would find its
+// Results' adversaries overwritten by later windows.
+func TestDeliveredResultsKeepTheirAdversaries(t *testing.T) {
+	ctx := context.Background()
+	space := setconsensus.Space{N: 3, T: 2, MaxRound: 2, Values: []int{0, 1}}
+	refs := []string{"optmin", "upmin"}
+	eng := setconsensus.New(setconsensus.WithCrashBound(2), setconsensus.WithParallelism(2))
+	src, err := setconsensus.SpaceSource(space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var streamed []*setconsensus.Result
+	if err := eng.SweepSourceStream(ctx, refs, src, func(r *setconsensus.Result) {
+		streamed = append(streamed, r)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	runs := make(map[string]int)
+	for _, r := range streamed {
+		if got := r.Adv().String(); got != r.Adversary {
+			t.Fatalf("streamed %s run on %s now holds %s", r.Ref, r.Adversary, got)
+		}
+		runs[r.Adversary]++
+	}
+	if len(runs) != space.Count() {
+		t.Fatalf("streamed runs cover %d distinct adversaries, the space holds %d", len(runs), space.Count())
+	}
+	for adv, n := range runs {
+		if n != len(refs) {
+			t.Fatalf("%s streamed %d runs, want %d", adv, n, len(refs))
+		}
+	}
+
+	advs, err := space.Adversaries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := eng.Sweep(ctx, refs, advs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		adv := advs[i/len(refs)]
+		if r.Adv() != adv || r.Adversary != adv.String() {
+			t.Fatalf("Sweep result %d holds %s (rendered %s), want %s", i, r.Adv(), r.Adversary, adv)
+		}
+	}
+}
