@@ -113,6 +113,7 @@ func TestAnalysisCount(t *testing.T) {
 		{"search:optmin:n=5,t=2,k=2,width=1", 1, 2391363, true},
 		{"search:optmin:n=5,t=2,width=1", 2, 2391363, true},
 		{"search:optmin:n=3,t=2,r=2,width=2", 1, 776, true},
+		{"search:optmin:n=2,t=1,r=1,v=0..1048575", 1, 5 << 40, true}, // 2^20 values
 		{"forced:k=2", 2, 0, false},
 		{"lemma2", 2, 0, false},
 	}
@@ -122,7 +123,9 @@ func TestAnalysisCount(t *testing.T) {
 			t.Errorf("%s at degree %d: (%v, %v, %v), want (%v, %v, nil)", c.ref, c.degree, n, ok, err, c.n, c.ok)
 		}
 	}
-	for _, ref := range []string{"nonsense", "search:optmin:bogus=1", "search:optmin:n=1", "search:optmin:n=30,t=29"} {
+	for _, ref := range []string{"nonsense", "search:optmin:bogus=1", "search:optmin:n=1", "search:optmin:n=30,t=29",
+		"search:optmin:n=2,t=1,r=1,v=0..1048576", // more than 2^20 values
+	} {
 		if _, _, err := reg.Count(ref, 1); err == nil {
 			t.Errorf("%s: no error", ref)
 		}

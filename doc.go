@@ -182,10 +182,11 @@
 // stream the same way. `setconsensus -server URL` submits sweeps and
 // analyses as remote jobs and renders the returned result through the
 // identical table path, byte-for-byte. internal/service holds the
-// embeddable Server and Client; /debug/vars (expvar), GET /metrics
-// (Prometheus text exposition), and /debug/pprof expose counters
-// (queue depth, runs/s, graphs revived vs rebuilt, run-kit and chunk
-// pool hit rates) and profiles.
+// embeddable Server and Client; GET /v1/stats, /debug/vars (expvar),
+// GET /metrics (Prometheus text exposition), and /debug/pprof expose
+// counters (queue depth, runs/s, graphs revived vs rebuilt, run-kit and
+// chunk pool hit rates) and profiles. Each counter is one row of the
+// service's metrics table, which all three counter surfaces render.
 //
 // # Distributed Sweeps
 //
@@ -315,18 +316,16 @@
 //	delta order    within one pattern block the enumeration emits input
 //	               vectors in reflected (mixed-radix) Gray-code order, so
 //	               consecutive adversaries differ in exactly one process's
-//	               initial value; Space.DeltaOrder / DeltaRange annotate
-//	               each adversary with that changed process (-1 at block
-//	               boundaries and resume entry points), at the same
-//	               offsets All and Range address
-//	patch          the one-diff Build path (Builder.Patch is the explicit
-//	               form): when the parked spare shares the pattern and the
-//	               inputs differ in a single process, only the value and
-//	               knowledge words of the views that ever see that process
-//	               are rewritten — the layer bitsets, crash tables, and
-//	               untouched views are bit-for-bit the spare's
-//	               (internal/knowledge/patch_test.go pins this node for
-//	               node); a zero-diff rebuild skips entirely
+//	               initial value; the Builder finds that process by
+//	               diffing the inputs against the graph it released last
+//	patch          the one-diff Build path: when the parked spare shares
+//	               the pattern and the inputs differ in a single process,
+//	               only the value and knowledge words of the views that
+//	               ever see that process are rewritten — the layer
+//	               bitsets, crash tables, and untouched views are
+//	               bit-for-bit the spare's (internal/knowledge/patch_test.go
+//	               pins this node for node); a zero-diff rebuild skips
+//	               entirely
 //	touched views  the CSR table built once per full build that maps each
 //	               process to the views it reaches — the patch kernel's
 //	               worklist, so a patch is O(views seeing the change), not

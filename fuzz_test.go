@@ -130,3 +130,60 @@ func FuzzParseWorkload(f *testing.F) {
 		}
 	})
 }
+
+// fuzzAnalysisSpec resolves the family a reference names as the
+// registry does, by the longest ':'-separated prefix that names one;
+// nil when none does.
+func fuzzAnalysisSpec(ref string) *setconsensus.AnalysisSpec {
+	segs := strings.Split(strings.TrimSpace(ref), ":")
+	for i := len(segs); i >= 1; i-- {
+		if spec, err := setconsensus.DefaultAnalyses().Lookup(strings.Join(segs[:i], ":")); err == nil {
+			return spec
+		}
+	}
+	return nil
+}
+
+// FuzzParseAnalysis feeds arbitrary references to the analysis parser
+// and to the registry's Count, the two calls the daemon makes on an
+// analysis job's reference at admission. No reference may panic either,
+// at engine degrees 1 to 3. A reference Count sizes must also parse, and
+// only a family that enumerates a space — a search, not a certificate
+// family — reports a count. Count sizes a search in closed form, and a
+// value range is bounded before it is materialized, so no reference
+// needs filtering out.
+func FuzzParseAnalysis(f *testing.F) {
+	for _, ref := range append(setconsensus.Analyses(),
+		// The references of analysis_test.go.
+		"search:optmin:n=3,t=2,r=2,width=2", "search:upmin:n=3,t=2,r=2,width=2",
+		"search:upmin:n=3,t=2,k=2,width=2", "search:optmin:n=4,t=2,r=2,k=2,width=1",
+		"search:optmin:n=3,t=2,r=3,width=2", "search:optmin:n=5,t=2,k=2,width=1",
+		"search:upmin:n=5,t=3,r=2,k=2,width=1", "search:optmin:n=5,t=2,width=1",
+		"search:optmin:n=3,t=1,r=1,k=1,width=2", "search:optmin:n=4,t=2,r=1,k=2,width=1",
+		"search:optmin:n=2,t=1,r=1,v=0..1048575", "search:optmin:n=2,t=1,r=1,v=0..1048576",
+		"search:optmin:width=1,n=3", "search", "SEARCH:UPMIN", "lemma2:c=2", "forced:k=2", "forced:k=2,m=1",
+		"nonsense", "search:optmin:bogus=1", "search:optmin:width", "forced:k=2,k=3",
+		"search:optmin:n=1", "search:optmin:n=30,t=29",
+	) {
+		f.Add(ref)
+	}
+	f.Fuzz(func(t *testing.T, ref string) {
+		_, parseErr := setconsensus.ParseAnalysis(ref)
+		spec := fuzzAnalysisSpec(ref)
+		for degree := 1; degree <= 3; degree++ {
+			n, ok, err := setconsensus.DefaultAnalyses().Count(ref, degree)
+			if !ok {
+				continue
+			}
+			if err != nil || n < 0 {
+				t.Fatalf("%q at degree %d: count %d with error %v", ref, degree, n, err)
+			}
+			if parseErr != nil {
+				t.Fatalf("%q at degree %d: Count sizes it (%d) but it does not parse: %v", ref, degree, n, parseErr)
+			}
+			if spec == nil || spec.Count == nil {
+				t.Fatalf("%q at degree %d: a family that enumerates no space reports count %d", ref, degree, n)
+			}
+		}
+	})
+}

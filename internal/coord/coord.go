@@ -60,20 +60,17 @@
 // re-enters on probation after BreakerProbation (doubling per
 // consecutive trip, capped at 8×): it gets exactly one trial range —
 // success closes the breaker, failure re-quarantines. Every decision
-// point is observable through Stats and the "setconsensuscoord" expvar
-// map, and deterministically testable through the chaos.Injector
-// threaded behind Params.Chaos.
+// point is observable through Stats, and deterministically testable
+// through the chaos.Injector threaded behind Params.Chaos.
 package coord
 
 import (
 	"context"
 	"errors"
-	"expvar"
 	"fmt"
 	"math/rand/v2"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	setconsensus "setconsensus"
@@ -318,8 +315,7 @@ func New(workload string, refs []string, p Params) (*Coordinator, error) {
 }
 
 // Stats is a point-in-time snapshot of the coordinator's robustness
-// counters — the coordinator's analogue of Engine.Stats, published
-// process-wide through the "setconsensuscoord" expvar map.
+// counters — the coordinator's analogue of Engine.Stats.
 type Stats struct {
 	// RangesDone is the completed-range count so far.
 	RangesDone int64 `json:"rangesDone"`
@@ -376,27 +372,6 @@ func (c *Coordinator) Stats() Stats {
 		s.FaultsInjected = t.Total()
 	}
 	return s
-}
-
-// expvar publication is process-global and append-only, while tests
-// build many coordinators — so the package publishes one
-// "setconsensuscoord" Func reading whichever coordinator ran most
-// recently, mirroring the service package's expvar shape.
-var (
-	expvarOnce  sync.Once
-	activeCoord atomic.Pointer[Coordinator]
-)
-
-func publishExpvar(c *Coordinator) {
-	activeCoord.Store(c)
-	expvarOnce.Do(func() {
-		expvar.Publish("setconsensuscoord", expvar.Func(func() any {
-			if c := activeCoord.Load(); c != nil {
-				return c.Stats()
-			}
-			return Stats{}
-		}))
-	})
 }
 
 // claim hands worker the next range: an expired or matured pending
@@ -838,7 +813,6 @@ func (c *Coordinator) Run(ctx context.Context, workers []Worker, progress func(s
 	}
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	publishExpvar(c)
 
 	c.mu.Lock()
 	c.progress = progress

@@ -71,13 +71,13 @@ type advRecord struct {
 	off     int
 	inputs  string
 	pattern string
-	changed int
+	first   bool // the first adversary of its window
 }
 
 func collect(c windowCutter, max, limit int) []advRecord {
 	var out []advRecord
-	walkCutter(c, max, func(off int, adv *model.Adversary, changed int) bool {
-		out = append(out, advRecord{off, fmt.Sprint(adv.Inputs), string(adv.Pattern.AppendFingerprint(nil)), changed})
+	walkCutter(c, max, func(off int, adv *model.Adversary, first bool) bool {
+		out = append(out, advRecord{off, fmt.Sprint(adv.Inputs), string(adv.Pattern.AppendFingerprint(nil)), first})
 		return len(out) < limit
 	})
 	return out
@@ -101,7 +101,7 @@ func sameRecords(t *testing.T, label string, got, want []advRecord) {
 // same order (same rendering, same fingerprint), Count must equal the
 // walk's length, and cursors entered at block boundaries and at random
 // mid-block offsets, cut at random slice bounds, must yield the same
-// adversaries at the same offsets with the same Delta.Changed.
+// adversaries at the same offsets, cut into the same windows.
 func TestCanonicalWalkMatchesDedupWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for _, s := range oracleSpaces() {

@@ -16,12 +16,10 @@
 //
 // Within each failure pattern's block the input vectors follow a
 // reflected Gray code over Values (delta order): consecutive adversaries
-// differ in exactly one process's initial value. DeltaOrder and DeltaRange
-// expose the changed index alongside each adversary so incremental
-// consumers (knowledge-graph patch kernels) can rewrite only the state
-// that depends on the flipped input; the offset→adversary decode is
-// shared with From/Range, so delta traversals checkpoint and tile
-// identically to the canonical ones.
+// differ in exactly one process's initial value, so incremental
+// consumers (the knowledge-graph patch kernels) that diff each
+// adversary's inputs against the previous one's rewrite only the state
+// that depends on the flipped input.
 //
 // Every traversal is a Cursor and a Walker. The Cursor unranks the first
 // block's canonical failure pattern, steps from pattern to pattern and
@@ -254,51 +252,7 @@ func (sl *advSlab) carve(inputs []model.Value, pattern *model.FailurePattern) *m
 // re-enters the input Gray code directly at the right vector.
 func (s Space) From(offset int) iter.Seq2[int, *model.Adversary] {
 	return func(yield func(int, *model.Adversary) bool) {
-		s.deltaFrom(offset, math.MaxInt, func(idx int, adv *model.Adversary, _ int) bool {
-			return yield(idx, adv)
-		})
-	}
-}
-
-// Delta pairs an adversary with the index of the process whose initial
-// value changed relative to the previous adversary of the same traversal.
-// Changed is -1 when no single-input relationship holds: at the first
-// adversary yielded (including mid-block resume entry points) and at every
-// pattern-block boundary, where the failure pattern itself changes.
-type Delta struct {
-	Adv     *model.Adversary
-	Changed int
-}
-
-// DeltaOrder resumes the enumeration of All at the given offset exactly
-// as From does — same adversaries, same offsets — but additionally
-// reports, for each adversary, which process's input changed since the
-// previous one. Within a pattern block consecutive adversaries differ in
-// exactly one process's initial value (the input vectors follow a
-// reflected Gray code over Values), so incremental consumers can patch
-// per-process state instead of rebuilding it; Changed = -1 marks the
-// points where they must rebuild from scratch.
-func (s Space) DeltaOrder(offset int) iter.Seq2[int, Delta] {
-	return func(yield func(int, Delta) bool) {
-		s.deltaFrom(offset, math.MaxInt, func(idx int, adv *model.Adversary, changed int) bool {
-			return yield(idx, Delta{Adv: adv, Changed: changed})
-		})
-	}
-}
-
-// DeltaRange yields the window [offset, offset+limit) of DeltaOrder, the
-// delta-annotated analogue of Range: the same adversaries at the same
-// offsets, with the first adversary of the window marked Changed = -1.
-// Consecutive DeltaRange windows therefore tile the space byte-identically
-// to Range windows while letting workers patch within each window.
-func (s Space) DeltaRange(offset, limit int) iter.Seq2[int, Delta] {
-	return func(yield func(int, Delta) bool) {
-		if limit <= 0 {
-			return
-		}
-		s.deltaFrom(offset, WindowEnd(offset, limit), func(idx int, adv *model.Adversary, changed int) bool {
-			return yield(idx, Delta{Adv: adv, Changed: changed})
-		})
+		s.walkOffsets(offset, math.MaxInt, yield)
 	}
 }
 
@@ -315,9 +269,7 @@ func (s Space) Range(offset, limit int) iter.Seq2[int, *model.Adversary] {
 		if limit <= 0 {
 			return
 		}
-		s.deltaFrom(offset, WindowEnd(offset, limit), func(idx int, adv *model.Adversary, _ int) bool {
-			return yield(idx, adv)
-		})
+		s.walkOffsets(offset, WindowEnd(offset, limit), yield)
 	}
 }
 
@@ -331,12 +283,10 @@ func WindowEnd(offset, limit int) int {
 	return offset + limit
 }
 
-// deltaFrom is the shared core of From, Range, DeltaOrder, and
-// DeltaRange: the canonical walk over the offsets [from, to), annotated
-// with the changed process index (-1 at block starts and at the entry
-// point). It is a Cursor cut into whole-block Windows and one Walker
-// enumerating them.
-func (s Space) deltaFrom(from, to int, yield func(int, *model.Adversary, int) bool) {
+// walkOffsets is the shared core of From and Range: the canonical walk
+// over the offsets [from, to). It is a Cursor cut into whole-block
+// Windows and one Walker enumerating them.
+func (s Space) walkOffsets(from, to int, yield func(int, *model.Adversary) bool) {
 	c := NewCursor(s, from, to)
 	var w Walker
 	for {
@@ -787,7 +737,7 @@ func (w *Walker) AppendReused(dst []*model.Adversary, win Window) []*model.Adver
 
 // appendFrom appends the window's adversaries, carved from slab, to dst.
 func (w *Walker) appendFrom(dst []*model.Adversary, win Window, slab *advSlab) []*model.Adversary {
-	w.walk(win, slab, func(_ int, adv *model.Adversary, _ int) bool {
+	w.walk(win, slab, func(_ int, adv *model.Adversary) bool {
 		dst = append(dst, adv)
 		return true
 	})
@@ -795,23 +745,20 @@ func (w *Walker) appendFrom(dst []*model.Adversary, win Window, slab *advSlab) [
 }
 
 // walk yields the window's adversaries, carved from slab, with their
-// offsets and the index of the process whose input changed since the
-// previous one (-1 for the window's first). It returns false when yield
-// stopped the walk.
-func (w *Walker) walk(win Window, slab *advSlab, yield func(int, *model.Adversary, int) bool) bool {
+// offsets. It returns false when yield stopped the walk.
+func (w *Walker) walk(win Window, slab *advSlab, yield func(int, *model.Adversary) bool) bool {
 	if win.Len <= 0 {
 		return true
 	}
 	w.seek(win)
-	changed := -1
 	for i := 0; ; {
-		if !yield(win.Base+i, slab.carve(w.inputs, win.Pattern), changed) {
+		if !yield(win.Base+i, slab.carve(w.inputs, win.Pattern)) {
 			return false
 		}
 		if i++; i == win.Len {
 			return true
 		}
-		changed = w.step()
+		w.step()
 	}
 }
 
@@ -845,16 +792,14 @@ func (w *Walker) seek(win Window) {
 // step moves to the next input vector of the block: the least
 // significant digit that can advance in its current direction moves, and
 // the digits below it, which cannot, reverse direction. Exactly one digit
-// changes; step returns its process index, or -1 past the block's last
-// vector.
-func (w *Walker) step() int {
+// changes; at the block's last vector none can, and the inputs stay.
+func (w *Walker) step() {
 	for j := len(w.digits) - 1; j >= 0; j-- {
 		if next := w.digits[j] + w.dirs[j]; next >= 0 && next < len(w.values) {
 			w.digits[j] = next
 			w.inputs[j] = w.values[next]
-			return j
+			return
 		}
 		w.dirs[j] = -w.dirs[j]
 	}
-	return -1
 }

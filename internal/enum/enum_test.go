@@ -267,110 +267,39 @@ func TestRangeTilesTheSpace(t *testing.T) {
 	}
 }
 
-func TestDeltaOrderMatchesAll(t *testing.T) {
-	// DeltaOrder must yield exactly the adversaries of All, at the same
-	// offsets, with Changed reporting the unique flipped input inside each
-	// pattern block and -1 at block boundaries.
+// TestAllStepsOneInputWithinBlocks pins the delta order the Builder's
+// patch path rides: inside a pattern block, consecutive adversaries of
+// All share the block's failure pattern and differ in exactly one
+// process's initial value; a new block starts a new pattern.
+func TestAllStepsOneInputWithinBlocks(t *testing.T) {
 	for _, s := range []Space{
 		{N: 3, T: 2, MaxRound: 2, Values: []model.Value{0, 1}},
 		{N: 3, T: 1, MaxRound: 2, Values: []model.Value{0, 1, 2}},
 		{N: 2, T: 1, MaxRound: 1, Values: []model.Value{0}},
 	} {
-		var all []*model.Adversary
-		for _, a := range s.All() {
-			all = append(all, a)
-		}
 		block := s.inputCount()
-		i := 0
-		for idx, d := range s.DeltaOrder(0) {
-			if idx != i {
-				t.Fatalf("%s: offset %d at position %d", s.Label(), idx, i)
-			}
-			if d.Adv.String() != all[i].String() {
-				t.Fatalf("%s: DeltaOrder[%d] = %s, All = %s", s.Label(), i, d.Adv, all[i])
-			}
+		var prev *model.Adversary
+		for idx, adv := range s.All() {
 			if idx%block == 0 {
-				if d.Changed != -1 {
-					t.Fatalf("%s: block start %d has Changed=%d, want -1", s.Label(), idx, d.Changed)
+				if prev != nil && adv.Pattern == prev.Pattern {
+					t.Fatalf("%s: block start %d shares the previous block's pattern", s.Label(), idx)
 				}
-			} else {
-				diffs := 0
-				for p := range d.Adv.Inputs {
-					if d.Adv.Inputs[p] != all[i-1].Inputs[p] {
-						diffs++
-						if p != d.Changed {
-							t.Fatalf("%s: offset %d flips input %d but Changed=%d", s.Label(), idx, p, d.Changed)
-						}
-					}
-				}
-				if diffs != 1 {
-					t.Fatalf("%s: offset %d differs from predecessor in %d inputs, want 1", s.Label(), idx, diffs)
+				prev = adv
+				continue
+			}
+			if adv.Pattern != prev.Pattern {
+				t.Fatalf("%s: offset %d changes pattern inside its block", s.Label(), idx)
+			}
+			diffs := 0
+			for p := range adv.Inputs {
+				if adv.Inputs[p] != prev.Inputs[p] {
+					diffs++
 				}
 			}
-			i++
-		}
-		if i != len(all) {
-			t.Fatalf("%s: DeltaOrder yielded %d, All %d", s.Label(), i, len(all))
-		}
-	}
-}
-
-func TestDeltaOrderResumesMidBlock(t *testing.T) {
-	s := Space{N: 3, T: 2, MaxRound: 2, Values: []model.Value{0, 1}}
-	var all []string
-	for _, a := range s.All() {
-		all = append(all, a.String())
-	}
-	for _, off := range []int{0, 1, 5, 8, 13, len(all) - 3} {
-		i := off
-		first := true
-		for idx, d := range s.DeltaOrder(off) {
-			if idx != i {
-				t.Fatalf("DeltaOrder(%d): offset %d at position %d", off, idx, i)
+			if diffs != 1 {
+				t.Fatalf("%s: offset %d differs from its predecessor in %d inputs, want 1", s.Label(), idx, diffs)
 			}
-			if d.Adv.String() != all[i] {
-				t.Fatalf("DeltaOrder(%d)[%d] = %s, want %s", off, i, d.Adv, all[i])
-			}
-			if first && d.Changed != -1 {
-				t.Fatalf("DeltaOrder(%d): resume entry has Changed=%d, want -1", off, d.Changed)
-			}
-			first = false
-			i++
-		}
-		if i != len(all) {
-			t.Fatalf("DeltaOrder(%d) yielded up to %d, want %d", off, i, len(all))
-		}
-	}
-}
-
-func TestDeltaRangeTilesLikeRange(t *testing.T) {
-	s := Space{N: 3, T: 2, MaxRound: 2, Values: []model.Value{0, 1}}
-	var all []string
-	for _, a := range s.All() {
-		all = append(all, a.String())
-	}
-	for _, size := range []int{1, 3, 8, 11} {
-		var got []string
-		for off := 0; off < len(all); off += size {
-			first := true
-			for idx, d := range s.DeltaRange(off, size) {
-				if idx < off || idx >= off+size {
-					t.Fatalf("DeltaRange(%d,%d): offset %d outside window", off, size, idx)
-				}
-				if first && d.Changed != -1 {
-					t.Fatalf("DeltaRange(%d,%d): window entry has Changed=%d, want -1", off, size, d.Changed)
-				}
-				first = false
-				got = append(got, d.Adv.String())
-			}
-		}
-		if len(got) != len(all) {
-			t.Fatalf("size %d: tiling yielded %d, want %d", size, len(got), len(all))
-		}
-		for i := range got {
-			if got[i] != all[i] {
-				t.Fatalf("size %d: tiling diverges at %d", size, i)
-			}
+			prev = adv
 		}
 	}
 }

@@ -75,7 +75,7 @@ func (s Space) forEachConfig(crashers []model.Proc, fn func(*model.FailurePatter
 func (s Space) forEachInputsFrom(start int, fn func(int, []model.Value) bool) bool {
 	win := Window{Len: s.inputCount() - start, Pattern: model.NewFailurePattern(s.N), start: start, values: s.Values}
 	var w Walker
-	return w.walk(win, &w.slab, func(i int, adv *model.Adversary, _ int) bool {
+	return w.walk(win, &w.slab, func(i int, adv *model.Adversary) bool {
 		return fn(start+i, adv.Inputs)
 	})
 }
@@ -251,12 +251,15 @@ type windowCutter interface {
 	Next(max int) (Window, bool)
 }
 
-// walkCutter enumerates every window c cuts at slice bound max.
-func walkCutter(c windowCutter, max int, yield func(off int, adv *model.Adversary, changed int) bool) {
+// walkCutter enumerates every window c cuts at slice bound max; first
+// marks each window's first adversary.
+func walkCutter(c windowCutter, max int, yield func(off int, adv *model.Adversary, first bool) bool) {
 	var w Walker
 	for {
 		win, ok := c.Next(max)
-		if !ok || !w.walk(win, &w.slab, yield) {
+		if !ok || !w.walk(win, &w.slab, func(off int, adv *model.Adversary) bool {
+			return yield(off, adv, off == win.Base)
+		}) {
 			return
 		}
 	}

@@ -47,7 +47,7 @@ type Builder struct {
 	// spareIn is a copy of the released graph's inputs, taken by Release:
 	// the released adversary itself may be overwritten once its graph is
 	// released (a sweep worker carves each window's adversaries from one
-	// reused arena), so the input diff of revive and Patch never reads it.
+	// reused arena), so revive's input diff never reads it.
 	spareIn []model.Value
 	// scPat/scHorizon/scN record which (pattern, horizon, n) the build
 	// scratch currently describes — only full builds mutate sc, and
@@ -248,28 +248,6 @@ func (b *Builder) revive(adv *model.Adversary, horizon int) *Graph {
 		fillValues(g, &b.sc)
 		b.revived++
 	}
-	return g
-}
-
-// Patch is the explicit form of the delta fast path Build engages
-// automatically: it reattaches the released spare graph for adv and
-// rewrites only the value rows of views that have seen changedProc,
-// using the per-pattern touched-views table the pattern's full build
-// precomputed. It returns nil — never falling back to a refill or a full
-// build — when the kernels do not apply: no matching spare (pattern,
-// horizon, process count, stale scratch, or value width), or the spare's
-// inputs differ from adv's anywhere but changedProc. Identical inputs
-// succeed trivially (the parked value rows are already correct).
-func (b *Builder) Patch(adv *model.Adversary, horizon, changedProc int) *Graph {
-	changed, diffs, ok := b.spareMatches(adv, horizon)
-	if !ok || diffs > 1 || (diffs == 1 && changed != changedProc) {
-		return nil
-	}
-	g := b.attachSpare(adv)
-	if diffs == 1 {
-		patchValues(g, &b.sc, changed)
-	}
-	b.patched++
 	return g
 }
 

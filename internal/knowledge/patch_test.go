@@ -46,81 +46,52 @@ func TestBuilderPatchEquivalence(t *testing.T) {
 	}
 }
 
-// TestBuilderPatchExplicit covers the exported Patch entry point: it
-// must succeed exactly when the spare matches and the inputs differ
-// nowhere but the declared process, and never fall back to a full build.
-func TestBuilderPatchExplicit(t *testing.T) {
+// TestBuilderCountsEachPath walks one Builder through every way a
+// rebuild can go and checks, with TakeCounts, which path each Build took,
+// and that its graph equals the naive reference: a first build, and a
+// rebuild the released spare cannot serve — another horizon, another
+// pattern, inputs too wide for its value words — build in full;
+// identical inputs and a single flipped input patch; two flipped inputs
+// revive.
+func TestBuilderCountsEachPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	b := NewBuilder()
 	adv := randomAdversary(rng, 4, 2, 2, 3)
-
-	// No spare parked at all.
-	if g := b.Patch(adv, 3, 0); g != nil {
-		t.Fatal("Patch without a spare must return nil")
-	}
-	b.Build(adv, 3).Release()
-
-	// Identical inputs: trivially patchable for any declared process.
-	g := b.Patch(adv, 3, 2)
-	if g == nil {
-		t.Fatal("Patch with identical inputs must succeed")
-	}
-	checkEquivalent(t, g, newReference(adv, 3))
-	g.Release()
-
-	// Single flip at the declared process.
-	next := flip(adv, 1, adv.Inputs[1]^1)
-	g = b.Patch(next, 3, 1)
-	if g == nil {
-		t.Fatal("Patch with a single declared flip must succeed")
-	}
-	checkEquivalent(t, g, newReference(next, 3))
-	g.Release()
-
-	// Flip at a process other than the declared one.
-	wrong := flip(next, 2, next.Inputs[2]^1)
-	if g := b.Patch(wrong, 3, 0); g != nil {
-		t.Fatal("Patch must reject a flip at an undeclared process")
-	}
-
-	// Two flips at once.
-	two := flip(flip(next, 0, next.Inputs[0]^1), 2, next.Inputs[2]^1)
-	if g := b.Patch(two, 3, 0); g != nil {
-		t.Fatal("Patch must reject a multi-input diff")
-	}
-
-	// Different horizon and different pattern.
-	if g := b.Patch(next, 2, 1); g != nil {
-		t.Fatal("Patch must reject a horizon mismatch")
-	}
 	other := randomAdversary(rng, 4, 2, 2, 3)
 	for other.Pattern.Fingerprint() == adv.Pattern.Fingerprint() {
 		other = randomAdversary(rng, 4, 2, 2, 3)
 	}
-	if g := b.Patch(other, 3, 0); g != nil {
-		t.Fatal("Patch must reject a pattern mismatch")
+	next := flip(adv, 1, adv.Inputs[1]^1)
+	two := flip(flip(next, 0, next.Inputs[0]^1), 2, next.Inputs[2]^1)
+	full, revive, patch := [3]int{1, 0, 0}, [3]int{0, 1, 0}, [3]int{0, 0, 1}
+	b := NewBuilder()
+	for _, step := range []struct {
+		what    string
+		adv     *model.Adversary
+		horizon int
+		counts  [3]int // built, revived, patched
+	}{
+		{"first build", adv, 3, full},
+		{"identical inputs", adv, 3, patch},
+		{"one flipped input", next, 3, patch},
+		{"two flipped inputs", two, 3, revive},
+		{"another horizon", two, 2, full},
+		{"another pattern", other, 2, full},
+		{"inputs wider than the spare's value words", flip(other, 1, 70), 2, full},
+	} {
+		g := b.Build(step.adv, step.horizon)
+		checkEquivalent(t, g, newReference(step.adv, step.horizon))
+		g.Release()
+		if built, revived, patched := b.TakeCounts(); [3]int{built, revived, patched} != step.counts {
+			t.Errorf("%s: built/revived/patched %d/%d/%d, want %v", step.what, built, revived, patched, step.counts)
+		}
 	}
-
-	// Inputs too wide for the reused value layout.
-	widened := flip(next, 1, 70)
-	if g := b.Patch(widened, 3, 1); g != nil {
-		t.Fatal("Patch must reject inputs wider than the spare's value words")
-	}
-
-	// The rejections above must have left the spare parked and correct.
-	g = b.Patch(next, 3, 1)
-	if g == nil {
-		t.Fatal("spare must survive rejected Patch calls")
-	}
-	checkEquivalent(t, g, newReference(next, 3))
-	g.Release()
 }
 
 // TestBuilderPatchSurvivesInterleavedBuilds mirrors the revive
 // stale-scratch guard for the patch path: a full build over another
 // adversary between Release and a same-pattern single-flip rebuild
-// overwrites the scratch (and its touched-views table); both Build's
-// auto-detection and the explicit Patch must notice.
+// overwrites the scratch (and its touched-views table); Build must
+// notice and build in full.
 func TestBuilderPatchSurvivesInterleavedBuilds(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	b := NewBuilder()
@@ -131,10 +102,11 @@ func TestBuilderPatchSurvivesInterleavedBuilds(t *testing.T) {
 	gB := b.Build(advB, 2) // overwrites the scratch while gA is live
 	gA.Release()
 	advA2 := flip(advA, 0, advA.Inputs[0]^1)
-	if g := b.Patch(advA2, 4, 0); g != nil {
-		t.Fatal("Patch must reject a stale scratch")
-	}
+	b.TakeCounts()
 	gA2 := b.Build(advA2, 4) // full build: scratch describes B's pattern
+	if built, _, _ := b.TakeCounts(); built != 1 {
+		t.Fatal("a single flip over a stale scratch must build in full")
+	}
 	checkEquivalent(t, gA2, newReference(advA2, 4))
 	gA2.Release()
 	gB.Release()

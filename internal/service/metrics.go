@@ -5,57 +5,32 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"setconsensus/internal/govern"
 )
 
-// metrics is the server's observability surface: plain atomics sampled
-// by /v1/stats (per server) and expvar (process-global), so capacity
-// planning is measurement. runsPerSec is maintained by a 1s sampler
-// over runsTotal while the server is started.
+// metrics holds the counters the server keeps itself; metricsTable
+// reads them, with the state the server already holds (its queue, its
+// governor), for /v1/stats, expvar and /metrics. runsPerSec is
+// maintained by a 1s sampler over runsTotal while the server is
+// started.
 type metrics struct {
-	queued     atomic.Int64 // jobs accepted, cumulative
-	running    atomic.Int64 // jobs running now (gauge)
-	done       atomic.Int64
-	failed     atomic.Int64
-	cancelled  atomic.Int64
-	queueDepth atomic.Int64 // jobs queued but not yet claimed (gauge)
+	queued    atomic.Int64 // jobs accepted, cumulative
+	running   atomic.Int64 // jobs running now (gauge)
+	done      atomic.Int64
+	failed    atomic.Int64
+	cancelled atomic.Int64
 
 	runsTotal     atomic.Int64 // protocol runs folded across all jobs
 	runsPerSec    atomic.Int64 // sampled once per second
 	graphsRebuilt atomic.Int64 // harvested per finished job from EngineStats
 	graphsRevived atomic.Int64
 	graphsPatched atomic.Int64
-	runKitHits    atomic.Int64 // run-buffer kit pool hits/misses, per EngineStats
+	runKitHits    atomic.Int64 // run-kit pool hits/misses, per EngineStats
 	runKitMisses  atomic.Int64
 	chunkHits     atomic.Int64 // sweep chunk pool hits/misses, per EngineStats
 	chunkMisses   atomic.Int64
 
 	sseOpened atomic.Int64 // event streams opened, cumulative
 	sseBroken atomic.Int64 // event streams that ended before the terminal event
-}
-
-// snapshot renders every counter for JSON and expvar consumers.
-func (m *metrics) snapshot() map[string]int64 {
-	return map[string]int64{
-		"jobs_queued":      m.queued.Load(),
-		"jobs_running":     m.running.Load(),
-		"jobs_done":        m.done.Load(),
-		"jobs_failed":      m.failed.Load(),
-		"jobs_cancelled":   m.cancelled.Load(),
-		"queue_depth":      m.queueDepth.Load(),
-		"runs_total":       m.runsTotal.Load(),
-		"runs_per_sec":     m.runsPerSec.Load(),
-		"graphs_rebuilt":   m.graphsRebuilt.Load(),
-		"graphs_revived":   m.graphsRevived.Load(),
-		"graphs_patched":   m.graphsPatched.Load(),
-		"pool_runkit_hits": m.runKitHits.Load(),
-		"pool_runkit_miss": m.runKitMisses.Load(),
-		"pool_chunk_hits":  m.chunkHits.Load(),
-		"pool_chunk_miss":  m.chunkMisses.Load(),
-		"sse_opened":       m.sseOpened.Load(),
-		"sse_broken":       m.sseBroken.Load(),
-	}
 }
 
 // sample updates the runs/s gauge from the runs-total delta since the
@@ -68,25 +43,85 @@ func (m *metrics) sample(prev int64, elapsed time.Duration) int64 {
 	return cur
 }
 
-// mergeSnapshot joins the job counters with the governor's gauges into
-// the single flat map served by /v1/stats, /metrics, and expvar.
-func mergeSnapshot(m *metrics, g *govern.Governor) map[string]int64 {
-	out := m.snapshot()
-	gs := g.Stats()
-	out["mem_live_bytes"] = gs.LiveBytes
-	out["mem_soft_limit_bytes"] = gs.SoftLimitBytes
-	out["mem_hard_limit_bytes"] = gs.HardLimitBytes
-	out["mem_sheds"] = gs.Sheds
-	out["panics_recovered"] = gs.PanicsRecovered
-	out["watchdog_cancels"] = gs.WatchdogCancels
-	return out
+// metricKind is a metric's Prometheus type: a gauge's value can go
+// down, a counter's never does.
+type metricKind string
+
+const (
+	counter metricKind = "counter"
+	gauge   metricKind = "gauge"
+)
+
+// metric is one row of the metrics table: a name (rendered with the
+// "setconsensusd_" prefix on /metrics), its kind, a one-line help text,
+// and how to read its value off a server.
+type metric struct {
+	name string
+	kind metricKind
+	help string
+	read func(*Server) int64
 }
 
-// serverVitals is the pair published through expvar: the most recently
-// registered server's counters and its governor.
-type serverVitals struct {
-	m   *metrics
-	gov *govern.Governor
+// metricsTable is every metric the server exposes, kept in name order:
+// /v1/stats, the expvar "setconsensusd" map and /metrics all range over
+// it, so a metric added here shows on all three.
+var metricsTable = []metric{
+	{"graphs_patched", counter, "Knowledge graphs delta-patched from the previous input assignment, cumulative.",
+		func(s *Server) int64 { return s.metrics.graphsPatched.Load() }},
+	{"graphs_rebuilt", counter, "Knowledge graphs built from scratch on the arena-recycling path, cumulative.",
+		func(s *Server) int64 { return s.metrics.graphsRebuilt.Load() }},
+	{"graphs_revived", counter, "Knowledge graphs revived from a same-pattern arena, cumulative.",
+		func(s *Server) int64 { return s.metrics.graphsRevived.Load() }},
+	{"jobs_cancelled", counter, "Jobs cancelled before completion, cumulative.",
+		func(s *Server) int64 { return s.metrics.cancelled.Load() }},
+	{"jobs_done", counter, "Jobs finished successfully, cumulative.",
+		func(s *Server) int64 { return s.metrics.done.Load() }},
+	{"jobs_failed", counter, "Jobs finished in failure, cumulative.",
+		func(s *Server) int64 { return s.metrics.failed.Load() }},
+	{"jobs_queued", counter, "Jobs accepted for execution, cumulative.",
+		func(s *Server) int64 { return s.metrics.queued.Load() }},
+	{"jobs_running", gauge, "Jobs executing right now.",
+		func(s *Server) int64 { return s.metrics.running.Load() }},
+	{"mem_hard_limit_bytes", gauge, "Hard memory ceiling gating admission; 0 means unlimited.",
+		func(s *Server) int64 { return s.gov.Stats().HardLimitBytes }},
+	{"mem_live_bytes", gauge, "Metered arena/pool bytes live across the server's engines.",
+		func(s *Server) int64 { return s.gov.Stats().LiveBytes }},
+	{"mem_sheds", counter, "Submissions shed over a memory ceiling, cumulative.",
+		func(s *Server) int64 { return s.gov.Stats().Sheds }},
+	{"mem_soft_limit_bytes", gauge, "Soft memory ceiling; 0 means unlimited.",
+		func(s *Server) int64 { return s.gov.Stats().SoftLimitBytes }},
+	{"panics_recovered", counter, "Worker panics recovered into typed job failures, cumulative.",
+		func(s *Server) int64 { return s.gov.Stats().PanicsRecovered }},
+	{"pool_chunk_hits", counter, "Sweep chunk pool checkouts served warm, cumulative.",
+		func(s *Server) int64 { return s.metrics.chunkHits.Load() }},
+	{"pool_chunk_miss", counter, "Sweep chunk pool checkouts that allocated fresh, cumulative.",
+		func(s *Server) int64 { return s.metrics.chunkMisses.Load() }},
+	{"pool_runkit_hits", counter, "Per-worker run-kit (run buffer + knowledge-graph builder arena) pool checkouts served warm, cumulative.",
+		func(s *Server) int64 { return s.metrics.runKitHits.Load() }},
+	{"pool_runkit_miss", counter, "Per-worker run-kit pool checkouts that allocated fresh, cumulative.",
+		func(s *Server) int64 { return s.metrics.runKitMisses.Load() }},
+	{"queue_depth", gauge, "Jobs accepted but not yet claimed by a worker.",
+		func(s *Server) int64 { return int64(len(s.queue)) }},
+	{"runs_per_sec", gauge, "Protocol runs folded per second, sampled every second.",
+		func(s *Server) int64 { return s.metrics.runsPerSec.Load() }},
+	{"runs_total", counter, "Protocol runs folded across all jobs, cumulative.",
+		func(s *Server) int64 { return s.metrics.runsTotal.Load() }},
+	{"sse_broken", counter, "Job event streams that ended before delivering the terminal event, cumulative.",
+		func(s *Server) int64 { return s.metrics.sseBroken.Load() }},
+	{"sse_opened", counter, "Job event streams opened, cumulative.",
+		func(s *Server) int64 { return s.metrics.sseOpened.Load() }},
+	{"watchdog_cancels", counter, "Stuck jobs cancelled by the progress watchdog, cumulative.",
+		func(s *Server) int64 { return s.gov.Stats().WatchdogCancels }},
+}
+
+// snapshot reads every metric of the table into the flat map /v1/stats
+// and the expvar "setconsensusd" map serve.
+func (s *Server) snapshot() map[string]int64 {
+	out := make(map[string]int64, len(metricsTable))
+	for _, m := range metricsTable {
+		out[m.name] = m.read(s)
+	}
+	return out
 }
 
 // expvar publication is process-global and append-only, while tests
@@ -94,15 +129,15 @@ type serverVitals struct {
 // that reads whichever server registered most recently.
 var (
 	expvarOnce   sync.Once
-	activeServer atomic.Pointer[serverVitals]
+	activeServer atomic.Pointer[Server]
 )
 
-func publishExpvar(m *metrics, g *govern.Governor) {
-	activeServer.Store(&serverVitals{m: m, gov: g})
+func publishExpvar(s *Server) {
+	activeServer.Store(s)
 	expvarOnce.Do(func() {
 		expvar.Publish("setconsensusd", expvar.Func(func() any {
-			if v := activeServer.Load(); v != nil {
-				return mergeSnapshot(v.m, v.gov)
+			if s := activeServer.Load(); s != nil {
+				return s.snapshot()
 			}
 			return map[string]int64{}
 		}))

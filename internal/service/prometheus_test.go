@@ -1,9 +1,15 @@
 package service
 
 import (
+	"context"
+	"encoding/json"
+	"maps"
+	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestPrometheusExposition pins the exact text shape of GET /metrics on
@@ -115,6 +121,111 @@ func TestPrometheusReflectsCounters(t *testing.T) {
 	} {
 		if !strings.Contains(body, line) {
 			t.Errorf("exposition missing %q:\n%s", line, body)
+		}
+	}
+}
+
+// TestMetricsSurfacesAgree runs a sweep job and an analysis job, drains
+// the server so no counter moves (the runs/s sampler included), and
+// reads /v1/stats, the expvar "setconsensusd" map and /metrics: all
+// three hold exactly the metrics table's names, with the same values.
+func TestMetricsSurfacesAgree(t *testing.T) {
+	for i := 1; i < len(metricsTable); i++ {
+		if metricsTable[i-1].name >= metricsTable[i].name {
+			t.Errorf("metricsTable out of name order at %q", metricsTable[i].name)
+		}
+	}
+	s, c := newTestServer(t, nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for _, req := range []JobRequest{
+		{Kind: KindSweep, Refs: []string{"optmin", "upmin"}, Workload: "space:n=3,t=1,r=2,v=0..1"},
+		{Kind: KindAnalysis, Analysis: "search:optmin:n=3,t=2,r=2,width=2"},
+	} {
+		if st, err := c.SubmitAndWait(ctx, req, nil); err != nil || st.State != StateDone {
+			t.Fatalf("%s job: %v, %v", req.Kind, st, err)
+		}
+	}
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	get := func(path string) []byte {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s = %d", path, rec.Code)
+		}
+		return rec.Body.Bytes()
+	}
+	var stats map[string]int64
+	if err := json.Unmarshal(get("/v1/stats"), &stats); err != nil {
+		t.Fatal(err)
+	}
+	var vars struct {
+		Setconsensusd map[string]int64 `json:"setconsensusd"`
+	}
+	if err := json.Unmarshal(get("/debug/vars"), &vars); err != nil {
+		t.Fatal(err)
+	}
+	prom := make(map[string]int64)
+	for _, line := range strings.Split(strings.TrimSuffix(string(get("/metrics")), "\n"), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, val, _ := strings.Cut(strings.TrimPrefix(line, "setconsensusd_"), " ")
+		v, err := strconv.ParseInt(val, 10, 64)
+		if err != nil {
+			t.Fatalf("/metrics line %q: %v", line, err)
+		}
+		prom[name] = v
+	}
+
+	if len(stats) != len(metricsTable) {
+		t.Errorf("/v1/stats holds %d metrics, the table %d", len(stats), len(metricsTable))
+	}
+	for _, m := range metricsTable {
+		if _, ok := stats[m.name]; !ok {
+			t.Errorf("/v1/stats misses %q", m.name)
+		}
+	}
+	if !maps.Equal(vars.Setconsensusd, stats) {
+		t.Errorf("expvar map %v, /v1/stats %v", vars.Setconsensusd, stats)
+	}
+	if !maps.Equal(prom, stats) {
+		t.Errorf("/metrics %v, /v1/stats %v", prom, stats)
+	}
+	if stats["jobs_done"] != 2 || stats["runs_total"] <= 776 || stats["graphs_rebuilt"] == 0 {
+		t.Errorf("counters did not move with the two jobs: %v", stats)
+	}
+}
+
+// TestRunsTotalCountsProtocolRuns pins runs_total to the protocol runs
+// a job folds. A search adds its compile stage's runs — its report's
+// 776 — and not the candidates and pruned pairs it tests after; a
+// certificate family runs no protocol and adds nothing.
+func TestRunsTotalCountsProtocolRuns(t *testing.T) {
+	s, c := newTestServer(t, nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for _, step := range []struct {
+		ref  string
+		runs int64
+	}{
+		{"search:optmin:n=3,t=2,r=2,width=2", 776},
+		{"forced:k=2", 0},
+	} {
+		before := s.metrics.runsTotal.Load()
+		st, err := c.SubmitAndWait(ctx, JobRequest{Kind: KindAnalysis, Analysis: step.ref}, nil)
+		if err != nil || st.State != StateDone {
+			t.Fatalf("%s: %v, %v", step.ref, st, err)
+		}
+		if got := s.metrics.runsTotal.Load() - before; got != step.runs {
+			t.Errorf("%s moved runs_total by %d, want %d", step.ref, got, step.runs)
+		}
+		if st.Analysis.Search != nil && int64(st.Analysis.Search.Runs) != step.runs {
+			t.Errorf("%s: report has %d runs, want %d", step.ref, st.Analysis.Search.Runs, step.runs)
 		}
 	}
 }

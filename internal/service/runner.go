@@ -281,17 +281,17 @@ func (s *Server) runSweep(ctx context.Context, cancel context.CancelCauseFunc, e
 }
 
 // runAnalysis executes a named analysis, relaying the pipeline's stage
-// snapshots.
+// snapshots. Only the compile stage runs the protocol, one run per
+// adversary, so only its progress counts toward runs_total: the later
+// stages count candidates, pairs and certified nodes.
 func (s *Server) runAnalysis(ctx context.Context, eng *setconsensus.Engine, wd *govern.Watchdog, j *job) error {
-	var lastDone int
-	var lastStage string
+	var lastRuns int
 	rep, err := eng.AnalyzeStream(ctx, j.req.Analysis, func(p setconsensus.AnalysisProgress) {
 		wd.Touch()
-		if p.Stage != lastStage {
-			lastStage, lastDone = p.Stage, 0
+		if p.Stage == "compile" {
+			s.metrics.runsTotal.Add(int64(p.Done - lastRuns))
+			lastRuns = p.Done
 		}
-		s.metrics.runsTotal.Add(int64(p.Done - lastDone))
-		lastDone = p.Done
 		j.setProgress(JobProgress{Stage: p.Stage, Done: p.Done, Total: p.Total})
 	})
 	if err != nil {

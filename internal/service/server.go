@@ -31,7 +31,7 @@ var ErrClosed = errors.New("service: server shutting down")
 type Server struct {
 	params  Params
 	store   *store
-	metrics *metrics
+	metrics metrics
 	gov     *govern.Governor // always non-nil; zero ceilings = unlimited
 	mux     *http.ServeMux
 
@@ -57,26 +57,19 @@ func New(p Params) (*Server, error) {
 	s := &Server{
 		params:     p,
 		store:      newStore(p.ResultBound),
-		metrics:    &metrics{},
 		gov:        govern.New(p.SoftMemBytes, p.HardMemBytes),
 		queue:      make(chan *job, p.QueueDepth),
 		baseCtx:    ctx,
 		baseCancel: cancel,
 	}
 	s.routes()
-	publishExpvar(s.metrics, s.gov)
+	publishExpvar(s)
 	return s, nil
 }
 
 // Governor exposes the server's resource governor, e.g. for tests and
 // embedded observers.
 func (s *Server) Governor() *govern.Governor { return s.gov }
-
-// snapshot merges the job counters with the governor gauges — the one
-// map /v1/stats, expvar, and /metrics all render.
-func (s *Server) snapshot() map[string]int64 {
-	return mergeSnapshot(s.metrics, s.gov)
-}
 
 // Params returns the server's validated configuration.
 func (s *Server) Params() Params { return s.params }
@@ -97,7 +90,6 @@ func (s *Server) Start() {
 		go func() {
 			defer s.workerWG.Done()
 			for j := range s.queue {
-				s.metrics.queueDepth.Add(-1)
 				s.run(s.baseCtx, j) // a job cancelled while queued is skipped
 			}
 		}()
@@ -137,7 +129,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	for {
 		select {
 		case j := <-s.queue:
-			s.metrics.queueDepth.Add(-1)
 			s.finishJob(j, StateCancelled, ErrCancelled)
 			continue
 		default:
@@ -230,7 +221,6 @@ func (s *Server) Submit(req JobRequest) (*JobStatus, error) {
 	}
 	s.mu.Unlock()
 	s.metrics.queued.Add(1)
-	s.metrics.queueDepth.Add(1)
 	return j.status(), nil
 }
 

@@ -101,11 +101,8 @@ func BenchmarkCompileDelta(b *testing.B) {
 	}
 	block := inputVectors(p.Space)
 	advs := make([]*model.Adversary, 0, block)
-	for _, d := range p.Space.DeltaOrder(0) {
-		advs = append(advs, d.Adv)
-		if len(advs) == block {
-			break
-		}
+	for _, adv := range p.Space.Range(0, block) {
+		advs = append(advs, adv)
 	}
 	builder := knowledge.NewBuilder()
 	var sc sim.Scratch

@@ -2,9 +2,6 @@ package setconsensus
 
 import (
 	"fmt"
-	"sort"
-	"strings"
-	"sync"
 
 	"setconsensus/internal/baseline"
 	"setconsensus/internal/core"
@@ -53,57 +50,25 @@ func (s *ProtocolSpec) Task(k int) Task { return Task{K: k, Uniform: s.Uniform} 
 // Registry maps protocol names to specs. The zero value is not usable;
 // call NewRegistry. All methods are safe for concurrent use.
 type Registry struct {
-	mu    sync.RWMutex
-	specs map[string]*ProtocolSpec // canonical (lowercased) name → spec
-	alias map[string]string        // lowercased alias → canonical name
-	order []string                 // registration order of canonical names
+	reg *specRegistry[*ProtocolSpec]
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		specs: make(map[string]*ProtocolSpec),
-		alias: make(map[string]string),
-	}
+	return &Registry{reg: newSpecRegistry[*ProtocolSpec]("protocols")}
 }
 
 // Register adds a spec. It fails on empty or duplicate names (including
 // alias collisions) and on specs missing a constructor.
 func (r *Registry) Register(spec ProtocolSpec) error {
-	if spec.Name == "" {
-		return fmt.Errorf("registry: spec with empty name")
-	}
 	if spec.New == nil {
-		return fmt.Errorf("registry: %s: nil constructor", spec.Name)
+		return fmt.Errorf("protocols: %s: nil constructor", spec.Name)
 	}
 	if spec.WorstCaseTime == nil {
-		return fmt.Errorf("registry: %s: nil WorstCaseTime", spec.Name)
-	}
-	key := strings.ToLower(spec.Name)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.specs[key]; dup {
-		return fmt.Errorf("registry: protocol %q already registered", spec.Name)
-	}
-	if _, dup := r.alias[key]; dup {
-		return fmt.Errorf("registry: name %q already registered as an alias", spec.Name)
-	}
-	for _, a := range spec.Aliases {
-		ak := strings.ToLower(a)
-		if _, dup := r.specs[ak]; dup {
-			return fmt.Errorf("registry: alias %q collides with a protocol name", a)
-		}
-		if _, dup := r.alias[ak]; dup {
-			return fmt.Errorf("registry: alias %q already registered", a)
-		}
+		return fmt.Errorf("protocols: %s: nil WorstCaseTime", spec.Name)
 	}
 	s := spec
-	r.specs[key] = &s
-	for _, a := range spec.Aliases {
-		r.alias[strings.ToLower(a)] = key
-	}
-	r.order = append(r.order, key)
-	return nil
+	return r.reg.register(spec.Name, spec.Aliases, &s)
 }
 
 // MustRegister is Register for static registrations.
@@ -114,23 +79,7 @@ func (r *Registry) MustRegister(spec ProtocolSpec) {
 }
 
 // Lookup resolves a protocol name or alias, case-insensitively.
-func (r *Registry) Lookup(name string) (*ProtocolSpec, error) {
-	key := strings.ToLower(strings.TrimSpace(name))
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if s, ok := r.specs[key]; ok {
-		return s, nil
-	}
-	if canon, ok := r.alias[key]; ok {
-		return r.specs[canon], nil
-	}
-	known := make([]string, 0, len(r.specs))
-	for k := range r.specs {
-		known = append(known, k)
-	}
-	sort.Strings(known)
-	return nil, fmt.Errorf("registry: unknown protocol %q (known: %s)", name, strings.Join(known, ", "))
-}
+func (r *Registry) Lookup(name string) (*ProtocolSpec, error) { return r.reg.lookup(name) }
 
 // New resolves name and constructs the protocol for params p.
 func (r *Registry) New(name string, p Params) (Protocol, error) {
@@ -142,22 +91,10 @@ func (r *Registry) New(name string, p Params) (Protocol, error) {
 }
 
 // Names returns the canonical protocol names in registration order.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return append([]string(nil), r.order...)
-}
+func (r *Registry) Names() []string { return r.reg.names() }
 
 // Specs returns all registered specs in registration order.
-func (r *Registry) Specs() []*ProtocolSpec {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]*ProtocolSpec, 0, len(r.order))
-	for _, k := range r.order {
-		out = append(out, r.specs[k])
-	}
-	return out
-}
+func (r *Registry) Specs() []*ProtocolSpec { return r.reg.all() }
 
 // defaultRegistry holds every protocol in the repository: the paper's
 // unbeatable protocols, their k=1 specializations, and the five

@@ -3,7 +3,6 @@ package setconsensus
 import (
 	"fmt"
 	"iter"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -143,15 +142,15 @@ func (a WorkloadArgs) Finish() error {
 	return nil
 }
 
-// specRegistry is the shared name-resolution core behind the workload
-// and analysis registries: case-insensitive canonical names plus
+// specRegistry is the shared name-resolution core behind the protocol,
+// workload and analysis registries: case-insensitive canonical names plus
 // aliases, registration order, and reference splitting. Registry names
 // may themselves contain ':' (the analysis families "search:optmin",
 // "search:upmin" do), so splitRef resolves the longest registered
 // colon-prefix of a reference and treats the remainder as the argument
 // list. All methods are safe for concurrent use.
 type specRegistry[S any] struct {
-	kind  string // "workloads" / "analyses", for error messages
+	kind  string // "protocols" / "workloads" / "analyses", for error messages
 	mu    sync.RWMutex
 	specs map[string]S
 	alias map[string]string
@@ -549,11 +548,18 @@ var defaultWorkloads = func() *WorkloadRegistry {
 	return r
 }()
 
+// maxValues bounds a space's value range. With n ≥ 2 processes, a
+// space of more values holds over 2^40 adversaries per failure pattern,
+// so the range is rejected before its values are materialized: the
+// daemon sizes a job's space at admission, on a reference read from the
+// request.
+const maxValues = 1 << 20
+
 // valueRange returns the values lo, lo+1, ..., hi of a space (lo ≤ hi),
-// or an error when the range holds more values than an int counts.
+// or an error when the range holds more than maxValues values.
 func valueRange(lo, hi int) ([]int, error) {
-	if hi-lo < 0 || hi-lo == math.MaxInt { // hi−lo+1 overflows
-		return nil, fmt.Errorf("value range %d..%d holds more values than an int counts", lo, hi)
+	if hi-lo < 0 || hi-lo >= maxValues { // hi−lo overflows, or hi−lo+1 > maxValues
+		return nil, fmt.Errorf("value range %d..%d holds more than %d values", lo, hi, maxValues)
 	}
 	values := make([]int, hi-lo+1)
 	for i := range values {

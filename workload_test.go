@@ -130,6 +130,7 @@ func TestParseWorkloadErrors(t *testing.T) {
 		"collapse:low=maybe",              // junk boolean
 		"space:v=0..9223372036854775807",  // more values than an int counts
 		"space:v=-9223372036854775808..0", // likewise
+		"space:n=2,t=0,v=0..1048576",      // more than 2^20 values
 	}
 	for _, ref := range bad {
 		if _, err := setconsensus.ParseWorkload(ref); err == nil {
