@@ -15,8 +15,9 @@ import (
 // above its pin:
 //   - SweepSource folds every run out of the worker's pooled buffer and
 //     carves each window's adversaries from the worker's reused arena,
-//     so its count does not grow with the space's adversaries, only with
-//     its failure patterns, each materialized once;
+//     and the cursor carves the failure patterns, each materialized
+//     once, from shared slabs, so its count grows with neither the
+//     space's adversaries nor its patterns;
 //   - SweepSource over RangeSource(src, 256, 256) is the unit of a
 //     coordinated checkpointed sweep, which sweeps dozens of such ranges
 //     per operation, so one extra allocation per worker shows there many
@@ -27,8 +28,9 @@ import (
 //   - Engine.Run is a one-adversary sweep on the same path;
 //   - SweepSource over RandomSource(1, 2000, n=6,t=3,maxv=2,maxr=3) at
 //     k=2, the benchmark's random workload cut to 2,000 adversaries,
-//     pays per adversary for its failure pattern's map and a share of
-//     the sampler's slabs, and per full graph build nothing.
+//     pays per adversary only a share of the sampler's slabs — its
+//     failure pattern, crash slice and delivery sets included — and per
+//     full graph build nothing.
 //
 // The race detector allocates on its own, hence the build tag.
 func TestRunPathAllocationPins(t *testing.T) {
@@ -53,23 +55,23 @@ func TestRunPathAllocationPins(t *testing.T) {
 		pin  float64
 		run  func() error
 	}{
-		{"SweepSource", 703, func() error {
+		{"SweepSource", 85, func() error {
 			_, err := eng.SweepSource(ctx, sweepSpaceRefs, src)
 			return err
 		}},
-		{"SweepSource/range", 293, func() error {
+		{"SweepSource/range", 87, func() error {
 			_, err := eng.SweepSource(ctx, sweepSpaceRefs, window)
 			return err
 		}},
-		{"Sweep", 15138, func() error {
+		{"Sweep", 14370, func() error {
 			_, err := eng.Sweep(ctx, sweepSpaceRefs, advs)
 			return err
 		}},
-		{"Run", 21, func() error {
+		{"Run", 20, func() error {
 			_, err := eng.Run(ctx, "optmin", advs[len(advs)-1])
 			return err
 		}},
-		{"SweepSource/random", 3776, func() error {
+		{"SweepSource/random", 290, func() error {
 			_, err := randEng.SweepSource(ctx, sweepSpaceRefs, random)
 			return err
 		}},

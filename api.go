@@ -21,9 +21,12 @@ import (
 type (
 	// Adversary is an input vector plus a crash failure pattern (§2.1).
 	Adversary = model.Adversary
-	// FailurePattern maps faulty processes to crash rounds and
-	// crash-round delivery sets.
+	// FailurePattern lists the faulty processes' crashes, sorted by
+	// process: each one's crash round and crash-round delivery set.
 	FailurePattern = model.FailurePattern
+	// Crash is one faulty process's entry in a FailurePattern; read and
+	// write entries with its Crash, SetCrash and RemoveCrash methods.
+	Crash = model.Crash
 	// Builder assembles adversaries fluently.
 	Builder = model.Builder
 	// Params configures a protocol: n processes, crash bound t, degree k.

@@ -298,6 +298,10 @@ func runSingle(ctx context.Context, ref string, adv *setconsensus.Adversary, bac
 	return nil
 }
 
+// buildAdversary parses the single-run flags -inputs, -crash and -t into
+// an adversary and its crash bound, n−1 when t < 0. It rejects what the
+// engine would refuse to run: an adversary that fails Validate, or a
+// bound outside 0..n−1.
 func buildAdversary(inputs, crash string, t int) (*setconsensus.Adversary, int, error) {
 	if inputs == "" {
 		return nil, 0, fmt.Errorf("need -inputs (or -workload)")
@@ -323,8 +327,14 @@ func buildAdversary(inputs, crash string, t int) (*setconsensus.Adversary, int, 
 	if err != nil {
 		return nil, 0, err
 	}
+	if err := adv.Validate(-1, -1); err != nil {
+		return nil, 0, err
+	}
 	if t < 0 {
 		t = n - 1
+	}
+	if err := (setconsensus.Params{N: n, T: t, K: 1}).Validate(); err != nil {
+		return nil, 0, err
 	}
 	return adv, t, nil
 }

@@ -366,15 +366,17 @@
 // out of fresh slab blocks when the sweep's Results escape, since a kept
 // Result holds its adversary, and out of the walker's one reused arena
 // when they fold (SweepSource and the analysis compile), so the
-// aggregating path over a space allocates nothing per adversary, only
-// per failure pattern. The Builder and the search Compiler keep a copy
+// aggregating path over a space allocates nothing per adversary, and
+// per failure pattern only a share of the cursor's slab blocks. The Builder and the search Compiler keep a copy
 // of the previous adversary's inputs, never the arena's adversary (the
 // recycle contract on Engine). Any other Source is pulled under the
 // claim lock (iter.Pull), a chunk per claim, and the sweep returns only
 // after that iterator has; a random stream is drawn by a model.Sampler,
-// which carves adversaries, patterns and delivery sets from 64-entry
-// slabs, so an adversary costs its pattern's map and a share of the
-// slabs. Claims fill pooled chunks, and the workers share nothing per
+// which carves adversaries and inputs from 64-entry slabs, and patterns
+// with their crash slices and delivery sets from a model.PatternSlab —
+// the carver the enum.Cursor draws its canonical patterns from, in
+// blocks sized to the patterns left in its range — so an adversary costs
+// only a share of the slabs. Claims fill pooled chunks, and the workers share nothing per
 // adversary: cancellation is polled on the Done channel and progress is
 // counted per window.
 //

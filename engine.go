@@ -237,10 +237,18 @@ func (e *Engine) Registry() *Registry { return e.reg }
 
 // runParams completes the per-run protocol parameters: n comes from the
 // adversary, t and k from the engine configuration (t = n−1 when unset,
-// the adversary's own failure count under PatternCrashBound).
+// the adversary's own failure count under PatternCrashBound). It first
+// validates the adversary's structure — crashers in range and in order,
+// crash rounds ≥ 1, deliveries in range, a pattern over len(Inputs)
+// processes — so a malformed adversary a caller built by hand fails
+// with an error instead of a panic inside a backend. The check
+// allocates nothing on a valid adversary.
 func (e *Engine) runParams(adv *model.Adversary) (Params, error) {
 	if adv == nil {
 		return Params{}, fmt.Errorf("engine: nil adversary")
+	}
+	if err := adv.Validate(-1, -1); err != nil {
+		return Params{}, err
 	}
 	t := e.params.T
 	switch {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	setconsensus "setconsensus"
@@ -272,6 +273,41 @@ func TestEngineErrorsNotPanics(t *testing.T) {
 	cancel()
 	if _, err := setconsensus.New().Run(canceled, "optmin", adv); !errors.Is(err, context.Canceled) {
 		t.Errorf("canceled context: %v", err)
+	}
+}
+
+// TestEngineRejectsMalformedAdversaries feeds every backend adversaries
+// a caller can build by hand but the model rules out — a crasher out of
+// range either way, a crash in round 0, a delivery to a process out of
+// range, a pattern over more processes than there are inputs — through
+// Run, Sweep and SweepSource. Each must come back as the model's
+// validation error, never as a panic recovered inside a backend.
+func TestEngineRejectsMalformedAdversaries(t *testing.T) {
+	ctx := context.Background()
+	mismatched := setconsensus.NewBuilder(3, 0).MustBuild()
+	mismatched.Pattern = &setconsensus.FailurePattern{N: 4}
+	cases := []struct {
+		name string
+		adv  *setconsensus.Adversary
+	}{
+		{"crasher 9", setconsensus.NewBuilder(3, 0).Input(0, 1).CrashSilent(9, 1).MustBuild()},
+		{"crasher -1", setconsensus.NewBuilder(3, 0).Input(0, 1).CrashSilent(-1, 1).MustBuild()},
+		{"round 0", setconsensus.NewBuilder(3, 0).Input(0, 1).CrashSilent(0, 0).MustBuild()},
+		{"delivery to 5", setconsensus.NewBuilder(3, 0).Input(0, 1).CrashSendingTo(1, 1, 0, 5).MustBuild()},
+		{"pattern over 4", mismatched},
+	}
+	for _, bk := range []setconsensus.BackendKind{setconsensus.Oracle, setconsensus.Goroutines, setconsensus.Wire} {
+		eng := setconsensus.New(setconsensus.WithBackend(bk), setconsensus.WithDegree(1))
+		for _, c := range cases {
+			_, runErr := eng.Run(ctx, "optmin", c.adv)
+			_, sweepErr := eng.Sweep(ctx, []string{"optmin"}, []*setconsensus.Adversary{c.adv})
+			_, srcErr := eng.SweepSource(ctx, []string{"optmin"}, setconsensus.SliceSource(c.adv))
+			for path, err := range map[string]error{"Run": runErr, "Sweep": sweepErr, "SweepSource": srcErr} {
+				if err == nil || !strings.HasPrefix(err.Error(), "model: ") {
+					t.Errorf("%s: %s %s: %v, want the model's validation error", bk, path, c.name, err)
+				}
+			}
+		}
 	}
 }
 

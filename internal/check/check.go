@@ -59,9 +59,17 @@ func (sc *Scratch) Bytes() int64 {
 // from the scratch.
 func (sc *Scratch) VerifyRun(res *sim.Result, task Task) error {
 	adv := res.Adv
+	// The correct processes, in one walk of the pattern's crashes.
+	correct := sc.deciders.Clear()
+	for i := 0; i < adv.N(); i++ {
+		correct.Add(i)
+	}
+	for _, c := range adv.Pattern.Crashes {
+		correct.Remove(c.Proc)
+	}
 	// Decision.
 	for i := 0; i < adv.N(); i++ {
-		if adv.Pattern.Correct(i) && res.Decisions[i] == nil {
+		if res.Decisions[i] == nil && correct.Contains(i) {
 			return fmt.Errorf("%s: Decision violated: correct process %d never decides (%s)",
 				res.ProtocolName, i, adv)
 		}
@@ -78,9 +86,9 @@ func (sc *Scratch) VerifyRun(res *sim.Result, task Task) error {
 		}
 	}
 	// Agreement.
-	deciders := sc.deciders.Clear()
-	for i := 0; i < adv.N(); i++ {
-		if task.Uniform || adv.Pattern.Correct(i) {
+	deciders := correct
+	if task.Uniform {
+		for i := 0; i < adv.N(); i++ {
 			deciders.Add(i)
 		}
 	}

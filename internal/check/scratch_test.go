@@ -25,7 +25,7 @@ func TestScratchVerifyMatchesVerifyRun(t *testing.T) {
 		}
 		pat := model.NewFailurePattern(n)
 		if rng.Intn(2) == 0 {
-			pat.Crashes[rng.Intn(n)] = model.Crash{Round: 1 + rng.Intn(2), Delivered: bitset.New(n)}
+			pat.SetCrash(model.Crash{Proc: rng.Intn(n), Round: 1 + rng.Intn(2), Delivered: bitset.New(n)})
 		}
 		adv := model.NewAdversary(inputs, pat)
 		// A deliberately unreliable rule: sometimes undecided, sometimes

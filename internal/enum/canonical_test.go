@@ -21,6 +21,9 @@ func values(v int) []model.Value {
 
 func newTestUnranker(s Space) *unranker { return &NewCursor(s, 0, 0).patterns }
 
+// fresh materializes the current pattern from a slab of its own.
+func (u *unranker) fresh() *model.FailurePattern { return u.pattern(new(model.PatternSlab), 1) }
+
 // rawPatterns is the number of raw patterns the dedup walk visits.
 func rawPatterns(s Space) int {
 	per := s.MaxRound << uint(s.N-1)
@@ -116,7 +119,7 @@ func TestCanonicalWalkMatchesDedupWalk(t *testing.T) {
 			if !u.unrank(i) || i == 0 && !step.unrank(0) || i > 0 && !step.next() {
 				t.Fatalf("%s: canonical walk ends after %d patterns, dedup walk has %d", label, i, len(want))
 			}
-			for _, got := range []*model.FailurePattern{u.pattern(), step.pattern()} {
+			for _, got := range []*model.FailurePattern{u.fresh(), step.fresh()} {
 				if got.String() != p.String() || string(got.AppendFingerprint(nil)) != string(p.AppendFingerprint(nil)) {
 					t.Fatalf("%s: pattern %d is %s, dedup walk has %s", label, i, got, p)
 				}
@@ -189,10 +192,10 @@ func TestSpaceCountPins(t *testing.T) {
 		u, step := newTestUnranker(c.s), newTestUnranker(c.s)
 		n := 0
 		for more := step.unrank(0); more; more = step.next() {
-			if n >= len(want) || step.pattern().String() != want[n].String() {
+			if n >= len(want) || step.fresh().String() != want[n].String() {
 				t.Fatalf("%s: pattern %d differs from the dedup walk", c.s.Label(), n)
 			}
-			if n%97 == 0 && (!u.unrank(n) || u.pattern().String() != want[n].String()) {
+			if n%97 == 0 && (!u.unrank(n) || u.fresh().String() != want[n].String()) {
 				t.Fatalf("%s: unranking %d differs from the dedup walk", c.s.Label(), n)
 			}
 			n++
@@ -283,13 +286,13 @@ func TestUnrankAgreesWithStepAtManyRounds(t *testing.T) {
 			if !u.unrank(k) || !u.next() || !v.unrank(k+1) {
 				t.Fatalf("%s: pattern %d or %d missing", s.Label(), k, k+1)
 			}
-			p := u.pattern()
-			if q := v.pattern(); p.String() != q.String() {
+			p := u.fresh()
+			if q := v.fresh(); p.String() != q.String() {
 				t.Fatalf("%s: the pattern after %d is %s, pattern %d is %s", s.Label(), k, p, k+1, q)
 			}
-			for i, c := range p.Crashes {
-				for j, d := range p.Crashes {
-					if i != j && c.Delivered.Contains(j) && d.Round <= c.Round {
+			for _, c := range p.Crashes {
+				for _, d := range p.Crashes {
+					if c.Proc != d.Proc && c.Delivered.Contains(d.Proc) && d.Round <= c.Round {
 						t.Fatalf("%s: pattern %d is not canonical: %s", s.Label(), k+1, p)
 					}
 				}

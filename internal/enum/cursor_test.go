@@ -15,11 +15,11 @@ import (
 func rawPattern(fp *model.FailurePattern, crashers []model.Proc) string {
 	var b strings.Builder
 	for _, p := range crashers {
-		c := fp.Crashes[p]
+		c, _ := fp.Crash(p)
 		fmt.Fprintf(&b, "%d@%d:%v;", p, c.Round, c.Delivered.Words())
 	}
 	if len(fp.Crashes) != len(crashers) {
-		fmt.Fprintf(&b, "stale map entries (%d for %d crashers)", len(fp.Crashes), len(crashers))
+		fmt.Fprintf(&b, "stale entries (%d for %d crashers)", len(fp.Crashes), len(crashers))
 	}
 	return b.String()
 }

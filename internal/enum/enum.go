@@ -44,7 +44,6 @@ import (
 	"math/bits"
 	"slices"
 
-	"setconsensus/internal/bitset"
 	"setconsensus/internal/model"
 )
 
@@ -339,9 +338,11 @@ type Window struct {
 // then steps from each pattern to the next, so entering a range costs
 // the same at any offset, every further block costs O(T²) steps however
 // large MaxRound is, and each block's pattern is materialized once
-// however many windows the block is cut into. A Cursor is not safe for
-// concurrent use: sharded consumers call Next under a lock and enumerate
-// the windows outside it.
+// however many windows the block is cut into. The patterns are carved
+// from a model.PatternSlab whose blocks the cursor sizes to the pattern
+// blocks left in its range, so a short range pays for no more. A Cursor
+// is not safe for concurrent use: sharded consumers call Next under a
+// lock and enumerate the windows outside it.
 type Cursor struct {
 	s         Space
 	block     int
@@ -349,18 +350,19 @@ type Cursor struct {
 	pat       *model.FailurePattern
 	patBase   int // offset of pat's block
 	patterns  unranker
+	slab      model.PatternSlab
 }
 
 // NewCursor returns a cursor over the offsets [from, to) of the
 // enumeration of All; to may be math.MaxInt for the rest of the space.
 // An invalid space or a negative from yields no windows.
 func NewCursor(s Space, from, to int) *Cursor {
-	_, perSet, w, err := s.size()
+	count, perSet, w, err := s.size()
 	if err != nil || from < 0 {
 		return &Cursor{}
 	}
 	u := unranker{s: s, perSet: perSet, w: w, cls: make([]int, s.T)}
-	return &Cursor{s: s, block: s.inputCount(), next: from, end: to, patterns: u}
+	return &Cursor{s: s, block: s.inputCount(), next: from, end: min(to, count), patterns: u}
 }
 
 // Next cuts the next window: the rest of the current pattern block, ended
@@ -385,7 +387,10 @@ func (c *Cursor) Next(max int) (w Window, ok bool) {
 			c.end = c.next
 			return Window{}, false
 		}
-		c.pat = c.patterns.pattern()
+		// The blocks the range still reaches, this one included, bound
+		// how many more patterns the cursor carves.
+		left := (c.end-c.patBase-1)/c.block + 1
+		c.pat = c.patterns.pattern(&c.slab, min(left, advSlabSize))
 	}
 	lo, hi := c.next, min(c.patBase+c.block, c.end)
 	if max > 0 {
@@ -529,17 +534,20 @@ func (u *unranker) next() bool {
 	return true
 }
 
-// pattern materializes the current canonical failure pattern.
-func (u *unranker) pattern() *model.FailurePattern {
-	fp := model.NewFailurePattern(u.s.N)
+// pattern carves the current canonical failure pattern from slab, the
+// crashers' delivery sets with it, sizing any fresh block for ahead more
+// patterns. The crashers are increasing, so each SetCrash appends.
+func (u *unranker) pattern(slab *model.PatternSlab, ahead int) *model.FailurePattern {
+	k := len(u.crashers)
+	fp := slab.Pattern(u.s.N, k, ahead)
 	for i, p := range u.crashers {
 		// A space with a crasher has N ≤ 64 (its count fits an int), so a
 		// delivery set is one word. Spreading the mask around a zero bit
 		// at p maps mask bit b to process b for b < p and to b+1 past it.
-		d := bitset.New(u.s.N)
+		d := slab.Set(u.s.N, k*ahead)
 		m := u.masks[i]
 		d.Words()[0] = m&(1<<uint(p)-1) | m>>uint(p)<<uint(p+1)
-		fp.Crashes[p] = model.Crash{Round: u.rounds[i], Delivered: d}
+		fp.SetCrash(model.Crash{Proc: p, Round: u.rounds[i], Delivered: d})
 	}
 	return fp
 }

@@ -83,10 +83,10 @@ func TestCanonicalizationDedups(t *testing.T) {
 		_ = k
 	}
 	err = s.ForEach(func(a *model.Adversary) bool {
-		for p, c := range a.Pattern.Crashes {
+		for _, c := range a.Pattern.Crashes {
 			c.Delivered.ForEach(func(q int) bool {
 				if !a.Pattern.Active(q, c.Round) {
-					t.Errorf("pattern %s delivers from %d to dead %d", a.Pattern, p, q)
+					t.Errorf("pattern %s delivers from %d to dead %d", a.Pattern, c.Proc, q)
 				}
 				return true
 			})

@@ -58,13 +58,13 @@ func (s Space) forEachConfig(crashers []model.Proc, fn func(*model.FailurePatter
 						d.Add(q)
 					}
 				}
-				fp.Crashes[p] = model.Crash{Round: round, Delivered: d}
+				fp.SetCrash(model.Crash{Proc: p, Round: round, Delivered: d})
 				if !rec(idx + 1) {
 					return false
 				}
 			}
 		}
-		delete(fp.Crashes, p)
+		fp.RemoveCrash(p)
 		return true
 	}
 	return rec(0)
@@ -116,7 +116,7 @@ func (w *rawWalk) next() bool {
 	if !w.nextSubset() {
 		return false
 	}
-	clear(w.fp.Crashes)
+	w.fp = model.NewFailurePattern(w.s.N)
 	for i := range w.crashers {
 		w.config[i] = 0
 		w.assign(i)
@@ -169,7 +169,7 @@ func (w *rawWalk) assign(i int) {
 			d.Add(q)
 		}
 	}
-	w.fp.Crashes[p] = model.Crash{Round: round, Delivered: d}
+	w.fp.SetCrash(model.Crash{Proc: p, Round: round, Delivered: d})
 }
 
 // dedupCursor is the enumeration the canonical walk replaced, kept as its

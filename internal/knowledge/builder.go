@@ -372,13 +372,14 @@ func (sc *buildScratch) prepare(pat *model.FailurePattern, n, w, h int) {
 	for rho := 0; rho <= h; rho++ {
 		sc.dead[rho] = bitset.Wrap(sc.deadW[rho*w : (rho+1)*w])
 	}
-	for p, c := range pat.Crashes {
+	for _, c := range pat.Crashes {
+		p := c.Proc
 		sc.cr[p] = c.Round
 		sc.delOf[p] = c.Delivered
 		if c.Round <= h {
 			sc.crash[c.Round] = append(sc.crash[c.Round], crasher{proc: p, del: c.Delivered})
 		}
-		for rho := c.Round + 1; rho <= h; rho++ {
+		for rho := min(c.Round, h) + 1; rho <= h; rho++ {
 			sc.deadW[rho*w+p>>6] |= 1 << uint(p&63)
 		}
 	}

@@ -25,7 +25,7 @@ func randomAdversary(rng *rand.Rand, n, t, maxRound, maxVal int) *model.Adversar
 				del.Add(q)
 			}
 		}
-		pat.Crashes[p] = model.Crash{Round: 1 + rng.Intn(maxRound), Delivered: del}
+		pat.SetCrash(model.Crash{Proc: p, Round: 1 + rng.Intn(maxRound), Delivered: del})
 	}
 	return model.NewAdversary(inputs, pat)
 }

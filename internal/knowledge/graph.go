@@ -95,7 +95,7 @@ type Graph struct {
 	hc          []int         // [node] = HC⟨i,m⟩ (Definition 2)
 	fails       []int         // [node] = #processes provably crashed (d of Definition 3)
 	minVal      []model.Value // [node] = Min⟨i,m⟩, NoKnownCrash when Vals is empty
-	cr          []int         // [j] = crash round of j (model.NoCrash if correct), hoisted off the pattern map
+	cr          []int         // [j] = crash round of j (model.NoCrash if correct), hoisted off the pattern
 
 	// sendersOnce guards the lazy build of store.senders —
 	// senders[(ρ*n+h)*w : +w] = {j : Delivered(j,h,ρ)} — which only
@@ -305,8 +305,8 @@ func (g *Graph) LastSeen(i model.Proc, m int, j model.Proc) int {
 }
 
 // CrashRound returns j's crash round under the graph's adversary, or
-// model.NoCrash if j never crashes — the pattern map lookup hoisted into
-// a flat table at build time, for decision rules running once per
+// model.NoCrash if j never crashes — the pattern's crash lookup hoisted
+// into a flat table at build time, for decision rules running once per
 // (node, sweep adversary).
 func (g *Graph) CrashRound(j model.Proc) int { return g.cr[g.proc(j)] }
 

@@ -55,15 +55,7 @@ func (b *Builder) Inputs(vs ...Value) *Builder {
 // CrashSendingTo makes p crash in round `round`, delivering its round-
 // `round` message only to the listed receivers.
 func (b *Builder) CrashSendingTo(p Proc, round int, receivers ...Proc) *Builder {
-	if b.err != nil {
-		return b
-	}
-	if _, dup := b.pattern.Crashes[p]; dup {
-		b.err = fmt.Errorf("model: process %d crashes twice", p)
-		return b
-	}
-	b.pattern.Crashes[p] = Crash{Round: round, Delivered: bitset.FromSlice(receivers)}
-	return b
+	return b.crash(Crash{Proc: p, Round: round, Delivered: bitset.FromSlice(receivers)})
 }
 
 // CrashSilent makes p crash in round `round` delivering nothing.
@@ -74,32 +66,30 @@ func (b *Builder) CrashSilent(p Proc, round int) *Builder {
 // CrashSendingToAll makes p crash in round `round` after a complete send:
 // the crash is first observable in round round+1, when p falls silent.
 func (b *Builder) CrashSendingToAll(p Proc, round int) *Builder {
-	if b.err != nil {
-		return b
-	}
-	if _, dup := b.pattern.Crashes[p]; dup {
-		b.err = fmt.Errorf("model: process %d crashes twice", p)
-		return b
-	}
-	b.pattern.Crashes[p] = Crash{Round: round, Delivered: bitset.Full(len(b.inputs))}
-	return b
+	return b.crash(Crash{Proc: p, Round: round, Delivered: bitset.Full(len(b.inputs))})
 }
 
 // CrashSendingToAllBut makes p crash in round `round`, delivering to
 // everyone except the listed victims.
 func (b *Builder) CrashSendingToAllBut(p Proc, round int, victims ...Proc) *Builder {
-	if b.err != nil {
-		return b
-	}
-	if _, dup := b.pattern.Crashes[p]; dup {
-		b.err = fmt.Errorf("model: process %d crashes twice", p)
-		return b
-	}
 	d := bitset.Full(len(b.inputs))
 	for _, v := range victims {
 		d.Remove(v)
 	}
-	b.pattern.Crashes[p] = Crash{Round: round, Delivered: d}
+	return b.crash(Crash{Proc: p, Round: round, Delivered: d})
+}
+
+// crash records c unless the builder has failed or c's process already
+// crashes.
+func (b *Builder) crash(c Crash) *Builder {
+	if b.err != nil {
+		return b
+	}
+	if b.pattern.Faulty(c.Proc) {
+		b.err = fmt.Errorf("model: process %d crashes twice", c.Proc)
+		return b
+	}
+	b.pattern.SetCrash(c)
 	return b
 }
 

@@ -195,6 +195,6 @@ type RandomParams struct {
 // one draw; loops drawing many adversaries from one rng should keep a
 // Sampler instead.
 func Random(rng *rand.Rand, p RandomParams) *Adversary {
-	s := Sampler{rng: rng, p: p, slab: 1}
+	s := Sampler{rng: rng, p: p, ahead: 1}
 	return s.Next()
 }

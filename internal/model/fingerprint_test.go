@@ -25,7 +25,7 @@ func TestPatternFingerprintCanonicalEquivalence(t *testing.T) {
 					del.Add(q)
 				}
 			}
-			pat.Crashes[p] = Crash{Round: 1 + rng.Intn(3), Delivered: del}
+			pat.SetCrash(Crash{Proc: p, Round: 1 + rng.Intn(3), Delivered: del})
 		}
 		return pat
 	}
@@ -44,7 +44,7 @@ func TestPatternFingerprintCanonicalEquivalence(t *testing.T) {
 // the provided buffer without allocating when capacity suffices.
 func TestAppendFingerprintReusesBuffer(t *testing.T) {
 	pat := NewFailurePattern(4)
-	pat.Crashes[1] = Crash{Round: 2, Delivered: bitset.New(4).Add(0).Add(2)}
+	pat.SetCrash(Crash{Proc: 1, Round: 2, Delivered: bitset.New(4).Add(0).Add(2)})
 	buf := make([]byte, 0, 128)
 	avg := testing.AllocsPerRun(50, func() {
 		buf = pat.AppendFingerprint(buf[:0])

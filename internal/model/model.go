@@ -12,7 +12,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"strconv"
 
 	"setconsensus/internal/bitset"
@@ -32,38 +32,72 @@ type Value = int
 // greater than every real round.
 const NoCrash = int(^uint(0) >> 1) // max int
 
-// Crash describes the failure of one process: the round in which it
-// crashes (≥ 1) and the set of processes that still receive its crash-round
-// message. Deliveries to itself are meaningless and ignored.
+// Crash describes the failure of one process: which process, the round
+// in which it crashes (≥ 1), and the set of processes that still receive
+// its crash-round message. Deliveries to itself are meaningless and
+// ignored.
 type Crash struct {
+	Proc      Proc
 	Round     int
 	Delivered *bitset.Set
 }
 
-// FailurePattern maps each faulty process to its Crash. It corresponds to
-// the layered graph F of the paper restricted to crash failures.
+// FailurePattern lists the crash of each faulty process. It corresponds
+// to the layered graph F of the paper restricted to crash failures.
+// Crashes is sorted by strictly increasing Proc: SetCrash and RemoveCrash
+// keep it so, and Validate rejects a slice built by hand out of order.
+// A pattern crashes few processes, so every lookup scans the slice.
 type FailurePattern struct {
 	N       int
-	Crashes map[Proc]Crash
+	Crashes []Crash
 }
 
 // NewFailurePattern returns a failure-free pattern over n processes.
 func NewFailurePattern(n int) *FailurePattern {
-	return &FailurePattern{N: n, Crashes: make(map[Proc]Crash)}
+	return &FailurePattern{N: n}
 }
 
 // Clone returns a deep copy of the pattern.
 func (f *FailurePattern) Clone() *FailurePattern {
-	c := NewFailurePattern(f.N)
-	for p, cr := range f.Crashes {
-		c.Crashes[p] = Crash{Round: cr.Round, Delivered: cr.Delivered.Clone()}
+	c := &FailurePattern{N: f.N, Crashes: make([]Crash, len(f.Crashes))}
+	for i, cr := range f.Crashes {
+		c.Crashes[i] = Crash{Proc: cr.Proc, Round: cr.Round, Delivered: cr.Delivered.Clone()}
 	}
 	return c
 }
 
+// Crash returns p's crash, and false when p never crashes.
+func (f *FailurePattern) Crash(p Proc) (Crash, bool) {
+	for _, c := range f.Crashes {
+		if c.Proc == p {
+			return c, true
+		}
+	}
+	return Crash{}, false
+}
+
+// SetCrash records c as the crash of c.Proc, replacing any crash the
+// process already had and keeping Crashes in order.
+func (f *FailurePattern) SetCrash(c Crash) {
+	i := 0
+	for i < len(f.Crashes) && f.Crashes[i].Proc < c.Proc {
+		i++
+	}
+	if i < len(f.Crashes) && f.Crashes[i].Proc == c.Proc {
+		f.Crashes[i] = c
+		return
+	}
+	f.Crashes = slices.Insert(f.Crashes, i, c)
+}
+
+// RemoveCrash makes p correct.
+func (f *FailurePattern) RemoveCrash(p Proc) {
+	f.Crashes = slices.DeleteFunc(f.Crashes, func(c Crash) bool { return c.Proc == p })
+}
+
 // CrashRound returns the round in which p crashes, or NoCrash.
 func (f *FailurePattern) CrashRound(p Proc) int {
-	if c, ok := f.Crashes[p]; ok {
+	if c, ok := f.Crash(p); ok {
 		return c.Round
 	}
 	return NoCrash
@@ -71,7 +105,7 @@ func (f *FailurePattern) CrashRound(p Proc) int {
 
 // Faulty reports whether p crashes at all.
 func (f *FailurePattern) Faulty(p Proc) bool {
-	_, ok := f.Crashes[p]
+	_, ok := f.Crash(p)
 	return ok
 }
 
@@ -89,11 +123,9 @@ func (f *FailurePattern) Correct(p Proc) bool { return !f.Faulty(p) }
 
 // CorrectProcs returns the set of processes that never crash.
 func (f *FailurePattern) CorrectProcs() *bitset.Set {
-	s := bitset.New(f.N)
-	for p := 0; p < f.N; p++ {
-		if f.Correct(p) {
-			s.Add(p)
-		}
+	s := bitset.Full(f.N)
+	for _, c := range f.Crashes {
+		s.Remove(c.Proc)
 	}
 	return s
 }
@@ -107,7 +139,7 @@ func (f *FailurePattern) Delivered(from, to Proc, round int) bool {
 	if round < 1 {
 		return false
 	}
-	c, faulty := f.Crashes[from]
+	c, faulty := f.Crash(from)
 	if from == to {
 		// Self-communication persists while the process is alive at
 		// sending time (time round−1).
@@ -134,8 +166,11 @@ func (f *FailurePattern) MaxCrashRound() int {
 	return max
 }
 
-// Validate checks structural sanity: process indices in range, crash
-// rounds ≥ 1, at most t crashes if t ≥ 0 (pass t < 0 to skip the bound).
+// Validate checks structural sanity: process indices in range and
+// strictly increasing, crash rounds ≥ 1, deliveries only to processes in
+// range, and at most t crashes if t ≥ 0 (pass t < 0 to skip the bound).
+// It names the first bad crash in Crashes' order, and allocates nothing
+// on a valid pattern.
 func (f *FailurePattern) Validate(t int) error {
 	if f.N < 2 {
 		return fmt.Errorf("model: need n ≥ 2 processes, have %d", f.N)
@@ -143,23 +178,26 @@ func (f *FailurePattern) Validate(t int) error {
 	if t >= 0 && len(f.Crashes) > t {
 		return fmt.Errorf("model: %d crashes exceed bound t=%d", len(f.Crashes), t)
 	}
-	for p, c := range f.Crashes {
+	for i, c := range f.Crashes {
+		p := c.Proc
 		if p < 0 || p >= f.N {
 			return fmt.Errorf("model: crash of out-of-range process %d", p)
+		}
+		if i > 0 && p <= f.Crashes[i-1].Proc {
+			return fmt.Errorf("model: crash of process %d listed after process %d", p, f.Crashes[i-1].Proc)
 		}
 		if c.Round < 1 {
 			return fmt.Errorf("model: process %d crashes in round %d < 1", p, c.Round)
 		}
-		bad := -1
-		c.Delivered.ForEach(func(q int) bool {
-			if q >= f.N {
-				bad = q
-				return false
+		words := c.Delivered.Words()
+		for wi := f.N >> 6; wi < len(words); wi++ {
+			word := words[wi]
+			if wi == f.N>>6 {
+				word &^= 1<<uint(f.N&63) - 1 // the in-range receivers
 			}
-			return true
-		})
-		if bad >= 0 {
-			return fmt.Errorf("model: process %d delivers to out-of-range process %d", p, bad)
+			if word != 0 {
+				return fmt.Errorf("model: process %d delivers to out-of-range process %d", p, wi<<6+bits.TrailingZeros64(word))
+			}
 		}
 	}
 	return nil
@@ -173,15 +211,13 @@ func (f *FailurePattern) String() string {
 	if len(f.Crashes) == 0 {
 		return "crash()"
 	}
-	procs := f.sortedFaulty()
-	b := make([]byte, 0, 16+24*len(procs))
+	b := make([]byte, 0, 16+24*len(f.Crashes))
 	b = append(b, "crash("...)
-	for i, p := range procs {
+	for i, c := range f.Crashes {
 		if i > 0 {
 			b = append(b, ", "...)
 		}
-		c := f.Crashes[p]
-		b = strconv.AppendInt(b, int64(p), 10)
+		b = strconv.AppendInt(b, int64(c.Proc), 10)
 		b = append(b, "@r"...)
 		b = strconv.AppendInt(b, int64(c.Round), 10)
 		b = append(b, "→"...)
@@ -191,32 +227,22 @@ func (f *FailurePattern) String() string {
 	return string(b)
 }
 
-// sortedFaulty returns the faulty processes in increasing order.
-func (f *FailurePattern) sortedFaulty() []int {
-	procs := make([]int, 0, len(f.Crashes))
-	for p := range f.Crashes {
-		procs = append(procs, p)
-	}
-	sort.Ints(procs)
-	return procs
-}
-
 // Canonical returns a copy of the pattern with unobservable deliveries
 // stripped: a crash-round delivery to a receiver that is already dead at
 // receipt time is never read, and delivery to oneself is implicit. Two
 // patterns whose Canonical forms render identically are observably equal
 // — no protocol can distinguish the runs they induce.
 func (f *FailurePattern) Canonical() *FailurePattern {
-	out := NewFailurePattern(f.N)
-	for p, c := range f.Crashes {
+	out := &FailurePattern{N: f.N, Crashes: make([]Crash, len(f.Crashes))}
+	for i, c := range f.Crashes {
 		d := bitset.New(f.N)
 		c.Delivered.ForEach(func(q int) bool {
-			if q != p && f.Active(q, c.Round) {
+			if q != c.Proc && f.Active(q, c.Round) {
 				d.Add(q)
 			}
 			return true
 		})
-		out.Crashes[p] = Crash{Round: c.Round, Delivered: d}
+		out.Crashes[i] = Crash{Proc: c.Proc, Round: c.Round, Delivered: d}
 	}
 	return out
 }
@@ -245,8 +271,11 @@ func (a *Adversary) Clone() *Adversary {
 	}
 }
 
-// Validate checks the adversary against a value domain {0..maxValue} and
-// crash bound t (t < 0 skips the bound, maxValue < 0 skips the domain).
+// Validate checks the adversary's structure (see FailurePattern.Validate),
+// its crash bound t and its value domain {0..maxValue}: t < 0 skips the
+// bound, and maxValue < 0 skips the domain's upper end, but never its
+// lower one — no input is negative. It allocates nothing on a valid
+// adversary.
 func (a *Adversary) Validate(t, maxValue int) error {
 	if a.Pattern == nil {
 		return fmt.Errorf("model: adversary has nil failure pattern")
@@ -257,11 +286,12 @@ func (a *Adversary) Validate(t, maxValue int) error {
 	if err := a.Pattern.Validate(t); err != nil {
 		return err
 	}
-	if maxValue >= 0 {
-		for p, v := range a.Inputs {
-			if v < 0 || v > maxValue {
-				return fmt.Errorf("model: input %d of process %d outside {0..%d}", v, p, maxValue)
-			}
+	for p, v := range a.Inputs {
+		if maxValue >= 0 && (v < 0 || v > maxValue) {
+			return fmt.Errorf("model: input %d of process %d outside {0..%d}", v, p, maxValue)
+		}
+		if v < 0 {
+			return fmt.Errorf("model: negative input %d of process %d", v, p)
 		}
 	}
 	return nil
@@ -291,46 +321,30 @@ func (a *Adversary) String() string {
 // at receipt time, which no protocol can distinguish — append identical
 // bytes, exactly the Canonical equivalence, without materializing the
 // canonical pattern. The encoding is varints (crasher, round) plus raw
-// delivery-mask words, sorted by crasher; it is an opaque key to hash
+// delivery-mask words, in crasher order; it is an opaque key to hash
 // and compare, never to parse. The call itself allocates nothing beyond
-// growing b (up to 8 crashers sort in a stack buffer), so hot loops can
-// key millions of patterns through one reused buffer.
+// growing b, so hot loops can key millions of patterns through one
+// reused buffer.
 func (f *FailurePattern) AppendFingerprint(b []byte) []byte {
-	var stack [8]Proc
-	var procs []Proc
-	if len(f.Crashes) <= len(stack) {
-		procs = stack[:0]
-		for p := range f.Crashes {
-			procs = append(procs, p)
-		}
-		sort.Ints(procs)
-	} else {
-		procs = f.sortedFaulty()
-	}
 	w := (f.N + 63) >> 6
 	var tmp [binary.MaxVarintLen64]byte
-	if w == 1 && len(procs) <= 8 {
+	if w == 1 {
 		// Single-word pattern: the unobservable bits — self-delivery and
 		// receivers dead at receipt time, the latter exactly the crashers
 		// with round ≤ this crash's round — strip with one mask instead
 		// of a per-bit liveness test.
-		var rounds [8]int
-		for k, p := range procs {
-			rounds[k] = f.Crashes[p].Round
-		}
 		nMask := ^uint64(0) >> uint(64-f.N)
-		for _, p := range procs {
-			c := f.Crashes[p]
-			b = append(b, tmp[:binary.PutUvarint(tmp[:], uint64(p))]...)
+		for _, c := range f.Crashes {
+			b = append(b, tmp[:binary.PutUvarint(tmp[:], uint64(c.Proc))]...)
 			b = append(b, tmp[:binary.PutUvarint(tmp[:], uint64(c.Round))]...)
 			var word uint64
 			if dw := c.Delivered.Words(); len(dw) > 0 {
 				word = dw[0]
 			}
-			dead := uint64(1) << uint(p)
-			for k, q := range procs {
-				if rounds[k] <= c.Round {
-					dead |= 1 << uint(q)
+			dead := uint64(1) << uint(c.Proc)
+			for _, o := range f.Crashes {
+				if o.Round <= c.Round {
+					dead |= 1 << uint(o.Proc)
 				}
 			}
 			binary.LittleEndian.PutUint64(tmp[:8], word&nMask&^dead)
@@ -338,13 +352,12 @@ func (f *FailurePattern) AppendFingerprint(b []byte) []byte {
 		}
 		return b
 	}
-	for _, p := range procs {
-		c := f.Crashes[p]
-		b = append(b, tmp[:binary.PutUvarint(tmp[:], uint64(p))]...)
+	for _, c := range f.Crashes {
+		b = append(b, tmp[:binary.PutUvarint(tmp[:], uint64(c.Proc))]...)
 		b = append(b, tmp[:binary.PutUvarint(tmp[:], uint64(c.Round))]...)
+		dw := c.Delivered.Words()
 		for wi := 0; wi < w; wi++ {
 			var word uint64
-			dw := c.Delivered.Words()
 			if wi < len(dw) {
 				word = dw[wi]
 			}
@@ -355,7 +368,7 @@ func (f *FailurePattern) AppendFingerprint(b []byte) []byte {
 				bit := word & (-word)
 				q := wi*64 + bits.TrailingZeros64(word)
 				word &^= bit
-				if q != p && q < f.N && f.Active(q, c.Round) {
+				if q != c.Proc && q < f.N && f.Active(q, c.Round) {
 					keep |= bit
 				}
 			}

@@ -124,11 +124,12 @@ func TestCloneIndependence(t *testing.T) {
 	a := NewBuilder(3, 0).CrashSendingTo(1, 1, 2).MustBuild()
 	c := a.Clone()
 	c.Inputs[0] = 9
-	c.Pattern.Crashes[1].Delivered.Add(0)
+	cc, _ := c.Pattern.Crash(1)
+	cc.Delivered.Add(0)
 	if a.Inputs[0] == 9 {
 		t.Error("inputs aliased after Clone")
 	}
-	if a.Pattern.Crashes[1].Delivered.Contains(0) {
+	if !a.Pattern.Delivered(1, 2, 1) || a.Pattern.Delivered(1, 0, 1) {
 		t.Error("pattern aliased after Clone")
 	}
 }
@@ -330,10 +331,11 @@ func TestCanonicalStripsUnobservableDeliveries(t *testing.T) {
 		CrashSilent(1, 1).
 		MustBuild()
 	canon := full.Pattern.Canonical()
-	if canon.Crashes[0].Delivered.Contains(1) {
+	c0, _ := canon.Crash(0)
+	if c0.Delivered.Contains(1) {
 		t.Error("delivery to a dead receiver survived canonicalization")
 	}
-	if !canon.Crashes[0].Delivered.Contains(2) {
+	if !c0.Delivered.Contains(2) {
 		t.Error("delivery to a live receiver was stripped")
 	}
 	if canon.CrashRound(0) != 1 || canon.CrashRound(1) != 1 {
@@ -344,7 +346,7 @@ func TestCanonicalStripsUnobservableDeliveries(t *testing.T) {
 		t.Error("Canonical is not idempotent")
 	}
 	// The original pattern is untouched.
-	if !full.Pattern.Crashes[0].Delivered.Contains(1) {
+	if !full.Pattern.Delivered(0, 1, 1) {
 		t.Error("Canonical mutated its receiver")
 	}
 }

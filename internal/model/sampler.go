@@ -1,41 +1,36 @@
 package model
 
-import (
-	"math/rand"
+import "math/rand"
 
-	"setconsensus/internal/bitset"
-)
-
-// samplerSlab is how many adversaries, patterns and delivery sets a
-// Sampler carves from one allocation each.
+// samplerSlab is how many draws each of a Sampler's slab allocations
+// makes room for.
 const samplerSlab = 64
 
 // Sampler draws a stream of random adversaries from rng: exactly the
 // adversaries, and exactly the rng draws, of successive Random calls on
 // the same rng, so a stream keeps its seed's adversaries whichever of
-// the two draws it. The Sampler carves adversaries, inputs, patterns and
-// delivery sets from slabs of samplerSlab entries and draws rand.Perm's
-// permutation into reused scratch, so a draw costs the failure pattern's
-// map and a share of the slabs instead of a dozen allocations. Carved
+// the two draws it. The Sampler carves adversaries and inputs, and from
+// a PatternSlab the patterns with their crash slices and delivery sets,
+// out of slabs that hold samplerSlab draws, and it draws rand.Perm's
+// permutation into reused scratch, so a draw costs only a share of the
+// slabs. Carved
 // adversaries are independent values a caller may keep; a kept one pins
 // only its slabs. A Sampler is not safe for concurrent use.
 type Sampler struct {
-	rng  *rand.Rand
-	p    RandomParams
-	slab int    // entries per slab allocation
-	perm []Proc // rand.Perm's permutation, drawn in place
+	rng   *rand.Rand
+	p     RandomParams
+	ahead int    // draws each slab allocation makes room for
+	perm  []Proc // rand.Perm's permutation, drawn in place
 
 	advs   []Adversary
-	pats   []FailurePattern
 	inputs []Value
-	sets   []bitset.Set
-	words  []uint64
+	pats   PatternSlab
 }
 
 // NewSampler returns a Sampler drawing adversaries bounded by p from
 // rng. Like Random, it panics on parameters Random panics on.
 func NewSampler(rng *rand.Rand, p RandomParams) *Sampler {
-	return &Sampler{rng: rng, p: p, slab: samplerSlab}
+	return &Sampler{rng: rng, p: p, ahead: samplerSlab}
 }
 
 // Next draws the next adversary: a uniformly random number of crashes in
@@ -43,18 +38,12 @@ func NewSampler(rng *rand.Rand, p RandomParams) *Sampler {
 // delivery subset, over uniform inputs — the draw Random documents, in
 // its order: the inputs, the crash count, rand.Perm(N) choosing the
 // victims, then per victim its round and one coin per other process.
+// The victims come in permutation order; SetCrash files each at its
+// sorted place in the pattern's exact-length crash slice.
 func (s *Sampler) Next() *Adversary {
 	p, rng := s.p, s.rng
-	if len(s.advs) == 0 {
-		s.advs = make([]Adversary, s.slab)
-	}
-	adv := &s.advs[0]
-	s.advs = s.advs[1:]
-	if len(s.inputs) < p.N {
-		s.inputs = make([]Value, p.N*s.slab)
-	}
-	in := s.inputs[:p.N:p.N]
-	s.inputs = s.inputs[p.N:]
+	adv := &carve(&s.advs, 1, s.ahead)[0]
+	in := carve(&s.inputs, p.N, s.ahead)
 	for i := range in {
 		in[i] = rng.Intn(p.MaxValue + 1)
 	}
@@ -73,40 +62,19 @@ func (s *Sampler) Next() *Adversary {
 		perm[i] = perm[j]
 		perm[j] = i
 	}
-	if len(s.pats) == 0 {
-		s.pats = make([]FailurePattern, s.slab)
-	}
-	fp := &s.pats[0]
-	s.pats = s.pats[1:]
-	*fp = FailurePattern{N: p.N, Crashes: make(map[Proc]Crash)}
+	fp := s.pats.Pattern(p.N, crashes, s.ahead)
 	for c := 0; c < crashes; c++ {
 		victim := perm[c]
 		round := 1 + rng.Intn(p.MaxRound)
-		d := s.set()
+		d := s.pats.Set(p.N, s.ahead)
 		words := d.Words()
 		for q := 0; q < p.N; q++ {
 			if q != victim && rng.Intn(2) == 0 {
 				words[q>>6] |= 1 << uint(q&63)
 			}
 		}
-		fp.Crashes[victim] = Crash{Round: round, Delivered: d}
+		fp.SetCrash(Crash{Proc: victim, Round: round, Delivered: d})
 	}
 	adv.Inputs, adv.Pattern = in, fp
 	return adv
-}
-
-// set carves an empty delivery set over N processes.
-func (s *Sampler) set() *bitset.Set {
-	w := (s.p.N + 63) >> 6
-	if len(s.sets) == 0 {
-		s.sets = make([]bitset.Set, s.slab)
-	}
-	if len(s.words) < w {
-		s.words = make([]uint64, w*s.slab)
-	}
-	d := &s.sets[0]
-	s.sets = s.sets[1:]
-	*d = bitset.Wrap(s.words[:w])
-	s.words = s.words[w:]
-	return d
 }

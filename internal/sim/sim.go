@@ -98,7 +98,7 @@ func RunWithGraph(p Protocol, g *knowledge.Graph) *Result {
 type Scratch struct {
 	ptrs []*Decision
 	slab []Decision
-	cr   []int // crash round per process, hoisted from the pattern map
+	cr   []int // crash round per process, hoisted from the pattern
 }
 
 // Reset prepares storage for one run over n processes and returns the
@@ -139,8 +139,8 @@ func (sc *Scratch) Bytes() int64 {
 // scratch has warmed up. res.Decisions aliases sc and is valid only
 // until the next Reset/RunWithGraphInto on the same scratch — callers
 // that retain results use RunWithGraph. The crash rounds are hoisted
-// out of the pattern map once per run, so the inner loop does no map
-// lookups the protocol itself doesn't make.
+// out of the pattern in one walk of its crashes per run, so the inner
+// loop does no pattern lookups the protocol itself doesn't make.
 func RunWithGraphInto(p Protocol, g *knowledge.Graph, sc *Scratch, res *Result) {
 	adv, horizon := g.Adv, g.Horizon
 	n := adv.N()
@@ -149,8 +149,11 @@ func RunWithGraphInto(p Protocol, g *knowledge.Graph, sc *Scratch, res *Result) 
 		sc.cr = make([]int, n)
 	}
 	sc.cr = sc.cr[:n]
-	for i := 0; i < n; i++ {
-		sc.cr[i] = adv.Pattern.CrashRound(i)
+	for i := range sc.cr {
+		sc.cr[i] = model.NoCrash
+	}
+	for _, c := range adv.Pattern.Crashes {
+		sc.cr[c.Proc] = c.Round
 	}
 	for m := 0; m <= horizon; m++ {
 		for i := 0; i < n; i++ {

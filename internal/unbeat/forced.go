@@ -286,8 +286,8 @@ func exploreChanges(ctx context.Context, base *model.Adversary, gBase *knowledge
 		// cannot decide a high value without a (k+1)-st correct decision.
 		aux := next.Clone()
 		for _, s := range senders {
-			if cr, faulty := aux.Pattern.Crashes[s]; faulty && cr.Round >= m && cr.Delivered.Contains(jb) {
-				delete(aux.Pattern.Crashes, s)
+			if cr, faulty := aux.Pattern.Crash(s); faulty && cr.Round >= m && cr.Delivered.Contains(jb) {
+				aux.Pattern.RemoveCrash(s)
 			}
 		}
 		gAux := knowledge.New(aux, m)
@@ -335,11 +335,11 @@ func applyChange(run *model.Adversary, j model.Proc, m, k int, js []model.Proc,
 	senders map[model.Value]model.Proc, taken *bitset.Set) (*model.Adversary, *knowledge.Graph, error) {
 
 	out := run.Clone()
-	if cr, faulty := out.Pattern.Crashes[j]; faulty {
+	if cr, faulty := out.Pattern.Crash(j); faulty {
 		if cr.Round <= m {
 			return nil, nil, fmt.Errorf("unbeat: j=%d crashed in round %d ≤ m=%d; cannot be revived invisibly", j, cr.Round, m)
 		}
-		delete(out.Pattern.Crashes, j)
+		out.Pattern.RemoveCrash(j)
 	}
 	isJ := make(map[model.Proc]bool, len(js))
 	for _, p := range js {
@@ -368,7 +368,7 @@ func applyChange(run *model.Adversary, j model.Proc, m, k int, js []model.Proc,
 		}
 		// "Exactly": any other process that crashes in round m must not
 		// reach j — its time-(m−1) state could carry stray low values.
-		if cr, faulty := out.Pattern.Crashes[x]; faulty && cr.Round == m {
+		if cr, faulty := out.Pattern.Crash(x); faulty && cr.Round == m {
 			cr.Delivered.Remove(j)
 		}
 	}
@@ -380,25 +380,23 @@ func applyChange(run *model.Adversary, j model.Proc, m, k int, js []model.Proc,
 // crash-round delivery set, or by crashing a correct x in round m with a
 // full send except to j (invisible to everyone else's time-m view).
 func suppressDelivery(adv *model.Adversary, x model.Proc, m int, j model.Proc) error {
-	if cr, faulty := adv.Pattern.Crashes[x]; faulty {
+	if cr, faulty := adv.Pattern.Crash(x); faulty {
 		switch {
 		case cr.Round == m:
 			cr.Delivered.Remove(j)
 			return nil
 		case cr.Round < m:
 			return nil // already silent in round m
-		default: // crashes later: pull the crash forward to round m
-			adv.Pattern.Crashes[x] = model.Crash{Round: m, Delivered: bitset.Full(adv.N()).Remove(j)}
-			return nil
 		}
+		// Crashes later: pull the crash forward to round m.
 	}
-	adv.Pattern.Crashes[x] = model.Crash{Round: m, Delivered: bitset.Full(adv.N()).Remove(j)}
+	adv.Pattern.SetCrash(model.Crash{Proc: x, Round: m, Delivered: bitset.Full(adv.N()).Remove(j)})
 	return nil
 }
 
 // forceDelivery makes x's round-m message reach j.
 func forceDelivery(adv *model.Adversary, x model.Proc, m int, j model.Proc) error {
-	if cr, faulty := adv.Pattern.Crashes[x]; faulty {
+	if cr, faulty := adv.Pattern.Crash(x); faulty {
 		switch {
 		case cr.Round == m:
 			cr.Delivered.Add(j)

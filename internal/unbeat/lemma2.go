@@ -106,24 +106,26 @@ func HiddenRun(g *knowledge.Graph, i model.Proc, m int, values []model.Value) (*
 		run.Inputs[witnesses[0][b]] = values[b]
 	}
 	// (4) i and layer-m witnesses never fail.
-	delete(run.Pattern.Crashes, i)
+	run.Pattern.RemoveCrash(i)
 	for _, w := range witnesses[m] {
-		delete(run.Pattern.Crashes, w)
+		run.Pattern.RemoveCrash(w)
 	}
 	// (2) chain witnesses at layers < m crash in round l+1, delivering
 	// only to their successor.
 	for l := 0; l < m; l++ {
 		for b := 0; b < c; b++ {
 			w := witnesses[l][b]
-			run.Pattern.Crashes[w] = model.Crash{
+			run.Pattern.SetCrash(model.Crash{
+				Proc:      w,
 				Round:     l + 1,
 				Delivered: bitset.New(adv.N()).Add(witnesses[l+1][b]),
-			}
+			})
 		}
 	}
 	// (3) align every other crasher's crash-round deliveries to witnesses
 	// with its deliveries to i.
-	for p, cr := range run.Pattern.Crashes {
+	for _, cr := range run.Pattern.Crashes {
+		p := cr.Proc
 		if wl, isW := isWitnessAt[p]; isW && wl < m {
 			continue // chain crashes are fully prescribed above
 		}
@@ -147,7 +149,7 @@ func HiddenRun(g *knowledge.Graph, i model.Proc, m int, values []model.Value) (*
 				d.Remove(wp)
 			}
 		}
-		run.Pattern.Crashes[p] = model.Crash{Round: rho, Delivered: d}
+		run.Pattern.SetCrash(model.Crash{Proc: p, Round: rho, Delivered: d})
 	}
 
 	return &HiddenRunResult{
