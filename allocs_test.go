@@ -24,7 +24,12 @@ import (
 //     times over;
 //   - Sweep pays per run only for the detached Result it hands out (the
 //     Result with its extras, the decision pointers and their slab) and
-//     per adversary for the fresh graph and the adversary string;
+//     per adversary for the adversary string and its fresh slabs; its
+//     graphs are built, revived and patched in the worker's Builder, as
+//     SweepSource's are;
+//   - SweepSourceStream over the same space pays what Sweep pays, less
+//     the result slice, plus the fresh slabs it enumerates each window
+//     into, since an emitted Result keeps its adversary;
 //   - Engine.Run is a one-adversary sweep on the same path;
 //   - SweepSource over RandomSource(1, 2000, n=6,t=3,maxv=2,maxr=3) at
 //     k=2, the benchmark's random workload cut to 2,000 adversaries,
@@ -63,11 +68,14 @@ func TestRunPathAllocationPins(t *testing.T) {
 			_, err := eng.SweepSource(ctx, sweepSpaceRefs, window)
 			return err
 		}},
-		{"Sweep", 14370, func() error {
+		{"Sweep", 9709, func() error {
 			_, err := eng.Sweep(ctx, sweepSpaceRefs, advs)
 			return err
 		}},
-		{"Run", 20, func() error {
+		{"SweepSourceStream", 9741, func() error {
+			return eng.SweepSourceStream(ctx, sweepSpaceRefs, src, func(*setconsensus.Result) {})
+		}},
+		{"Run", 14, func() error {
 			_, err := eng.Run(ctx, "optmin", advs[len(advs)-1])
 			return err
 		}},

@@ -302,7 +302,7 @@ func (e *Engine) runSearchAnalysis(ctx context.Context, family, baseRef string, 
 		mu    sync.Mutex
 		frags []*unbeat.Compiler
 	)
-	err = e.sweepExec(ctx, "engine: analysis compile", []string{baseRef}, src, true, func(ctx context.Context, _ []*ProtocolSpec, kit *runKit, chunks iter.Seq[*sweepChunk]) error {
+	err = e.sweepExec(ctx, "engine: analysis compile", []string{baseRef}, src, true, func(ctx context.Context, _ []*ProtocolSpec, kit *runKit, chunks iter.Seq[sweepChunk]) error {
 		mu.Lock()
 		frag := first
 		if len(frags) > 0 {

@@ -57,8 +57,7 @@ func (b *runBuffer) bytes() int64 { return b.sim.Bytes() + b.verify.Bytes() }
 // buffer's reusable storage; nothing allocates unless a violation
 // renders its diagnostic.
 func (b *runBuffer) verifyResult(r *Result, task Task) error {
-	b.simres.ProtocolName, b.simres.Adv, b.simres.Graph, b.simres.Decisions =
-		r.Protocol, r.adv, r.graph, r.Decisions
+	b.simres.ProtocolName, b.simres.Adv, b.simres.Decisions = r.Protocol, r.adv, r.Decisions
 	return b.verify.VerifyRun(&b.simres, task)
 }
 
@@ -114,9 +113,7 @@ func (oracleBackend) run(buf *runBuffer) (*Result, error) {
 		return nil, req.err
 	}
 	sim.RunWithGraphInto(req.proto, req.graph, &buf.sim, &buf.simres)
-	res := buf.result(Oracle, buf.simres.Decisions)
-	res.graph = req.graph
-	return res, nil
+	return buf.result(Oracle, buf.simres.Decisions), nil
 }
 
 // goroutineBackend runs the concurrent message-passing engine.

@@ -100,14 +100,16 @@ func TestSweepSourceJoinsSourceIterator(t *testing.T) {
 	}
 }
 
-// claimed is one window a claimer handed out, copied out of its chunk.
+// claimed is one window a claimer handed out, copied out of its
+// worker's window buffer.
 type claimed struct {
 	base int
 	advs []*Adversary
 }
 
 // claimAll drains a fresh claimer for src with the given number of
-// concurrent workers and returns every window, sorted by base.
+// concurrent workers, each claiming into its own pooled kit, and returns
+// every window, sorted by base.
 func claimAll(t *testing.T, e *Engine, src Source, workers int) []claimed {
 	t.Helper()
 	count, known := src.Count()
@@ -117,12 +119,14 @@ func claimAll(t *testing.T, e *Engine, src Source, workers int) []claimed {
 		failed  error
 		wg      sync.WaitGroup
 	)
-	cl := newClaimer(e, src, count, known, workers, false, func(err error) { failed = err })
+	cl := newClaimer(src, count, known, workers, false, func(err error) { failed = err })
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for c := range cl.chunks(context.Background(), e) {
+			kit := e.getKit()
+			defer e.putKit(kit)
+			for c := range cl.chunks(context.Background(), e, kit) {
 				mu.Lock()
 				windows = append(windows, claimed{c.base, append([]*Adversary(nil), c.advs...)})
 				mu.Unlock()
@@ -311,6 +315,80 @@ func TestSweepSourcePanicIsolated(t *testing.T) {
 					t.Fatal("sweep after a recovered source panic differs from a fresh engine's")
 				}
 			})
+		}
+	}
+}
+
+// TestPooledKitsHoldNoAdversary sweeps through every claim path — a
+// space's windows enumerated into fresh slabs (SweepSourceStream) and
+// into the reused arena (SweepSource), and a plain stream pulled into
+// the kit's buffer — and then checks every kit back in the pool: its
+// window buffer has capacity, yet not one slot of it still points at an
+// adversary.
+func TestPooledKitsHoldNoAdversary(t *testing.T) {
+	ctx := context.Background()
+	refs := []string{"optmin", "upmin"}
+	space := Space{N: 3, T: 2, MaxRound: 2, Values: []int{0, 1}}
+	spaceSrc, err := SpaceSource(space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := FuncSource("stream", -1, spaceSrc.Seq())
+	e := New(WithCrashBound(2), WithDegree(2), WithParallelism(2))
+	if err := e.SweepSourceStream(ctx, refs, spaceSrc, func(*Result) {}); err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []Source{spaceSrc, stream} {
+		if _, err := e.SweepSource(ctx, refs, src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.kitMu.Lock()
+	defer e.kitMu.Unlock()
+	if len(e.kitFree) == 0 {
+		t.Fatal("no kit went back to the pool")
+	}
+	for i, kit := range e.kitFree {
+		if cap(kit.advs) == 0 {
+			t.Errorf("pooled kit %d has no window buffer", i)
+		}
+		for j, adv := range kit.advs[:cap(kit.advs)] {
+			if adv != nil {
+				t.Fatalf("pooled kit %d still holds an adversary in window slot %d", i, j)
+			}
+		}
+	}
+}
+
+// TestWarmSweepGrowsNoWindowBuffer pins the window-buffer hit counts: a
+// warm engine's second sweep of a space, and of a plain stream, claims
+// every window into a buffer that already fits it, so it counts chunk
+// hits only — one per claimed window — and no miss.
+func TestWarmSweepGrowsNoWindowBuffer(t *testing.T) {
+	ctx := context.Background()
+	refs := []string{"optmin"}
+	spaceSrc, err := SpaceSource(Space{N: 3, T: 2, MaxRound: 2, Values: []int{0, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []Source{spaceSrc, FuncSource("stream", -1, spaceSrc.Seq())} {
+		e := New(WithCrashBound(2), WithParallelism(1))
+		if _, err := e.SweepSource(ctx, refs, src); err != nil {
+			t.Fatal(err)
+		}
+		cold := e.Stats()
+		if cold.ChunkMisses == 0 {
+			t.Fatalf("%s: a cold engine's sweep grew no window buffer", src.Label())
+		}
+		if _, err := e.SweepSource(ctx, refs, src); err != nil {
+			t.Fatal(err)
+		}
+		warm := e.Stats()
+		if d := warm.ChunkMisses - cold.ChunkMisses; d != 0 {
+			t.Errorf("%s: the warm sweep grew its window buffer %d times", src.Label(), d)
+		}
+		if d, want := warm.ChunkHits-cold.ChunkHits, cold.ChunkHits+cold.ChunkMisses; d != want {
+			t.Errorf("%s: the warm sweep counted %d hits, want one per window of the cold sweep (%d)", src.Label(), d, want)
 		}
 	}
 }

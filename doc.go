@@ -42,7 +42,7 @@
 // iter.Seq stream of adversaries; a WorkloadRegistry resolves references
 // like "collapse:k=3,r=2..6" (integer parameters accept lo..hi ranges)
 // into Sources; and Engine.SweepSource shards a Source across the worker
-// pool in deterministic chunks, folding every run online into a Summary
+// pool in deterministic windows, folding every run online into a Summary
 // — per-protocol decision-time histograms, undecided and task-violation
 // counts, and wire-bit totals — whose size is bounded by protocols and
 // horizon, never by results, so exhaustive spaces sweep without ever
@@ -184,8 +184,8 @@
 // identical table path, byte-for-byte. internal/service holds the
 // embeddable Server and Client; GET /v1/stats, /debug/vars (expvar),
 // GET /metrics (Prometheus text exposition), and /debug/pprof expose
-// counters (queue depth, runs/s, graphs revived vs rebuilt, run-kit and
-// chunk pool hit rates) and profiles. Each counter is one row of the
+// counters (queue depth, runs/s, graphs revived vs rebuilt, run-kit
+// pool and window-buffer hit rates) and profiles. Each counter is one row of the
 // service's metrics table, which all three counter surfaces render.
 //
 // # Distributed Sweeps
@@ -296,11 +296,12 @@
 // run word-parallel over the arena (internal/bitset supplies the
 // AndNotCount / OrCount / CopyFrom kernels). Building a graph costs six
 // allocations regardless of n and horizon; a knowledge.Builder with
-// Graph.Release recycles even those. The engine has one graph lifetime
-// per path: aggregating sweeps (SweepSource) and the analysis compile
-// give each worker a private builder, so a whole shard reuses one
-// arena, while Run, Sweep and SweepSourceStream build one fresh graph
-// per adversary, because a Result may keep its graph. Because an
+// Graph.Release recycles even those. The engine has one graph lifetime:
+// every path — Run, every sweep, the analysis compile — builds each
+// adversary's graph in its worker's private builder and releases it once
+// the adversary's runs are done, so a whole shard reuses one arena. No
+// Result keeps a graph: a kept Result carries its GraphStats, and
+// Result.KnowledgeGraph rebuilds an equal graph on demand. Because an
 // exhaustive enumeration yields every input vector of one canonical
 // failure pattern consecutively, the Builder additionally revives a
 // released same-pattern graph: the views, known-crash, and hidden
@@ -370,15 +371,16 @@
 // per failure pattern only a share of the cursor's slab blocks. The Builder and the search Compiler keep a copy
 // of the previous adversary's inputs, never the arena's adversary (the
 // recycle contract on Engine). Any other Source is pulled under the
-// claim lock (iter.Pull), a chunk per claim, and the sweep returns only
+// claim lock (iter.Pull), a window per claim, and the sweep returns only
 // after that iterator has; a random stream is drawn by a model.Sampler,
 // which carves adversaries and inputs from 64-entry slabs, and patterns
 // with their crash slices and delivery sets from a model.PatternSlab —
 // the carver the enum.Cursor draws its canonical patterns from, in
 // blocks sized to the patterns left in its range — so an adversary costs
-// only a share of the slabs. Claims fill pooled chunks, and the workers share nothing per
-// adversary: cancellation is polled on the Done channel and progress is
-// counted per window.
+// only a share of the slabs. Each claim refills the claiming worker's
+// window buffer, one per pooled run kit, and the workers share nothing
+// per adversary: cancellation is polled on the Done channel and progress
+// is counted per window.
 //
 // Identity keys are compact binary encodings, not rendered strings: both
 // the per-view Fingerprint (view interning in the unbeatability search

@@ -34,36 +34,39 @@ import (
 // # Recycle contract
 //
 // Every run — Run's, a sweep's, the analysis compile's — executes into a
-// worker's pooled buffer, and an aggregating sweep (SweepSource) is
-// allocation-free per run and, over an exhaustive space, per adversary.
-// That rests on four reuse rules:
+// worker's pooled kit (runKit), and an aggregating sweep (SweepSource)
+// is allocation-free per run and, over an exhaustive space, per
+// adversary. That rests on four reuse rules:
 //
 //   - runBuffer: the Result a backend's run returns aliases the buffer.
 //     A folding sweep folds it into the per-worker accumulators and
 //     never lets it escape. Anything that hands Results out (Run, Sweep,
 //     SweepSourceStream) hands out detached copies (detach): fresh
 //     decisions, fresh extras, nothing of the buffer.
-//   - Knowledge graphs have one lifetime per path. Aggregating sweeps
-//     and the analysis compile build each graph in the worker's reused
-//     Builder arena and release it as soon as the adversary's runs are
-//     folded; consecutive adversaries sharing a failure pattern revive
-//     or patch the previous arena. Run, Sweep and SweepSourceStream
-//     build one fresh knowledge.New graph per adversary, shared by that
-//     adversary's protocols and never recycled, because
-//     Result.KnowledgeGraph lets callers keep it: it is the only graph a
-//     detached Result may hold.
-//   - Adversary arenas: where no Result escapes (SweepSource,
-//     SweepSourceProgress, the analysis compile), a worker carves each
-//     window it claims of an exhaustive space from its enum.Walker's one
-//     reused arena (AppendReused), and its next claim overwrites them.
-//     Nothing may hold such an adversary past its window: the Builder
-//     and the search Compiler keep a copy of the previous adversary's
-//     inputs and its pattern pointer, never the adversary. Failure
-//     patterns are never reused, because revive and patch key on their
-//     pointer. Run, Sweep and SweepSourceStream keep fresh slabs
-//     (Append), because a kept Result holds its adversary, and so does
-//     every plain stream: a random stream's model.Sampler carves its
-//     adversaries from fresh slabs.
+//   - Knowledge graphs have one lifetime. Every path builds each
+//     adversary's graph in the worker's reused Builder arena, shares it
+//     among that adversary's protocols, and releases it once their runs
+//     are done; consecutive adversaries sharing a failure pattern revive
+//     or patch the previous arena. No Result keeps a graph: detach takes
+//     the adversary string and GraphStats once per adversary while the
+//     graph is built, and Result.KnowledgeGraph rebuilds an equal graph
+//     on demand. Revive and patch key on the failure pattern's pointer,
+//     so a kit's Builder forgets its revive chain when the kit returns
+//     to the pool: a caller may change a pattern in place between two
+//     calls, never during one.
+//   - Adversary arenas: each worker's kit holds one window buffer, and
+//     every claim refills it with the worker's next window. Where no
+//     Result escapes (SweepSource, SweepSourceProgress, the analysis
+//     compile), a worker carves each window it claims of an exhaustive
+//     space from its enum.Walker's one reused arena (AppendReused), and
+//     its next claim overwrites them. Nothing may hold such an adversary
+//     past its window: the Builder and the search Compiler keep a copy
+//     of the previous adversary's inputs and its pattern pointer, never
+//     the adversary. Failure patterns are never reused, because revive
+//     and patch key on their pointer. Run, Sweep and SweepSourceStream
+//     keep fresh slabs (Append), because a kept Result holds its
+//     adversary, and so does every plain stream: a random stream's
+//     model.Sampler carves its adversaries from fresh slabs.
 //   - Summary shards: each worker folds into private agg.Acc
 //     accumulators and merges them into the Aggregator exactly once,
 //     when its shard is drained (Summary.Merge is the public form of
@@ -76,46 +79,36 @@ type Engine struct {
 	err      error // construction error, surfaced by every call
 
 	// gov, when set, meters the byte capacity of everything the engine
-	// recycles (builder arenas, run-kit slabs, sweep chunks) and gates
+	// recycles (builder arenas, run buffers, window buffers) and gates
 	// retention: while the governor sheds, release paths free buffers to
 	// the GC instead of pooling them. nil means ungoverned.
 	gov ResourceGovernor
 
 	// kitMu/kitFree recycle the per-worker run state (runBuffer,
-	// knowledge Builder) across runs and sweeps, so repeated sweeps on one
-	// engine pay no per-sweep warm-up allocations. An explicit
-	// bounded freelist instead of a sync.Pool: the governor's account
-	// must see every buffer enter and leave, and sync.Pool's GC shedding
-	// would strand accounted bytes it silently dropped.
+	// knowledge Builder, window buffer) across runs and sweeps, so
+	// repeated sweeps on one engine pay no per-sweep warm-up
+	// allocations. An explicit bounded freelist instead of a sync.Pool:
+	// the governor's account must see every buffer enter and leave, and
+	// sync.Pool's GC shedding would strand accounted bytes it silently
+	// dropped.
 	kitMu   sync.Mutex
 	kitFree []*runKit
-
-	// chunkMu/chunkFree recycle the sweepChunk arrays workers fill with
-	// their claimed windows, bounded the same way; chunkBytes is the
-	// engine's receipt of every chunk byte currently accounted to the
-	// governor (pooled or in flight), so Close can return the remainder
-	// even for chunks a panic dropped.
-	chunkMu    sync.Mutex
-	chunkFree  []*sweepChunk
-	chunkBytes atomic.Int64
 
 	// statBuilt/statRevived/statPatched accumulate the builder counts
 	// harvested when a worker returns its kit — the engine-wide "graphs
 	// rebuilt vs revived vs delta-patched" observability counters behind
-	// Stats. They only move on the Builder path (aggregating sweeps and
-	// the analysis compile); the fresh graphs of Run, Sweep and
-	// SweepSourceStream are not counted.
+	// Stats.
 	statBuilt   atomic.Int64
 	statRevived atomic.Int64
 	statPatched atomic.Int64
 
-	// Pool hit-rate counters: a hit is a checkout served from the
-	// freelist, a miss a fresh allocation. statKit* meters the
-	// per-worker runKit pool (runBuffer + builder arena — the expensive
-	// warm-up state), statChunk* the sweepChunk pool. While the
-	// governor sheds, release paths drop buffers instead of repooling
-	// them, so a falling hit rate is the observable symptom of sweeps
-	// running over the soft memory ceiling.
+	// Reuse hit-rate counters. statKit* meters the runKit pool: a hit
+	// is a checkout served from the freelist, a miss a fresh kit.
+	// statChunk* meters the kits' window buffers: a hit is a claimed
+	// window that fit its worker's buffer, a miss one that grew it.
+	// While the governor sheds, release paths drop kits instead of
+	// repooling them, so a falling hit rate is the observable symptom
+	// of sweeps running over the soft memory ceiling.
 	statKitHit    atomic.Int64
 	statKitMiss   atomic.Int64
 	statChunkHit  atomic.Int64
@@ -313,17 +306,17 @@ func (e *Engine) protoFor(ref string, spec *ProtocolSpec, p Params) protoEntry {
 // surface. GraphsRebuilt, GraphsRevived, and GraphsPatched count full
 // knowledge-graph builds, same-pattern revives (value layer refilled),
 // and delta patches (only the value rows touched by a single changed
-// input rewritten) on the Builder path: aggregating sweeps and every
-// analysis compile stage. The fresh graphs of Run, Sweep and
-// SweepSourceStream are not counted.
-// The pool hit-rate pairs meter the two freelists behind every sweep:
-// RunKitHits/RunKitMisses count runKit (runBuffer + builder arena)
-// checkouts served warm from the pool versus freshly allocated — one per
-// sweep worker, analysis compile worker and Run call, materializing
-// sweeps included — and ChunkHits/ChunkMisses the same for the
-// sweepChunk arrays workers fill, one per claimed window. A steady
-// sweep's hit rate converges to ~1; misses growing mid-sweep mean the
-// governor is shedding pooled buffers over the soft memory ceiling.
+// input rewritten). Every path builds its graphs in a worker's Builder,
+// so on the Oracle backend the three sum to one graph per adversary run
+// — by Run, every sweep and every analysis compile stage.
+// The hit-rate pairs meter the one pool behind every run:
+// RunKitHits/RunKitMisses count runKit (runBuffer, builder arena and
+// window buffer) checkouts served warm from the pool versus freshly
+// allocated — one per sweep worker, analysis compile worker and Run
+// call — and ChunkHits/ChunkMisses count claimed windows that fit their
+// worker's window buffer versus ones that grew it. A steady sweep's hit
+// rates converge to ~1; misses growing mid-sweep mean the governor is
+// shedding pooled kits over the soft memory ceiling.
 type EngineStats struct {
 	GraphsRebuilt int64 `json:"graphsRebuilt"`
 	GraphsRevived int64 `json:"graphsRevived"`
@@ -356,10 +349,9 @@ func (e *Engine) Stats() EngineStats {
 
 // Run resolves ref in the registry and executes it against adv on the
 // configured backend. It is a one-adversary sweep: the run executes into
-// a pooled worker buffer on the sweep's own per-adversary path
+// a pooled worker kit on the sweep's own per-adversary path
 // (sweepAdversary), and the Result is a detached copy the caller may
-// keep, holding a fresh knowledge.New graph. A panicking protocol
-// surfaces as a typed error, as in a sweep.
+// keep. A panicking protocol surfaces as a typed error, as in a sweep.
 func (e *Engine) Run(ctx context.Context, ref string, adv *Adversary) (*Result, error) {
 	if e.err != nil {
 		return nil, e.err
@@ -408,7 +400,7 @@ func (e *Engine) Sweep(ctx context.Context, refs []string, advs []*Adversary) ([
 // SweepSource streams every adversary of src through every named
 // protocol and folds the results online into a Summary. The source is
 // sharded across the worker pool in deterministic windows and never
-// materialized: memory is bounded by the Summary, the in-flight chunks,
+// materialized: memory is bounded by the Summary, the workers' windows,
 // and whatever the source itself retains — never by the number of
 // results. Per adversary, all protocols share one knowledge graph, as
 // in Sweep.
@@ -481,92 +473,18 @@ func chunkSizeFor(count int, known bool, workers int) int {
 // pattern block, so its worker full-builds the block's graph once and
 // patches every other adversary; only a block larger than windowCap is
 // cut, into block-relative slices of windowCap adversaries, so one huge
-// block still spreads over the workers and a chunk array stays small.
+// block still spreads over the workers and a window buffer stays small.
 // Such a slice starts with a full build unless its worker's builder
 // still holds the block's pattern, so at Parallelism > 1 a cut block may
 // be built once per slice.
 const windowCap = 256
 
-// sweepChunk is one claimed work unit: a run of consecutive adversaries
-// and the stream index of the first. Chunks recycle through the engine's
-// bounded freelist — a worker takes one per claim, fills it with its
-// window, and returns it once the window's last adversary is processed —
-// so a sweep allocates a bounded handful of chunk arrays regardless of
-// workload size. metered is the chunk's share of the governor's account
-// (8 bytes per pointer of capacity), zero on ungoverned engines.
+// sweepChunk is one claimed work unit: a run of consecutive adversaries,
+// held in the claiming worker's window buffer (runKit.advs) until its
+// next claim refills it, and the stream index of the first.
 type sweepChunk struct {
-	base    int
-	advs    []*Adversary
-	metered int64
-}
-
-// chunkPoolBound bounds the chunk freelist: a sweep's worker holds at
-// most one chunk at a time, so anything beyond that headroom is churn
-// from a finished sweep.
-func (e *Engine) chunkPoolBound() int { return e.params.Parallelism }
-
-// newChunk takes a pooled chunk ready to hold size adversaries starting
-// at stream index base, metering the engine's chunk-pool hit rate and,
-// under a governor, the array capacity it creates.
-func (e *Engine) newChunk(base, size int) *sweepChunk {
-	e.chunkMu.Lock()
-	var c *sweepChunk
-	if n := len(e.chunkFree); n > 0 {
-		c = e.chunkFree[n-1]
-		e.chunkFree[n-1] = nil
-		e.chunkFree = e.chunkFree[:n-1]
-	}
-	e.chunkMu.Unlock()
-	if c == nil {
-		c = new(sweepChunk)
-		e.statChunkMiss.Add(1)
-	} else {
-		e.statChunkHit.Add(1)
-	}
-	c.base = base
-	if cap(c.advs) < size {
-		c.advs = make([]*Adversary, 0, size)
-		if e.gov != nil {
-			if d := 8*int64(cap(c.advs)) - c.metered; d != 0 {
-				e.gov.Grow(d)
-				e.chunkBytes.Add(d)
-				c.metered += d
-			}
-		}
-	} else {
-		c.advs = c.advs[:0]
-	}
-	return c
-}
-
-// dropChunk returns a retired chunk's accounted bytes to the governor.
-func (e *Engine) dropChunk(c *sweepChunk) {
-	if e.gov != nil && c.metered != 0 {
-		e.gov.Shrink(c.metered)
-		e.chunkBytes.Add(-c.metered)
-		c.metered = 0
-	}
-}
-
-// releaseChunk clears the adversary pointers — a pooled array must not
-// pin a dropped workload — and returns the chunk to the freelist,
-// unless the governor is shedding (or the freelist is full), in which
-// case the chunk is dropped and its bytes returned to the account.
-func (e *Engine) releaseChunk(c *sweepChunk) {
-	clear(c.advs[:cap(c.advs)])
-	c.advs = c.advs[:0]
-	if e.gov != nil && !e.gov.Retain() {
-		e.dropChunk(c)
-		return
-	}
-	e.chunkMu.Lock()
-	if len(e.chunkFree) < e.chunkPoolBound() {
-		e.chunkFree = append(e.chunkFree, c)
-		e.chunkMu.Unlock()
-		return
-	}
-	e.chunkMu.Unlock()
-	e.dropChunk(c)
+	base int
+	advs []*Adversary
 }
 
 // spaceRange resolves the stream offsets [from, to) of an exhaustive
@@ -587,41 +505,43 @@ func spaceRange(src Source, from, to int) (space Space, lo, hi int, ok bool) {
 }
 
 // sweepClaimer hands out one sweep's work, a window per claim, under one
-// mutex. An exhaustive space is cut by a shared window cursor
-// (spaceRange), and the claiming worker enumerates its window outside
-// the lock: into fresh slabs when the sweep's Results escape, since a
-// Result keeps its adversary, and otherwise (reuse) into its walker's
-// one reused arena, which the next claim overwrites. Any other source is
-// pulled under the lock, a filled chunk per claim, from one iter.Pull
-// over its Seq. The pull runs caller code with the lock held, so every
-// path releases the lock by a deferred unlock — a worker unwinding out
-// of a claim must not strand the others; a panic in that code is
-// recovered inside the pulled iterator, with its stack, and fails the
-// sweep.
+// mutex, into the claiming worker's window buffer. An exhaustive space
+// is cut by a shared window cursor (spaceRange), and the claiming worker
+// enumerates its window outside the lock: into fresh slabs when the
+// sweep's Results escape, since a Result keeps its adversary, and
+// otherwise (reuse) into its walker's one reused arena, which the next
+// claim overwrites. Any other source is pulled under the lock, up to
+// size adversaries per claim, from one iter.Pull over its Seq; into
+// points at the claiming worker's buffer for the one pull. The pull runs
+// caller code with the lock held, so every path releases the lock by a
+// deferred unlock — a worker unwinding out of a claim must not strand
+// the others; a panic in that code is recovered inside the pulled
+// iterator, with its stack, and fails the sweep.
 type sweepClaimer struct {
 	mu     sync.Mutex
-	cursor *enum.Cursor // nil for a plain stream
-	origin int          // the space offset of the stream's first adversary
-	reuse  bool         // carve windows from each worker's reused arena
-	pull   func() (*sweepChunk, bool)
+	cursor *enum.Cursor  // nil for a plain stream
+	origin int           // the space offset of the stream's first adversary
+	reuse  bool          // carve windows from each worker's reused arena
+	size   int           // the most adversaries a pull appends
+	into   *[]*Adversary // the pulling claim's window buffer
+	pull   func() (int, bool)
 	stop   func()
 }
 
 // newClaimer builds src's claimer; reuse is sweepExec's. fail receives a
 // panic recovered from the source's iterator; it must cancel the sweep.
-func newClaimer(e *Engine, src Source, count int, known bool, workers int, reuse bool, fail func(error)) *sweepClaimer {
+func newClaimer(src Source, count int, known bool, workers int, reuse bool, fail func(error)) *sweepClaimer {
 	cl := new(sweepClaimer)
 	if space, lo, hi, ok := spaceRange(src, 0, math.MaxInt); ok {
 		cl.cursor, cl.origin, cl.reuse = enum.NewCursor(space, lo, hi), lo, reuse
 		return cl
 	}
-	size := chunkSizeFor(count, known, workers)
-	// The pulled iterator fills whole chunks, so a claim switches into it
-	// once, not once per adversary. It is suspended only while it hands a
-	// chunk over, so it holds a partly filled chunk only when a panic
-	// unwinds it, and then releases it.
-	cl.pull, cl.stop = iter.Pull(func(yield func(*sweepChunk) bool) {
-		var c *sweepChunk
+	cl.size = chunkSizeFor(count, known, workers)
+	// The pulled iterator fills whole windows, so a claim switches into
+	// it once, not once per adversary, and yields each window's stream
+	// index once it is full. It appends only while a claim pulls, into
+	// that claim's buffer.
+	cl.pull, cl.stop = iter.Pull(func(yield func(int) bool) {
 		// Source iterators run arbitrary workload code: a panic there
 		// becomes a typed sweep failure, its stack captured here, on the
 		// iterator's own frames, and the pulled stream simply ends.
@@ -629,28 +549,17 @@ func newClaimer(e *Engine, src Source, count int, known bool, workers int, reuse
 			if pe := govern.Recovered("engine: sweep source", recover()); pe != nil {
 				fail(pe)
 			}
-			if c != nil {
-				e.releaseChunk(c)
-			}
 		}()
-		handOver := func() bool {
-			full := c
-			c = nil
-			return yield(full)
-		}
 		next := 0
 		for adv := range src.Seq() {
-			if c == nil {
-				c = e.newChunk(next, size)
-			}
-			c.advs = append(c.advs, adv)
+			*cl.into = append(*cl.into, adv)
 			next++
-			if len(c.advs) == size && !handOver() {
+			if len(*cl.into) == cl.size && !yield(next-cl.size) {
 				return
 			}
 		}
-		if c != nil {
-			handOver()
+		if n := len(*cl.into); n > 0 {
+			yield(next - n)
 		}
 	})
 	return cl
@@ -664,23 +573,28 @@ func (cl *sweepClaimer) close() {
 	}
 }
 
-// claim takes the next window and returns it in a pooled chunk, nil once
+// claim takes the next window into kit's window buffer; ok is false once
 // the source is exhausted. walker is the calling worker's own.
-func (cl *sweepClaimer) claim(e *Engine, walker *enum.Walker) *sweepChunk {
+func (cl *sweepClaimer) claim(e *Engine, kit *runKit, walker *enum.Walker) (sweepChunk, bool) {
 	if cl.cursor == nil {
-		return cl.claimPulled()
+		grew := kit.fit(cl.size)
+		base, ok := cl.pullInto(&kit.advs)
+		if ok {
+			e.countWindow(grew)
+		}
+		return sweepChunk{base: base, advs: kit.advs}, ok
 	}
 	w, ok := cl.nextWindow()
 	if !ok {
-		return nil
+		return sweepChunk{}, false
 	}
-	c := e.newChunk(w.Base-cl.origin, w.Len)
+	e.countWindow(kit.fit(w.Len))
 	if cl.reuse {
-		c.advs = walker.AppendReused(c.advs, w)
+		kit.advs = walker.AppendReused(kit.advs, w)
 	} else {
-		c.advs = walker.Append(c.advs, w)
+		kit.advs = walker.Append(kit.advs, w)
 	}
-	return c
+	return sweepChunk{base: w.Base - cl.origin, advs: kit.advs}, true
 }
 
 // nextWindow cuts the next window under the lock.
@@ -690,29 +604,26 @@ func (cl *sweepClaimer) nextWindow() (enum.Window, bool) {
 	return cl.cursor.Next(windowCap)
 }
 
-// claimPulled pulls the next chunk of a plain stream under the lock.
-func (cl *sweepClaimer) claimPulled() *sweepChunk {
+// pullInto pulls the next window of a plain stream into advs under the
+// lock and returns its stream index.
+func (cl *sweepClaimer) pullInto(advs *[]*Adversary) (int, bool) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	c, _ := cl.pull()
-	return c
+	cl.into = advs
+	base, ok := cl.pull()
+	cl.into = nil
+	return base, ok
 }
 
-// chunks is one worker's sequence of claimed chunks. Each chunk goes
-// back to the pool when the loop body moves on or breaks; a chunk whose
-// body panicked is not repooled (Close settles its bytes). Claims stop
-// once ctx is done.
-func (cl *sweepClaimer) chunks(ctx context.Context, e *Engine) iter.Seq[*sweepChunk] {
-	return func(yield func(*sweepChunk) bool) {
+// chunks is one worker's sequence of claimed windows, each in kit's
+// window buffer until the loop body moves on. Claims stop once ctx is
+// done.
+func (cl *sweepClaimer) chunks(ctx context.Context, e *Engine, kit *runKit) iter.Seq[sweepChunk] {
+	return func(yield func(sweepChunk) bool) {
 		var walker enum.Walker
 		for sweepCancelled(ctx) == nil {
-			c := cl.claim(e, &walker)
-			if c == nil {
-				return
-			}
-			more := yield(c)
-			e.releaseChunk(c)
-			if !more {
+			c, ok := cl.claim(e, kit, &walker)
+			if !ok || !yield(c) {
 				return
 			}
 		}
@@ -737,14 +648,15 @@ func sweepCancelled(ctx context.Context) error {
 // claimer, runs the worker pool — each worker claiming windows and
 // enumerating them itself — and funnels out the first error (or context
 // cancellation). body runs once per worker, inside withKit under the
-// label what, owns all worker-local state, and ranges over its own chunk
-// sequence. reuse asserts that body is done with a chunk's adversaries
-// when the loop moves on and keeps nothing of them — no Result escapes —
-// so an exhaustive space's windows are carved from each worker's reused
-// arena. sweepExec starts no goroutine but its workers, and returns only
+// label what, owns all worker-local state, and ranges over its own
+// sequence of windows, each held in the kit's window buffer until the
+// next claim. reuse asserts that body is done with a window's
+// adversaries when the loop moves on and keeps nothing of them — no
+// Result escapes — so an exhaustive space's windows are carved from
+// each worker's reused arena. sweepExec starts no goroutine but its workers, and returns only
 // once every worker has returned and the source iterator it pulled, if
 // any, has finished.
-func (e *Engine) sweepExec(ctx context.Context, what string, refs []string, src Source, reuse bool, body func(ctx context.Context, specs []*ProtocolSpec, kit *runKit, chunks iter.Seq[*sweepChunk]) error) error {
+func (e *Engine) sweepExec(ctx context.Context, what string, refs []string, src Source, reuse bool, body func(ctx context.Context, specs []*ProtocolSpec, kit *runKit, chunks iter.Seq[sweepChunk]) error) error {
 	if e.err != nil {
 		return e.err
 	}
@@ -784,13 +696,13 @@ func (e *Engine) sweepExec(ctx context.Context, what string, refs []string, src 
 		errOnce.Do(func() { firstErr = err })
 		cancel()
 	}
-	cl := newClaimer(e, src, count, known, workers, reuse, fail)
+	cl := newClaimer(src, count, known, workers, reuse, fail)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			if err := e.withKit(what, func(kit *runKit) error {
-				return body(ctx, specs, kit, cl.chunks(ctx, e))
+				return body(ctx, specs, kit, cl.chunks(ctx, e, kit))
 			}); err != nil {
 				fail(err)
 			}
@@ -852,7 +764,7 @@ type sweepWorker struct {
 // the claims, so throughput scales with Parallelism instead of
 // flatlining on an aggregator lock.
 func (e *Engine) sweep(ctx context.Context, refs []string, src Source, a *Aggregator, deliver func(advIdx, refIdx int, r *Result)) error {
-	return e.sweepExec(ctx, "engine: sweep worker", refs, src, deliver == nil, func(ctx context.Context, specs []*ProtocolSpec, kit *runKit, chunks iter.Seq[*sweepChunk]) error {
+	return e.sweepExec(ctx, "engine: sweep worker", refs, src, deliver == nil, func(ctx context.Context, specs []*ProtocolSpec, kit *runKit, chunks iter.Seq[sweepChunk]) error {
 		w := sweepWorker{refs: refs, specs: specs, kit: kit, a: a, deliver: deliver}
 		if a != nil {
 			w.shard = make([]agg.Acc, len(refs))
@@ -875,15 +787,42 @@ func (e *Engine) sweep(ctx context.Context, refs []string, src Source, a *Aggreg
 }
 
 // runKit is the pooled per-worker state of every run: the runBuffer the
-// backend runs into and the worker's knowledge Builder, which holds no
-// storage until its first Build (only folding sweeps and the analysis
-// compile build in it). Kits recycle through the engine's bounded
-// freelist so repeated sweeps reuse warmed-up buffers; bufBytes is the
-// runBuffer capacity last reported to the governor.
+// backend runs into, the worker's knowledge Builder, which holds no
+// storage until its first Build, and the window buffer (advs) that each
+// claim of a sweep refills. Kits recycle through the engine's bounded
+// freelist so repeated runs and sweeps reuse warmed-up buffers; metered
+// is the run and window buffers' capacity last reported to the
+// governor.
 type runKit struct {
-	buf      *runBuffer
-	builder  *knowledge.Builder
-	bufBytes int64
+	buf     *runBuffer
+	builder *knowledge.Builder
+	advs    []*Adversary
+	metered int64
+}
+
+// bytes reports the capacity the kit's run and window buffers pin, 8
+// bytes per window pointer; the builder meters its own storage.
+func (kit *runKit) bytes() int64 { return kit.buf.bytes() + 8*int64(cap(kit.advs)) }
+
+// fit empties the window buffer for a window of up to n adversaries,
+// growing it first if it is smaller, and reports whether it grew.
+func (kit *runKit) fit(n int) (grew bool) {
+	if cap(kit.advs) >= n {
+		kit.advs = kit.advs[:0]
+		return false
+	}
+	kit.advs = make([]*Adversary, 0, n)
+	return true
+}
+
+// countWindow meters one claimed window: a chunk hit when it fit its
+// worker's window buffer, a miss when the buffer grew.
+func (e *Engine) countWindow(grew bool) {
+	if grew {
+		e.statChunkMiss.Add(1)
+	} else {
+		e.statChunkHit.Add(1)
+	}
 }
 
 // kitPoolBound bounds the kit freelist: one sweep checks out at most
@@ -912,16 +851,23 @@ func (e *Engine) getKit() *runKit {
 	return kit
 }
 
-// putKit harvests the kit's builder counters, settles its runBuffer
-// byte account, and returns it to the freelist — unless the governor is
-// shedding (or the freelist is full), in which case the kit is
-// discarded and every byte it held goes back to the account.
+// putKit harvests the kit's builder counters, clears its window
+// buffer's pointers, so the pool does not pin a finished sweep's
+// windows, and ends its builder's revive chain, since a caller may
+// change a pattern in place before the next run. It then settles the
+// byte account of the kit's run and window buffers and returns the kit
+// to the freelist, unless the governor is shedding (or the freelist is
+// full), in which case the kit is discarded and every byte it held goes
+// back to the account.
 func (e *Engine) putKit(kit *runKit) {
 	e.harvestKit(kit)
+	clear(kit.advs[:cap(kit.advs)])
+	kit.advs = kit.advs[:0]
+	kit.builder.Forget()
 	if e.gov != nil {
-		if d := kit.buf.bytes() - kit.bufBytes; d != 0 {
+		if d := kit.bytes() - kit.metered; d != 0 {
 			e.gov.Grow(d)
-			kit.bufBytes += d
+			kit.metered += d
 		}
 		if !e.gov.Retain() {
 			e.dropKit(kit)
@@ -948,12 +894,12 @@ func (e *Engine) harvestKit(kit *runKit) {
 
 // dropKit releases a retired kit's accounted bytes: the builder's whole
 // storage account (covering graphs a panic never Released) and the
-// runBuffer capacity.
+// capacity of the run and window buffers.
 func (e *Engine) dropKit(kit *runKit) {
 	kit.builder.Discard()
-	if e.gov != nil && kit.bufBytes != 0 {
-		e.gov.Shrink(kit.bufBytes)
-		kit.bufBytes = 0
+	if e.gov != nil && kit.metered != 0 {
+		e.gov.Shrink(kit.metered)
+		kit.metered = 0
 	}
 }
 
@@ -965,13 +911,13 @@ func (e *Engine) discardKit(kit *runKit) {
 	e.dropKit(kit)
 }
 
-// Close releases every pooled buffer the engine retains — warm kits and
-// sweep chunks — and returns their accounted bytes to the governor,
-// including bytes from chunks a panicking worker dropped mid-sweep. The
-// engine stays usable afterwards (pools just start cold); long-running
-// processes that build per-job engines against one shared governor must
-// call it when the job ends, or the account would drift upward with
-// every retired engine's warm buffers. Safe to call repeatedly.
+// Close releases every warm kit the engine pools and returns its
+// accounted bytes to the governor; a kit a panicking worker retired has
+// already returned its own. The engine stays usable afterwards (the
+// pool just starts cold); long-running processes that build per-job
+// engines against one shared governor must call it when the job ends,
+// or the account would drift upward with every retired engine's warm
+// buffers. Safe to call repeatedly.
 func (e *Engine) Close() {
 	e.kitMu.Lock()
 	kits := e.kitFree
@@ -979,14 +925,6 @@ func (e *Engine) Close() {
 	e.kitMu.Unlock()
 	for _, kit := range kits {
 		e.dropKit(kit)
-	}
-	e.chunkMu.Lock()
-	e.chunkFree = nil
-	e.chunkMu.Unlock()
-	if e.gov != nil {
-		if b := e.chunkBytes.Swap(0); b != 0 {
-			e.gov.Shrink(b)
-		}
 	}
 }
 
@@ -1017,14 +955,13 @@ func (e *Engine) memoFor(memo *protoMemo, refs []string, specs []*ProtocolSpec, 
 // sweepAdversary runs every protocol of a sweep against one adversary
 // on the worker's kit, all of them sharing one knowledge graph, and
 // hands each run on. The context is polled once per adversary, before
-// its first run. The one branch is whether the Results escape. If they
-// do, the graph is a fresh knowledge.New graph, never recycled because
-// a kept Result may hold it, and each run goes to deliver as a detached
-// copy carrying the adversary string, rendered once per adversary. If
-// not, the graph is built in the kit's reused Builder arena — revived or
-// patched from the previous adversary's when they share a failure
-// pattern — and released as soon as the adversary's runs have folded,
-// which is safe because nothing escapes the fold.
+// its first run. The graph is built in the kit's reused Builder arena —
+// revived or patched from the previous adversary's when they share a
+// failure pattern — and released once the adversary's runs are done,
+// which is safe because no Result keeps it. The one branch is whether
+// the Results escape: if they do, each run goes to deliver as a detached
+// copy carrying the adversary string and the graph's stats, both taken
+// once per adversary while the graph is built; if not, it folds.
 func (e *Engine) sweepAdversary(ctx context.Context, w *sweepWorker, adv *Adversary, advIdx int) error {
 	if err := sweepCancelled(ctx); err != nil {
 		return err
@@ -1034,19 +971,21 @@ func (e *Engine) sweepAdversary(ctx context.Context, w *sweepWorker, adv *Advers
 		return err
 	}
 	e.memoFor(&w.memo, w.refs, w.specs, p)
-	var (
-		g      *knowledge.Graph
-		advStr string
-	)
-	switch {
-	case w.deliver != nil:
-		advStr = adv.String()
-		if e.backend.needsGraph() {
-			g = knowledge.New(adv, w.memo.horizon)
-		}
-	case e.backend.needsGraph():
+	var g *knowledge.Graph
+	if e.backend.needsGraph() {
 		g = w.kit.builder.Build(adv, w.memo.horizon)
 		defer g.Release()
+	}
+	var (
+		advStr string
+		gs     *GraphStats
+	)
+	if w.deliver != nil {
+		advStr = adv.String()
+		if g != nil {
+			stats := graphStats(g)
+			gs = &stats
+		}
 	}
 	for refIdx, spec := range w.specs {
 		res, err := e.runInto(w.kit.buf, w.refs[refIdx], spec, w.memo.entries[refIdx], p, adv, g)
@@ -1054,7 +993,7 @@ func (e *Engine) sweepAdversary(ctx context.Context, w *sweepWorker, adv *Advers
 			return err
 		}
 		if w.deliver != nil {
-			w.deliver(advIdx, refIdx, detach(res, advStr))
+			w.deliver(advIdx, refIdx, detach(res, advStr, gs))
 		} else {
 			w.a.fold(&w.shard[refIdx], refIdx, res, w.kit.buf)
 		}

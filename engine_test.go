@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	setconsensus "setconsensus"
+	"setconsensus/internal/bitset"
 	"setconsensus/internal/model"
 )
 
@@ -83,44 +84,168 @@ func TestEngineOracleVsGoroutinesRandomAdversaries(t *testing.T) {
 	}
 }
 
-func TestEngineSweepSharesOneGraphPerAdversary(t *testing.T) {
-	adv1, tb := collapseAdv(t, 2, 3)
-	adv2 := setconsensus.NewBuilder(adv1.N(), 1).Input(0, 0).MustBuild()
+// graphSpace is the exhaustive space the graph-lifetime tests sweep:
+// 776 adversaries in blocks that share a failure pattern.
+var graphSpace = setconsensus.Space{N: 3, T: 2, MaxRound: 2, Values: []int{0, 1}}
+
+// graphsBuilt is the number of knowledge graphs an engine has built,
+// revived or patched.
+func graphsBuilt(eng *setconsensus.Engine) int64 {
+	s := eng.Stats()
+	return s.GraphsRebuilt + s.GraphsRevived + s.GraphsPatched
+}
+
+// TestEngineBuildsOneGraphPerAdversary pins the one graph lifetime
+// through Engine.Stats: on every path — Run, Sweep, SweepSourceStream
+// and SweepSource — a sweep of A adversaries × P protocols builds,
+// revives or patches exactly A graphs in its workers' Builders, one per
+// adversary, shared by its P protocols. Sweep's Results keep their
+// deterministic order: adversary-major, protocol-minor.
+func TestEngineBuildsOneGraphPerAdversary(t *testing.T) {
+	ctx := context.Background()
 	refs := []string{"optmin", "upmin", "floodmin", "u-earlycount"}
-	eng := setconsensus.New(setconsensus.WithCrashBound(tb), setconsensus.WithDegree(2))
-	results, err := eng.Sweep(context.Background(), refs, []*setconsensus.Adversary{adv1, adv2})
+	advs, err := graphSpace.Adversaries()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != len(refs)*2 {
-		t.Fatalf("got %d results", len(results))
+	src, err := setconsensus.SpaceSource(graphSpace)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Deterministic order: adversary-major, protocol-minor.
-	for a := 0; a < 2; a++ {
-		for p, ref := range refs {
-			if got := results[a*len(refs)+p].Ref; got != ref {
-				t.Fatalf("result[%d]: ref %q, want %q", a*len(refs)+p, got, ref)
+	paths := []struct {
+		name string
+		advs int
+		run  func(eng *setconsensus.Engine) error
+	}{
+		{"Run", 1, func(eng *setconsensus.Engine) error {
+			_, err := eng.Run(ctx, "optmin", advs[len(advs)-1])
+			return err
+		}},
+		{"Sweep", len(advs), func(eng *setconsensus.Engine) error {
+			results, err := eng.Sweep(ctx, refs, advs)
+			if err != nil {
+				return err
+			}
+			for i, r := range results {
+				if r.Adv() != advs[i/len(refs)] || r.Ref != refs[i%len(refs)] {
+					t.Fatalf("result[%d] is %s on %s, want %s on %s", i, r.Ref, r.Adv(), refs[i%len(refs)], advs[i/len(refs)])
+				}
+			}
+			return nil
+		}},
+		{"SweepSourceStream", len(advs), func(eng *setconsensus.Engine) error {
+			return eng.SweepSourceStream(ctx, refs, src, func(*setconsensus.Result) {})
+		}},
+		{"SweepSource", len(advs), func(eng *setconsensus.Engine) error {
+			_, err := eng.SweepSource(ctx, refs, src)
+			return err
+		}},
+	}
+	for _, par := range []int{1, 3} {
+		eng := setconsensus.New(setconsensus.WithCrashBound(2), setconsensus.WithDegree(2), setconsensus.WithParallelism(par))
+		for _, path := range paths {
+			for round := 0; round < 2; round++ { // cold, then warm kits
+				before := graphsBuilt(eng)
+				if err := path.run(eng); err != nil {
+					t.Fatalf("%s parallelism=%d: %v", path.name, par, err)
+				}
+				if got := graphsBuilt(eng) - before; got != int64(path.advs) {
+					t.Errorf("%s parallelism=%d round %d: %d graphs for %d adversaries × %d protocols, want one per adversary",
+						path.name, par, round, got, path.advs, len(refs))
+				}
 			}
 		}
 	}
-	// All protocols of one adversary consulted the identical graph.
-	g1 := results[0].KnowledgeGraph()
-	if g1 == nil {
-		t.Fatal("oracle result without knowledge graph")
+}
+
+// TestSweepResultsRebuildTheirGraphs pins what a kept Result carries,
+// since no Result keeps its graph: every Sweep Result over graphSpace has
+// the GraphStats of a fresh NewGraph of its adversary, to the horizon
+// its protocols share, and KnowledgeGraph rebuilds a graph equal to that
+// one at every node — Min, HiddenCapacity and Vals.
+func TestSweepResultsRebuildTheirGraphs(t *testing.T) {
+	refs := []string{"optmin", "upmin"}
+	advs, err := graphSpace.Adversaries()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for p := 1; p < len(refs); p++ {
-		if results[p].KnowledgeGraph() != g1 {
-			t.Fatalf("protocol %s did not share adversary 1's graph", refs[p])
+	eng := setconsensus.New(setconsensus.WithCrashBound(2), setconsensus.WithDegree(2), setconsensus.WithParallelism(2))
+	results, err := eng.Sweep(context.Background(), refs, advs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	horizon := 0
+	for _, ref := range refs {
+		spec, err := setconsensus.DefaultRegistry().Lookup(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		horizon = max(horizon, spec.WorstCaseTime(setconsensus.Params{N: 3, T: 2, K: 2}))
+	}
+	for i, r := range results {
+		want := setconsensus.NewGraph(r.Adv(), horizon)
+		wantStats := setconsensus.GraphStats{Horizon: horizon}
+		for p := 0; p < want.Adv.N(); p++ {
+			if want.Active(p, horizon) {
+				wantStats.MaxHiddenCapacity = max(wantStats.MaxHiddenCapacity, want.HiddenCapacity(p, horizon))
+			}
+		}
+		if r.GraphStats == nil || *r.GraphStats != wantStats {
+			t.Fatalf("result[%d] on %s: GraphStats %+v, want %+v", i, r.Adv(), r.GraphStats, wantStats)
+		}
+		got := r.KnowledgeGraph()
+		if got == nil || got.Horizon != horizon {
+			t.Fatalf("result[%d] on %s: KnowledgeGraph %v, want a graph to horizon %d", i, r.Adv(), got, horizon)
+		}
+		for p := 0; p < want.Adv.N(); p++ {
+			for m := 0; m <= horizon; m++ {
+				if got.Min(p, m) != want.Min(p, m) || got.HiddenCapacity(p, m) != want.HiddenCapacity(p, m) || !got.Vals(p, m).Equal(want.Vals(p, m)) {
+					t.Fatalf("result[%d] on %s: KnowledgeGraph differs from NewGraph at ⟨%d,%d⟩", i, r.Adv(), p, m)
+				}
+			}
 		}
 	}
-	g2 := results[len(refs)].KnowledgeGraph()
-	if g2 == g1 {
-		t.Fatal("distinct adversaries must not share a graph")
+}
+
+// TestRunAfterPatternChange pins what the revive chain must not carry
+// across calls: a caller may change an adversary's failure pattern in
+// place between two calls on one engine — here process 0's silent
+// round-1 crash becomes a full send — and the second Run, and a Sweep
+// after it, must decide as a fresh engine does on the changed
+// adversary, not revive the graph of the pattern as it was.
+func TestRunAfterPatternChange(t *testing.T) {
+	ctx := context.Background()
+	eng := setconsensus.New(setconsensus.WithDegree(1), setconsensus.WithParallelism(1))
+	adv := setconsensus.NewBuilder(4, 1).Input(0, 0).CrashSilent(0, 1).MustBuild()
+	if _, err := eng.Run(ctx, "optmin", adv); err != nil {
+		t.Fatal(err)
 	}
-	for p := 1; p < len(refs); p++ {
-		if results[len(refs)+p].KnowledgeGraph() != g2 {
-			t.Fatalf("protocol %s did not share adversary 2's graph", refs[p])
-		}
+	crash, _ := adv.Pattern.Crash(0)
+	crash.Delivered = bitset.Full(4)
+	adv.Pattern.SetCrash(crash)
+	want, err := setconsensus.New(setconsensus.WithDegree(1)).Run(ctx, "optmin", adv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := eng.Run(ctx, "optmin", adv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("Run after the pattern changed: %s, a fresh engine %s", got, want)
+	}
+	crash.Delivered = bitset.New(4)
+	adv.Pattern.SetCrash(crash)
+	want, err = setconsensus.New(setconsensus.WithDegree(1)).Run(ctx, "optmin", adv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := eng.Sweep(ctx, []string{"optmin"}, []*setconsensus.Adversary{adv})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if results[0].String() != want.String() {
+		t.Fatalf("Sweep after the pattern changed back: %s, a fresh engine %s", results[0], want)
 	}
 }
 

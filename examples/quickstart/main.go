@@ -42,7 +42,7 @@ func main() {
 	}
 
 	// Why did process 1 decide when it did? Ask the knowledge graph the
-	// oracle backend consulted.
+	// oracle backend consulted, which KnowledgeGraph rebuilds on demand.
 	g := res.KnowledgeGraph()
 	k := res.Params.K
 	fmt.Printf("\nknowledge of process 1 over time (k = %d):\n", k)

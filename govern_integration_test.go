@@ -100,3 +100,68 @@ func TestGovernedEngineAccountingDrains(t *testing.T) {
 		t.Fatalf("shedding engine live account = %d after Close, want 0", shedGov.Live())
 	}
 }
+
+// TestGovernedEveryPathDrains extends the ledger to every path, since
+// each builds its graphs in a governed Builder and claims into a kit's
+// metered window buffer: Run, Sweep, SweepSourceStream, and SweepSource
+// over a pulled stream (the test above sweeps a space), each on a fresh
+// governed engine, and once more with a panicking emit, whose kit is
+// retired mid-sweep. Each leaves a nonzero account while its kits are warm —
+// the panicking one excepted — and Close returns every byte.
+func TestGovernedEveryPathDrains(t *testing.T) {
+	ctx := context.Background()
+	refs := []string{"optmin", "upmin"}
+	space := setconsensus.Space{N: 3, T: 1, MaxRound: 2, Values: []int{0, 1}}
+	src, err := setconsensus.SpaceSource(space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	advs, err := space.Adversaries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := []struct {
+		name   string
+		panics bool
+		run    func(eng *setconsensus.Engine) error
+	}{
+		{"Run", false, func(eng *setconsensus.Engine) error {
+			_, err := eng.Run(ctx, "optmin", advs[len(advs)-1])
+			return err
+		}},
+		{"Sweep", false, func(eng *setconsensus.Engine) error {
+			_, err := eng.Sweep(ctx, refs, advs)
+			return err
+		}},
+		{"SweepSourceStream", false, func(eng *setconsensus.Engine) error {
+			return eng.SweepSourceStream(ctx, refs, src, func(*setconsensus.Result) {})
+		}},
+		{"SweepSource/stream", false, func(eng *setconsensus.Engine) error {
+			_, err := eng.SweepSource(ctx, refs, setconsensus.FuncSource("stream", -1, src.Seq()))
+			return err
+		}},
+		{"SweepSourceStream/panic", true, func(eng *setconsensus.Engine) error {
+			seen := 0
+			return eng.SweepSourceStream(ctx, refs, src, func(*setconsensus.Result) {
+				if seen++; seen == 100 {
+					panic("emit: boom")
+				}
+			})
+		}},
+	}
+	for _, path := range paths {
+		gov := govern.New(0, 0)
+		eng := setconsensus.New(setconsensus.WithCrashBound(1), setconsensus.WithParallelism(2), setconsensus.WithGovernor(gov))
+		err := path.run(eng)
+		if _, ok := govern.AsPanic(err); ok != path.panics {
+			t.Fatalf("%s: %v", path.name, err)
+		}
+		if !path.panics && gov.Live() <= 0 {
+			t.Errorf("%s: live account = %d with warm kits, want > 0", path.name, gov.Live())
+		}
+		eng.Close()
+		if gov.Live() != 0 {
+			t.Errorf("%s: live account = %d after Close, want 0", path.name, gov.Live())
+		}
+	}
+}

@@ -133,7 +133,7 @@ func (c Config) Validate() error {
 		if !knownPoint(p) {
 			return fmt.Errorf("chaos: unknown injection point %q", p)
 		}
-		if pr < 0 || pr > 1 {
+		if !(pr >= 0 && pr <= 1) { // NaN too: it compares false to both bounds
 			return fmt.Errorf("chaos: point %s probability %v outside [0,1]", p, pr)
 		}
 	}

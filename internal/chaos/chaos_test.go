@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 )
@@ -103,6 +104,7 @@ func TestConfigValidate(t *testing.T) {
 		{"unknown point", Config{Prob: map[Point]float64{"nope": 0.5}}},
 		{"probability above 1", Config{Prob: map[Point]float64{PointWorkerCrash: 1.5}}},
 		{"negative probability", Config{Prob: map[Point]float64{PointWorkerCrash: -0.1}}},
+		{"NaN probability", Config{Prob: map[Point]float64{PointWorkerCrash: math.NaN()}}},
 		{"negative budget", Config{Budget: map[Point]int{PointWorkerCrash: -1}}},
 		{"negative delay", Config{MaxDelay: -time.Second}},
 	} {
@@ -112,10 +114,19 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// goodSpec composes every clause form the -chaos flag takes.
+const goodSpec = "seed=7,crash=0.5,straggler=0.25,delay=20ms,torn#1,dup=0.5#3,sse"
+
+// badSpecs are specs ParseSpec must reject.
+var badSpecs = []string{
+	"bogus=0.5", "crash=2.0", "seed=x", "delay=fast", "torn#x", "crash=0.5#?",
+	"crash=NaN", "crash=nan#1", "crash=-Inf", "crash=+Inf", "crash#-1", "delay=-1s",
+}
+
 // TestParseSpec covers the CLI surface: probabilities, budgets, both
 // composed, seed and delay clauses, bare names, and rejections.
 func TestParseSpec(t *testing.T) {
-	s, err := ParseSpec("seed=7,crash=0.5,straggler=0.25,delay=20ms,torn#1,dup=0.5#3,sse")
+	s, err := ParseSpec(goodSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,9 +149,7 @@ func TestParseSpec(t *testing.T) {
 		t.Errorf("bare sse prob = %v, want 1", s.cfg.Prob[PointSSEDisconnect])
 	}
 
-	for _, bad := range []string{
-		"bogus=0.5", "crash=2.0", "seed=x", "delay=fast", "torn#x", "crash=0.5#?",
-	} {
+	for _, bad := range badSpecs {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("spec %q accepted", bad)
 		}

@@ -150,13 +150,18 @@ type Domination struct {
 	// StrictWins: points where P decided strictly earlier than Q (or Q
 	// never decided while P did).
 	StrictWins []Strict
-	Compared   int
-	keepAll    bool
+	// NumViolations and NumStrictWins count every such point, witnessed
+	// or not.
+	NumViolations int
+	NumStrictWins int
+	Compared      int
+	keepAll       bool
 }
 
 // NewDomination prepares a comparison of P against Q. If keepAll is false
 // only the first few witnesses of each kind are retained (enough for
-// reports and tests) to bound memory on exhaustive sweeps.
+// reports and tests) to bound memory on exhaustive sweeps; the counts
+// stay exact either way.
 func NewDomination(pName, qName string, keepAll bool) *Domination {
 	return &Domination{PName: pName, QName: qName, keepAll: keepAll}
 }
@@ -171,11 +176,13 @@ func (d *Domination) Add(p, q *sim.Result) {
 		pt, qt := p.DecisionTime(i), q.DecisionTime(i)
 		switch {
 		case qt >= 0 && (pt < 0 || pt > qt):
+			d.NumViolations++
 			if d.keepAll || len(d.Violations) < maxWitnesses {
 				d.Violations = append(d.Violations, Strict{
 					Adv: p.Adv, Proc: i, PTime: pt, QTime: qt, PName: d.PName, QName: d.QName})
 			}
 		case pt >= 0 && (qt < 0 || pt < qt):
+			d.NumStrictWins++
 			if d.keepAll || len(d.StrictWins) < maxWitnesses {
 				d.StrictWins = append(d.StrictWins, Strict{
 					Adv: p.Adv, Proc: i, PTime: pt, QTime: qt, PName: d.PName, QName: d.QName})
@@ -186,11 +193,11 @@ func (d *Domination) Add(p, q *sim.Result) {
 
 // Dominates reports whether P decided no later than Q at every compared
 // point.
-func (d *Domination) Dominates() bool { return len(d.Violations) == 0 }
+func (d *Domination) Dominates() bool { return d.NumViolations == 0 }
 
 // StrictlyDominates reports whether P dominates Q and beat it somewhere.
 func (d *Domination) StrictlyDominates() bool {
-	return d.Dominates() && len(d.StrictWins) > 0
+	return d.Dominates() && d.NumStrictWins > 0
 }
 
 // Summary renders a one-line verdict.
@@ -198,7 +205,7 @@ func (d *Domination) Summary() string {
 	switch {
 	case d.StrictlyDominates():
 		return fmt.Sprintf("%s strictly dominates %s (%d adversaries, %d strict wins)",
-			d.PName, d.QName, d.Compared, len(d.StrictWins))
+			d.PName, d.QName, d.Compared, d.NumStrictWins)
 	case d.Dominates():
 		return fmt.Sprintf("%s dominates %s (%d adversaries, no strict win observed)",
 			d.PName, d.QName, d.Compared)
@@ -213,9 +220,14 @@ func (d *Domination) Summary() string {
 // correct decision in P is no later than the last correct decision in Q.
 type LastDecider struct {
 	PName, QName string
-	Violations   []Strict
-	StrictWins   []Strict
-	Compared     int
+	// Violations and StrictWins witness the first few runs whose last
+	// correct decision came later, and strictly earlier, in P than in
+	// Q; NumViolations and NumStrictWins count every such run.
+	Violations    []Strict
+	StrictWins    []Strict
+	NumViolations int
+	NumStrictWins int
+	Compared      int
 }
 
 // NewLastDecider prepares a last-decider comparison of P against Q.
@@ -229,10 +241,12 @@ func (d *LastDecider) Add(p, q *sim.Result) {
 	pt, qt := p.MaxCorrectDecisionTime(), q.MaxCorrectDecisionTime()
 	switch {
 	case qt >= 0 && (pt < 0 || pt > qt):
+		d.NumViolations++
 		if len(d.Violations) < maxWitnesses {
 			d.Violations = append(d.Violations, Strict{Adv: p.Adv, PTime: pt, QTime: qt, PName: d.PName, QName: d.QName})
 		}
 	case pt >= 0 && (qt < 0 || pt < qt):
+		d.NumStrictWins++
 		if len(d.StrictWins) < maxWitnesses {
 			d.StrictWins = append(d.StrictWins, Strict{Adv: p.Adv, PTime: pt, QTime: qt, PName: d.PName, QName: d.QName})
 		}
@@ -240,9 +254,9 @@ func (d *LastDecider) Add(p, q *sim.Result) {
 }
 
 // Dominates reports whether P's last correct decision was never later.
-func (d *LastDecider) Dominates() bool { return len(d.Violations) == 0 }
+func (d *LastDecider) Dominates() bool { return d.NumViolations == 0 }
 
 // StrictlyDominates reports domination with at least one strict win.
 func (d *LastDecider) StrictlyDominates() bool {
-	return d.Dominates() && len(d.StrictWins) > 0
+	return d.Dominates() && d.NumStrictWins > 0
 }

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -139,6 +140,42 @@ func TestDominationAbsentDecisionCounts(t *testing.T) {
 	d.Add(sim.Run(never, adv), sim.Run(floodMin(1), adv))
 	if d.Dominates() {
 		t.Error("a protocol that never decides cannot dominate one that does")
+	}
+}
+
+// TestDominationCountsPastWitnessCap pins the counts against the
+// witness cap: over more strict wins than maxWitnesses, the witness
+// lists stop at the cap while NumStrictWins, and Summary, count them
+// all; the same holds for violations and for LastDecider.
+func TestDominationCountsPastWitnessCap(t *testing.T) {
+	adv := model.NewBuilder(3, 1).Input(0, 0).MustBuild()
+	fast, slow := sim.Run(floodMin(1), adv), sim.Run(floodMin(2), adv)
+	const runs = maxWitnesses + 4
+	d := NewDomination("fast", "slow", false)
+	rev := NewDomination("slow", "fast", false)
+	ld := NewLastDecider("fast", "slow")
+	ldRev := NewLastDecider("slow", "fast")
+	for range runs {
+		d.Add(fast, slow)
+		rev.Add(slow, fast)
+		ld.Add(fast, slow)
+		ldRev.Add(slow, fast)
+	}
+	n := adv.N()
+	if d.NumStrictWins != runs*n || len(d.StrictWins) != maxWitnesses {
+		t.Errorf("domination: %d strict wins with %d witnesses, want %d with %d", d.NumStrictWins, len(d.StrictWins), runs*n, maxWitnesses)
+	}
+	if want := fmt.Sprintf("%d strict wins", runs*n); !strings.Contains(d.Summary(), want) {
+		t.Errorf("summary %q lacks %q", d.Summary(), want)
+	}
+	if rev.NumViolations != runs*n || len(rev.Violations) != maxWitnesses || rev.Dominates() {
+		t.Errorf("reverse domination: %d violations with %d witnesses, want %d with %d", rev.NumViolations, len(rev.Violations), runs*n, maxWitnesses)
+	}
+	if ld.NumStrictWins != runs || len(ld.StrictWins) != maxWitnesses || !ld.StrictlyDominates() {
+		t.Errorf("last decider: %d strict wins with %d witnesses, want %d with %d", ld.NumStrictWins, len(ld.StrictWins), runs, maxWitnesses)
+	}
+	if ldRev.NumViolations != runs || len(ldRev.Violations) != maxWitnesses || ldRev.Dominates() {
+		t.Errorf("reverse last decider: %d violations with %d witnesses, want %d with %d", ldRev.NumViolations, len(ldRev.Violations), runs, maxWitnesses)
 	}
 }
 

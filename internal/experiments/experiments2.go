@@ -50,7 +50,7 @@ func E7Unbeatability() (*Table, error) {
 				return nil, fmt.Errorf("E7: %s", dom.Summary())
 			}
 		}
-		t.AddRow(opt.Name()+" vs "+b.Name(), modelName, dom.Compared, verdict, len(dom.StrictWins))
+		t.AddRow(opt.Name()+" vs "+b.Name(), modelName, dom.Compared, verdict, dom.NumStrictWins)
 	}
 
 	// Protocol-space searches.
@@ -174,7 +174,7 @@ func E9LastDecider() (*Table, error) {
 		if !ld.Dominates() {
 			return nil, fmt.Errorf("E9: %s does not last-decider dominate %s", opt.Name(), b.Name())
 		}
-		t.AddRow(opt.Name()+" vs "+b.Name(), ld.Compared, true, len(ld.StrictWins))
+		t.AddRow(opt.Name()+" vs "+b.Name(), ld.Compared, true, ld.NumStrictWins)
 	}
 	return t, nil
 }

@@ -54,3 +54,32 @@ func TestTableRenderAlignment(t *testing.T) {
 		t.Fatalf("lines = %d, want 4", len(lines))
 	}
 }
+
+// TestDominationStrictWinCounts pins E7's and E9's "strict wins" column
+// for the five baselines over the n=3, t=2 space: the number of points
+// (E7) and runs (E9) Optmin[1] wins strictly, counted in full, not the
+// length of the capped witness list.
+func TestDominationStrictWinCounts(t *testing.T) {
+	cases := []struct {
+		gen  func() (*Table, error)
+		want []string
+	}{
+		{E7Unbeatability, []string{"1944", "1344", "1944", "1344", "1944"}},
+		{E9LastDecider, []string{"776", "481", "776", "481", "776"}},
+	}
+	for _, c := range cases {
+		tbl, err := c.gen()
+		if err != nil {
+			t.Fatal(err)
+		}
+		col := len(tbl.Columns) - 1
+		if tbl.Columns[col] != "strict wins" {
+			t.Fatalf("%s: last column %q, want \"strict wins\"", tbl.ID, tbl.Columns[col])
+		}
+		for i, want := range c.want {
+			if got := tbl.Rows[i][col]; got != want {
+				t.Errorf("%s %s: %s strict wins, want %s", tbl.ID, tbl.Rows[i][0], got, want)
+			}
+		}
+	}
+}

@@ -4,8 +4,8 @@
 //
 // The governor is deliberately dumb: it is a single atomic live-byte
 // account with two configurable ceilings. Metered allocation sites
-// (knowledge storage arenas, run-kit buffers, sweep chunk arrays) call
-// Grow when capacity is created and Shrink when it is freed. Crossing
+// (knowledge storage arenas, the run and window buffers of run kits)
+// call Grow when capacity is created and Shrink when it is freed. Crossing
 // the soft ceiling flips Retain to false — pools stop recycling and
 // release their buffers back to the GC, and the job service starts
 // shedding new submissions (HTTP 429) while staying ready for the work

@@ -235,29 +235,32 @@ func TestWatchdogQuietWhileTouched(t *testing.T) {
 	}
 }
 
+// parseBytesCases are ParseBytes's table: an input, and the quantity
+// it means or that it is rejected.
+var parseBytesCases = []struct {
+	in   string
+	want int64
+	err  bool
+}{
+	{"", 0, false},
+	{"0", 0, false},
+	{"1024", 1024, false},
+	{"64K", 64 << 10, false},
+	{"64k", 64 << 10, false},
+	{"512M", 512 << 20, false},
+	{"512MiB", 512 << 20, false},
+	{"512mb", 512 << 20, false},
+	{"2G", 2 << 30, false},
+	{"1T", 1 << 40, false},
+	{" 2G ", 2 << 30, false},
+	{"-1", 0, true},
+	{"12x", 0, true},
+	{"G", 0, true},
+	{"9999999999G", 0, true},
+}
+
 func TestParseBytes(t *testing.T) {
-	cases := []struct {
-		in   string
-		want int64
-		err  bool
-	}{
-		{"", 0, false},
-		{"0", 0, false},
-		{"1024", 1024, false},
-		{"64K", 64 << 10, false},
-		{"64k", 64 << 10, false},
-		{"512M", 512 << 20, false},
-		{"512MiB", 512 << 20, false},
-		{"512mb", 512 << 20, false},
-		{"2G", 2 << 30, false},
-		{"1T", 1 << 40, false},
-		{" 2G ", 2 << 30, false},
-		{"-1", 0, true},
-		{"12x", 0, true},
-		{"G", 0, true},
-		{"9999999999G", 0, true},
-	}
-	for _, c := range cases {
+	for _, c := range parseBytesCases {
 		got, err := ParseBytes(c.in)
 		if c.err {
 			if err == nil {

@@ -117,6 +117,20 @@ func (b *Builder) Discard() {
 	}
 }
 
+// Forget ends the builder's revive chain while keeping its storage: the
+// next Build is a full build, into the released graph's storage, over
+// whatever pattern it is given, and the parked header no longer points
+// at the released graph's adversary. Revive keys on the failure
+// pattern's pointer, so a caller that may change a pattern in place
+// between two batches of builds — an engine's callers between two runs
+// — must call Forget between them.
+func (b *Builder) Forget() {
+	b.lastPat, b.scPat = nil, nil
+	if b.spareG != nil {
+		b.spareG.Adv = nil
+	}
+}
+
 // bytes sums the capacity of every storage slab — the quantity the
 // meter accounts. Element sizes come from unsafe.Sizeof, so the account
 // tracks real slab footprints, not guesses.

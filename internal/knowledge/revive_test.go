@@ -190,3 +190,30 @@ func checkSameGraph(t *testing.T, got, want *Graph) {
 		}
 	}
 }
+
+// TestForgetEndsReviveChain pins Forget: a pattern changed in place
+// after its graph was released and the builder told to forget is built
+// afresh, into the recycled storage, to the graph New builds — without
+// Forget the builder would revive the old pattern's tables by pointer —
+// and the parked header keeps no adversary meanwhile.
+func TestForgetEndsReviveChain(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	b := NewBuilder()
+	for trial := 0; trial < 40; trial++ {
+		adv := randomAdversary(rng, 5, 3, 3, 3)
+		b.Build(adv, 4).Release()
+		b.Forget()
+		if b.spareG != nil && b.spareG.Adv != nil {
+			t.Fatal("the parked header still points at the released adversary")
+		}
+		changed := randomAdversary(rng, 5, 3, 3, 3).Pattern
+		*adv.Pattern = *changed
+		b.TakeCounts()
+		g := b.Build(adv, 4)
+		if built, _, _ := b.TakeCounts(); built != 1 {
+			t.Fatalf("trial %d: the build after Forget revived the old pattern's tables", trial)
+		}
+		checkSameGraph(t, g, New(adv, 4))
+		g.Release()
+	}
+}

@@ -9,8 +9,8 @@ import (
 // BenchmarkServiceSubmit measures the service overhead per job — admit,
 // enqueue, claim, engine construction, run, terminal fan-out — on the
 // smallest real sweep (one adversary, one protocol), i.e. the fixed cost
-// a job pays on top of its sweep. Gated in CI by benchguard under the
-// pr6_post baseline.
+// a job pays on top of its sweep. Gated in CI by benchguard against the
+// pr10_post baseline, the label the bench-regression job passes.
 func BenchmarkServiceSubmit(b *testing.B) {
 	p := Default()
 	p.Workers = 2

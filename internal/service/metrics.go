@@ -26,7 +26,7 @@ type metrics struct {
 	graphsPatched atomic.Int64
 	runKitHits    atomic.Int64 // run-kit pool hits/misses, per EngineStats
 	runKitMisses  atomic.Int64
-	chunkHits     atomic.Int64 // sweep chunk pool hits/misses, per EngineStats
+	chunkHits     atomic.Int64 // window-buffer hits/misses, per EngineStats
 	chunkMisses   atomic.Int64
 
 	sseOpened atomic.Int64 // event streams opened, cumulative
@@ -92,11 +92,11 @@ var metricsTable = []metric{
 		func(s *Server) int64 { return s.gov.Stats().SoftLimitBytes }},
 	{"panics_recovered", counter, "Worker panics recovered into typed job failures, cumulative.",
 		func(s *Server) int64 { return s.gov.Stats().PanicsRecovered }},
-	{"pool_chunk_hits", counter, "Sweep chunk pool checkouts served warm, cumulative.",
+	{"pool_chunk_hits", counter, "Sweep windows claimed into a worker's window buffer that already fit them, cumulative.",
 		func(s *Server) int64 { return s.metrics.chunkHits.Load() }},
-	{"pool_chunk_miss", counter, "Sweep chunk pool checkouts that allocated fresh, cumulative.",
+	{"pool_chunk_miss", counter, "Sweep windows that grew their worker's window buffer, cumulative.",
 		func(s *Server) int64 { return s.metrics.chunkMisses.Load() }},
-	{"pool_runkit_hits", counter, "Per-worker run-kit (run buffer + knowledge-graph builder arena) pool checkouts served warm, cumulative.",
+	{"pool_runkit_hits", counter, "Per-worker run-kit (run buffer, knowledge-graph builder arena and window buffer) pool checkouts served warm, cumulative.",
 		func(s *Server) int64 { return s.metrics.runKitHits.Load() }},
 	{"pool_runkit_miss", counter, "Per-worker run-kit pool checkouts that allocated fresh, cumulative.",
 		func(s *Server) int64 { return s.metrics.runKitMisses.Load() }},

@@ -95,7 +95,7 @@ type Params struct {
 	ProgressInterval time.Duration
 
 	// SoftMemBytes is the governor's soft memory ceiling: while live
-	// metered bytes (builder arenas, run-kit slabs, sweep chunks) exceed
+	// metered bytes (builder arenas, run buffers, window buffers) exceed
 	// it, engines stop recycling pooled buffers and the server sheds new
 	// submissions with 429 (+Retry-After) and flips /readyz to 503.
 	// Running jobs are never disturbed. 0 disables the ceiling.

@@ -248,6 +248,21 @@ func TestSubmissionErrors(t *testing.T) {
 	}
 }
 
+// TestSubmitRefusesUnboundedRandomInputs pins that admission reads the
+// random workload's input bound: a one-adversary job whose inputs range
+// over 0..10^9 — a graph of about 1.5 GB — is refused at Submit, with
+// the bound named, and nothing is queued.
+func TestSubmitRefusesUnboundedRandomInputs(t *testing.T) {
+	s, _ := newTestServer(t, nil)
+	_, err := s.Submit(JobRequest{Kind: KindSweep, Refs: []string{"optmin"}, Workload: "random:n=3,t=0,maxv=1000000000,count=1"})
+	if err == nil || !strings.Contains(err.Error(), "1048576") {
+		t.Fatalf("Submit = %v, want a refusal naming the 1048576-value bound", err)
+	}
+	if q := s.metrics.queued.Load(); q != 0 {
+		t.Fatalf("%d jobs queued, want none", q)
+	}
+}
+
 // TestAnalysisSpaceBudget pins admission of analysis jobs on a default
 // budget: a search is sized by the exact count of the space it compiles
 // and rejected over budget with 422, as sweep jobs are, while searches
@@ -565,5 +580,37 @@ func TestRangeScopedSweepJob(t *testing.T) {
 		if _, err := c.Submit(ctx, bad); err == nil {
 			t.Errorf("invalid range request accepted: %+v", bad)
 		}
+	}
+}
+
+// hangUpRecorder is a recorded event stream whose client hangs up as
+// soon as a flush has carried it the terminal "done" event.
+type hangUpRecorder struct {
+	*httptest.ResponseRecorder
+	hangUp context.CancelFunc
+}
+
+func (w hangUpRecorder) Flush() {
+	w.ResponseRecorder.Flush()
+	if strings.Contains(w.Body.String(), "event: done\n") {
+		w.hangUp()
+	}
+}
+
+// TestSSEStreamCompletesAtTerminalEvent pins what counts as a broken
+// stream: one that ends before its terminal event. A client that hangs
+// up once it has read the terminal event, before the channel's close
+// reaches the server, completed its stream, so serveSSE reports it
+// completed and sse_broken does not move.
+func TestSSEStreamCompletesAtTerminalEvent(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	w := hangUpRecorder{httptest.NewRecorder(), cancel}
+	r := httptest.NewRequest("GET", "/v1/jobs/j/events", nil).WithContext(ctx)
+	ch := make(chan Event, 2) // left open: the close has not arrived
+	ch <- Event{Name: "state", Status: &JobStatus{State: StateRunning}}
+	ch <- Event{Name: string(StateDone), Status: &JobStatus{State: StateDone}}
+	if !serveSSE(w, r, ch) {
+		t.Fatalf("a stream that delivered its terminal event counted as broken:\n%s", w.Body)
 	}
 }

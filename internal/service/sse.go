@@ -15,9 +15,11 @@ import (
 // sseHeartbeat is the keepalive period of an idle event stream.
 const sseHeartbeat = 15 * time.Second
 
-// serveSSE streams ch to w until the channel closes (the job reached a
-// terminal state) or the client goes away. Returns whether the stream
-// completed (terminal event delivered).
+// serveSSE streams ch to w until it has written the terminal event,
+// which the channel's close follows, or the channel closes, or the
+// client goes away. Returns whether the stream completed (terminal
+// event delivered): a client that hangs up once it has read the
+// terminal event has not broken its stream.
 func serveSSE(w http.ResponseWriter, r *http.Request, ch chan Event) bool {
 	fl, ok := w.(http.Flusher)
 	if !ok {
@@ -50,6 +52,9 @@ func serveSSE(w http.ResponseWriter, r *http.Request, ch chan Event) bool {
 				return false
 			}
 			fl.Flush()
+			if JobState(ev.Name).Terminal() {
+				return true
+			}
 		}
 	}
 }

@@ -190,9 +190,9 @@ func WithAnalyses(reg *AnalysisRegistry) Option {
 }
 
 // WithGovernor attaches a resource governor: the engine meters the byte
-// capacity of its recycled buffers (knowledge arenas, run-kit slabs,
-// sweep chunks) through it and stops retaining pooled buffers while the
-// governor refuses retention. Long-running processes that share one
+// capacity of its recycled buffers (knowledge arenas, run buffers,
+// window buffers) through it and stops retaining pooled buffers while
+// the governor refuses retention. Long-running processes that share one
 // governor across many engines should call Engine.Close when an engine
 // is retired, so its pooled bytes return to the account.
 func WithGovernor(g ResourceGovernor) Option {

@@ -53,17 +53,22 @@ type Result struct {
 	// GraphStats is set by the Oracle backend.
 	GraphStats *GraphStats `json:"graphStats,omitempty"`
 
-	adv   *model.Adversary
-	graph *knowledge.Graph
+	adv *model.Adversary
 }
 
 // Adv returns the adversary the run was executed against.
 func (r *Result) Adv() *Adversary { return r.adv }
 
-// KnowledgeGraph returns the knowledge graph an Oracle-backend run
-// consulted (nil on other backends). Sweep runs against the same
-// adversary return the identical graph.
-func (r *Result) KnowledgeGraph() *Graph { return r.graph }
+// KnowledgeGraph returns a knowledge graph equal to the one an
+// Oracle-backend run consulted, rebuilt on demand from the run's
+// adversary to the horizon in GraphStats (nil on other backends). Each
+// call builds a fresh graph; the engine keeps none past the run.
+func (r *Result) KnowledgeGraph() *Graph {
+	if r.GraphStats == nil || r.adv == nil {
+		return nil
+	}
+	return knowledge.New(r.adv, r.GraphStats.Horizon)
+}
 
 // DecisionTime returns the time at which process i decided, or −1.
 func (r *Result) DecisionTime(i int) int {
@@ -84,7 +89,6 @@ func (r *Result) simResult() *sim.Result {
 	return &sim.Result{
 		ProtocolName: r.Protocol,
 		Adv:          r.adv,
-		Graph:        r.graph,
 		Decisions:    r.Decisions,
 	}
 }
@@ -143,12 +147,11 @@ type detached struct {
 
 // detach copies a run's pooled Result, which aliases its worker's
 // buffer, into a fresh Result the caller may keep: the decisions into
-// one fresh slab, the bit counts copied, the adversary string (rendered
-// once per adversary by the caller) filled in, and the graph stats
-// derived from the run's graph. The copy keeps that graph, so only a
-// run on a fresh knowledge.New graph may be detached, never one on a
-// worker's Builder arena.
-func detach(r *Result, adv string) *Result {
+// one fresh slab, the bit counts copied, and the adversary string and
+// the graph stats (nil off the Oracle backend) filled in, both taken by
+// the caller once per adversary while its graph is built. The copy
+// keeps no graph.
+func detach(r *Result, adv string, gs *GraphStats) *Result {
 	d := &detached{res: *r}
 	out := &d.res
 	out.Adversary = adv
@@ -160,8 +163,8 @@ func detach(r *Result, adv string) *Result {
 			out.Decisions[i] = &slab[len(slab)-1]
 		}
 	}
-	if r.graph != nil {
-		d.gs = graphStats(r.graph)
+	if gs != nil {
+		d.gs = *gs
 		out.GraphStats = &d.gs
 	}
 	if r.Bits != nil {

@@ -1,6 +1,7 @@
 package setconsensus_test
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -131,6 +132,7 @@ func TestParseWorkloadErrors(t *testing.T) {
 		"space:v=0..9223372036854775807",  // more values than an int counts
 		"space:v=-9223372036854775808..0", // likewise
 		"space:n=2,t=0,v=0..1048576",      // more than 2^20 values
+		"random:maxv=1048576",             // likewise
 	}
 	for _, ref := range bad {
 		if _, err := setconsensus.ParseWorkload(ref); err == nil {
@@ -167,5 +169,27 @@ func TestWorkloadRegistryRegistration(t *testing.T) {
 	}
 	if specs := r.Specs(); len(specs) != 1 || specs[0].Name != "w1" {
 		t.Errorf("Specs wrong: %+v", specs)
+	}
+}
+
+// TestRandomInputBound pins the random workload's input bound: inputs
+// 0..maxv may hold at most 2^20 values, as a space's may. A reference
+// over the bound — one adversary whose graph would take about 1.5 GB —
+// fails to parse with an error naming the bound, and allocates little
+// doing so; the largest admissible maxv parses.
+func TestRandomInputBound(t *testing.T) {
+	const ref = "random:n=3,t=0,maxv=1000000000,count=1"
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := setconsensus.ParseWorkload(ref)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "1048576") {
+		t.Fatalf("ParseWorkload(%q) = %v, want an error naming the 1048576-value bound", ref, err)
+	}
+	if b := after.TotalAlloc - before.TotalAlloc; b > 1<<20 {
+		t.Errorf("rejecting %q allocated %d bytes", ref, b)
+	}
+	if _, err := setconsensus.ParseWorkload("random:n=3,t=0,maxv=1048575,count=1"); err != nil {
+		t.Errorf("maxv=1048575: %v", err)
 	}
 }
