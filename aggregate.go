@@ -81,11 +81,13 @@ func (e *Engine) NewAggregator(workload string, refs []string) (*Aggregator, err
 // fold computes one pooled run's observation and bumps the worker's
 // shard accumulator — the lock-free per-run half of the sharded
 // aggregation contract (mergeShard is the once-per-worker other half).
-// The Result is the runBuffer's pooled result; nothing here retains it.
+// The Result is the runBuffer's pooled result, and the run is verified
+// from the buffer's decider mask against the verification sets its
+// worker prepared for the adversary; nothing here retains either.
 func (a *Aggregator) fold(acc *agg.Acc, refIdx int, r *Result, buf *runBuffer) {
 	o := agg.Obs{Time: r.MaxCorrectTime}
 	if r.MaxCorrectTime >= 0 {
-		o.Violation = buf.verifyResult(r, a.tasksByIdx[refIdx]) != nil
+		o.Violation = buf.verify.Verify(&buf.simres, a.tasksByIdx[refIdx]) != nil
 	}
 	if r.Bits != nil {
 		o.Bits = int64(r.Bits.Total)

@@ -98,3 +98,52 @@ func TestRunPathAllocationPins(t *testing.T) {
 		}
 	}
 }
+
+// TestBenchmarkAllocationPins pins, at its measured count plus one (Go
+// 1.24, linux/amd64), the allocations per operation of the root
+// package's benchmarks that the CI benchmark job requires and no other
+// pin covers. The engines run one worker, where the benchmarks use the
+// machine's parallelism (GovernedSweep) or four workers (Analyze): a
+// worker's kit and goroutine are a fixed share of each operation, so a
+// pin at P=1 is the same on every machine and still moves with every
+// per-run or per-adversary allocation.
+//   - GovernedSweep is BenchmarkSweepSource's sweep with a resource
+//     governor attached: metering rides the pools' choke points and adds
+//     no allocation of its own;
+//   - Analyze is the staged unbeatability search on the n=4 uniform
+//     space: its compile runs every adversary of the space on the one
+//     run path, and its candidate testing re-simulates;
+//   - GraphBuilderReuse revives a Builder's parked graph for an
+//     adversary of the same pattern, and allocates nothing.
+func TestBenchmarkAllocationPins(t *testing.T) {
+	governed, _ := governedSweepOp(t, setconsensus.WithParallelism(1))
+	analyze := analyzeOp(1)
+	reuse := builderReuseOp(t)
+	i := 0
+	cases := []struct {
+		name string
+		pin  float64
+		run  func() error
+	}{
+		{"GovernedSweep", 85, governed},
+		{"Analyze", 1945, analyze},
+		{"GraphBuilderReuse", 1, func() error {
+			reuse(i)
+			i++
+			return nil
+		}},
+	}
+	for _, c := range cases {
+		if err := c.run(); err != nil { // warm the engine's pools
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		got := testing.AllocsPerRun(10, func() {
+			if err := c.run(); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		})
+		if got > c.pin {
+			t.Errorf("%s: %.0f allocations per op, pinned at %.0f", c.name, got, c.pin)
+		}
+	}
+}

@@ -34,11 +34,14 @@ type runRequest struct {
 }
 
 // runBuffer is a worker's scratch for its runs: the request, one
-// reusable Result, pooled decision storage, reusable verification sets,
-// and the backend-extra structs. A runBuffer serves one goroutine; the
-// Result a run returns aliases the buffer and is valid only until the
-// next run on it. See the recycle contract in engine.go for who may
-// retain what.
+// reusable Result, pooled decision storage with its decider mask, the
+// verification sets, and the backend-extra structs. Every backend
+// records its decisions in sim, so simres carries the run's decider
+// mask on every backend, and a folding sweep verifies from it against
+// the sets verify was prepared with for the adversary. A runBuffer
+// serves one goroutine; the Result a run returns aliases the buffer and
+// is valid only until the next run on it. See the recycle contract in
+// engine.go for who may retain what.
 type runBuffer struct {
 	req    runRequest
 	res    Result
@@ -49,16 +52,16 @@ type runBuffer struct {
 }
 
 // bytes reports the pooled scratch capacity the buffer pins — the
-// decision slab and the verification sets, the parts that grow with the
-// workload. The fixed-size struct shell is noise and not counted.
+// decision slab with its masks and the verification sets, the parts
+// that grow with the workload. The fixed-size struct shell is noise and
+// not counted.
 func (b *runBuffer) bytes() int64 { return b.sim.Bytes() + b.verify.Bytes() }
 
-// verifyResult checks a pooled result against task using only the
-// buffer's reusable storage; nothing allocates unless a violation
-// renders its diagnostic.
-func (b *runBuffer) verifyResult(r *Result, task Task) error {
-	b.simres.ProtocolName, b.simres.Adv, b.simres.Decisions = r.Protocol, r.adv, r.Decisions
-	return b.verify.VerifyRun(&b.simres, task)
+// forget zeroes every pointer the buffer keeps to its last run — the
+// request's adversary and graph, the Results' adversary, graph and
+// decisions — so a pooled buffer pins nothing of a finished call.
+func (b *runBuffer) forget() {
+	b.req, b.res, b.simres = runRequest{}, Result{}, sim.Result{}
 }
 
 // backend executes one protocol run. The three implementations adapt the

@@ -7,6 +7,7 @@ package setconsensus_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	setconsensus "setconsensus"
@@ -107,9 +108,21 @@ func BenchmarkGraphNew(b *testing.B) {
 // zero-diff skip and a single diff the patch kernel, both far cheaper
 // than the value-layer refill this benchmark tracks.
 func BenchmarkGraphBuilderReuse(b *testing.B) {
+	op := builderReuseOp(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op(i)
+	}
+}
+
+// builderReuseOp is BenchmarkGraphBuilderReuse's setup: a primed Builder
+// and its i-th operation, a revive of one of two same-pattern
+// adversaries differing in two inputs.
+func builderReuseOp(tb testing.TB) func(i int) {
 	adv, err := model.Collapse(model.CollapseParams{K: 3, R: 6, ExtraCorrect: 4})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	inputs := make([]model.Value, len(adv.Inputs))
 	copy(inputs, adv.Inputs)
@@ -119,11 +132,7 @@ func BenchmarkGraphBuilderReuse(b *testing.B) {
 	builder := knowledge.NewBuilder()
 	builder.Build(adv, 8).Release()
 	pair := [2]*model.Adversary{other, adv}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		builder.Build(pair[i&1], 8).Release()
-	}
+	return func(i int) { builder.Build(pair[i&1], 8).Release() }
 }
 
 // View fingerprinting: the binary encoding over every process at the
@@ -297,20 +306,11 @@ func BenchmarkSweepSource(b *testing.B) {
 // and zero extra allocations — metering rides the existing ensure/pool
 // choke points, it does not add per-run work.
 func BenchmarkGovernedSweep(b *testing.B) {
-	src, err := setconsensus.SpaceSource(sweepSpace())
-	if err != nil {
-		b.Fatal(err)
-	}
-	gov := govern.New(0, 0)
-	eng := setconsensus.New(
-		setconsensus.WithCrashBound(2),
-		setconsensus.WithGovernor(gov),
-	)
-	ctx := context.Background()
+	op, gov := governedSweepOp(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.SweepSource(ctx, sweepSpaceRefs, src); err != nil {
+		if err := op(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -318,6 +318,27 @@ func BenchmarkGovernedSweep(b *testing.B) {
 	if gov.Live() == 0 {
 		b.Fatal("governed sweep metered zero bytes — metering is not wired")
 	}
+}
+
+// governedSweepOp is BenchmarkGovernedSweep's setup: the operation, a
+// SweepSource of BenchmarkSweepSource's space on an engine with an
+// unlimited governor attached and any further options, and the
+// governor.
+func governedSweepOp(tb testing.TB, opts ...setconsensus.Option) (func() error, *govern.Governor) {
+	src, err := setconsensus.SpaceSource(sweepSpace())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	gov := govern.New(0, 0)
+	eng := setconsensus.New(append([]setconsensus.Option{
+		setconsensus.WithCrashBound(2),
+		setconsensus.WithGovernor(gov),
+	}, opts...)...)
+	ctx := context.Background()
+	return func() error {
+		_, err := eng.SweepSource(ctx, sweepSpaceRefs, src)
+		return err
+	}, gov
 }
 
 // Analysis pipeline: the staged deviation search (compile and candidate
@@ -330,18 +351,28 @@ func BenchmarkGovernedSweep(b *testing.B) {
 // buys before parallel speedup.
 func benchAnalyze(b *testing.B, parallelism int) {
 	b.Helper()
-	eng := setconsensus.New(setconsensus.WithParallelism(parallelism))
-	ctx := context.Background()
+	op := analyzeOp(parallelism)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := eng.Analyze(ctx, "search:upmin:n=4,t=2,r=2,width=2")
-		if err != nil {
+		if err := op(); err != nil {
 			b.Fatal(err)
 		}
-		if rep.Search.Beaten {
-			b.Fatal("u-Pmin beaten — analysis broken")
+	}
+}
+
+// analyzeOp is benchAnalyze's setup: one Engine.Analyze of the seeded
+// uniform n=4 search at the given parallelism, failing if u-Pmin is
+// beaten.
+func analyzeOp(parallelism int) func() error {
+	eng := setconsensus.New(setconsensus.WithParallelism(parallelism))
+	ctx := context.Background()
+	return func() error {
+		rep, err := eng.Analyze(ctx, "search:upmin:n=4,t=2,r=2,width=2")
+		if err == nil && rep.Search.Beaten {
+			err = fmt.Errorf("u-Pmin beaten — analysis broken")
 		}
+		return err
 	}
 }
 

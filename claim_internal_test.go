@@ -13,7 +13,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
+	"setconsensus/internal/bitset"
 	"setconsensus/internal/govern"
 	"setconsensus/internal/knowledge"
 	"setconsensus/internal/model"
@@ -321,10 +323,15 @@ func TestSweepSourcePanicIsolated(t *testing.T) {
 
 // TestPooledKitsHoldNoAdversary sweeps through every claim path — a
 // space's windows enumerated into fresh slabs (SweepSourceStream) and
-// into the reused arena (SweepSource), and a plain stream pulled into
-// the kit's buffer — and then checks every kit back in the pool: its
-// window buffer has capacity, yet not one slot of it still points at an
-// adversary.
+// into the reused arena (SweepSource), a plain stream pulled into the
+// kit's buffer, and a random stream whose sampler carves its adversaries
+// from slabs of its own — and runs one adversary through Engine.Run.
+// After each it checks every kit back in the pool: its window buffer has
+// capacity, yet not one slot of it still points at an adversary, and
+// its run buffer keeps no adversary, graph or decision of the last run.
+// Then it drops the Run's adversary and checks that the collector
+// reclaims it, its failure pattern and its delivery set: nothing the
+// engine pools — the kits' builders included — pins them.
 func TestPooledKitsHoldNoAdversary(t *testing.T) {
 	ctx := context.Background()
 	refs := []string{"optmin", "upmin"}
@@ -334,30 +341,67 @@ func TestPooledKitsHoldNoAdversary(t *testing.T) {
 		t.Fatal(err)
 	}
 	stream := FuncSource("stream", -1, spaceSrc.Seq())
-	e := New(WithCrashBound(2), WithDegree(2), WithParallelism(2))
-	if err := e.SweepSourceStream(ctx, refs, spaceSrc, func(*Result) {}); err != nil {
+	random, err := RandomSource(3, 300, RandomParams{N: 5, T: 2, MaxValue: 2, MaxRound: 2})
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, src := range []Source{spaceSrc, stream} {
-		if _, err := e.SweepSource(ctx, refs, src); err != nil {
-			t.Fatal(err)
+	e := New(WithCrashBound(2), WithDegree(2), WithParallelism(2))
+	checkPool := func(after string) {
+		t.Helper()
+		e.kitMu.Lock()
+		defer e.kitMu.Unlock()
+		if len(e.kitFree) == 0 {
+			t.Fatalf("after %s: no kit went back to the pool", after)
 		}
-	}
-	e.kitMu.Lock()
-	defer e.kitMu.Unlock()
-	if len(e.kitFree) == 0 {
-		t.Fatal("no kit went back to the pool")
-	}
-	for i, kit := range e.kitFree {
-		if cap(kit.advs) == 0 {
-			t.Errorf("pooled kit %d has no window buffer", i)
-		}
-		for j, adv := range kit.advs[:cap(kit.advs)] {
-			if adv != nil {
-				t.Fatalf("pooled kit %d still holds an adversary in window slot %d", i, j)
+		for i, kit := range e.kitFree {
+			if cap(kit.advs) == 0 && after != "Run" {
+				t.Errorf("after %s: pooled kit %d has no window buffer", after, i)
+			}
+			for j, adv := range kit.advs[:cap(kit.advs)] {
+				if adv != nil {
+					t.Fatalf("after %s: pooled kit %d still holds an adversary in window slot %d", after, i, j)
+				}
+			}
+			b := kit.buf
+			switch {
+			case b.req.adv != nil, b.req.graph != nil:
+				t.Fatalf("after %s: pooled kit %d's request keeps its adversary or graph", after, i)
+			case b.res.adv != nil, b.res.Decisions != nil:
+				t.Fatalf("after %s: pooled kit %d's Result keeps its adversary or decisions", after, i)
+			case b.simres.Adv != nil, b.simres.Graph != nil, b.simres.Decisions != nil, b.simres.Deciders != nil:
+				t.Fatalf("after %s: pooled kit %d's run record keeps its adversary, graph or masks", after, i)
 			}
 		}
 	}
+	if err := e.SweepSourceStream(ctx, refs, spaceSrc, func(*Result) {}); err != nil {
+		t.Fatal(err)
+	}
+	checkPool("SweepSourceStream")
+	for _, src := range []Source{spaceSrc, stream, random} {
+		if _, err := e.SweepSource(ctx, refs, src); err != nil {
+			t.Fatal(err)
+		}
+		checkPool("SweepSource of " + src.Label())
+	}
+
+	del := bitset.New(3)
+	pat := model.NewFailurePattern(3)
+	pat.SetCrash(model.Crash{Proc: 2, Round: 1, Delivered: del})
+	adv := model.NewAdversary([]model.Value{0, 1, 1}, pat)
+	wAdv, wPat, wDel := weak.Make(adv), weak.Make(pat), weak.Make(del)
+	if _, err := e.Run(ctx, "upmin", adv); err != nil {
+		t.Fatal(err)
+	}
+	checkPool("Run")
+	adv, pat, del = nil, nil, nil
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+	}
+	if wAdv.Value() != nil || wPat.Value() != nil || wDel.Value() != nil {
+		t.Fatalf("the engine still pins the last Run's adversary %v, pattern %v or delivery set %v",
+			wAdv.Value() != nil, wPat.Value() != nil, wDel.Value() != nil)
+	}
+	runtime.KeepAlive(e)
 }
 
 // TestWarmSweepGrowsNoWindowBuffer pins the window-buffer hit counts: a

@@ -352,12 +352,20 @@
 // (Summary.Merge is the public form of the same operation), so
 // throughput scales with Parallelism instead of serializing on an
 // aggregator mutex. Every run, a sweep's or Engine.Run's, executes into
-// a per-worker run buffer: one reused Result, slab-backed decisions,
-// scratch-set task verification (internal/check.Scratch), and no
-// adversary string. Run, Sweep and SweepSourceStream hand out detached
-// copies: decisions in one fresh slab, the adversary string rendered
-// once per adversary. Each worker claims its next window under one mutex
-// and enumerates it itself. An exhaustive space (SpaceSource, or any
+// a per-worker run buffer: one reused Result, process-indexed decisions
+// with a decider mask beside them (internal/sim.Scratch), and no
+// adversary string. The oracle's run loop visits each time step once:
+// it takes the step's active, undecided processes as a word mask, and
+// Optmin and u-Pmin decide all of them in one call over the graph's Min
+// and hidden-capacity rows (sim.StepRule), while any other protocol is
+// asked per candidate. A folding sweep verifies each run as set
+// operations on its decider mask against the adversary's correct set
+// and input-value set, which the worker computes once per adversary for
+// all its protocols (internal/check.Scratch). Run, Sweep and
+// SweepSourceStream hand out detached copies: decisions in one fresh
+// slab, the adversary string rendered once per adversary. Each worker
+// claims its next window under one mutex and enumerates it itself. An
+// exhaustive space (SpaceSource, or any
 // nesting of RangeSource and LimitSource over one) hands out windows
 // from a shared enum.Cursor, which steps to each block's canonical
 // failure pattern — the canonical patterns are generated directly, those

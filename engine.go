@@ -852,17 +852,18 @@ func (e *Engine) getKit() *runKit {
 }
 
 // putKit harvests the kit's builder counters, clears its window
-// buffer's pointers, so the pool does not pin a finished sweep's
-// windows, and ends its builder's revive chain, since a caller may
-// change a pattern in place before the next run. It then settles the
-// byte account of the kit's run and window buffers and returns the kit
-// to the freelist, unless the governor is shedding (or the freelist is
-// full), in which case the kit is discarded and every byte it held goes
-// back to the account.
+// buffer's pointers and its run buffer's, so the pool does not pin a
+// finished call's windows, adversaries or graphs, and ends its
+// builder's revive chain, since a caller may change a pattern in place
+// before the next run. It then settles the byte account of the kit's
+// run and window buffers and returns the kit to the freelist, unless
+// the governor is shedding (or the freelist is full), in which case the
+// kit is discarded and every byte it held goes back to the account.
 func (e *Engine) putKit(kit *runKit) {
 	e.harvestKit(kit)
 	clear(kit.advs[:cap(kit.advs)])
 	kit.advs = kit.advs[:0]
+	kit.buf.forget()
 	kit.builder.Forget()
 	if e.gov != nil {
 		if d := kit.bytes() - kit.metered; d != 0 {
@@ -986,6 +987,8 @@ func (e *Engine) sweepAdversary(ctx context.Context, w *sweepWorker, adv *Advers
 			stats := graphStats(g)
 			gs = &stats
 		}
+	} else {
+		w.kit.buf.verify.Prepare(adv)
 	}
 	for refIdx, spec := range w.specs {
 		res, err := e.runInto(w.kit.buf, w.refs[refIdx], spec, w.memo.entries[refIdx], p, adv, g)
@@ -1004,7 +1007,8 @@ func (e *Engine) sweepAdversary(ctx context.Context, w *sweepWorker, adv *Advers
 // runInto fills buf's request for one run and executes it on the
 // engine's backend. The Result aliases buf.
 func (e *Engine) runInto(buf *runBuffer, ref string, spec *ProtocolSpec, ent protoEntry, p Params, adv *Adversary, g *knowledge.Graph) (*Result, error) {
-	buf.req = runRequest{ref: ref, spec: spec, protoEntry: ent, params: p, adv: adv, graph: g}
+	req := &buf.req
+	req.ref, req.spec, req.protoEntry, req.params, req.adv, req.graph = ref, spec, ent, p, adv, g
 	return e.backend.run(buf)
 }
 

@@ -1,10 +1,22 @@
 // Package check verifies runs against the k-set consensus task
 // specifications of §2.3 and compares protocols under the domination
 // preorder of §2.2.
+//
+// Verification is word-set arithmetic: Decision is correct ⊆ deciders,
+// Validity holds when every decider's value is in the input-value set,
+// and k-Agreement counts the values the correct (for uniform, all)
+// deciders chose. The decider mask is the one the run recorded
+// (sim.Result.Deciders), on every backend, or is derived from the
+// decisions when a result carries none; the correct and input-value
+// sets are per adversary, so a sweep prepares them once for all its
+// protocols (Scratch.Prepare) and verifies each run against them
+// (Scratch.Verify). The set-based verifier this replaced is kept, for
+// tests only, in internal/check/checkref.
 package check
 
 import (
 	"fmt"
+	"math/bits"
 
 	"setconsensus/internal/bitset"
 	"setconsensus/internal/model"
@@ -39,63 +51,134 @@ func VerifyRun(res *sim.Result, task Task) error {
 	return sc.VerifyRun(res, task)
 }
 
-// Scratch holds the working sets one VerifyRun call needs. Sweep paths
-// that verify every run keep one Scratch per worker and call its
-// VerifyRun method: after the first run nothing allocates on the
-// satisfied path (errors still render their diagnostics). A Scratch
-// serves one goroutine at a time.
+// Scratch verifies runs as operations on word sets: the run's decider
+// mask (sim.Result.Deciders, bit i&63 of word i>>6), its adversary's
+// correct set and input-value set, and the set of values the run
+// decided. One Scratch serves one goroutine. Sweeps keep one per worker,
+// Prepare it once per adversary and Verify each of the adversary's
+// runs, so the adversary's sets are built once for all its protocols;
+// after warm-up nothing allocates on the satisfied path (errors still
+// render their diagnostics).
 type Scratch struct {
-	present, deciders, decided bitset.Set
+	// words is one slab: the correct set (w words), a decider mask
+	// derived for results that carry none (w), the input-value set (wv)
+	// and the decided-value set (wv), which Verify clears per run. Value
+	// sets span the largest input, as the graph's value rows do.
+	words []uint64
+	w, wv int
 }
 
-// Bytes reports the capacity the scratch's three sets pin, for the
-// engine's memory governor.
-func (sc *Scratch) Bytes() int64 {
-	return 8 * int64(cap(sc.present.Words())+cap(sc.deciders.Words())+cap(sc.decided.Words()))
+// Bytes reports the capacity the scratch's slab pins, for the engine's
+// memory governor.
+func (sc *Scratch) Bytes() int64 { return 8 * int64(cap(sc.words)) }
+
+// Prepare computes adv's correct set and input-value set, which every
+// Verify until the next Prepare reads.
+func (sc *Scratch) Prepare(adv *model.Adversary) {
+	n := adv.N()
+	maxV := -1
+	for _, v := range adv.Inputs {
+		maxV = max(maxV, v)
+	}
+	sc.w, sc.wv = (n+63)>>6, 1
+	if maxV >= 0 {
+		sc.wv = maxV>>6 + 1
+	}
+	need := 2*sc.w + 2*sc.wv
+	if cap(sc.words) < need {
+		sc.words = make([]uint64, need)
+	}
+	sc.words = sc.words[:need]
+	correct, inputs := sc.words[:sc.w], sc.words[2*sc.w:2*sc.w+sc.wv]
+	// Word loops, not clear: the sets are a word or two, and a clear is
+	// a call.
+	for x := 0; x < len(inputs); x++ {
+		inputs[x] = 0
+	}
+	for x := range correct {
+		correct[x] = ^uint64(0)
+	}
+	if r := n & 63; r != 0 {
+		correct[sc.w-1] = 1<<uint(r) - 1
+	}
+	for _, c := range adv.Pattern.Crashes {
+		correct[c.Proc>>6] &^= 1 << uint(c.Proc&63)
+	}
+	for _, v := range adv.Inputs {
+		if v >= 0 {
+			inputs[v>>6] |= 1 << uint(v&63)
+		}
+	}
 }
 
 // VerifyRun is the allocation-free form of the package-level VerifyRun:
-// identical verdicts and messages, with every intermediate set drawn
-// from the scratch.
+// it prepares the scratch for res.Adv and verifies res.
 func (sc *Scratch) VerifyRun(res *sim.Result, task Task) error {
+	sc.Prepare(res.Adv)
+	return sc.Verify(res, task)
+}
+
+// Verify checks one run of the adversary the scratch was last prepared
+// for, with the verdicts and messages of VerifyRun:
+//
+//	Decision:     correct ⊆ deciders, the first missing process named;
+//	Validity:     each decider's value is in the input-value set;
+//	k-Agreement:  the values of deciders ∩ correct (all deciders, for
+//	              uniform) number at most K.
+//
+// Validity and k-Agreement share one pass over the deciders in
+// increasing order, so the first invalid decider is the one named.
+func (sc *Scratch) Verify(res *sim.Result, task Task) error {
 	adv := res.Adv
-	// The correct processes, in one walk of the pattern's crashes.
-	correct := sc.deciders.Clear()
-	for i := 0; i < adv.N(); i++ {
-		correct.Add(i)
-	}
-	for _, c := range adv.Pattern.Crashes {
-		correct.Remove(c.Proc)
-	}
-	// Decision.
-	for i := 0; i < adv.N(); i++ {
-		if res.Decisions[i] == nil && correct.Contains(i) {
-			return fmt.Errorf("%s: Decision violated: correct process %d never decides (%s)",
-				res.ProtocolName, i, adv)
+	w, wv := sc.w, sc.wv
+	correct := sc.words[:w]
+	inputs := sc.words[2*w : 2*w+wv]
+	values := sc.words[2*w+wv : 2*w+2*wv]
+	deciders := res.Deciders
+	if deciders == nil {
+		deciders = sc.words[w : 2*w]
+		clear(deciders)
+		for i, d := range res.Decisions {
+			if d != nil {
+				deciders[i>>6] |= 1 << uint(i&63)
+			}
 		}
 	}
-	// Validity.
-	present := sc.present.Clear()
-	for _, v := range adv.Inputs {
-		present.Add(v)
+	// Decision.
+	for x, c := range correct {
+		if miss := c &^ deciders[x]; miss != 0 {
+			return fmt.Errorf("%s: Decision violated: correct process %d never decides (%s)",
+				res.ProtocolName, x<<6|bits.TrailingZeros64(miss), adv)
+		}
 	}
-	for i, d := range res.Decisions {
-		if d != nil && !present.Contains(d.Value) {
-			return fmt.Errorf("%s: Validity violated: process %d decided %d ∉ inputs (%s)",
-				res.ProtocolName, i, d.Value, adv)
+	// Validity, and the decided values agreement counts.
+	for x := 0; x < len(values); x++ {
+		values[x] = 0
+	}
+	for x, word := range deciders {
+		counted := correct[x]
+		if task.Uniform {
+			counted = ^uint64(0)
+		}
+		for ; word != 0; word &= word - 1 {
+			b := bits.TrailingZeros64(word)
+			v := res.Decisions[x<<6|b].Value
+			if v < 0 || v>>6 >= wv || inputs[v>>6]&(1<<uint(v&63)) == 0 {
+				return fmt.Errorf("%s: Validity violated: process %d decided %d ∉ inputs (%s)",
+					res.ProtocolName, x<<6|b, v, adv)
+			}
+			values[v>>6] |= (counted >> uint(b) & 1) << uint(v&63)
 		}
 	}
 	// Agreement.
-	deciders := correct
-	if task.Uniform {
-		for i := 0; i < adv.N(); i++ {
-			deciders.Add(i)
-		}
+	count := 0
+	for _, word := range values {
+		count += bits.OnesCount64(word)
 	}
-	decided := res.AppendDecidedValues(sc.decided.Clear(), deciders)
-	if decided.Count() > task.K {
+	if count > task.K {
+		decided := bitset.Wrap(values)
 		return fmt.Errorf("%s: %s Agreement violated: values %s decided (%s)",
-			res.ProtocolName, task, decided, adv)
+			res.ProtocolName, task, &decided, adv)
 	}
 	return nil
 }

@@ -1,22 +1,25 @@
-package check
+package check_test
 
 import (
 	"math/rand"
 	"testing"
 
 	"setconsensus/internal/bitset"
+	"setconsensus/internal/check"
+	"setconsensus/internal/check/checkref"
 	"setconsensus/internal/knowledge"
 	"setconsensus/internal/model"
 	"setconsensus/internal/sim"
 )
 
-// TestScratchVerifyMatchesVerifyRun drives one reused Scratch and the
-// allocating VerifyRun over randomized runs — including deliberately
-// broken ones — and requires verdict-for-verdict agreement. A stale
-// scratch set leaking state between runs diverges here.
+// TestScratchVerifyMatchesVerifyRun drives one reused Scratch, the
+// allocating VerifyRun and the set-based reference over randomized runs
+// — including deliberately broken ones — and requires verdict-for-verdict
+// agreement, with and without the run's decider mask. A stale scratch
+// set leaking state between runs diverges here.
 func TestScratchVerifyMatchesVerifyRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	var sc Scratch
+	var sc check.Scratch
 	for trial := 0; trial < 200; trial++ {
 		n := 3 + rng.Intn(3)
 		inputs := make([]model.Value, n)
@@ -47,14 +50,15 @@ func TestScratchVerifyMatchesVerifyRun(t *testing.T) {
 			},
 		}
 		res := sim.Run(p, adv)
-		for _, task := range []Task{{K: 1}, {K: 2}, {K: 1, Uniform: true}, {K: 2, Uniform: true}} {
-			got := sc.VerifyRun(res, task)
-			want := VerifyRun(res, task)
-			if (got == nil) != (want == nil) {
-				t.Fatalf("trial %d task %s: scratch %v vs plain %v", trial, task, got, want)
-			}
-			if got != nil && got.Error() != want.Error() {
-				t.Fatalf("trial %d task %s: messages diverge:\n%v\n%v", trial, task, got, want)
+		bare := &sim.Result{ProtocolName: res.ProtocolName, Adv: res.Adv, Decisions: res.Decisions}
+		for _, task := range []check.Task{{K: 1}, {K: 2}, {K: 1, Uniform: true}, {K: 2, Uniform: true}} {
+			want := checkref.VerifyRun(res, task)
+			for _, r := range []*sim.Result{res, bare} {
+				for _, got := range []error{sc.VerifyRun(r, task), check.VerifyRun(r, task)} {
+					if !checkref.SameVerdict(got, want) {
+						t.Fatalf("trial %d task %s (mask %v): got %v, reference %v", trial, task, r.Deciders != nil, got, want)
+					}
+				}
 			}
 		}
 	}
@@ -72,8 +76,8 @@ func TestScratchVerifyAllocationFree(t *testing.T) {
 		},
 	}
 	res := sim.Run(p, adv)
-	var sc Scratch
-	task := Task{K: 1}
+	var sc check.Scratch
+	task := check.Task{K: 1}
 	if err := sc.VerifyRun(res, task); err != nil {
 		t.Fatal(err)
 	}

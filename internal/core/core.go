@@ -20,9 +20,11 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"setconsensus/internal/knowledge"
 	"setconsensus/internal/model"
+	"setconsensus/internal/sim"
 )
 
 // Params configures a protocol instance: n processes, an a-priori bound of
@@ -104,6 +106,34 @@ func (o *Optmin) Decide(g *knowledge.Graph, i model.Proc, m int) (model.Value, b
 	return 0, false
 }
 
+// DecideStep implements sim.StepRule: the Optmin[k] rule for every
+// candidate of time m, read off the graph's Min and HC rows of time m.
+func (o *Optmin) DecideStep(g *knowledge.Graph, m int, cand []uint64, decs []sim.Decision) {
+	k := o.p.K
+	mins, hcs := g.MinRow(m), g.HCRow(m)
+	for x, word := range cand {
+		for ; word != 0; word &= word - 1 {
+			b := bits.TrailingZeros64(word)
+			i := x<<6 | b
+			if min := minAt(g, mins, i, m); min < k || hcs[i] < k {
+				decs[i].Value = min
+			} else {
+				cand[x] &^= 1 << uint(b)
+			}
+		}
+	}
+}
+
+// minAt reads Min⟨i,m⟩ off its row, deferring to Graph.Min where the row
+// holds the empty-Vals sentinel, so a step rule panics exactly where
+// Decide would.
+func minAt(g *knowledge.Graph, row []model.Value, i model.Proc, m int) model.Value {
+	if v := row[i]; v != knowledge.NoKnownCrash {
+		return v
+	}
+	return g.Min(i, m)
+}
+
 // UPmin is the uniform k-set consensus protocol u-Pmin[k] of §5. Every
 // process decides by time min{⌊t/k⌋+1, ⌊f/k⌋+2} (Theorem 3), and the
 // protocol strictly dominates the early-deciding uniform protocols of the
@@ -112,6 +142,8 @@ func (o *Optmin) Decide(g *knowledge.Graph, i model.Proc, m int) (model.Value, b
 type UPmin struct {
 	p    Params
 	name string
+	// deadline is ⌊t/k⌋+1, the time of the third rule.
+	deadline int
 }
 
 // NewUPmin builds u-Pmin[k] for the given parameters.
@@ -119,7 +151,7 @@ func NewUPmin(p Params) (*UPmin, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &UPmin{p: p, name: fmt.Sprintf("u-Pmin[%d]", p.K)}, nil
+	return &UPmin{p: p, name: fmt.Sprintf("u-Pmin[%d]", p.K), deadline: p.T/p.K + 1}, nil
 }
 
 // MustUPmin is NewUPmin for fixed test/experiment parameters.
@@ -166,4 +198,52 @@ func (u *UPmin) Decide(g *knowledge.Graph, i model.Proc, m int) (model.Value, bo
 		return g.Min(i, m), true
 	}
 	return 0, false
+}
+
+// DecideStep implements sim.StepRule: the u-Pmin[k] rule for every
+// candidate of time m, read off the graph's Min and HC rows of times m
+// and m−1, with the three rules as the cases of one switch, in Decide's
+// order. Two facts spare it calls to Persists:
+//   - Persists' first disjunct, v ∈ Vals⟨i,m−1⟩ for an active i, holds
+//     for v = Min⟨i,m⟩ exactly when Min⟨i,m−1⟩ = Min⟨i,m⟩, since
+//     Vals⟨i,m−1⟩ ⊆ Vals⟨i,m⟩;
+//   - at time 0 no node knows of a failure and there is no earlier
+//     layer, so by Definition 3 a value persists there only if t = 0,
+//     and the other two rules need m > 0 and m = ⌊t/k⌋+1 ≥ 1: for t > 0
+//     nobody decides at time 0.
+func (u *UPmin) DecideStep(g *knowledge.Graph, m int, cand []uint64, decs []sim.Decision) {
+	k, t := u.p.K, u.p.T
+	mins, hcs := g.MinRow(m), g.HCRow(m)
+	if m == 0 && t > 0 {
+		for x, word := range cand {
+			for ; word != 0; word &= word - 1 {
+				minAt(g, mins, x<<6|bits.TrailingZeros64(word), 0) // panics where Decide's Min would
+			}
+			cand[x] = 0
+		}
+		return
+	}
+	deadline := m == u.deadline
+	var prevMins []model.Value
+	var prevHCs []int
+	if m > 0 {
+		prevMins, prevHCs = g.MinRow(m-1), g.HCRow(m-1)
+	}
+	for x, word := range cand {
+		for ; word != 0; word &= word - 1 {
+			b := bits.TrailingZeros64(word)
+			i := x<<6 | b
+			min := minAt(g, mins, i, m)
+			switch {
+			case (min < k || hcs[i] < k) && (m > 0 && prevMins[i] == min || g.Persists(i, m, min, t)):
+				decs[i].Value = min
+			case m > 0 && (minAt(g, prevMins, i, m-1) < k || prevHCs[i] < k):
+				decs[i].Value = prevMins[i]
+			case deadline:
+				decs[i].Value = min
+			default:
+				cand[x] &^= 1 << uint(b)
+			}
+		}
+	}
 }

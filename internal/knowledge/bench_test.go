@@ -68,6 +68,19 @@ func BenchmarkPersists(b *testing.B) {
 	}
 }
 
+// deltaPatchOp is BenchmarkDeltaPatch's setup: a Builder primed with a
+// full build, and its i-th operation, a single-input patch between two
+// neighbouring adversaries.
+func deltaPatchOp() (func(i int), *Builder) {
+	rng := rand.New(rand.NewSource(1))
+	adv := randomAdversary(rng, 10, 6, 4, 3)
+	flipped := flip(adv, 0, adv.Inputs[0]^1)
+	builder := NewBuilder()
+	builder.Build(adv, 6).Release()
+	pair := [2]*model.Adversary{flipped, adv}
+	return func(i int) { builder.Build(pair[i&1], 6).Release() }, builder
+}
+
 // BenchmarkDeltaPatch is the patch kernel against the full rebuild it
 // replaces (BenchmarkBuildArenaReused, same adversary size): the builder
 // holds a spare of the same failure pattern and every iteration flips a
@@ -75,16 +88,11 @@ func BenchmarkPersists(b *testing.B) {
 // and knowledge words of the views that ever see the changed process are
 // rewritten — instead of refilling the whole arena.
 func BenchmarkDeltaPatch(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	adv := randomAdversary(rng, 10, 6, 4, 3)
-	flipped := flip(adv, 0, adv.Inputs[0]^1)
-	builder := NewBuilder()
-	builder.Build(adv, 6).Release()
-	pair := [2]*model.Adversary{flipped, adv}
+	op, builder := deltaPatchOp()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		builder.Build(pair[i&1], 6).Release()
+		op(i)
 	}
 	built, _, patched := builder.TakeCounts()
 	if built != 1 || patched != b.N {

@@ -119,16 +119,18 @@ func (b *Builder) Discard() {
 
 // Forget ends the builder's revive chain while keeping its storage: the
 // next Build is a full build, into the released graph's storage, over
-// whatever pattern it is given, and the parked header no longer points
-// at the released graph's adversary. Revive keys on the failure
-// pattern's pointer, so a caller that may change a pattern in place
-// between two batches of builds — an engine's callers between two runs
-// — must call Forget between them.
+// whatever pattern it is given. Nothing the builder keeps points into
+// the last pattern or adversary any more: not the parked header, and
+// not the build scratch's per-crasher delivery sets. Revive keys on the
+// failure pattern's pointer, so a caller that may change a pattern in
+// place between two batches of builds — an engine's callers between two
+// runs — must call Forget between them.
 func (b *Builder) Forget() {
 	b.lastPat, b.scPat = nil, nil
 	if b.spareG != nil {
 		b.spareG.Adv = nil
 	}
+	b.sc.forget()
 }
 
 // bytes sums the capacity of every storage slab — the quantity the
@@ -251,6 +253,9 @@ func (b *Builder) revive(adv *model.Adversary, horizon int) *Graph {
 	case 0:
 		b.patched++
 	case 1:
+		if !b.sc.touchBuilt {
+			b.sc.buildTouch(g.store.arena, g.n, g.w, (g.Horizon+1)*g.n)
+		}
 		patchValues(g, &b.sc, changed)
 		b.patched++
 	default:
@@ -322,13 +327,16 @@ type buildScratch struct {
 	// lists, in increasing node order, every node whose layer-0 view
 	// contains process p — exactly the nodes whose value row depends on
 	// p's input. Pattern-derived (layer-0 membership never depends on
-	// inputs), so it is precomputed once per full build and shares the
-	// scratch's scPat/scHorizon/scN validity; patchValues walks one row
-	// of it instead of every node. Increasing node order guarantees a
-	// frozen node's predecessor — same layer-0 block, hence same
+	// inputs), so it shares the scratch's scPat/scHorizon/scN validity;
+	// patchValues walks one row of it instead of every node. Only a
+	// patch reads it, so it is built on the first patch after a full
+	// build (touchBuilt records that), and a stream of full builds that
+	// never patches never pays for it. Increasing node order guarantees
+	// a frozen node's predecessor — same layer-0 block, hence same
 	// membership — is patched before the frozen node copies its row.
 	touchOff   []int
 	touchNodes []int
+	touchBuilt bool
 
 	// word-width frontier sets, re-wrapped over the slabs below per build
 	seen, assigned, u, newly, gset bitset.Set
@@ -355,11 +363,25 @@ func resizeWords(s []uint64, n int) []uint64 {
 	return s
 }
 
+// forget drops every pointer the scratch holds into the last pattern
+// built — the delivery sets in delOf and crash — and into the last
+// graph's arena, so a parked builder pins neither. prepare refills all
+// of them on the next full build.
+func (sc *buildScratch) forget() {
+	clear(sc.delOf[:cap(sc.delOf)])
+	for _, c := range sc.crash[:cap(sc.crash)] {
+		clear(c[:cap(c)])
+	}
+	sc.seen = bitset.Set{}
+}
+
 // prepare hoists everything build derives from the failure pattern alone:
 // crash rounds, per-round crasher lists with their delivery sets, and the
 // cumulative dead-before-ρ bitsets that computeKnownCrash previously
-// re-derived by scanning all n processes per seen node.
+// re-derived by scanning all n processes per seen node. It also marks
+// the touched-views table stale: it describes the previous pattern.
 func (sc *buildScratch) prepare(pat *model.FailurePattern, n, w, h int) {
+	sc.touchBuilt = false
 	sc.cr = resizeInts(sc.cr, n)
 	for i := 0; i < n; i++ {
 		sc.cr[i] = model.NoCrash
@@ -664,19 +686,19 @@ func build(adv *model.Adversary, horizon int, sc *buildScratch, owner *Builder) 
 		}
 	}
 
-	if owner != nil {
-		sc.buildTouch(arena, n, w, nodes)
-	}
 	fillValues(g, sc)
 	return g
 }
 
-// buildTouch precomputes the per-pattern touched-views table: for each
-// process p, the nodes whose layer-0 view contains p, in increasing node
-// order. Two passes over the layer-0 words (count, then fill) lay the
-// lists out as CSR in two reused int slabs; the end-cursor trick turns
-// the fill cursors back into offsets with one shift.
+// buildTouch computes the per-pattern touched-views table from the
+// layer-0 offsets the pattern's full build left in sc.base and the
+// layer-0 words of its arena: for each process p, the nodes whose
+// layer-0 view contains p, in increasing node order. Two passes over
+// the layer-0 words (count, then fill) lay the lists out as CSR in two
+// reused int slabs; the end-cursor trick turns the fill cursors back
+// into offsets with one shift.
 func (sc *buildScratch) buildTouch(arena []uint64, n, w, nodes int) {
+	sc.touchBuilt = true
 	sc.touchOff = resizeInts(sc.touchOff, n+1)
 	for p := 0; p <= n; p++ {
 		sc.touchOff[p] = 0

@@ -27,6 +27,7 @@ package knowledge
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"setconsensus/internal/bitset"
@@ -166,24 +167,14 @@ func (g *Graph) Seen(i model.Proc, m int, j model.Proc, l int) bool {
 }
 
 // SeenSet returns the set of processes whose layer-ℓ node is seen by
-// ⟨i,m⟩ (a defensive copy). Hot paths iterate with ForEachSeen instead.
+// ⟨i,m⟩ (a defensive copy). Hot paths walk the view's layer words in
+// place instead, as Persists does.
 func (g *Graph) SeenSet(i model.Proc, m, l int) *bitset.Set {
 	v := g.View(i, m)
 	if l < 0 || l >= len(v.Layers) {
 		return bitset.New(g.n)
 	}
 	return v.Layers[l].Clone()
-}
-
-// ForEachSeen calls fn for every process whose layer-ℓ node is seen by
-// ⟨i,m⟩, in increasing order, stopping early if fn returns false. It is
-// the allocation-free form of SeenSet(i, m, l).ForEach(fn).
-func (g *Graph) ForEachSeen(i model.Proc, m, l int, fn func(j model.Proc) bool) {
-	v := g.View(i, m)
-	if l < 0 || l >= len(v.Layers) {
-		return
-	}
-	v.Layers[l].ForEach(fn)
 }
 
 // KnownCrashRound returns the earliest round ρ such that ⟨i,m⟩ can prove j
@@ -256,14 +247,6 @@ func (g *Graph) valsWords(i model.Proc, m int) []uint64 {
 	return g.store.arena[off : off+g.wv]
 }
 
-// valsContains reports v ∈ Vals⟨i,m⟩ without allocating.
-func (g *Graph) valsContains(i model.Proc, m int, v model.Value) bool {
-	if v < 0 || v >= g.wv*64 {
-		return false
-	}
-	return g.valsWords(i, m)[v>>6]&(1<<uint(v&63)) != 0
-}
-
 // Vals returns the set of initial values v such that Ki∃v holds at ⟨i,m⟩:
 // the values of the layer-0 nodes seen by ⟨i,m⟩ (Definition 5). The set
 // is an independent copy of the precomputed table.
@@ -314,29 +297,62 @@ func (g *Graph) CrashRound(j model.Proc) int { return g.cr[g.proc(j)] }
 // under the graph's adversary — Pattern.Active off the hoisted table.
 func (g *Graph) Active(i model.Proc, m int) bool { return g.cr[g.proc(i)] > m }
 
+// MinRow returns Min⟨i,m⟩ for every process i at time m, indexed by
+// process. The slice aliases the graph's table: it is read-only and
+// valid until the graph is released. An entry is NoKnownCrash where
+// Vals⟨i,m⟩ is empty, the one case in which Min panics. Whole-step
+// decision rules read it instead of calling Min once per process.
+func (g *Graph) MinRow(m int) []model.Value {
+	off := g.node(0, m)
+	return g.minVal[off : off+g.n : off+g.n]
+}
+
+// HCRow returns HC⟨i,m⟩ for every process i at time m, indexed by
+// process: the read-only, row-at-a-time form of HiddenCapacity, aliasing
+// the graph's table like MinRow.
+func (g *Graph) HCRow(m int) []int {
+	off := g.node(0, m)
+	return g.hc[off : off+g.n : off+g.n]
+}
+
 // Persists implements Definition 3: whether i knows at time m that value v
 // will persist, given the a-priori crash bound t. The second disjunct is
 // vacuously true once i knows of at least t failures. All queries run on
-// the precomputed tables; nothing allocates.
+// the precomputed tables, and the count walks the words of ⟨i,m⟩'s
+// layer-(m−1) set in place; nothing allocates. The cheapest test runs
+// first: the known-failure count, then v ∈ Vals⟨i,m−1⟩, then the count.
 func (g *Graph) Persists(i model.Proc, m int, v model.Value, t int) bool {
-	if m > 0 && g.cr[i] > m && g.valsContains(i, m-1, v) {
-		return true
-	}
-	need := t - g.FailuresKnown(i, m)
+	node := g.node(i, m)
+	need := t - g.fails[node]
 	if need <= 0 {
 		return true
 	}
-	if m == 0 {
+	if m == 0 || v < 0 || v >= g.wv*64 {
+		return false
+	}
+	// Column v>>6 of layer m−1's value rows: node (m−1, j)'s word is at
+	// col + j*wv.
+	arena, wv := g.store.arena, g.wv
+	col := g.valsOff + (m-1)*g.n*wv + v>>6
+	bit := uint64(1) << uint(v&63)
+	if g.cr[i] > m && arena[col+i*wv]&bit != 0 {
+		return true
+	}
+	layers := g.store.views[node].Layers
+	if m-1 >= len(layers) {
 		return false
 	}
 	count := 0
-	g.ForEachSeen(i, m, m-1, func(j model.Proc) bool {
-		if g.valsContains(j, m-1, v) {
-			count++
+	for x, word := range layers[m-1].Words() {
+		for ; word != 0; word &= word - 1 {
+			if arena[col+(x<<6|bits.TrailingZeros64(word))*wv]&bit != 0 {
+				if count++; count >= need {
+					return true
+				}
+			}
 		}
-		return count < need
-	})
-	return count >= need
+	}
+	return false
 }
 
 // buildSenders fills the lazily-constructed per-(h,ρ) sender masks that

@@ -94,10 +94,23 @@ func BenchmarkCompile(b *testing.B) {
 // fresh interning at every pattern boundary), is the delta machinery's
 // margin.
 func BenchmarkCompileDelta(b *testing.B) {
+	op := compileDeltaOp(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op(i)
+	}
+}
+
+// compileDeltaOp is BenchmarkCompileDelta's setup: a Compiler, a primed
+// Builder and one pattern block of the probe space, and the i-th
+// operation, which builds, runs and compiles the block's i-th adversary
+// (cycling).
+func compileDeltaOp(tb testing.TB) func(i int) {
 	base, p := benchSearchConfig()
 	c, err := NewCompiler(p)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	block := inputVectors(p.Space)
 	advs := make([]*model.Adversary, 0, block)
@@ -108,9 +121,7 @@ func BenchmarkCompileDelta(b *testing.B) {
 	var sc sim.Scratch
 	var res sim.Result
 	builder.Build(advs[0], c.Horizon()).Release()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func(i int) {
 		adv := advs[i%block]
 		g := builder.Build(adv, c.Horizon())
 		sim.RunWithGraphInto(base, g, &sc, &res)

@@ -121,19 +121,18 @@ func (r *Result) MarshalJSON() ([]byte, error) {
 // Result.Adv() directly, and detach fills both in on the Results that
 // escape. The returned pointer is &b.res; it is overwritten by the next
 // run on the same buffer.
+//
+// Both Results are filled field by field: they are rewritten once per
+// run, and a composite literal would build each on the stack and copy it
+// over. simres, the checker's view of the run, carries the scratch's
+// decider mask.
 func (b *runBuffer) result(backend BackendKind, decisions []*Decision) *Result {
 	r := &b.res
-	*r = Result{
-		Protocol:  b.req.name,
-		Ref:       b.req.ref,
-		Backend:   backend.String(),
-		Params:    b.req.params,
-		Decisions: decisions,
-		adv:       b.req.adv,
-	}
-	b.simres.ProtocolName, b.simres.Adv, b.simres.Graph, b.simres.Decisions =
-		b.req.name, b.req.adv, nil, decisions
-	r.MaxCorrectTime = b.simres.MaxCorrectDecisionTime()
+	r.Protocol, r.Ref, r.Backend, r.Params = b.req.name, b.req.ref, backend.String(), b.req.params
+	r.Adversary, r.Decisions, r.Bits, r.GraphStats, r.adv = "", decisions, nil, nil, b.req.adv
+	sr := &b.simres
+	sr.ProtocolName, sr.Adv, sr.Graph, sr.Decisions, sr.Deciders = b.req.name, b.req.adv, nil, decisions, b.sim.Deciders()
+	r.MaxCorrectTime = sr.MaxCorrectDecisionTime()
 	return r
 }
 
