@@ -78,20 +78,18 @@ func (e *Engine) NewAggregator(workload string, refs []string) (*Aggregator, err
 	return &Aggregator{sum: agg.New(workload, refs), tasks: tasks, tasksByIdx: tasksByIdx}, nil
 }
 
-// fold computes one pooled run's observation and bumps the worker's
-// shard accumulator — the lock-free per-run half of the sharded
-// aggregation contract (mergeShard is the once-per-worker other half).
-// The Result is the runBuffer's pooled result, and the run is verified
-// from the buffer's decider mask against the verification sets its
-// worker prepared for the adversary; nothing here retains either.
-func (a *Aggregator) fold(acc *agg.Acc, refIdx int, r *Result, buf *runBuffer) {
-	o := agg.Obs{Time: r.MaxCorrectTime}
-	if r.MaxCorrectTime >= 0 {
+// fold computes one pooled run's observation from its worker's run
+// buffer and bumps the worker's shard accumulator — the lock-free
+// per-run half of the sharded aggregation contract (mergeShard is the
+// once-per-worker other half). The run record gives the decision time,
+// and the run is verified from its decider mask against the
+// verification sets the worker prepared for the adversary; the bit
+// counts are zero off the Wire backend, so they fold as nothing there.
+// Nothing here retains the buffer.
+func (a *Aggregator) fold(acc *agg.Acc, refIdx int, buf *runBuffer) {
+	o := agg.Obs{Time: buf.simres.MaxCorrectDecisionTime(), Bits: int64(buf.bits.Total), MaxPairBits: buf.bits.MaxPair}
+	if o.Time >= 0 {
 		o.Violation = buf.verify.Verify(&buf.simres, a.tasksByIdx[refIdx]) != nil
-	}
-	if r.Bits != nil {
-		o.Bits = int64(r.Bits.Total)
-		o.MaxPairBits = r.Bits.MaxPair
 	}
 	acc.Observe(o)
 }

@@ -302,7 +302,7 @@ func (e *Engine) runSearchAnalysis(ctx context.Context, family, baseRef string, 
 		mu    sync.Mutex
 		frags []*unbeat.Compiler
 	)
-	err = e.sweepExec(ctx, "engine: analysis compile", []string{baseRef}, src, true, func(ctx context.Context, _ []*ProtocolSpec, kit *runKit, chunks iter.Seq[sweepChunk]) error {
+	err = e.sweepExec(ctx, "engine: analysis compile", []string{baseRef}, src, true, func(_ []*ProtocolSpec, kit *runKit, chunks iter.Seq[sweepChunk]) error {
 		mu.Lock()
 		frag := first
 		if len(frags) > 0 {
@@ -313,16 +313,12 @@ func (e *Engine) runSearchAnalysis(ctx context.Context, family, baseRef string, 
 		for chunk := range chunks {
 			frag.Segment(chunk.base)
 			for _, adv := range chunk.advs {
-				if err := sweepCancelled(ctx); err != nil {
-					return err
-				}
 				g := kit.builder.Build(adv, frag.Horizon())
-				res, err := e.runInto(kit.buf, baseRef, spec, ent, p, adv, g)
-				if err != nil {
+				if err := e.runInto(kit.buf, baseRef, spec, ent, p, adv, g); err != nil {
 					g.Release()
 					return err
 				}
-				frag.Add(adv, g, res.Decisions)
+				frag.Add(adv, g, kit.buf.simres.Decisions)
 				g.Release()
 				sink.Bump()
 			}

@@ -163,10 +163,11 @@ func Search(ctx context.Context, base Protocol, p SearchParams) (*SearchReport, 
 func DivK(k int) (*Subdivision, error) { return topology.DivK(k) }
 
 // RunWire executes the Appendix E compact-message protocol (Optmin rule)
-// and reports decisions plus per-link bit counts. Engine with
-// WithBackend(Wire) is the name-driven equivalent.
+// and reports decisions, in fresh storage the caller may keep, plus
+// per-link bit counts. Engine with WithBackend(Wire) is the name-driven
+// equivalent.
 func RunWire(p Params, adv *Adversary) (*wire.Result, error) {
-	return wire.Run(wire.RuleOptmin, p, adv)
+	return wire.Run(wire.RuleOptmin, p, adv, new(sim.Scratch))
 }
 
 // Experiment regenerates one of the paper-reproduction tables (E1–E10).

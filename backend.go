@@ -33,22 +33,20 @@ type runRequest struct {
 	graph *knowledge.Graph
 }
 
-// runBuffer is a worker's scratch for its runs: the request, one
-// reusable Result, pooled decision storage with its decider mask, the
-// verification sets, and the backend-extra structs. Every backend
-// records its decisions in sim, so simres carries the run's decider
-// mask on every backend, and a folding sweep verifies from it against
-// the sets verify was prepared with for the adversary. A runBuffer
-// serves one goroutine; the Result a run returns aliases the buffer and
-// is valid only until the next run on it. See the recycle contract in
-// engine.go for who may retain what.
+// runBuffer is a worker's scratch for its runs: the request, the pooled
+// decision storage with its decider mask (sim), the run record over it
+// (simres), the verification sets and the Wire backend's bit counts. No
+// pooled Result exists: a folding sweep reads the run from simres and
+// bits, and detach builds a Result only for a run that escapes. A
+// runBuffer serves one goroutine, and the next run on it overwrites
+// everything. See the recycle contract in engine.go for who may retain
+// what.
 type runBuffer struct {
 	req    runRequest
-	res    Result
 	sim    sim.Scratch
 	simres sim.Result
 	verify check.Scratch
-	bits   BitStats
+	bits   BitStats // zero off the Wire backend, where it folds as nothing
 }
 
 // bytes reports the pooled scratch capacity the buffer pins — the
@@ -58,27 +56,34 @@ type runBuffer struct {
 func (b *runBuffer) bytes() int64 { return b.sim.Bytes() + b.verify.Bytes() }
 
 // forget zeroes every pointer the buffer keeps to its last run — the
-// request's adversary and graph, the Results' adversary, graph and
+// request's adversary and graph, the run record's adversary, graph and
 // decisions — so a pooled buffer pins nothing of a finished call.
 func (b *runBuffer) forget() {
-	b.req, b.res, b.simres = runRequest{}, Result{}, sim.Result{}
+	b.req, b.simres = runRequest{}, sim.Result{}
+}
+
+// record fills the run record from a compact backend's decisions, which
+// alias b.sim.
+func (b *runBuffer) record(decs []*Decision) {
+	sr := &b.simres
+	sr.ProtocolName, sr.Adv, sr.Graph, sr.Decisions, sr.Deciders = b.req.name, b.req.adv, nil, decs, b.sim.Deciders()
 }
 
 // backend executes one protocol run. The three implementations adapt the
 // oracle simulator (internal/sim), the goroutine message-passing engine
 // (internal/runtime), and the compact wire runner (internal/wire) to one
-// contract: run the buffer's request into its pooled storage and return
-// the buffer's Result — errors, never panics.
+// contract: run the buffer's request, deciding into the buffer's pooled
+// scratch and filling its run record — errors, never panics.
 type backend interface {
 	// needsGraph reports whether run requires a precomputed knowledge
 	// graph; the Engine supplies (and shares) one when it does.
 	needsGraph() bool
-	// run executes buf's request and returns buf's Result, valid only
-	// until the next run on the same buffer: no per-run heap objects, and
-	// no display extras — the Result's Adversary string and GraphStats
-	// are left for detach to fill in on the Results that escape. run does
-	// not poll a context; the engine checks it once per adversary.
-	run(buf *runBuffer) (*Result, error)
+	// run executes buf's request into buf.sim and buf.simres, and on the
+	// Wire backend buf.bits, all valid only until the next run on the
+	// same buffer: no per-run heap objects on the Oracle backend, and no
+	// Result. run does not poll a context; the engine checks it once per
+	// claimed window.
+	run(buf *runBuffer) error
 }
 
 // backendFor maps a kind to its implementation.
@@ -110,13 +115,13 @@ type oracleBackend struct{}
 
 func (oracleBackend) needsGraph() bool { return true }
 
-func (oracleBackend) run(buf *runBuffer) (*Result, error) {
+func (oracleBackend) run(buf *runBuffer) error {
 	req := &buf.req
 	if req.proto == nil {
-		return nil, req.err
+		return req.err
 	}
 	sim.RunWithGraphInto(req.proto, req.graph, &buf.sim, &buf.simres)
-	return buf.result(Oracle, buf.simres.Decisions), nil
+	return nil
 }
 
 // goroutineBackend runs the concurrent message-passing engine.
@@ -124,22 +129,17 @@ type goroutineBackend struct{}
 
 func (goroutineBackend) needsGraph() bool { return false }
 
-func (goroutineBackend) run(buf *runBuffer) (*Result, error) {
+func (goroutineBackend) run(buf *runBuffer) error {
 	req := &buf.req
 	if err := requireWireCapable(req.spec, Goroutines); err != nil {
-		return nil, err
+		return err
 	}
-	rtRes, err := runtime.Run(req.spec.WireRule, req.params, req.adv)
+	decs, err := runtime.Run(req.spec.WireRule, req.params, req.adv, &buf.sim)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	decs := buf.sim.Reset(len(rtRes.Decisions))
-	for i, d := range rtRes.Decisions {
-		if d != nil {
-			buf.sim.Put(i, Decision{Value: d.Value, Time: d.Time})
-		}
-	}
-	return buf.result(Goroutines, decs), nil
+	buf.record(decs)
+	return nil
 }
 
 // wireBackend runs the deterministic compact-protocol runner with bit
@@ -148,23 +148,16 @@ type wireBackend struct{}
 
 func (wireBackend) needsGraph() bool { return false }
 
-func (wireBackend) run(buf *runBuffer) (*Result, error) {
+func (wireBackend) run(buf *runBuffer) error {
 	req := &buf.req
 	if err := requireWireCapable(req.spec, Wire); err != nil {
-		return nil, err
+		return err
 	}
-	wRes, err := wire.Run(req.spec.WireRule, req.params, req.adv)
+	wRes, err := wire.Run(req.spec.WireRule, req.params, req.adv, &buf.sim)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	decs := buf.sim.Reset(len(wRes.Decisions))
-	for i, d := range wRes.Decisions {
-		if d != nil {
-			buf.sim.Put(i, Decision{Value: d.Value, Time: d.Time})
-		}
-	}
-	res := buf.result(Wire, decs)
+	buf.record(wRes.Decisions)
 	bitStatsInto(&buf.bits, wRes)
-	res.Bits = &buf.bits
-	return res, nil
+	return nil
 }

@@ -189,9 +189,10 @@ func BenchmarkWireOptmin(b *testing.B) {
 		b.Fatal(err)
 	}
 	p := core.Params{N: adv.N(), T: model.CollapseT(cp), K: 3}
+	var sc sim.Scratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := wire.Run(wire.RuleOptmin, p, adv); err != nil {
+		if _, err := wire.Run(wire.RuleOptmin, p, adv, &sc); err != nil {
 			b.Fatal(err)
 		}
 	}

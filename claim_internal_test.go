@@ -366,8 +366,6 @@ func TestPooledKitsHoldNoAdversary(t *testing.T) {
 			switch {
 			case b.req.adv != nil, b.req.graph != nil:
 				t.Fatalf("after %s: pooled kit %d's request keeps its adversary or graph", after, i)
-			case b.res.adv != nil, b.res.Decisions != nil:
-				t.Fatalf("after %s: pooled kit %d's Result keeps its adversary or decisions", after, i)
 			case b.simres.Adv != nil, b.simres.Graph != nil, b.simres.Decisions != nil, b.simres.Deciders != nil:
 				t.Fatalf("after %s: pooled kit %d's run record keeps its adversary, graph or masks", after, i)
 			}

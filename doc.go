@@ -92,7 +92,6 @@
 //	WithBackend       Oracle   execution backend (Oracle | Goroutines | Wire)
 //	WithCrashBound    -1       crash bound t; -1 means n−1 per adversary
 //	WithDegree        1        coordination degree k (1 = consensus)
-//	WithHorizon       0        0 = each protocol's registered worst case (override: Oracle only)
 //	WithParallelism   NumCPU   Sweep/Analyze worker-pool size
 //	WithRegistry      default  protocol name resolution
 //	WithAnalyses      default  analysis family resolution
@@ -351,10 +350,13 @@
 // them into the shared Summary exactly once, when its shard is drained
 // (Summary.Merge is the public form of the same operation), so
 // throughput scales with Parallelism instead of serializing on an
-// aggregator mutex. Every run, a sweep's or Engine.Run's, executes into
-// a per-worker run buffer: one reused Result, process-indexed decisions
-// with a decider mask beside them (internal/sim.Scratch), and no
-// adversary string. The oracle's run loop visits each time step once:
+// aggregator mutex. Every run, a sweep's or Engine.Run's, on every
+// backend, decides into a per-worker run buffer: process-indexed
+// decisions with a decider mask beside them (internal/sim.Scratch), one
+// run record over them (a sim.Result), and on the Wire backend the bit
+// counts. No pooled Result exists; a folding sweep folds the run record.
+// The compact backends decide by the one compact form of the rules,
+// wire.State.Decide. The oracle's run loop visits each time step once:
 // it takes the step's active, undecided processes as a word mask, and
 // Optmin and u-Pmin decide all of them in one call over the graph's Min
 // and hidden-capacity rows (sim.StepRule), while any other protocol is
@@ -362,8 +364,9 @@
 // operations on its decider mask against the adversary's correct set
 // and input-value set, which the worker computes once per adversary for
 // all its protocols (internal/check.Scratch). Run, Sweep and
-// SweepSourceStream hand out detached copies: decisions in one fresh
-// slab, the adversary string rendered once per adversary. Each worker
+// SweepSourceStream build each Result they hand out from the request and
+// the run record (detach): decisions in one fresh slab, the adversary
+// string rendered once per adversary. Each worker
 // claims its next window under one mutex and enumerates it itself. An
 // exhaustive space (SpaceSource, or any
 // nesting of RangeSource and LimitSource over one) hands out windows
@@ -387,8 +390,9 @@
 // blocks sized to the patterns left in its range — so an adversary costs
 // only a share of the slabs. Each claim refills the claiming worker's
 // window buffer, one per pooled run kit, and the workers share nothing
-// per adversary: cancellation is polled on the Done channel and progress
-// is counted per window.
+// per adversary: cancellation is polled on the Done channel before each
+// claim, so a cancelled worker finishes the window it holds, and
+// progress is counted per window.
 //
 // Identity keys are compact binary encodings, not rendered strings: both
 // the per-view Fingerprint (view interning in the unbeatability search

@@ -38,11 +38,14 @@ import (
 // is allocation-free per run and, over an exhaustive space, per
 // adversary. That rests on four reuse rules:
 //
-//   - runBuffer: the Result a backend's run returns aliases the buffer.
-//     A folding sweep folds it into the per-worker accumulators and
-//     never lets it escape. Anything that hands Results out (Run, Sweep,
-//     SweepSourceStream) hands out detached copies (detach): fresh
-//     decisions, fresh extras, nothing of the buffer.
+//   - runBuffer: no pooled Result exists. A backend's run decides into
+//     the buffer's sim.Scratch and fills its run record (simres), which
+//     aliases the scratch, and on the Wire backend its bit counts. A
+//     folding sweep folds the run record and the bits into the
+//     per-worker accumulators, and nothing of them escapes. Anything
+//     that hands Results out (Run, Sweep, SweepSourceStream) builds each
+//     from the request and the run record (detach): fresh decisions,
+//     fresh extras, nothing of the buffer.
 //   - Knowledge graphs have one lifetime. Every path builds each
 //     adversary's graph in the worker's reused Builder arena, shares it
 //     among that adversary's protocols, and releases it once their runs
@@ -258,12 +261,8 @@ func (e *Engine) runParams(adv *model.Adversary) (Params, error) {
 }
 
 // horizonFor picks the simulation horizon for a set of protocols on one
-// parameterization: the engine override if set, otherwise the largest
-// registered worst-case decision time.
-func (e *Engine) horizonFor(specs []*ProtocolSpec, p Params) int {
-	if e.params.Horizon > 0 {
-		return e.params.Horizon
-	}
+// parameterization: the largest registered worst-case decision time.
+func horizonFor(specs []*ProtocolSpec, p Params) int {
 	h := 0
 	for _, s := range specs {
 		if wc := s.WorstCaseTime(p); wc > h {
@@ -367,7 +366,7 @@ func (e *Engine) Run(ctx context.Context, ref string, adv *Adversary) (*Result, 
 	err = e.withKit("engine: run", func(kit *runKit) error {
 		w := sweepWorker{refs: []string{ref}, specs: []*ProtocolSpec{spec}, kit: kit,
 			deliver: func(_, _ int, r *Result) { res = r }}
-		return e.sweepAdversary(ctx, &w, adv, 0)
+		return e.sweepAdversary(&w, adv, 0)
 	})
 	if err != nil {
 		return nil, err
@@ -405,11 +404,13 @@ func (e *Engine) Sweep(ctx context.Context, refs []string, advs []*Adversary) ([
 // results. Per adversary, all protocols share one knowledge graph, as
 // in Sweep.
 //
-// Cancelling ctx stops the workers at their next adversary, but the
-// sweep returns only once everything it started has finished — each
-// worker, and the source iterator the workers pull any source but an
-// exhaustive space from: a cancelled sweep waits for the iterator's
-// current step to return, so a Source must not block
+// Cancelling ctx stops each worker before its next claimed window, so a
+// worker still finishes the window it holds: at most 256 adversaries of
+// an exhaustive space (windowCap), and at most 32 of any other source
+// (sourceChunk). The sweep returns only once everything it started has
+// finished — each worker, and the source iterator the workers pull any
+// source but an exhaustive space from: a cancelled sweep waits for the
+// iterator's current step to return, so a Source must not block
 // indefinitely between yields.
 //
 // This is the allocation-free sweep variant: no Result escapes, so every
@@ -631,8 +632,8 @@ func (cl *sweepClaimer) chunks(ctx context.Context, e *Engine, kit *runKit) iter
 }
 
 // sweepCancelled reports a sweep context's cancellation without its
-// lock: every worker polls the one sweep context per adversary, and
-// Context.Err takes a mutex they would contend for, while a
+// lock: every worker polls the one sweep context per claimed window,
+// and Context.Err takes a mutex they would contend for, while a
 // non-blocking receive on the Done channel only reads it.
 func sweepCancelled(ctx context.Context) error {
 	select {
@@ -650,13 +651,14 @@ func sweepCancelled(ctx context.Context) error {
 // cancellation). body runs once per worker, inside withKit under the
 // label what, owns all worker-local state, and ranges over its own
 // sequence of windows, each held in the kit's window buffer until the
-// next claim. reuse asserts that body is done with a window's
-// adversaries when the loop moves on and keeps nothing of them — no
-// Result escapes — so an exhaustive space's windows are carved from
-// each worker's reused arena. sweepExec starts no goroutine but its workers, and returns only
-// once every worker has returned and the source iterator it pulled, if
-// any, has finished.
-func (e *Engine) sweepExec(ctx context.Context, what string, refs []string, src Source, reuse bool, body func(ctx context.Context, specs []*ProtocolSpec, kit *runKit, chunks iter.Seq[sweepChunk]) error) error {
+// next claim; the sequence polls ctx before each claim, so body needs
+// no context of its own. reuse asserts that body is done with a
+// window's adversaries when the loop moves on and keeps nothing of them
+// — no Result escapes — so an exhaustive space's windows are carved
+// from each worker's reused arena. sweepExec starts no goroutine but its
+// workers, and returns only once every worker has returned and the
+// source iterator it pulled, if any, has finished.
+func (e *Engine) sweepExec(ctx context.Context, what string, refs []string, src Source, reuse bool, body func(specs []*ProtocolSpec, kit *runKit, chunks iter.Seq[sweepChunk]) error) error {
 	if e.err != nil {
 		return e.err
 	}
@@ -702,7 +704,7 @@ func (e *Engine) sweepExec(ctx context.Context, what string, refs []string, src 
 		go func() {
 			defer wg.Done()
 			if err := e.withKit(what, func(kit *runKit) error {
-				return body(ctx, specs, kit, cl.chunks(ctx, e, kit))
+				return body(specs, kit, cl.chunks(ctx, e, kit))
 			}); err != nil {
 				fail(err)
 			}
@@ -764,14 +766,14 @@ type sweepWorker struct {
 // the claims, so throughput scales with Parallelism instead of
 // flatlining on an aggregator lock.
 func (e *Engine) sweep(ctx context.Context, refs []string, src Source, a *Aggregator, deliver func(advIdx, refIdx int, r *Result)) error {
-	return e.sweepExec(ctx, "engine: sweep worker", refs, src, deliver == nil, func(ctx context.Context, specs []*ProtocolSpec, kit *runKit, chunks iter.Seq[sweepChunk]) error {
+	return e.sweepExec(ctx, "engine: sweep worker", refs, src, deliver == nil, func(specs []*ProtocolSpec, kit *runKit, chunks iter.Seq[sweepChunk]) error {
 		w := sweepWorker{refs: refs, specs: specs, kit: kit, a: a, deliver: deliver}
 		if a != nil {
 			w.shard = make([]agg.Acc, len(refs))
 		}
 		for chunk := range chunks {
 			for i, adv := range chunk.advs {
-				if err := e.sweepAdversary(ctx, &w, adv, chunk.base+i); err != nil {
+				if err := e.sweepAdversary(&w, adv, chunk.base+i); err != nil {
 					return err
 				}
 			}
@@ -949,24 +951,22 @@ func (e *Engine) memoFor(memo *protoMemo, refs []string, specs []*ProtocolSpec, 
 	for refIdx, spec := range specs {
 		memo.entries = append(memo.entries, e.protoFor(refs[refIdx], spec, p))
 	}
-	memo.horizon = e.horizonFor(specs, p)
+	memo.horizon = horizonFor(specs, p)
 	memo.p, memo.valid = p, true
 }
 
 // sweepAdversary runs every protocol of a sweep against one adversary
 // on the worker's kit, all of them sharing one knowledge graph, and
-// hands each run on. The context is polled once per adversary, before
-// its first run. The graph is built in the kit's reused Builder arena —
+// hands each run on. It polls no context: the worker's claims do, once
+// per window. The graph is built in the kit's reused Builder arena —
 // revived or patched from the previous adversary's when they share a
 // failure pattern — and released once the adversary's runs are done,
 // which is safe because no Result keeps it. The one branch is whether
-// the Results escape: if they do, each run goes to deliver as a detached
-// copy carrying the adversary string and the graph's stats, both taken
-// once per adversary while the graph is built; if not, it folds.
-func (e *Engine) sweepAdversary(ctx context.Context, w *sweepWorker, adv *Adversary, advIdx int) error {
-	if err := sweepCancelled(ctx); err != nil {
-		return err
-	}
+// the Results escape: if they do, detach builds each run's Result from
+// the kit's run buffer, with the adversary string and the graph's stats
+// taken once per adversary while the graph is built, and deliver gets
+// it; if not, the run folds straight from the buffer.
+func (e *Engine) sweepAdversary(w *sweepWorker, adv *Adversary, advIdx int) error {
 	p, err := e.runParams(adv)
 	if err != nil {
 		return err
@@ -981,6 +981,7 @@ func (e *Engine) sweepAdversary(ctx context.Context, w *sweepWorker, adv *Advers
 		advStr string
 		gs     *GraphStats
 	)
+	buf := w.kit.buf
 	if w.deliver != nil {
 		advStr = adv.String()
 		if g != nil {
@@ -988,25 +989,24 @@ func (e *Engine) sweepAdversary(ctx context.Context, w *sweepWorker, adv *Advers
 			gs = &stats
 		}
 	} else {
-		w.kit.buf.verify.Prepare(adv)
+		buf.verify.Prepare(adv)
 	}
 	for refIdx, spec := range w.specs {
-		res, err := e.runInto(w.kit.buf, w.refs[refIdx], spec, w.memo.entries[refIdx], p, adv, g)
-		if err != nil {
+		if err := e.runInto(buf, w.refs[refIdx], spec, w.memo.entries[refIdx], p, adv, g); err != nil {
 			return err
 		}
 		if w.deliver != nil {
-			w.deliver(advIdx, refIdx, detach(res, advStr, gs))
+			w.deliver(advIdx, refIdx, detach(buf, e.params.Backend, advStr, gs))
 		} else {
-			w.a.fold(&w.shard[refIdx], refIdx, res, w.kit.buf)
+			w.a.fold(&w.shard[refIdx], refIdx, buf)
 		}
 	}
 	return nil
 }
 
 // runInto fills buf's request for one run and executes it on the
-// engine's backend. The Result aliases buf.
-func (e *Engine) runInto(buf *runBuffer, ref string, spec *ProtocolSpec, ent protoEntry, p Params, adv *Adversary, g *knowledge.Graph) (*Result, error) {
+// engine's backend, into buf.
+func (e *Engine) runInto(buf *runBuffer, ref string, spec *ProtocolSpec, ent protoEntry, p Params, adv *Adversary, g *knowledge.Graph) error {
 	req := &buf.req
 	req.ref, req.spec, req.protoEntry, req.params, req.adv, req.graph = ref, spec, ent, p, adv, g
 	return e.backend.run(buf)
@@ -1025,8 +1025,8 @@ const sweepProgressInterval = 100 * time.Millisecond
 // one. The run path itself is untouched: workers add to one atomic
 // per claimed window and a side ticker reads it, so progress costs the
 // hot loop nothing measurable. Cancelling ctx stops the sweep as
-// SweepSource describes: at the workers' next adversary, and only after
-// the source iterator's current step returns.
+// SweepSource describes: before the workers' next claimed window, and
+// only after the source iterator's current step returns.
 func (e *Engine) SweepSourceProgress(ctx context.Context, refs []string, src Source, every time.Duration, progress func(SweepProgress)) (*Summary, error) {
 	if e.err != nil {
 		return nil, e.err

@@ -492,8 +492,6 @@ func TestEngineParamsDefaultsValidate(t *testing.T) {
 		{Backend: 99, T: -1, K: 1, Parallelism: 1},
 		{T: -3, K: 1, Parallelism: 1},
 		{T: -1, K: 0, Parallelism: 1},
-		{T: -1, K: 1, Horizon: -1, Parallelism: 1},
-		{Backend: setconsensus.Wire, T: -1, K: 1, Horizon: 2, Parallelism: 1},
 		{T: -1, K: 1, Parallelism: 0},
 	}
 	for i, p := range bad {

@@ -209,9 +209,10 @@ func E10WireCost() (*Table, error) {
 	}
 	cfgs = append(cfgs, cfg{"collapse k=3 R=4", col, 3, model.CollapseT(colP)})
 
+	var sc sim.Scratch
 	for _, c := range cfgs {
 		params := core.Params{N: c.adv.N(), T: c.tb, K: c.k}
-		res, err := wire.Run(wire.RuleOptmin, params, c.adv)
+		res, err := wire.Run(wire.RuleOptmin, params, c.adv, &sc)
 		if err != nil {
 			return nil, err
 		}

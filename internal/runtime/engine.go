@@ -1,10 +1,13 @@
 // Package runtime executes the compact wire protocol on a real
 // message-passing engine: one goroutine per process, channels as links, a
 // router applying the failure pattern, and lock-step round barriers —
-// the synchronous model of §2.1 made concrete. Results are bit-for-bit
-// cross-checked against the deterministic oracle simulator by the tests;
-// the engine exists to demonstrate that the protocols run unchanged on
-// actual concurrent message passing, not just on the oracle.
+// the synchronous model of §2.1 made concrete. Every process decides by
+// the one compact rule, wire.State.Decide, and Run records the decisions
+// in the caller's sim.Scratch, the oracle simulator's decision record.
+// The tests cross-check them bit for bit against the deterministic
+// oracle; the engine exists to demonstrate that the protocols run
+// unchanged on actual concurrent message passing, not just on the
+// oracle.
 package runtime
 
 import (
@@ -13,6 +16,7 @@ import (
 
 	"setconsensus/internal/core"
 	"setconsensus/internal/model"
+	"setconsensus/internal/sim"
 	"setconsensus/internal/wire"
 )
 
@@ -26,77 +30,40 @@ type Inbound struct {
 	Payload []byte
 }
 
-// Decision mirrors sim.Decision.
-type Decision struct {
-	Value model.Value
-	Time  int
-}
-
-// Result collects the engine's decisions.
-type Result struct {
-	Decisions []*Decision
-}
-
-// process is one goroutine's protocol instance: the compact wire state
-// plus the chosen decision rule.
+// process is one goroutine's protocol instance: the compact wire state,
+// the chosen decision rule, and the process's own decision, which only
+// its goroutine writes.
 type process struct {
 	id    model.Proc
 	rule  wire.Rule
 	p     core.Params
 	state *wire.State
 
-	prevLow  bool
-	prevHC   int
-	prevMin  model.Value
-	prevVals []model.Value
-
 	decided  bool
-	decision *Decision
+	decision sim.Decision
 	err      error
 }
 
-func (pr *process) snapshot() {
-	pr.prevLow = pr.state.Low(pr.p.K)
-	pr.prevHC = pr.state.HiddenCapacity()
-	pr.prevMin = pr.state.Min()
-	pr.prevVals = pr.state.Vals()
-}
-
+// maybeDecide asks the wire rule at time m, if the process is undecided.
 func (pr *process) maybeDecide(m int) {
 	if pr.decided {
 		return
 	}
-	st := pr.state
-	switch pr.rule {
-	case wire.RuleOptmin:
-		if st.Low(pr.p.K) || st.HiddenCapacity() < pr.p.K {
-			pr.decision = &Decision{Value: st.Min(), Time: m}
-			pr.decided = true
-		}
-	case wire.RuleUPmin:
-		if st.Low(pr.p.K) || st.HiddenCapacity() < pr.p.K {
-			if min := st.Min(); st.Persists(min, pr.prevVals, pr.p.T) {
-				pr.decision = &Decision{Value: min, Time: m}
-				pr.decided = true
-				return
-			}
-		}
-		if m > 0 && (pr.prevLow || pr.prevHC < pr.p.K) {
-			pr.decision = &Decision{Value: pr.prevMin, Time: m}
-			pr.decided = true
-			return
-		}
-		if m == pr.p.T/pr.p.K+1 {
-			pr.decision = &Decision{Value: st.Min(), Time: m}
-			pr.decided = true
-		}
+	if v, ok := pr.state.Decide(pr.rule, pr.p, m); ok {
+		pr.decided, pr.decision = true, sim.Decision{Value: v, Time: m}
 	}
 }
 
-// Run executes the protocol on goroutines against the adversary. The
-// router goroutine enforces the failure pattern; each process goroutine
-// computes rounds concurrently, synchronized by channel barriers.
-func Run(rule wire.Rule, p core.Params, adv *model.Adversary) (*Result, error) {
+// Run executes the protocol on goroutines against the adversary, records
+// every decision in sc, which it resets for the adversary's processes,
+// and returns the decisions, which alias sc. The router goroutine
+// enforces the failure pattern; each process goroutine computes rounds
+// concurrently, synchronized by channel barriers, and keeps its own
+// decision: Run puts them into sc only once every goroutine has
+// returned, because Put writes a mask word that neighbouring processes
+// share. A payload that wire.Decode rejects fails the run with a
+// "corrupt payload" error.
+func Run(rule wire.Rule, p core.Params, adv *model.Adversary, sc *sim.Scratch) ([]*sim.Decision, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -135,7 +102,7 @@ func Run(rule wire.Rule, p core.Params, adv *model.Adversary) (*Result, error) {
 					<-barrier[pr.id]
 					continue
 				}
-				pr.snapshot()
+				pr.state.Snapshot(pr.p.K)
 				outCh <- outMsg{from: pr.id, payload: encodePayload(pr.state.Outbox())}
 				msgs := <-inCh[pr.id]
 				// A decode failure poisons this process but must not stop
@@ -145,7 +112,7 @@ func Run(rule wire.Rule, p core.Params, adv *model.Adversary) (*Result, error) {
 				if adv.Pattern.Active(pr.id, m) && pr.err == nil {
 					inbound := make([]wire.Message, 0, len(msgs))
 					for _, im := range msgs {
-						facts, err := wire.Decode(im.Payload)
+						facts, err := wire.Decode(im.Payload, n)
 						if err != nil {
 							pr.err = fmt.Errorf("runtime: corrupt payload from %d in round %d: %w", im.From, m, err)
 							break
@@ -193,12 +160,14 @@ func Run(rule wire.Rule, p core.Params, adv *model.Adversary) (*Result, error) {
 
 	wg.Wait()
 	<-routerDone
-	res := &Result{Decisions: make([]*Decision, n)}
+	decs := sc.Reset(n)
 	for i, pr := range procs {
 		if pr.err != nil {
 			return nil, pr.err
 		}
-		res.Decisions[i] = pr.decision
+		if pr.decided {
+			sc.Put(i, pr.decision)
+		}
 	}
-	return res, nil
+	return decs, nil
 }

@@ -13,7 +13,7 @@ import (
 
 func checkAgainstOracle(t *testing.T, rule wire.Rule, p core.Params, adv *model.Adversary) {
 	t.Helper()
-	res, err := Run(rule, p, adv)
+	decs, err := Run(rule, p, adv, new(sim.Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func checkAgainstOracle(t *testing.T, rule wire.Rule, p core.Params, adv *model.
 		oracle = sim.Run(core.MustUPmin(p), adv)
 	}
 	for i := 0; i < adv.N(); i++ {
-		ed, od := res.Decisions[i], oracle.Decisions[i]
+		ed, od := decs[i], oracle.Decisions[i]
 		switch {
 		case ed == nil && od == nil:
 		case ed == nil || od == nil:
@@ -73,10 +73,11 @@ func TestEngineMatchesOracleRandom(t *testing.T) {
 
 func TestEngineValidation(t *testing.T) {
 	adv := model.NewBuilder(3, 0).MustBuild()
-	if _, err := Run(wire.RuleOptmin, core.Params{N: 5, T: 1, K: 1}, adv); err == nil {
+	var sc sim.Scratch
+	if _, err := Run(wire.RuleOptmin, core.Params{N: 5, T: 1, K: 1}, adv, &sc); err == nil {
 		t.Error("mismatched n must error")
 	}
-	if _, err := Run(wire.RuleOptmin, core.Params{N: 3, T: 9, K: 1}, adv); err == nil {
+	if _, err := Run(wire.RuleOptmin, core.Params{N: 3, T: 9, K: 1}, adv, &sc); err == nil {
 		t.Error("invalid params must error")
 	}
 }
@@ -84,17 +85,18 @@ func TestEngineValidation(t *testing.T) {
 func TestEngineDeterministic(t *testing.T) {
 	adv := model.Random(rand.New(rand.NewSource(5)), model.RandomParams{N: 6, T: 3, MaxValue: 2, MaxRound: 2})
 	p := core.Params{N: 6, T: 3, K: 2}
-	a, err := Run(wire.RuleOptmin, p, adv)
+	var sa, sb sim.Scratch
+	a, err := Run(wire.RuleOptmin, p, adv, &sa)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for rep := 0; rep < 10; rep++ {
-		b, err := Run(wire.RuleOptmin, p, adv)
+		b, err := Run(wire.RuleOptmin, p, adv, &sb)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range a.Decisions {
-			da, db := a.Decisions[i], b.Decisions[i]
+		for i := range a {
+			da, db := a[i], b[i]
 			if (da == nil) != (db == nil) || (da != nil && *da != *db) {
 				t.Fatalf("nondeterministic engine at process %d", i)
 			}
@@ -109,24 +111,35 @@ func BenchmarkEngineCollapse(b *testing.B) {
 		b.Fatal(err)
 	}
 	p := core.Params{N: adv.N(), T: model.CollapseT(cp), K: 3}
+	var sc sim.Scratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(wire.RuleOptmin, p, adv); err != nil {
+		if _, err := Run(wire.RuleOptmin, p, adv, &sc); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
+// TestEngineCorruptPayloadError sends payloads wire.Decode must reject:
+// a count of 1 with no fact triples, and a well-formed fact about
+// process 99 of 4, which Deliver would index the receiver's
+// per-process tables with, out of range inside its goroutine, where no
+// caller could recover it. Each must fail the run with the
+// corrupt-payload error.
 func TestEngineCorruptPayloadError(t *testing.T) {
 	defer func() { encodePayload = wire.Encode }()
-	// A count of 1 with no fact triples fails Decode as truncated.
-	encodePayload = func([]wire.Fact) []byte { return []byte{1} }
 	adv := model.NewBuilder(4, 1).Input(0, 0).MustBuild()
-	res, err := Run(wire.RuleOptmin, core.Params{N: 4, T: 2, K: 1}, adv)
-	if err == nil {
-		t.Fatalf("corrupt payload must surface as an error, got result %+v", res)
-	}
-	if !strings.Contains(err.Error(), "corrupt payload") {
-		t.Fatalf("unexpected error: %v", err)
+	for name, payload := range map[string][]byte{
+		"truncated":       {1},
+		"process 99 of 4": wire.Encode([]wire.Fact{{Kind: wire.FactValue, Proc: 99, Arg: 0}}),
+	} {
+		encodePayload = func([]wire.Fact) []byte { return payload }
+		decs, err := Run(wire.RuleOptmin, core.Params{N: 4, T: 2, K: 1}, adv, new(sim.Scratch))
+		if err == nil {
+			t.Fatalf("%s: a corrupt payload must surface as an error, got decisions %v", name, decs)
+		}
+		if !strings.Contains(err.Error(), "corrupt payload") {
+			t.Fatalf("%s: unexpected error: %v", name, err)
+		}
 	}
 }

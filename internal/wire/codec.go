@@ -28,19 +28,26 @@ func Encode(facts []Fact) []byte {
 	return buf
 }
 
-// Decode parses a fact bundle.
-func Decode(b []byte) ([]Fact, error) {
+// Decode parses a fact bundle of a run over n processes. It trusts
+// nothing it reads: a count larger than the remaining bytes can hold
+// (every fact takes at least three), an unknown kind, a process outside
+// 0..n−1, a truncated field and trailing bytes are each an error, so an
+// accepted bundle is safe to Deliver.
+func Decode(b []byte, n int) ([]Fact, error) {
 	get := func() (uint64, error) {
-		v, n := binary.Uvarint(b)
-		if n <= 0 {
+		v, w := binary.Uvarint(b)
+		if w <= 0 {
 			return 0, fmt.Errorf("wire: truncated message")
 		}
-		b = b[n:]
+		b = b[w:]
 		return v, nil
 	}
 	count, err := get()
 	if err != nil {
 		return nil, err
+	}
+	if count > uint64(len(b)/3) {
+		return nil, fmt.Errorf("wire: %d facts cannot fit in %d bytes", count, len(b))
 	}
 	facts := make([]Fact, 0, count)
 	for i := uint64(0); i < count; i++ {
@@ -55,6 +62,12 @@ func Decode(b []byte) ([]Fact, error) {
 		arg, err := get()
 		if err != nil {
 			return nil, err
+		}
+		if kind < uint64(FactValue) || kind > uint64(FactSeen) {
+			return nil, fmt.Errorf("wire: unknown fact kind %d", kind)
+		}
+		if proc >= uint64(n) {
+			return nil, fmt.Errorf("wire: fact about process %d of %d", proc, n)
 		}
 		facts = append(facts, Fact{Kind: FactKind(kind), Proc: int(proc), Arg: int(arg)})
 	}

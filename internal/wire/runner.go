@@ -5,6 +5,7 @@ import (
 
 	"setconsensus/internal/core"
 	"setconsensus/internal/model"
+	"setconsensus/internal/sim"
 )
 
 // Rule selects which of the paper's protocols drives decisions over the
@@ -17,15 +18,11 @@ const (
 	RuleUPmin
 )
 
-// Decision mirrors sim.Decision for cross-checking.
-type Decision struct {
-	Value model.Value
-	Time  int
-}
-
 // Result is the outcome of a compact-protocol run with bit accounting.
 type Result struct {
-	Decisions []*Decision
+	// Decisions[i] is process i's decision, nil if it never decided; it
+	// aliases the scratch the run decided into.
+	Decisions []*sim.Decision
 	// BitsSent[i][j] counts the bits i sent to j over the whole run
 	// (delivered messages; i ≠ j).
 	BitsSent [][]int
@@ -45,18 +42,20 @@ func (r *Result) MaxPairBits() int {
 }
 
 // Run executes the compact protocol under the given decision rule against
-// an adversary, deterministically, and returns decisions plus per-link
-// bit counts. Decisions must (and, per the equivalence tests, do) match
-// the full-information oracle exactly.
-func Run(rule Rule, p core.Params, adv *model.Adversary) (*Result, error) {
-	return RunHooked(rule, p, adv, nil)
+// an adversary, deterministically, records every decision in sc, which it
+// resets for the adversary's processes, and returns the decisions plus
+// per-link bit counts. Decisions must (and, per the equivalence tests, do)
+// match the full-information oracle exactly.
+func Run(rule Rule, p core.Params, adv *model.Adversary, sc *sim.Scratch) (*Result, error) {
+	return RunHooked(rule, p, adv, sc, nil)
 }
 
 // RunHooked is Run with an inspection hook invoked after every time step
 // (including time 0) with the current states; the equivalence tests use
 // it to compare the reconstructed knowledge against the oracle at every
-// node, not just at decisions.
-func RunHooked(rule Rule, p core.Params, adv *model.Adversary, hook func(m int, states []*State)) (*Result, error) {
+// node, not just at decisions. Every process active and undecided at a
+// time asks its State's Decide, and a decision goes into sc with Put.
+func RunHooked(rule Rule, p core.Params, adv *model.Adversary, sc *sim.Scratch, hook func(m int, states []*State)) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -70,68 +69,34 @@ func RunHooked(rule Rule, p core.Params, adv *model.Adversary, hook func(m int, 
 	for i := 0; i < n; i++ {
 		states[i] = NewState(n, i, adv.Inputs[i])
 	}
-	res := &Result{Decisions: make([]*Decision, n), BitsSent: make([][]int, n)}
+	res := &Result{Decisions: sc.Reset(n), BitsSent: make([][]int, n)}
 	for i := range res.BitsSent {
 		res.BitsSent[i] = make([]int, n)
 	}
-
-	// Previous-time snapshots for u-Pmin's second rule and persistence.
-	prevLow := make([]bool, n)
-	prevHC := make([]int, n)
-	prevMin := make([]model.Value, n)
-	prevVals := make([][]model.Value, n)
-
-	decide := func(i model.Proc, m int) {
-		if res.Decisions[i] != nil {
-			return
-		}
-		st := states[i]
-		switch rule {
-		case RuleOptmin:
-			if st.Low(p.K) || st.HiddenCapacity() < p.K {
-				res.Decisions[i] = &Decision{Value: st.Min(), Time: m}
-			}
-		case RuleUPmin:
-			low, hc := st.Low(p.K), st.HiddenCapacity()
-			if low || hc < p.K {
-				if min := st.Min(); st.Persists(min, prevVals[i], p.T) {
-					res.Decisions[i] = &Decision{Value: min, Time: m}
-					return
-				}
-			}
-			if m > 0 && (prevLow[i] || prevHC[i] < p.K) {
-				res.Decisions[i] = &Decision{Value: prevMin[i], Time: m}
-				return
-			}
-			if m == p.T/p.K+1 {
-				res.Decisions[i] = &Decision{Value: st.Min(), Time: m}
-			}
-		}
-	}
-
-	snapshot := func() {
-		for i := 0; i < n; i++ {
-			if !adv.Pattern.Active(i, states[i].Time()) {
+	// decide asks every process active and undecided at m, then shows
+	// the states to the hook.
+	decide := func(m int) {
+		for i, st := range states {
+			if res.Decisions[i] != nil || !adv.Pattern.Active(i, m) {
 				continue
 			}
-			prevLow[i] = states[i].Low(p.K)
-			prevHC[i] = states[i].HiddenCapacity()
-			prevMin[i] = states[i].Min()
-			prevVals[i] = states[i].Vals()
+			if v, ok := st.Decide(rule, p, m); ok {
+				sc.Put(i, sim.Decision{Value: v, Time: m})
+			}
+		}
+		if hook != nil {
+			hook(m, states)
 		}
 	}
 
 	// Time 0 decisions, then rounds 1..horizon.
-	for i := 0; i < n; i++ {
-		if adv.Pattern.Active(i, 0) {
-			decide(i, 0)
-		}
-	}
-	if hook != nil {
-		hook(0, states)
-	}
+	decide(0)
 	for m := 1; m <= horizon; m++ {
-		snapshot()
+		for i, st := range states {
+			if adv.Pattern.Active(i, m-1) {
+				st.Snapshot(p.K)
+			}
+		}
 		// Collect outboxes of processes alive at send time m−1.
 		outbox := make([][]Fact, n)
 		for i := 0; i < n; i++ {
@@ -154,14 +119,7 @@ func RunHooked(rule Rule, p core.Params, adv *model.Adversary, hook func(m int, 
 			}
 			states[j].Deliver(m, msgs)
 		}
-		for i := 0; i < n; i++ {
-			if adv.Pattern.Active(i, m) {
-				decide(i, m)
-			}
-		}
-		if hook != nil {
-			hook(m, states)
-		}
+		decide(m)
 	}
 	return res, nil
 }

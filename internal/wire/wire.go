@@ -27,12 +27,19 @@
 // arrive as relayed seen facts, emitted the round after the deduction,
 // which matches full-information propagation timing. The equivalence
 // tests against the oracle simulator check this exhaustively.
+//
+// Decisions: State.Decide is the one compact form of Optmin[k] and
+// u-Pmin[k] (Appendix E), read off the state and its snapshot of the
+// previous time. Run here and the goroutine engine in internal/runtime
+// both decide by it, into a sim.Scratch the caller passes in.
 package wire
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
+	"setconsensus/internal/core"
 	"setconsensus/internal/model"
 )
 
@@ -89,7 +96,9 @@ type senderTrack struct {
 }
 
 // State is the compact-protocol knowledge state of one process. It
-// mirrors the queries of knowledge.Graph, reconstructed from facts.
+// mirrors the queries of knowledge.Graph, reconstructed from facts, and
+// keeps a snapshot of the previous time (Snapshot), which Decide and
+// Persists read.
 type State struct {
 	n    int
 	self model.Proc
@@ -106,6 +115,13 @@ type State struct {
 	sentSeen  []int
 	sentCrash []int
 	pending   []Fact
+
+	// The snapshot of the previous time: Low(k), HC and Min then, and
+	// the known values (val) then.
+	prevLow bool
+	prevHC  int
+	prevMin model.Value
+	prevVal []model.Value
 }
 
 // NewState initializes process self of n processes with its input value.
@@ -339,11 +355,12 @@ func (s *State) KnownCrashRound(j model.Proc) int { return s.missKnown[j] }
 // LastSeen returns the seen bound for j.
 func (s *State) LastSeen(j model.Proc) int { return s.lastSeen[j] }
 
-// Persists implements Definition 3 on the compact state. valsPrev is the
-// local Vals snapshot at time−1 (the caller keeps it; the first disjunct
-// is "I knew v already").
-func (s *State) Persists(v model.Value, valsPrev []model.Value, t int) bool {
-	if s.time > 0 && containsValue(valsPrev, v) {
+// Persists implements Definition 3 on the compact state. Its first
+// disjunct, "I knew v already", reads the snapshot of time−1, and since
+// the local process's own view at time−1 is exactly that, the count of
+// directly seen views knowing v goes over the other processes only.
+func (s *State) Persists(v model.Value, t int) bool {
+	if s.time > 0 && v >= 0 && slices.Contains(s.prevVal, v) { // −1 marks an unknown value
 		return true
 	}
 	need := t - s.FailuresKnown()
@@ -355,31 +372,50 @@ func (s *State) Persists(v model.Value, valsPrev []model.Value, t int) bool {
 	}
 	count := 0
 	for j := 0; j < s.n; j++ {
-		if j == s.self {
-			if containsValue(valsPrev, v) {
-				count++
-			}
-			continue
-		}
 		tr := s.senders[j]
-		if tr.lastHeardRound != s.time {
+		if j == s.self || tr.lastHeardRound != s.time {
 			continue // ⟨j,time−1⟩ not seen directly
 		}
-		for q := 0; q < s.n; q++ {
-			if tr.vals[q] == v {
-				count++
-				break
-			}
+		if slices.Contains(tr.vals, v) {
+			count++
 		}
 	}
 	return count >= need
 }
 
-func containsValue(vals []model.Value, v model.Value) bool {
-	for _, x := range vals {
-		if x == v {
-			return true
+// Snapshot records the current time for the next time's Decide and
+// Persists: whether Low(k) holds, the hidden capacity, the minimum and
+// the known values. Call it before each round's Outbox.
+func (s *State) Snapshot(k int) {
+	s.prevLow, s.prevHC, s.prevMin = s.Low(k), s.HiddenCapacity(), s.Min()
+	s.prevVal = append(s.prevVal[:0], s.val...)
+}
+
+// Decide is the one compact form of the paper's decision rules, asked at
+// the process's current time m while it is active and undecided. Under
+// RuleOptmin it decides Min once Low(k) or HC < k holds (Optmin[k]).
+// Under RuleUPmin it decides Min when that holds and Min persists, else
+// the previous time's Min when it held then, else Min at the deadline
+// ⌊t/k⌋+1 (u-Pmin[k]); the previous time is the last Snapshot. core
+// states both rules over the knowledge graph, and the equivalence tests
+// hold this form to its decisions.
+func (s *State) Decide(rule Rule, p core.Params, m int) (model.Value, bool) {
+	ready := s.Low(p.K) || s.HiddenCapacity() < p.K
+	switch rule {
+	case RuleOptmin:
+		if ready {
+			return s.Min(), true
+		}
+	case RuleUPmin:
+		if min := s.Min(); ready && s.Persists(min, p.T) {
+			return min, true
+		}
+		if m > 0 && (s.prevLow || s.prevHC < p.K) {
+			return s.prevMin, true
+		}
+		if m == p.T/p.K+1 {
+			return s.Min(), true
 		}
 	}
-	return false
+	return 0, false
 }

@@ -20,7 +20,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		{Kind: FactCrash, Proc: 1, Arg: 3},
 		{Kind: FactSeen, Proc: 5, Arg: 2},
 	}
-	got, err := Decode(Encode(facts))
+	got, err := Decode(Encode(facts), 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,16 +31,67 @@ func TestCodecRoundTrip(t *testing.T) {
 	if b := Encode(nil); len(b) != 1 {
 		t.Fatalf("alive message is %d bytes, want 1", len(b))
 	}
-	alive, err := Decode(Encode(nil))
+	alive, err := Decode(Encode(nil), 1)
 	if err != nil || len(alive) != 0 {
 		t.Fatalf("alive decode: %v, %v", alive, err)
 	}
-	if _, err := Decode([]byte{0x05}); err == nil {
-		t.Error("truncated message must fail")
+}
+
+// TestDecodeRejects feeds Decode bundles it must refuse, each with an
+// error: among them a count no remaining bytes can hold, which Decode
+// must not size a slice by, and facts that State.Deliver would index
+// its per-process tables with out of range.
+func TestDecodeRejects(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		b    []byte
+		n    int
+	}{
+		{"empty", nil, 4},
+		{"truncated count", []byte{0x80}, 4},
+		{"count without facts", []byte{0x05}, 4},
+		{"truncated fact", []byte{0x01, byte(FactValue), 0x01, 0x80}, 4},
+		{"trailing bytes", append(Encode(nil), 0x01), 4},
+		{"count of 2^40 in 6 bytes", []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x20}, 4},
+		{"kind 0", []byte{0x01, 0x00, 0x01, 0x00}, 4},
+		{"kind past FactSeen", []byte{0x01, byte(FactSeen) + 1, 0x01, 0x00}, 4},
+		{"process 99 of 4", Encode([]Fact{{Kind: FactValue, Proc: 99, Arg: 0}}), 4},
+		{"process n of n", Encode([]Fact{{Kind: FactSeen, Proc: 4, Arg: 1}}), 4},
+	} {
+		if facts, err := Decode(c.b, c.n); err == nil {
+			t.Errorf("%s: Decode(% x, %d) accepted %v", c.name, c.b, c.n, facts)
+		}
 	}
-	if _, err := Decode(append(Encode(nil), 0x01)); err == nil {
-		t.Error("trailing bytes must fail")
-	}
+}
+
+// FuzzDecode: no bytes may panic Decode, for any run of 1..64
+// processes, and an accepted bundle holds at most one fact per three
+// bytes, each of a known kind and about a process in 0..n−1, and decodes
+// again from its encoding to the same facts.
+func FuzzDecode(f *testing.F) {
+	f.Add(Encode([]Fact{{Kind: FactValue, Proc: 3, Arg: 2}, {Kind: FactSeen, Proc: 1, Arg: 4}}), 6)
+	f.Add(Encode(nil), 1)
+	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x20}, 4)
+	f.Add(Encode([]Fact{{Kind: FactValue, Proc: 99, Arg: 0}}), 4)
+	f.Fuzz(func(t *testing.T, b []byte, n int) {
+		n = 1 + (n%64+64)%64
+		facts, err := Decode(b, n)
+		if err != nil {
+			return
+		}
+		if len(facts) > len(b)/3 {
+			t.Fatalf("%d facts accepted from %d bytes", len(facts), len(b))
+		}
+		for _, fact := range facts {
+			if fact.Kind < FactValue || fact.Kind > FactSeen || fact.Proc < 0 || fact.Proc >= n {
+				t.Fatalf("accepted fact %v in a run of %d processes", fact, n)
+			}
+		}
+		again, err := Decode(Encode(facts), n)
+		if err != nil || !reflect.DeepEqual(again, facts) {
+			t.Fatalf("re-encoded %v decodes to %v, %v", facts, again, err)
+		}
+	})
 }
 
 func TestFactStrings(t *testing.T) {
@@ -106,14 +157,14 @@ func checkEquivalence(t *testing.T, adv *model.Adversary, p core.Params) {
 			}
 		}
 	}
-	res, err := RunHooked(RuleOptmin, p, adv, hook)
+	res, err := RunHooked(RuleOptmin, p, adv, new(sim.Scratch), hook)
 	if err != nil {
 		t.Fatal(err)
 	}
 	oracle := sim.RunWithGraph(core.MustOptmin(p), g)
 	compareDecisions(t, adv, res, oracle, "Optmin")
 
-	uRes, err := Run(RuleUPmin, p, adv)
+	uRes, err := Run(RuleUPmin, p, adv, new(sim.Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +262,7 @@ func TestWireBitsBound(t *testing.T) {
 		tB := n - 1
 		k := 1 + rng.Intn(2)
 		adv := model.Random(rng, model.RandomParams{N: n, T: tB, MaxValue: k, MaxRound: 3})
-		res, err := Run(RuleOptmin, core.Params{N: n, T: tB, K: k}, adv)
+		res, err := Run(RuleOptmin, core.Params{N: n, T: tB, K: k}, adv, new(sim.Scratch))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +283,7 @@ func TestWireBitsScaling(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := adv.N()
-		res, err := Run(RuleOptmin, core.Params{N: n, T: 2 * rounds, K: 2}, adv)
+		res, err := Run(RuleOptmin, core.Params{N: n, T: 2 * rounds, K: 2}, adv, new(sim.Scratch))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,10 +298,11 @@ func TestWireBitsScaling(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	adv := model.NewBuilder(3, 0).MustBuild()
-	if _, err := Run(RuleOptmin, core.Params{N: 4, T: 1, K: 1}, adv); err == nil {
+	var sc sim.Scratch
+	if _, err := Run(RuleOptmin, core.Params{N: 4, T: 1, K: 1}, adv, &sc); err == nil {
 		t.Error("mismatched n must error")
 	}
-	if _, err := Run(RuleOptmin, core.Params{N: 3, T: 5, K: 1}, adv); err == nil {
+	if _, err := Run(RuleOptmin, core.Params{N: 3, T: 5, K: 1}, adv, &sc); err == nil {
 		t.Error("invalid params must error")
 	}
 }
@@ -262,9 +314,10 @@ func BenchmarkWireCollapse(b *testing.B) {
 		b.Fatal(err)
 	}
 	params := core.Params{N: adv.N(), T: model.CollapseT(p), K: 3}
+	var sc sim.Scratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(RuleOptmin, params, adv); err != nil {
+		if _, err := Run(RuleOptmin, params, adv, &sc); err != nil {
 			b.Fatal(err)
 		}
 	}

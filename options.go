@@ -69,13 +69,11 @@ const PatternCrashBound = -2
 //	T            -1       crash bound; -1 means n−1 per adversary,
 //	                      PatternCrashBound (-2) the adversary's failure count
 //	K            1        coordination degree (1 = consensus)
-//	Horizon      0        0 means each protocol's WorstCaseTime
 //	Parallelism  NumCPU   Sweep worker-pool size
 type EngineParams struct {
 	Backend     BackendKind
 	T           int
 	K           int
-	Horizon     int
 	Parallelism int
 
 	// Deprecated: the engine keeps no knowledge-graph cache, so
@@ -90,7 +88,6 @@ func DefaultEngineParams() EngineParams {
 		Backend:     Oracle,
 		T:           -1,
 		K:           1,
-		Horizon:     0,
 		Parallelism: goruntime.NumCPU(),
 	}
 }
@@ -107,12 +104,6 @@ func (p EngineParams) Validate() error {
 	}
 	if p.K < 1 {
 		return fmt.Errorf("engine: need degree k ≥ 1, got %d", p.K)
-	}
-	if p.Horizon < 0 {
-		return fmt.Errorf("engine: horizon must be ≥ 0 (0 = worst case), got %d", p.Horizon)
-	}
-	if p.Horizon > 0 && p.Backend != Oracle {
-		return fmt.Errorf("engine: WithHorizon is only honored by the Oracle backend; the %s backend always runs the compact protocol to its own horizon", p.Backend)
 	}
 	if p.Parallelism < 1 {
 		return fmt.Errorf("engine: need parallelism ≥ 1, got %d", p.Parallelism)
@@ -161,15 +152,6 @@ func WithCrashBound(t int) Option {
 // consensus).
 func WithDegree(k int) Option {
 	return func(c *engineConfig) { c.params.K = k }
-}
-
-// WithHorizon overrides the simulation horizon. The default 0 runs each
-// protocol to its registered WorstCaseTime; experiments that examine
-// prefixes set an explicit horizon. Only the Oracle backend supports an
-// override — the compact backends run their protocol to its own horizon,
-// and New rejects the combination.
-func WithHorizon(h int) Option {
-	return func(c *engineConfig) { c.params.Horizon = h }
 }
 
 // WithParallelism sets the Sweep worker-pool size.

@@ -113,29 +113,6 @@ func (r *Result) MarshalJSON() ([]byte, error) {
 	return json.Marshal((*plain)(r))
 }
 
-// result assembles the backend-independent part of a run's Result in
-// the buffer's pooled Result: the runtime name and the protocol instance
-// were derived (and cached) by the Engine, not re-derived per run. The
-// Adversary display string and GraphStats are left empty: aggregation
-// reads counts, violation diagnostics render the adversary from
-// Result.Adv() directly, and detach fills both in on the Results that
-// escape. The returned pointer is &b.res; it is overwritten by the next
-// run on the same buffer.
-//
-// Both Results are filled field by field: they are rewritten once per
-// run, and a composite literal would build each on the stack and copy it
-// over. simres, the checker's view of the run, carries the scratch's
-// decider mask.
-func (b *runBuffer) result(backend BackendKind, decisions []*Decision) *Result {
-	r := &b.res
-	r.Protocol, r.Ref, r.Backend, r.Params = b.req.name, b.req.ref, backend.String(), b.req.params
-	r.Adversary, r.Decisions, r.Bits, r.GraphStats, r.adv = "", decisions, nil, nil, b.req.adv
-	sr := &b.simres
-	sr.ProtocolName, sr.Adv, sr.Graph, sr.Decisions, sr.Deciders = b.req.name, b.req.adv, nil, decisions, b.sim.Deciders()
-	r.MaxCorrectTime = sr.MaxCorrectDecisionTime()
-	return r
-}
-
 // detached is the one allocation behind a detached Result: the Result
 // and the storage of its backend extras.
 type detached struct {
@@ -144,19 +121,23 @@ type detached struct {
 	bits BitStats
 }
 
-// detach copies a run's pooled Result, which aliases its worker's
-// buffer, into a fresh Result the caller may keep: the decisions into
-// one fresh slab, the bit counts copied, and the adversary string and
-// the graph stats (nil off the Oracle backend) filled in, both taken by
-// the caller once per adversary while its graph is built. The copy
-// keeps no graph.
-func detach(r *Result, adv string, gs *GraphStats) *Result {
-	d := &detached{res: *r}
+// detach builds a Result the caller may keep from buf's request and run
+// record, which alias its worker's buffer: the runtime name and params
+// the engine resolved (and cached), the backend kind, the decisions
+// copied into one fresh slab, the bit counts copied on the Wire
+// backend, and the adversary string and the graph stats (nil off the
+// Oracle backend) filled in, both taken by the caller once per
+// adversary while its graph is built. The copy keeps no graph.
+func detach(buf *runBuffer, kind BackendKind, adv string, gs *GraphStats) *Result {
+	req, run := &buf.req, &buf.simres
+	d := &detached{res: Result{
+		Protocol: req.name, Ref: req.ref, Backend: kind.String(), Params: req.params,
+		Adversary: adv, MaxCorrectTime: run.MaxCorrectDecisionTime(), adv: req.adv,
+	}}
 	out := &d.res
-	out.Adversary = adv
-	out.Decisions = make([]*Decision, len(r.Decisions))
-	slab := make([]Decision, 0, len(r.Decisions))
-	for i, dec := range r.Decisions {
+	out.Decisions = make([]*Decision, len(run.Decisions))
+	slab := make([]Decision, 0, len(run.Decisions))
+	for i, dec := range run.Decisions {
 		if dec != nil {
 			slab = append(slab, *dec)
 			out.Decisions[i] = &slab[len(slab)-1]
@@ -166,8 +147,8 @@ func detach(r *Result, adv string, gs *GraphStats) *Result {
 		d.gs = *gs
 		out.GraphStats = &d.gs
 	}
-	if r.Bits != nil {
-		d.bits = *r.Bits
+	if kind == Wire {
+		d.bits = buf.bits
 		out.Bits = &d.bits
 	}
 	return out
