@@ -3,7 +3,6 @@ package setconsensus
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"setconsensus/internal/agg"
 	"setconsensus/internal/experiments"
@@ -21,12 +20,6 @@ type Aggregator struct {
 	// tasksByIdx mirrors tasks in sweep ref order for the sharded fold
 	// path, which addresses protocols by index instead of map lookup.
 	tasksByIdx []Task
-	// advs counts the adversaries fully folded by the sharded path — one
-	// atomic add per claimed window, not per adversary: the workers share
-	// this cache line, and the fold reads tasksByIdx from it on every run.
-	advs atomic.Int64
-	// total is the swept source's Count, when it reports one.
-	total int
 }
 
 // SweepProgress is one streamed snapshot of a running aggregating sweep:
@@ -42,16 +35,6 @@ type SweepProgress struct {
 	Runs        int `json:"runs"`
 	Total       int `json:"total,omitempty"`
 }
-
-// Progress snapshots the sharded fold counters. Safe for concurrent use
-// with a running sweep; the snapshot is monotone.
-func (a *Aggregator) Progress() SweepProgress {
-	n := int(a.advs.Load())
-	return SweepProgress{Adversaries: n, Runs: n * len(a.tasksByIdx), Total: a.total}
-}
-
-// advsDone records n fully folded adversaries for the progress feed.
-func (a *Aggregator) advsDone(n int) { a.advs.Add(int64(n)) }
 
 // NewAggregator builds an aggregator for the named protocols, verifying
 // every run against the task its protocol claims to solve at the

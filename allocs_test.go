@@ -22,6 +22,10 @@ import (
 //     coordinated checkpointed sweep, which sweeps dozens of such ranges
 //     per operation, so one extra allocation per worker shows there many
 //     times over;
+//   - SweepSourceProgress over the same range with a callback pays two
+//     allocations more for its progress feed, the feed and the closure
+//     that maps its snapshots, so a progress ticker or a goroutine per
+//     call shows;
 //   - Sweep pays per run only for the detached Result it hands out (the
 //     Result with its extras, the decision pointers and their slab) and
 //     per adversary for the adversary string and its fresh slabs; its
@@ -60,26 +64,30 @@ func TestRunPathAllocationPins(t *testing.T) {
 		pin  float64
 		run  func() error
 	}{
-		{"SweepSource", 85, func() error {
+		{"SweepSource", 78, func() error {
 			_, err := eng.SweepSource(ctx, sweepSpaceRefs, src)
 			return err
 		}},
-		{"SweepSource/range", 87, func() error {
+		{"SweepSource/range", 80, func() error {
 			_, err := eng.SweepSource(ctx, sweepSpaceRefs, window)
 			return err
 		}},
-		{"Sweep", 9709, func() error {
+		{"SweepSourceProgress/range", 82, func() error {
+			_, err := eng.SweepSourceProgress(ctx, sweepSpaceRefs, window, 0, func(setconsensus.SweepProgress) {})
+			return err
+		}},
+		{"Sweep", 9701, func() error {
 			_, err := eng.Sweep(ctx, sweepSpaceRefs, advs)
 			return err
 		}},
-		{"SweepSourceStream", 9741, func() error {
+		{"SweepSourceStream", 9734, func() error {
 			return eng.SweepSourceStream(ctx, sweepSpaceRefs, src, func(*setconsensus.Result) {})
 		}},
 		{"Run", 14, func() error {
 			_, err := eng.Run(ctx, "optmin", advs[len(advs)-1])
 			return err
 		}},
-		{"SweepSource/random", 290, func() error {
+		{"SweepSource/random", 281, func() error {
 			_, err := randEng.SweepSource(ctx, sweepSpaceRefs, random)
 			return err
 		}},
@@ -125,8 +133,8 @@ func TestBenchmarkAllocationPins(t *testing.T) {
 		pin  float64
 		run  func() error
 	}{
-		{"GovernedSweep", 85, governed},
-		{"Analyze", 1945, analyze},
+		{"GovernedSweep", 78, governed},
+		{"Analyze", 1938, analyze},
 		{"GraphBuilderReuse", 1, func() error {
 			reuse(i)
 			i++

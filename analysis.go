@@ -8,6 +8,7 @@ import (
 
 	"setconsensus/internal/enum"
 	"setconsensus/internal/experiments"
+	"setconsensus/internal/govern"
 	"setconsensus/internal/knowledge"
 	"setconsensus/internal/model"
 	"setconsensus/internal/unbeat"
@@ -22,9 +23,9 @@ import (
 // it claims through its kit's pooled run buffer, with the kit's
 // knowledge Builder, into a fragment of the compact run table, and the
 // fragments merge back in space order. Candidate testing and certificate
-// construction shard across the same worker pool, progress streams like
-// SweepSourceStream, and the outcome is a structured AnalysisReport whose
-// fields are identical at any parallelism.
+// construction run on the same pool (govern.Shards), every stage reports
+// through one progress feed (govern.Feed), and the outcome is a
+// structured AnalysisReport whose fields are identical at any parallelism.
 
 // AnalysisRun executes one parsed analysis on an engine. The progress
 // callback may be nil; when set, it receives serialized, throttled stage
@@ -136,10 +137,11 @@ func (e *Engine) Analyze(ctx context.Context, ref string) (*AnalysisReport, erro
 }
 
 // AnalyzeStream is Analyze with streaming progress delivery, the analysis
-// analogue of SweepSourceStream: progress is called with throttled stage
-// snapshots ("compile", "width-1", "width-2", "certify"), serialized
-// from at most one goroutine at a time. Cancelling ctx aborts the
-// analysis promptly at any stage.
+// analogue of SweepSourceProgress: each stage ("compile", "width-1",
+// "width-2", "certify") delivers a zero snapshot as it opens, snapshots
+// at most once per 100ms while its workers run, and a closing snapshot
+// once they are done, all serialized and none after the call returns.
+// Cancelling ctx aborts the analysis promptly at any stage.
 func (e *Engine) AnalyzeStream(ctx context.Context, ref string, progress func(AnalysisProgress)) (*AnalysisReport, error) {
 	if e.err != nil {
 		return nil, e.err
@@ -294,15 +296,14 @@ func (e *Engine) runSearchAnalysis(ctx context.Context, family, baseRef string, 
 	// every other run patches) and released as soon as the run is
 	// interned — recording each window as a segment at its offset. Merge
 	// then tiles the fragments into the table a sequential compile would
-	// build. The stage's total is the space's count, so it closes itself
-	// with the last run.
-	sink := unbeat.NewProgressSink(progress)
-	sink.Stage("compile", space.Count())
+	// build. The stage's total is the space's count.
+	feed := govern.NewFeed(sweepProgressInterval, progress)
+	feed.Stage("compile", space.Count())
 	var (
 		mu    sync.Mutex
 		frags []*unbeat.Compiler
 	)
-	err = e.sweepExec(ctx, "engine: analysis compile", []string{baseRef}, src, true, func(_ []*ProtocolSpec, kit *runKit, chunks iter.Seq[sweepChunk]) error {
+	err = e.sweepExec(ctx, "engine: analysis compile", []string{baseRef}, src, true, feed, func(_ []*ProtocolSpec, kit *runKit, chunks iter.Seq[sweepChunk]) error {
 		mu.Lock()
 		frag := first
 		if len(frags) > 0 {
@@ -320,7 +321,6 @@ func (e *Engine) runSearchAnalysis(ctx context.Context, family, baseRef string, 
 				}
 				frag.Add(adv, g, kit.buf.simres.Decisions)
 				g.Release()
-				sink.Bump()
 			}
 		}
 		return nil
@@ -328,6 +328,7 @@ func (e *Engine) runSearchAnalysis(ctx context.Context, family, baseRef string, 
 	if err != nil {
 		return nil, err
 	}
+	feed.Flush()
 	cs, err := unbeat.Merge(frags...)
 	if err != nil {
 		return nil, err
@@ -335,7 +336,7 @@ func (e *Engine) runSearchAnalysis(ctx context.Context, family, baseRef string, 
 
 	srep, err := cs.Search(ctx, unbeat.SearchOptions{
 		Parallelism: e.params.Parallelism,
-		Progress:    progress,
+		Feed:        feed,
 	})
 	if err != nil {
 		return nil, err
@@ -359,24 +360,19 @@ type certAcc struct {
 	certified, orders int
 }
 
-// runCertAnalysis shards the eligible nodes of a certificate family
-// across the worker pool. certify builds and checks one certificate,
-// returning the orderings it validated; any error aborts the analysis
-// (a failed certificate is a theorem violation, not a statistic).
+// runCertAnalysis strides the eligible nodes of a certificate family
+// across the engine's worker pool, as the "certify" stage of the
+// progress feed. certify builds and checks one certificate, returning
+// the orderings it validated; any error aborts the analysis (a failed
+// certificate is a theorem violation, not a statistic).
 func (e *Engine) runCertAnalysis(ctx context.Context, nodes []certNode, progress func(AnalysisProgress),
 	certify func(ctx context.Context, node certNode) (orders int, err error)) (certified, orders int, err error) {
 
-	workers := e.params.Parallelism
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(nodes) && len(nodes) > 0 {
-		workers = len(nodes)
-	}
+	workers := max(1, min(e.params.Parallelism, len(nodes)))
 	accs := make([]certAcc, workers)
-	sink := unbeat.NewProgressSink(progress)
-	sink.Stage("certify", len(nodes))
-	err = unbeat.Shards(ctx, workers, func(ctx context.Context, w int) error {
+	feed := govern.NewFeed(sweepProgressInterval, progress)
+	feed.Stage("certify", len(nodes))
+	err = govern.Shards(ctx, "engine: certificate worker", workers, func(ctx context.Context, w int) error {
 		acc := &accs[w]
 		for idx := w; idx < len(nodes); idx += workers {
 			if err := ctx.Err(); err != nil {
@@ -388,13 +384,14 @@ func (e *Engine) runCertAnalysis(ctx context.Context, nodes []certNode, progress
 			}
 			acc.certified++
 			acc.orders += ord
-			sink.Bump()
+			feed.Add(1)
 		}
 		return nil
 	})
 	if err != nil {
 		return 0, 0, err
 	}
+	feed.Flush()
 	for _, acc := range accs {
 		certified += acc.certified
 		orders += acc.orders

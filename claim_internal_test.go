@@ -118,17 +118,16 @@ func claimAll(t *testing.T, e *Engine, src Source, workers int) []claimed {
 	var (
 		mu      sync.Mutex
 		windows []claimed
-		failed  error
 		wg      sync.WaitGroup
 	)
-	cl := newClaimer(src, count, known, workers, false, func(err error) { failed = err })
+	cl := newClaimer(src, count, known, workers, false)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			kit := e.getKit()
 			defer e.putKit(kit)
-			for c := range cl.chunks(context.Background(), e, kit) {
+			for c := range cl.chunks(context.Background(), e, kit, nil) {
 				mu.Lock()
 				windows = append(windows, claimed{c.base, append([]*Adversary(nil), c.advs...)})
 				mu.Unlock()
@@ -137,8 +136,8 @@ func claimAll(t *testing.T, e *Engine, src Source, workers int) []claimed {
 	}
 	wg.Wait()
 	cl.close()
-	if failed != nil {
-		t.Fatal(failed)
+	if err := cl.failed(); err != nil {
+		t.Fatal(err)
 	}
 	sort.Slice(windows, func(i, j int) bool { return windows[i].base < windows[j].base })
 	return windows
@@ -326,9 +325,12 @@ func TestSweepSourcePanicIsolated(t *testing.T) {
 // into the reused arena (SweepSource), a plain stream pulled into the
 // kit's buffer, and a random stream whose sampler carves its adversaries
 // from slabs of its own — and runs one adversary through Engine.Run.
-// After each it checks every kit back in the pool: its window buffer has
-// capacity, yet not one slot of it still points at an adversary, and
-// its run buffer keeps no adversary, graph or decision of the last run.
+// After each it checks every kit back in the pool: not one slot of its
+// window buffer still points at an adversary, and its run buffer keeps
+// no adversary, graph or decision of the last run. After a sweep, at
+// least one pooled kit must hold a window buffer, so the slot check
+// cannot pass vacuously; not every kit need, since at two workers one
+// may claim every window before the other claims any.
 // Then it drops the Run's adversary and checks that the collector
 // reclaims it, its failure pattern and its delivery set: nothing the
 // engine pools — the kits' builders included — pins them.
@@ -353,10 +355,9 @@ func TestPooledKitsHoldNoAdversary(t *testing.T) {
 		if len(e.kitFree) == 0 {
 			t.Fatalf("after %s: no kit went back to the pool", after)
 		}
+		buffered := false
 		for i, kit := range e.kitFree {
-			if cap(kit.advs) == 0 && after != "Run" {
-				t.Errorf("after %s: pooled kit %d has no window buffer", after, i)
-			}
+			buffered = buffered || cap(kit.advs) > 0
 			for j, adv := range kit.advs[:cap(kit.advs)] {
 				if adv != nil {
 					t.Fatalf("after %s: pooled kit %d still holds an adversary in window slot %d", after, i, j)
@@ -369,6 +370,9 @@ func TestPooledKitsHoldNoAdversary(t *testing.T) {
 			case b.simres.Adv != nil, b.simres.Graph != nil, b.simres.Decisions != nil, b.simres.Deciders != nil:
 				t.Fatalf("after %s: pooled kit %d's run record keeps its adversary, graph or masks", after, i)
 			}
+		}
+		if !buffered && after != "Run" {
+			t.Errorf("after %s: no pooled kit has a window buffer", after)
 		}
 	}
 	if err := e.SweepSourceStream(ctx, refs, spaceSrc, func(*Result) {}); err != nil {

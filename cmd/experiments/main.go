@@ -30,6 +30,7 @@ import (
 
 	setconsensus "setconsensus"
 	"setconsensus/internal/cli"
+	"setconsensus/internal/experiments"
 )
 
 func main() {
@@ -80,21 +81,27 @@ func main() {
 		return
 	}
 
-	ids := setconsensus.ExperimentIDs()
-	if *id != "" {
-		ids = []string{*id}
-	}
-	for _, eid := range ids {
-		tbl, err := setconsensus.Experiment(eid)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", eid, err)
-			os.Exit(1)
-		}
-		if *list {
-			fmt.Printf("%-4s %s\n", eid, tbl.Title)
+	// -list prints the registry's titles without running an experiment.
+	found := false
+	for _, e := range experiments.Registry() {
+		if *id != "" && e.ID != *id {
 			continue
 		}
+		found = true
+		if *list {
+			fmt.Printf("%-4s %s\n", e.ID, e.Title)
+			continue
+		}
+		tbl, err := e.Gen()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
+			os.Exit(1)
+		}
 		fmt.Println(tbl.Render())
+	}
+	if !found {
+		fmt.Fprintf(os.Stderr, "%s: experiments: unknown experiment %q\n", *id, *id)
+		os.Exit(1)
 	}
 }
 

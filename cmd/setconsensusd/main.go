@@ -73,7 +73,7 @@ func run() error {
 	deadline := flag.Duration("deadline", def.JobDeadline, "hard per-job deadline")
 	results := flag.Int("results", def.ResultBound, "retained finished jobs")
 	parallelism := flag.Int("parallelism", def.EngineParallelism, "per-job engine worker-pool size")
-	progressEvery := flag.Duration("progress-interval", def.ProgressInterval, "progress snapshot period")
+	progressEvery := flag.Duration("progress-interval", def.ProgressInterval, "progress snapshot period of sweep jobs (analysis jobs use the engine's 100ms)")
 	drainGrace := flag.Duration("drain-grace", 30*time.Second, "how long running jobs may finish after SIGTERM")
 	memLimit := flag.String("memlimit", "", "hard memory ceiling, e.g. 2GiB: admissions over it are rejected 429, and the Go runtime memory limit (GOMEMLIMIT) is set to match; empty = unlimited")
 	memSoft := flag.String("memlimit-soft", "", "soft memory ceiling, e.g. 1500MiB: over it the server stops recycling pooled buffers, sheds submissions 429, and flips /readyz to 503; empty = unlimited")

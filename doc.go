@@ -141,12 +141,13 @@
 // order, re-interned so view ids match a sequential compile. No run
 // keeps its adversary: a witness rebuilds its strict-win adversary from
 // the run's offset in the space. The search then strides the deviation
-// candidates across the worker pool: each worker owns scratch and
+// candidates across the same worker pool: each worker owns scratch and
 // private counters merged once, candidates simulate only the runs their
 // views occur in, and the first dominating candidate in canonical order
 // short-circuits the remaining work. The certificate families shard
-// graph nodes across the same pool. Reports are deterministic in the
-// configuration alone — Engine.Analyze with Parallelism 1 and
+// graph nodes across the same pool, and every stage reports through the
+// one progress feed. Reports are deterministic in the configuration
+// alone — Engine.Analyze with Parallelism 1 and
 // Parallelism N return identical AnalysisReports, pinned by tests under
 // -race.
 //
@@ -175,17 +176,20 @@
 // every budget — worker count, queue depth, per-job deadline, max
 // adversary space per job, retained results — is a validated
 // service.Params field with a typed rejection error. Engine progress
-// plumbs through: SweepSourceProgress emits throttled SweepProgress
-// snapshots (adversaries and runs folded so far) that the service
-// relays as SSE "progress" events, and AnalyzeStream's stage snapshots
-// stream the same way. `setconsensus -server URL` submits sweeps and
-// analyses as remote jobs and renders the returned result through the
-// identical table path, byte-for-byte. internal/service holds the
-// embeddable Server and Client; GET /v1/stats, /debug/vars (expvar),
-// GET /metrics (Prometheus text exposition), and /debug/pprof expose
-// counters (queue depth, runs/s, graphs revived vs rebuilt, run-kit
-// pool and window-buffer hit rates) and profiles. Each counter is one row of the
-// service's metrics table, which all three counter surfaces render.
+// plumbs through: every engine stage reports through one progress feed
+// that its own workers drive. SweepSourceProgress emits SweepProgress
+// snapshots (adversaries and runs folded so far) at most once per the
+// service's ProgressInterval, which the service relays as SSE
+// "progress" events, and AnalyzeStream's stage snapshots stream the
+// same way, at most once per the engine's 100ms. `setconsensus -server
+// URL` submits sweeps and analyses as remote jobs and renders the
+// returned result through the identical table path, byte-for-byte.
+// internal/service holds the embeddable Server and Client; GET
+// /v1/stats, /debug/vars (expvar), GET /metrics (Prometheus text
+// exposition), and /debug/pprof expose counters (queue depth, runs/s,
+// graphs revived vs rebuilt, run-kit pool and window-buffer hit rates)
+// and profiles. Each counter is one row of the service's metrics table,
+// which all three counter surfaces render.
 //
 // # Distributed Sweeps
 //
@@ -392,7 +396,7 @@
 // window buffer, one per pooled run kit, and the workers share nothing
 // per adversary: cancellation is polled on the Done channel before each
 // claim, so a cancelled worker finishes the window it holds, and
-// progress is counted per window.
+// progress is added to the sweep's feed per window.
 //
 // Identity keys are compact binary encodings, not rendered strings: both
 // the per-view Fingerprint (view interning in the unbeatability search

@@ -30,6 +30,9 @@ import (
 // which shards a Source across the same worker pool and folds results
 // into a constant-memory Summary. Each worker claims its next window of
 // the source under one lock and enumerates it itself (see sweepExec).
+// Every parallel stage, the analysis's included, starts its workers
+// through that one pool (govern.Shards) and reports through one
+// worker-driven progress feed (govern.Feed).
 //
 // # Recycle contract
 //
@@ -387,7 +390,7 @@ func (e *Engine) Run(ctx context.Context, ref string, adv *Adversary) (*Result, 
 // no error.
 func (e *Engine) Sweep(ctx context.Context, refs []string, advs []*Adversary) ([]*Result, error) {
 	results := make([]*Result, len(refs)*len(advs))
-	err := e.sweep(ctx, refs, SliceSource(advs...), nil, func(advIdx, refIdx int, r *Result) {
+	err := e.sweep(ctx, refs, SliceSource(advs...), nil, nil, func(advIdx, refIdx int, r *Result) {
 		results[advIdx*len(refs)+refIdx] = r
 	})
 	if err != nil {
@@ -434,7 +437,7 @@ func (e *Engine) SweepSourceStream(ctx context.Context, refs []string, src Sourc
 		return fmt.Errorf("engine: nil source")
 	}
 	var mu sync.Mutex
-	return e.sweep(ctx, refs, src, nil, func(_, _ int, r *Result) {
+	return e.sweep(ctx, refs, src, nil, nil, func(_, _ int, r *Result) {
 		mu.Lock()
 		defer mu.Unlock()
 		emit(r)
@@ -517,7 +520,8 @@ func spaceRange(src Source, from, to int) (space Space, lo, hi int, ok bool) {
 // caller code with the lock held, so every path releases the lock by a
 // deferred unlock — a worker unwinding out of a claim must not strand
 // the others; a panic in that code is recovered inside the pulled
-// iterator, with its stack, and fails the sweep.
+// iterator, with its stack, and recorded on the claimer (failed), and
+// the pulled stream ends.
 type sweepClaimer struct {
 	mu     sync.Mutex
 	cursor *enum.Cursor  // nil for a plain stream
@@ -527,11 +531,11 @@ type sweepClaimer struct {
 	into   *[]*Adversary // the pulling claim's window buffer
 	pull   func() (int, bool)
 	stop   func()
+	err    error // the panic recovered from the source's iterator
 }
 
-// newClaimer builds src's claimer; reuse is sweepExec's. fail receives a
-// panic recovered from the source's iterator; it must cancel the sweep.
-func newClaimer(src Source, count int, known bool, workers int, reuse bool, fail func(error)) *sweepClaimer {
+// newClaimer builds src's claimer; reuse is sweepExec's.
+func newClaimer(src Source, count int, known bool, workers int, reuse bool) *sweepClaimer {
 	cl := new(sweepClaimer)
 	if space, lo, hi, ok := spaceRange(src, 0, math.MaxInt); ok {
 		cl.cursor, cl.origin, cl.reuse = enum.NewCursor(space, lo, hi), lo, reuse
@@ -545,10 +549,11 @@ func newClaimer(src Source, count int, known bool, workers int, reuse bool, fail
 	cl.pull, cl.stop = iter.Pull(func(yield func(int) bool) {
 		// Source iterators run arbitrary workload code: a panic there
 		// becomes a typed sweep failure, its stack captured here, on the
-		// iterator's own frames, and the pulled stream simply ends.
+		// iterator's own frames, and the pulled stream simply ends. It
+		// runs under the pulling claim's lock, which guards err.
 		defer func() {
 			if pe := govern.Recovered("engine: sweep source", recover()); pe != nil {
-				fail(pe)
+				cl.err = pe
 			}
 		}()
 		next := 0
@@ -572,6 +577,15 @@ func (cl *sweepClaimer) close() {
 	if cl.stop != nil {
 		cl.stop()
 	}
+}
+
+// failed returns the panic recovered from the source's iterator, if
+// any: a worker whose windows ran out returns it, so the pool cancels
+// the others.
+func (cl *sweepClaimer) failed() error {
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	return cl.err
 }
 
 // claim takes the next window into kit's window buffer; ok is false once
@@ -617,9 +631,9 @@ func (cl *sweepClaimer) pullInto(advs *[]*Adversary) (int, bool) {
 }
 
 // chunks is one worker's sequence of claimed windows, each in kit's
-// window buffer until the loop body moves on. Claims stop once ctx is
-// done.
-func (cl *sweepClaimer) chunks(ctx context.Context, e *Engine, kit *runKit) iter.Seq[sweepChunk] {
+// window buffer until the loop body moves on, when the window's
+// adversaries are added to feed. Claims stop once ctx is done.
+func (cl *sweepClaimer) chunks(ctx context.Context, e *Engine, kit *runKit, feed *govern.Feed) iter.Seq[sweepChunk] {
 	return func(yield func(sweepChunk) bool) {
 		var walker enum.Walker
 		for sweepCancelled(ctx) == nil {
@@ -627,6 +641,7 @@ func (cl *sweepClaimer) chunks(ctx context.Context, e *Engine, kit *runKit) iter
 			if !ok || !yield(c) {
 				return
 			}
+			feed.Add(len(c.advs))
 		}
 	}
 }
@@ -644,21 +659,23 @@ func sweepCancelled(ctx context.Context) error {
 	}
 }
 
-// sweepExec is the executor skeleton behind every sweep and the
-// analysis compile: it resolves the protocol specs, builds the sweep's
-// claimer, runs the worker pool — each worker claiming windows and
-// enumerating them itself — and funnels out the first error (or context
-// cancellation). body runs once per worker, inside withKit under the
-// label what, owns all worker-local state, and ranges over its own
-// sequence of windows, each held in the kit's window buffer until the
-// next claim; the sequence polls ctx before each claim, so body needs
-// no context of its own. reuse asserts that body is done with a
-// window's adversaries when the loop moves on and keeps nothing of them
-// — no Result escapes — so an exhaustive space's windows are carved
-// from each worker's reused arena. sweepExec starts no goroutine but its
-// workers, and returns only once every worker has returned and the
+// sweepExec is the executor behind every sweep and the analysis
+// compile: it resolves the protocol specs, builds the sweep's claimer,
+// and runs one worker per unit of parallelism in the engine's one pool
+// (govern.Shards), each claiming windows and enumerating them itself;
+// the pool funnels out the first error and cancels the other workers.
+// body runs once per worker, inside withKit under the label what, owns
+// all worker-local state, and ranges over its own sequence of windows,
+// each held in the kit's window buffer until the next claim; the
+// sequence polls ctx before each claim, so body needs no context of its
+// own, and adds each window's adversaries to feed once body is done
+// with it. reuse asserts that body is done with a window's adversaries
+// when the loop moves on and keeps nothing of them — no Result escapes —
+// so an exhaustive space's windows are carved from each worker's reused
+// arena. sweepExec starts no goroutine but the pool's workers (none at
+// one worker), and returns only once every worker has returned and the
 // source iterator it pulled, if any, has finished.
-func (e *Engine) sweepExec(ctx context.Context, what string, refs []string, src Source, reuse bool, body func(specs []*ProtocolSpec, kit *runKit, chunks iter.Seq[sweepChunk]) error) error {
+func (e *Engine) sweepExec(ctx context.Context, what string, refs []string, src Source, reuse bool, feed *govern.Feed, body func(specs []*ProtocolSpec, kit *runKit, chunks iter.Seq[sweepChunk]) error) error {
 	if e.err != nil {
 		return e.err
 	}
@@ -675,45 +692,26 @@ func (e *Engine) sweepExec(ctx context.Context, what string, refs []string, src 
 	}
 	count, known := src.Count()
 
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	workers := e.params.Parallelism
-	if workers < 1 {
-		workers = 1
-	}
 	// A known count bounds useful parallelism — but only a trustworthy
 	// one: a lying count of zero must not clamp the pool to nothing
 	// while the stream yields adversaries anyway.
+	workers := e.params.Parallelism
 	if known && count > 0 && workers > count {
 		workers = count
 	}
 
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	fail := func(err error) {
-		errOnce.Do(func() { firstErr = err })
-		cancel()
-	}
-	cl := newClaimer(src, count, known, workers, reuse, fail)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := e.withKit(what, func(kit *runKit) error {
-				return body(specs, kit, cl.chunks(ctx, e, kit))
-			}); err != nil {
-				fail(err)
+	cl := newClaimer(src, count, known, workers, reuse)
+	err := govern.Shards(ctx, what, workers, func(ctx context.Context, _ int) error {
+		return e.withKit(what, func(kit *runKit) error {
+			if err := body(specs, kit, cl.chunks(ctx, e, kit, feed)); err != nil {
+				return err
 			}
-		}()
-	}
-	wg.Wait()
+			return cl.failed()
+		})
+	})
 	cl.close()
-	if firstErr != nil {
-		return firstErr
+	if err != nil {
+		return err
 	}
 	return ctx.Err()
 }
@@ -723,8 +721,8 @@ func (e *Engine) sweepExec(ctx context.Context, what string, refs []string, src 
 // caller's emit — becomes a typed *govern.PanicError labelled what, its
 // stack captured here while the panic-origin frames are still on it,
 // and the kit, which the panic may have left mid-mutation, is discarded
-// rather than repooled; the other workers of a sweep then drain via its
-// shared cancel, and the process lives on. Otherwise the kit goes back
+// rather than repooled; the other workers of a sweep then drain via the
+// pool's cancel, and the process lives on. Otherwise the kit goes back
 // to the pool.
 func (e *Engine) withKit(what string, body func(kit *runKit) error) (err error) {
 	kit := e.getKit()
@@ -765,8 +763,8 @@ type sweepWorker struct {
 // merge is the only synchronization point of the whole sweep besides
 // the claims, so throughput scales with Parallelism instead of
 // flatlining on an aggregator lock.
-func (e *Engine) sweep(ctx context.Context, refs []string, src Source, a *Aggregator, deliver func(advIdx, refIdx int, r *Result)) error {
-	return e.sweepExec(ctx, "engine: sweep worker", refs, src, deliver == nil, func(specs []*ProtocolSpec, kit *runKit, chunks iter.Seq[sweepChunk]) error {
+func (e *Engine) sweep(ctx context.Context, refs []string, src Source, a *Aggregator, feed *govern.Feed, deliver func(advIdx, refIdx int, r *Result)) error {
+	return e.sweepExec(ctx, "engine: sweep worker", refs, src, deliver == nil, feed, func(specs []*ProtocolSpec, kit *runKit, chunks iter.Seq[sweepChunk]) error {
 		w := sweepWorker{refs: refs, specs: specs, kit: kit, a: a, deliver: deliver}
 		if a != nil {
 			w.shard = make([]agg.Acc, len(refs))
@@ -776,9 +774,6 @@ func (e *Engine) sweep(ctx context.Context, refs []string, src Source, a *Aggreg
 				if err := e.sweepAdversary(&w, adv, chunk.base+i); err != nil {
 					return err
 				}
-			}
-			if a != nil {
-				a.advsDone(len(chunk.advs))
 			}
 		}
 		if a != nil {
@@ -1012,21 +1007,19 @@ func (e *Engine) runInto(buf *runBuffer, ref string, spec *ProtocolSpec, ent pro
 	return e.backend.run(buf)
 }
 
-// sweepProgressInterval is the default snapshot period of
-// SweepSourceProgress when the caller passes every ≤ 0.
+// sweepProgressInterval paces the engine's progress feeds: AnalyzeStream's,
+// and SweepSourceProgress's when the caller passes every ≤ 0.
 const sweepProgressInterval = 100 * time.Millisecond
 
 // SweepSourceProgress is SweepSource with a streaming progress feed —
-// the aggregating-sweep analogue of AnalyzeStream. While the sweep runs,
-// progress receives throttled SweepProgress snapshots every interval
-// (every ≤ 0 means the 100ms default), serialized from one goroutine at
-// a time, followed by exactly one final snapshot after the last run has
-// folded. Every snapshot's Total is the source's Count, when it reports
-// one. The run path itself is untouched: workers add to one atomic
-// per claimed window and a side ticker reads it, so progress costs the
-// hot loop nothing measurable. Cancelling ctx stops the sweep as
-// SweepSource describes: before the workers' next claimed window, and
-// only after the source iterator's current step returns.
+// the aggregating-sweep analogue of AnalyzeStream. progress receives a
+// zero snapshot, SweepProgress snapshots at most once per every (≤ 0
+// means 100ms) while the workers run, and one final snapshot after the
+// last run has folded, serialized and none after the call returns; each
+// carries the source's Count, when it reports one, as Total. The
+// workers drive the feed, adding each window's adversaries as they claim
+// the next, so progress costs one clock read per window and no
+// goroutine. Cancelling ctx stops the sweep as SweepSource describes.
 func (e *Engine) SweepSourceProgress(ctx context.Context, refs []string, src Source, every time.Duration, progress func(SweepProgress)) (*Summary, error) {
 	if e.err != nil {
 		return nil, e.err
@@ -1038,43 +1031,20 @@ func (e *Engine) SweepSourceProgress(ctx context.Context, refs []string, src Sou
 	if err != nil {
 		return nil, err
 	}
-	a.total, _ = src.Count()
-	var stop, done chan struct{}
+	var feed *govern.Feed
 	if progress != nil {
 		if every <= 0 {
 			every = sweepProgressInterval
 		}
-		stop, done = make(chan struct{}), make(chan struct{})
-		go func() {
-			defer close(done)
-			t := time.NewTicker(every)
-			defer t.Stop()
-			last := SweepProgress{Adversaries: -1}
-			for {
-				select {
-				case <-stop:
-					return
-				case <-t.C:
-					if p := a.Progress(); p != last {
-						last = p
-						progress(p)
-					}
-				}
-			}
-		}()
+		feed = govern.NewFeed(every, func(p govern.Progress) {
+			progress(SweepProgress{Adversaries: p.Done, Runs: p.Done * len(refs), Total: p.Total})
+		})
 	}
-	err = e.sweep(ctx, refs, src, a, nil)
-	if progress != nil {
-		// Quiesce the ticker before the closing snapshot so emission
-		// stays serialized and the final snapshot is the last delivered.
-		close(stop)
-		<-done
-	}
-	if err != nil {
+	total, _ := src.Count()
+	feed.Stage("sweep", total)
+	if err := e.sweep(ctx, refs, src, a, feed, nil); err != nil {
 		return nil, err
 	}
-	if progress != nil {
-		progress(a.Progress())
-	}
+	feed.Flush()
 	return a.Summary(), nil
 }

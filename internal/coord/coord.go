@@ -804,9 +804,11 @@ func (c *Coordinator) emitProgressLocked(force bool) {
 // Run executes the sweep on the given workers until every range of the
 // space has completed, then returns the merged Summary.
 // progress, when non-nil, receives throttled aggregate SweepProgress
-// snapshots. On cancellation Run returns ctx's error with the
-// checkpoint (when configured) holding everything completed so far; a
-// later Run resumes from it.
+// snapshots (finished ranges plus the live leases' in-range snapshots);
+// when nil, the workers get no progress callback and build no feed. On
+// cancellation Run returns ctx's error with the checkpoint (when
+// configured) holding everything completed so far; a later Run resumes
+// from it.
 func (c *Coordinator) Run(ctx context.Context, workers []Worker, progress func(setconsensus.SweepProgress)) (*setconsensus.Summary, error) {
 	if len(workers) == 0 {
 		return nil, fmt.Errorf("coord: no workers")
@@ -835,9 +837,11 @@ func (c *Coordinator) Run(ctx context.Context, workers []Worker, progress func(s
 				if err != nil || !ok {
 					return
 				}
-				sum, serr := w.Sweep(runCtx, rs.Range, func(p setconsensus.SweepProgress) {
-					c.liveProgress(rs.Offset, p)
-				})
+				var relay func(setconsensus.SweepProgress) // nil without a consumer
+				if progress != nil {
+					relay = func(p setconsensus.SweepProgress) { c.liveProgress(rs.Offset, p) }
+				}
+				sum, serr := w.Sweep(runCtx, rs.Range, relay)
 				if serr == nil {
 					// The completion path is itself an injection surface:
 					// a dropped completion loses a finished range on the

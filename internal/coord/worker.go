@@ -14,9 +14,10 @@ import (
 // Summary. Implementations must be safe for the coordinator to call
 // Sweep repeatedly (one range at a time per worker); the two transports
 // are EngineWorker (in-process) and RemoteWorker (a setconsensusd
-// server reached through service.Client). Sweep's progress callback,
-// when invoked, carries the worker's in-range snapshot — the
-// coordinator aggregates snapshots across workers itself.
+// server reached through service.Client). Sweep's progress callback is
+// nil unless the coordinator's Run has a progress consumer; when
+// invoked, it carries the worker's in-range snapshot — the coordinator
+// aggregates snapshots across workers itself.
 type Worker interface {
 	Name() string
 	Sweep(ctx context.Context, r Range, progress func(setconsensus.SweepProgress)) (*setconsensus.Summary, error)

@@ -23,6 +23,9 @@ func TestAllExperiments(t *testing.T) {
 			if tbl.ID != e.ID {
 				t.Fatalf("table id %q under registry id %q", tbl.ID, e.ID)
 			}
+			if tbl.Title != e.Title {
+				t.Fatalf("table title %q under registry title %q", tbl.Title, e.Title)
+			}
 			out := tbl.Render()
 			if !strings.Contains(out, tbl.Title) {
 				t.Error("render must include the title")

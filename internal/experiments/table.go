@@ -69,25 +69,28 @@ func (t *Table) Render() string {
 // Generator produces one experiment table.
 type Generator func() (*Table, error)
 
-// Registry maps experiment ids to generators, in presentation order.
-func Registry() []struct {
-	ID  string
-	Gen Generator
-} {
-	return []struct {
-		ID  string
-		Gen Generator
-	}{
-		{"E1", E1HiddenPath},
-		{"E2", E2HiddenCapacity},
-		{"E3", E3ForcedDecisions},
-		{"E4", E4Separation},
-		{"E5", E5Sperner},
-		{"E6", E6Bounds},
-		{"E7", E7Unbeatability},
-		{"E8", E8StarConnectivity},
-		{"E9", E9LastDecider},
-		{"E10", E10WireCost},
+// Entry is one experiment of the Registry: its id, the title of the
+// table it generates, and its generator.
+type Entry struct {
+	ID    string
+	Title string
+	Gen   Generator
+}
+
+// Registry lists the experiments in presentation order. Each title is
+// the one its table carries, so a listing needs no generator run.
+func Registry() []Entry {
+	return []Entry{
+		{"E1", "Fig. 1 — hidden paths block decisions in Opt0 (n = depth+3)", E1HiddenPath},
+		{"E2", "Fig. 2 / Lemma 2 — hidden capacity and the constructed run r′", E2HiddenCapacity},
+		{"E3", "Fig. 3 / Lemmas 1+3 — forcing certificates at every Optmin-undecided node", E3ForcedDecisions},
+		{"E4", "Fig. 4 — u-Pmin decides at 2; all known protocols need ⌊t/k⌋+1", E4Separation},
+		{"E5", "Fig. 5 / Lemma 4 — Div σ and Sperner's lemma", E5Sperner},
+		{"E6", "Prop. 1 / Thm. 3 — decision-time bounds (500 seeded random adversaries per row)", E6Bounds},
+		{"E7", "Thm. 1 — Optmin dominates everything; no deviation beats it", E7Unbeatability},
+		{"E8", "Prop. 2 — HC ≥ k ⟹ star complex (k−1)-connected (GF(2) homology)", E8StarConnectivity},
+		{"E9", "Thm. 2 — last-decider domination of Optmin over the baselines", E9LastDecider},
+		{"E10", "Lemma 6 — compact wire protocol: identical decisions, O(n log n) bits/pair", E10WireCost},
 	}
 }
 

@@ -1,6 +1,8 @@
 // Package govern is the engine-wide resource governor: byte-metered
 // memory ceilings over the arena/pool allocation choke points, panic
-// isolation for protocol and workload code, and a stuck-job watchdog.
+// isolation for protocol and workload code, a stuck-job watchdog, and
+// the one worker pool (Shards) and progress feed (Feed) that every
+// parallel engine stage starts its workers through and reports through.
 //
 // The governor is deliberately dumb: it is a single atomic live-byte
 // account with two configurable ceilings. Metered allocation sites
@@ -14,8 +16,8 @@
 // built and freed every few microseconds), so shedding decays only
 // after a full holdoff passes with no over-ceiling observation, keeping
 // readiness and retention decisions stable. Crossing the hard ceiling
-// makes Admit reject new
-// admissions with ErrMemoryBudget. Neither ceiling ever aborts running
+// makes Admit reject new admissions with ErrMemoryBudget. Neither
+// ceiling ever aborts running
 // work: degradation is monotone (recycle → shed → reject), never
 // destructive.
 //

@@ -1,7 +1,8 @@
 // Package runtime executes the compact wire protocol on a real
-// message-passing engine: one goroutine per process, channels as links, a
-// router applying the failure pattern, and lock-step round barriers —
-// the synchronous model of §2.1 made concrete. Every process decides by
+// message-passing engine: one goroutine per process, channels as links,
+// and a router applying the failure pattern that gathers every outbox of
+// a round before it delivers any — the synchronous model of §2.1 made
+// concrete. Every process decides by
 // the one compact rule, wire.State.Decide, and Run records the decisions
 // in the caller's sim.Scratch, the oracle simulator's decision record.
 // The tests cross-check them bit for bit against the deterministic
@@ -58,11 +59,13 @@ func (pr *process) maybeDecide(m int) {
 // every decision in sc, which it resets for the adversary's processes,
 // and returns the decisions, which alias sc. The router goroutine
 // enforces the failure pattern; each process goroutine computes rounds
-// concurrently, synchronized by channel barriers, and keeps its own
-// decision: Run puts them into sc only once every goroutine has
-// returned, because Put writes a mask word that neighbouring processes
-// share. A payload that wire.Decode rejects fails the run with a
-// "corrupt payload" error.
+// concurrently and keeps its own decision: Run puts them into sc only
+// once every goroutine has returned, because Put writes a mask word that
+// neighbouring processes share. The rounds need no barrier: the router
+// reads all n outboxes of a round before it delivers any, and a process
+// sends its next round's outbox only after it has received this round's
+// delivery, so no outbox can cross into another round. A payload that
+// wire.Decode rejects fails the run with a "corrupt payload" error.
 func Run(rule wire.Rule, p core.Params, adv *model.Adversary, sc *sim.Scratch) ([]*sim.Decision, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -77,13 +80,11 @@ func Run(rule wire.Rule, p core.Params, adv *model.Adversary, sc *sim.Scratch) (
 		from    model.Proc
 		payload []byte
 	}
-	outCh := make(chan outMsg, n)       // round outboxes to the router
-	inCh := make([]chan []Inbound, n)   // per-process round deliveries
-	barrier := make([]chan struct{}, n) // per-process "round done" release
+	outCh := make(chan outMsg, n)     // round outboxes to the router
+	inCh := make([]chan []Inbound, n) // per-process round deliveries
 	procs := make([]*process, n)
 	for i := 0; i < n; i++ {
 		inCh[i] = make(chan []Inbound, 1)
-		barrier[i] = make(chan struct{})
 		procs[i] = &process{id: i, rule: rule, p: p, state: wire.NewState(n, i, adv.Inputs[i])}
 	}
 
@@ -96,19 +97,20 @@ func Run(rule wire.Rule, p core.Params, adv *model.Adversary, sc *sim.Scratch) (
 			pr.maybeDecide(0)
 			for m := 1; m <= horizon; m++ {
 				if !adv.Pattern.Active(pr.id, m-1) {
-					// Dead at send time: participate in barriers only.
+					// Dead at send time: an empty outbox, so the router
+					// still gathers n of them, and the round's delivery.
 					outCh <- outMsg{from: pr.id, payload: nil}
 					<-inCh[pr.id]
-					<-barrier[pr.id]
 					continue
 				}
 				pr.state.Snapshot(pr.p.K)
 				outCh <- outMsg{from: pr.id, payload: encodePayload(pr.state.Outbox())}
 				msgs := <-inCh[pr.id]
 				// A decode failure poisons this process but must not stop
-				// it from draining barriers: the router and the other
-				// goroutines would deadlock otherwise. The first error is
-				// threaded back through Run's error return.
+				// it from sending its outbox to outCh and draining its
+				// deliveries from inCh every round: the router and the
+				// other goroutines would deadlock otherwise. The first
+				// error is threaded back through Run's error return.
 				if adv.Pattern.Active(pr.id, m) && pr.err == nil {
 					inbound := make([]wire.Message, 0, len(msgs))
 					for _, im := range msgs {
@@ -124,13 +126,12 @@ func Run(rule wire.Rule, p core.Params, adv *model.Adversary, sc *sim.Scratch) (
 						pr.maybeDecide(m)
 					}
 				}
-				<-barrier[pr.id]
 			}
 		}(procs[i])
 	}
 
-	// Router: per round, gather every outbox, apply the pattern, deliver,
-	// release the barrier.
+	// Router: per round, gather every outbox, then apply the pattern and
+	// deliver.
 	routerDone := make(chan struct{})
 	go func() {
 		defer close(routerDone)
@@ -151,9 +152,6 @@ func Run(rule wire.Rule, p core.Params, adv *model.Adversary, sc *sim.Scratch) (
 					}
 				}
 				inCh[j] <- msgs
-			}
-			for j := 0; j < n; j++ {
-				barrier[j] <- struct{}{}
 			}
 		}
 	}()

@@ -90,8 +90,10 @@ type Params struct {
 	// EngineParallelism is the per-job Engine worker-pool size.
 	EngineParallelism int
 
-	// ProgressInterval throttles the progress snapshots a running job
-	// publishes to its SSE subscribers.
+	// ProgressInterval paces the progress snapshots a running sweep job
+	// publishes to its SSE subscribers: at most one per interval, plus
+	// the opening and closing ones. Analysis jobs are paced by the
+	// engine's own 100ms interval.
 	ProgressInterval time.Duration
 
 	// SoftMemBytes is the governor's soft memory ceiling: while live

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"setconsensus/internal/govern"
 	"setconsensus/internal/model"
 )
 
@@ -57,16 +58,13 @@ func (w *Witness) String() string {
 	return b.String()
 }
 
-// Progress is one streamed snapshot of a running analysis, emitted by
-// Engine.AnalyzeStream the way SweepSourceStream emits Results: Stage
-// names the pipeline stage ("compile", "width-1", "width-2", "certify"),
-// Done counts processed units of that stage, and Total is the stage size
-// (for the compile, the space's canonical count).
-type Progress struct {
-	Stage string `json:"stage"`
-	Done  int    `json:"done"`
-	Total int    `json:"total"`
-}
+// Progress is one streamed snapshot of a running analysis, the
+// snapshot of the engine's progress feed (govern.Feed) that
+// Engine.AnalyzeStream delivers: Stage names the pipeline stage
+// ("compile", "width-1", "width-2", "certify"), Done counts processed
+// units of that stage, and Total is the stage size (for the compile,
+// the space's canonical count).
+type Progress = govern.Progress
 
 // AnalysisReport is the structured outcome of one analysis family run —
 // the unified schema behind Engine.Analyze. Exactly one of the payload

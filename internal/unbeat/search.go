@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"setconsensus/internal/bitset"
@@ -38,10 +37,12 @@ import (
 //	          Merge tiles the fragments back into the table a sequential
 //	          compile builds — which is how Engine.Analyze runs the stage
 //	          on its sweep executor, one fragment per worker;
-//	shard   — deviation candidates are strided across a worker pool in
-//	          canonical enumeration order, each worker folding into
-//	          private accumulators merged once (the internal/agg
-//	          contract);
+//	shard   — deviation candidates are strided in canonical
+//	          enumeration order across the engine's one worker pool
+//	          (govern.Shards, which also runs the compile's workers),
+//	          each worker folding into private accumulators merged once
+//	          (the internal/agg contract) and adding each candidate to
+//	          the search's progress feed (govern.Feed);
 //	test    — each candidate is simulated against every compiled run in
 //	          per-worker scratch (no per-candidate or per-run
 //	          allocations); the first dominating candidate in canonical
@@ -82,9 +83,10 @@ type SearchReport struct {
 type SearchOptions struct {
 	// Parallelism is the worker-pool size; values < 1 mean 1.
 	Parallelism int
-	// Progress, when non-nil, receives throttled stage snapshots. Calls
-	// are serialized; the callback must not block for long.
-	Progress func(Progress)
+	// Feed, when non-nil, receives the "width-1" and "width-2" stages:
+	// Search opens each, its workers add one unit per candidate, and it
+	// flushes each stage's closing snapshot.
+	Feed *govern.Feed
 }
 
 // runTable holds compiled runs as struct-of-arrays: per process, the
@@ -661,108 +663,6 @@ func bestMin(best *atomic.Int64, ord int64) {
 	}
 }
 
-// Shards runs body once per worker with strided work assignment and
-// funnels out the first error; a body error cancels the derived context
-// of every other worker. Parallelism ≤ 1 runs inline — the sequential
-// search is the parallel search with one shard, not a separate code
-// path. It is the worker-pool primitive of the analysis pipeline,
-// shared by the search stages and the engine's certificate families.
-func Shards(ctx context.Context, workers int, body func(ctx context.Context, w int) error) error {
-	if workers <= 1 {
-		return body(ctx, 0)
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Candidate tests execute protocol decision rules, so a
-			// panicking rule is isolated here: converted into a typed
-			// analysis error instead of crashing the process, with the
-			// shared cancel draining the other shards.
-			err := func() (err error) {
-				defer govern.Capture("unbeat: analysis worker", &err)
-				return body(ctx, w)
-			}()
-			if err != nil {
-				errOnce.Do(func() { firstErr = err })
-				cancel()
-			}
-		}(w)
-	}
-	wg.Wait()
-	return firstErr
-}
-
-// ProgressSink throttles and serializes Progress callbacks for a staged
-// analysis — the one implementation behind the search stages and the
-// engine's certificate families. A nil sink (no progress consumer)
-// costs one pointer check per unit. Snapshots are monotone within a
-// stage: the emitted Done is re-read under the serializing mutex and
-// never goes backwards, regardless of worker interleaving.
-type ProgressSink struct {
-	mu       sync.Mutex
-	fn       func(Progress)
-	stage    string
-	total    int
-	done     atomic.Int64
-	lastEmit int
-}
-
-const progressEvery = 64
-
-// NewProgressSink wraps fn; a nil fn yields a nil (no-op) sink.
-func NewProgressSink(fn func(Progress)) *ProgressSink {
-	if fn == nil {
-		return nil
-	}
-	return &ProgressSink{fn: fn}
-}
-
-// Stage opens a new stage and emits its zero snapshot. Stages are
-// sequential (barriers between them), so no worker bumps concurrently
-// with a Stage call.
-func (p *ProgressSink) Stage(stage string, total int) {
-	if p == nil {
-		return
-	}
-	p.stage = stage
-	p.total = total
-	p.done.Store(0)
-	p.lastEmit = -1
-	p.emit()
-}
-
-// Bump records one processed unit, emitting every progressEvery units.
-// Safe for concurrent use by stage workers.
-func (p *ProgressSink) Bump() {
-	if p == nil {
-		return
-	}
-	if d := p.done.Add(1); d%progressEvery == 0 || int(d) == p.total {
-		p.emit()
-	}
-}
-
-// emit re-reads the counter under the mutex so a preempted worker can
-// never publish a snapshot older than one already delivered.
-func (p *ProgressSink) emit() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	done := int(p.done.Load())
-	if done <= p.lastEmit {
-		return
-	}
-	p.lastEmit = done
-	p.fn(Progress{Stage: p.stage, Done: done, Total: p.total})
-}
-
 // pairPrunable applies the width-2 locality rule: deviation B can only
 // repair A's violated runs if B's view occurs in every one of them.
 func (cs *Compiled) pairPrunable(singleViolated []bitset.Set, a, b Deviation, ai, bi int) bool {
@@ -787,7 +687,7 @@ func (cs *Compiled) Search(ctx context.Context, opts SearchOptions) (*SearchRepo
 	if workers < 1 {
 		workers = 1
 	}
-	prog := NewProgressSink(opts.Progress)
+	feed := opts.Feed
 	report := &SearchReport{Runs: cs.table.runs(), Views: len(cs.devs)}
 	nd := len(cs.devs)
 
@@ -801,8 +701,8 @@ func (cs *Compiled) Search(ctx context.Context, opts SearchOptions) (*SearchRepo
 	singleViolated := make([]bitset.Set, nd) // [di] written only by di's worker
 	var best atomic.Int64
 	best.Store(noWinner)
-	prog.Stage("width-1", nd)
-	err := Shards(ctx, workers, func(ctx context.Context, w int) error {
+	feed.Stage("width-1", nd)
+	err := govern.Shards(ctx, "unbeat: analysis worker", workers, func(ctx context.Context, w int) error {
 		sc := &testScratch{}
 		for di := w; di < nd; di += workers {
 			if err := ctx.Err(); err != nil {
@@ -829,13 +729,14 @@ func (cs *Compiled) Search(ctx context.Context, opts SearchOptions) (*SearchRepo
 			if strictAnywhere && vio.Empty() {
 				bestMin(&best, int64(di))
 			}
-			prog.Bump()
+			feed.Add(1)
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	feed.Flush()
 	if b := best.Load(); b != noWinner {
 		report.Beaten = true
 		report.Candidates = int(b) + 1 // canonical prefix through the winner
@@ -860,8 +761,8 @@ func (cs *Compiled) Search(ctx context.Context, opts SearchOptions) (*SearchRepo
 	type pairAcc struct{ pruned, tested int }
 	accs := make([]pairAcc, workers)
 	best.Store(noWinner)
-	prog.Stage("width-2", totalPairs)
-	err = Shards(ctx, workers, func(ctx context.Context, w int) error {
+	feed.Stage("width-2", totalPairs)
+	err = govern.Shards(ctx, "unbeat: analysis worker", workers, func(ctx context.Context, w int) error {
 		sc := &testScratch{}
 		acc := &accs[w]
 		ord := -1
@@ -883,7 +784,7 @@ func (cs *Compiled) Search(ctx context.Context, opts SearchOptions) (*SearchRepo
 				}
 				if cs.pairPrunable(singleViolated, a, b, ai, bi) {
 					acc.pruned++
-					prog.Bump()
+					feed.Add(1)
 					continue
 				}
 				acc.tested++
@@ -892,7 +793,7 @@ func (cs *Compiled) Search(ctx context.Context, opts SearchOptions) (*SearchRepo
 				if cs.testCandidate(sc.devs[:2], relevant, sc) {
 					bestMin(&best, int64(ord))
 				}
-				prog.Bump()
+				feed.Add(1)
 			}
 		}
 		return nil
@@ -900,6 +801,7 @@ func (cs *Compiled) Search(ctx context.Context, opts SearchOptions) (*SearchRepo
 	if err != nil {
 		return nil, err
 	}
+	feed.Flush()
 	if b := best.Load(); b != noWinner {
 		// Deterministic counters for the beaten case: re-derive the
 		// prune/test split of the canonical prefix below the winner (the

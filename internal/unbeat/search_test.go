@@ -8,6 +8,7 @@ import (
 	"setconsensus/internal/baseline"
 	"setconsensus/internal/core"
 	"setconsensus/internal/enum"
+	"setconsensus/internal/govern"
 	"setconsensus/internal/knowledge"
 	"setconsensus/internal/model"
 	"setconsensus/internal/sim"
@@ -280,8 +281,10 @@ func TestSearchMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSearchProgressSnapshots checks the streamed stage snapshots:
-// stages arrive in pipeline order and Done never decreases within one.
+// TestSearchProgressSnapshots checks the stage snapshots the search
+// delivers to its feed, at every add and from two workers: stages arrive
+// in pipeline order, each opens at 0, Done never decreases within one,
+// and each closes at its Total.
 func TestSearchProgressSnapshots(t *testing.T) {
 	base := core.MustOptmin(core.Params{N: 3, T: 2, K: 1})
 	p := SearchParams{
@@ -289,30 +292,38 @@ func TestSearchProgressSnapshots(t *testing.T) {
 		K:     1, T: 2, Width: 2,
 	}
 	cs := compileFor(t, base, p)
-	var stages []string
-	lastDone := -1
-	_, err := cs.Search(context.Background(), SearchOptions{
-		Parallelism: 1,
-		Progress: func(pr Progress) {
+	var (
+		stages []string
+		last   Progress
+	)
+	closed := func() {
+		if len(stages) > 0 && last.Done != last.Total {
+			t.Errorf("stage %s closed at %d of %d", last.Stage, last.Done, last.Total)
+		}
+	}
+	rep, err := cs.Search(context.Background(), SearchOptions{
+		Parallelism: 2,
+		Feed: govern.NewFeed(0, func(pr Progress) {
 			if len(stages) == 0 || stages[len(stages)-1] != pr.Stage {
+				closed()
 				stages = append(stages, pr.Stage)
-				lastDone = -1
+				if pr.Done != 0 {
+					t.Errorf("stage %s opened at %d", pr.Stage, pr.Done)
+				}
+			} else if pr.Done < last.Done {
+				t.Fatalf("stage %s: done went backwards (%d after %d)", pr.Stage, pr.Done, last.Done)
 			}
-			if pr.Done < lastDone {
-				t.Fatalf("stage %s: done went backwards (%d after %d)", pr.Stage, pr.Done, lastDone)
-			}
-			lastDone = pr.Done
-		},
+			last = pr
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stages) == 0 || stages[0] != "width-1" {
-		t.Fatalf("expected a width-1 stage first, got %v", stages)
+	closed()
+	if rep.Beaten {
+		t.Fatalf("Optmin[1] beaten: %s", rep.Witness)
 	}
-	for _, s := range stages[1:] {
-		if s != "width-2" {
-			t.Fatalf("unexpected stage %q in %v", s, stages)
-		}
+	if want := []string{"width-1", "width-2"}; !reflect.DeepEqual(stages, want) {
+		t.Fatalf("stages = %v, want %v", stages, want)
 	}
 }
