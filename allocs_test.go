@@ -37,9 +37,14 @@ import (
 //   - Engine.Run is a one-adversary sweep on the same path;
 //   - SweepSource over RandomSource(1, 2000, n=6,t=3,maxv=2,maxr=3) at
 //     k=2, the benchmark's random workload cut to 2,000 adversaries,
-//     pays per adversary only a share of the sampler's slabs — its
-//     failure pattern, crash slice and delivery sets included — and per
-//     full graph build nothing.
+//     draws each window into the worker's reused arena — failure
+//     patterns, crash slices and delivery sets included — and builds
+//     each graph only as deep as its runs read, so it pays neither per
+//     adversary nor per graph;
+//   - the same sweep under PatternCrashBound, the CLI's default, where t
+//     is each adversary's own failure count and changes between most
+//     consecutive adversaries, resolves each Params value once per
+//     worker, into its protocol memo's one slab.
 //
 // The race detector allocates on its own, hence the build tag.
 func TestRunPathAllocationPins(t *testing.T) {
@@ -59,6 +64,7 @@ func TestRunPathAllocationPins(t *testing.T) {
 		t.Fatal(err)
 	}
 	randEng := setconsensus.New(setconsensus.WithDegree(2), setconsensus.WithCrashBound(3), setconsensus.WithParallelism(1))
+	ownEng := setconsensus.New(setconsensus.WithDegree(2), setconsensus.WithCrashBound(setconsensus.PatternCrashBound), setconsensus.WithParallelism(1))
 	cases := []struct {
 		name string
 		pin  float64
@@ -87,8 +93,12 @@ func TestRunPathAllocationPins(t *testing.T) {
 			_, err := eng.Run(ctx, "optmin", advs[len(advs)-1])
 			return err
 		}},
-		{"SweepSource/random", 281, func() error {
+		{"SweepSource/random", 58, func() error {
 			_, err := randEng.SweepSource(ctx, sweepSpaceRefs, random)
+			return err
+		}},
+		{"SweepSource/random/own-t", 58, func() error {
+			_, err := ownEng.SweepSource(ctx, sweepSpaceRefs, random)
 			return err
 		}},
 	}

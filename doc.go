@@ -364,7 +364,13 @@
 // it takes the step's active, undecided processes as a word mask, and
 // Optmin and u-Pmin decide all of them in one call over the graph's Min
 // and hidden-capacity rows (sim.StepRule), while any other protocol is
-// asked per candidate. A folding sweep verifies each run as set
+// asked per candidate. Before it evaluates a step it grows the graph to
+// that step (knowledge.Grow): a folding sweep builds each adversary's
+// graph to layer 0 only (knowledge.Builder.BuildTo), one fused pass per
+// layer computing views, known crashes, hidden counts and value sets,
+// so a graph holds only the layers its runs read, while every graph
+// read whole — a Result's GraphStats, the analysis compile — is built
+// in full. A folding sweep verifies each run as set
 // operations on its decider mask against the adversary's correct set
 // and input-value set, which the worker computes once per adversary for
 // all its protocols (internal/check.Scratch). Run, Sweep and
@@ -385,14 +391,27 @@
 // aggregating path over a space allocates nothing per adversary, and
 // per failure pattern only a share of the cursor's slab blocks. The Builder and the search Compiler keep a copy
 // of the previous adversary's inputs, never the arena's adversary (the
-// recycle contract on Engine). Any other Source is pulled under the
-// claim lock (iter.Pull), a window per claim, and the sweep returns only
-// after that iterator has; a random stream is drawn by a model.Sampler,
-// which carves adversaries and inputs from 64-entry slabs, and patterns
-// with their crash slices and delivery sets from a model.PatternSlab —
-// the carver the enum.Cursor draws its canonical patterns from, in
-// blocks sized to the patterns left in its range — so an adversary costs
-// only a share of the slabs. Each claim refills the claiming worker's
+// recycle contract on Engine). A random stream (RandomSource, or any
+// nesting of RangeSource and LimitSource over one) is drawn by a
+// model.Sampler, the draws of successive model.Random calls. A folding
+// sweep draws each window under the claim lock, from the sweep's one
+// Sampler, into the claiming worker's model.Arena
+// (Sampler.AppendReused), which the next claim overwrites, so the
+// stream is the one its Seq yields, draw for draw, and costs nothing
+// per adversary; the arena reuses pattern slots, so the worker's
+// Builder forgets its revive chain at each such claim. Any other
+// Source, and a random stream whose Results escape, is pulled under the
+// claim lock (iter.Pull), a window per claim, and the sweep returns
+// only after that iterator has; there a Sampler carves adversaries and
+// inputs from fresh 64-entry slabs, and patterns with their crash
+// slices and delivery sets from a model.PatternSlab — the carver the
+// enum.Cursor draws its canonical patterns from, in blocks sized to the
+// patterns left in its range — so an adversary costs only a share of
+// the slabs. The engine validates every adversary it runs, except those
+// of a window cut by a space's cursor or drawn by the Sampler, valid by
+// construction from parameters validated where the workload entered
+// (inputs included: every input lies in 0..model.ValueLimit−1). Each
+// claim refills the claiming worker's
 // window buffer, one per pooled run kit, and the workers share nothing
 // per adversary: cancellation is polled on the Done channel before each
 // claim, so a cancelled worker finishes the window it holds, and

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"iter"
 	"math"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"setconsensus/internal/agg"
 	"setconsensus/internal/enum"
@@ -53,26 +55,35 @@ import (
 //     adversary's graph in the worker's reused Builder arena, shares it
 //     among that adversary's protocols, and releases it once their runs
 //     are done; consecutive adversaries sharing a failure pattern revive
-//     or patch the previous arena. No Result keeps a graph: detach takes
-//     the adversary string and GraphStats once per adversary while the
-//     graph is built, and Result.KnowledgeGraph rebuilds an equal graph
-//     on demand. Revive and patch key on the failure pattern's pointer,
-//     so a kit's Builder forgets its revive chain when the kit returns
-//     to the pool: a caller may change a pattern in place between two
+//     or patch the previous arena. Where no Result escapes
+//     (SweepSource, SweepSourceProgress), the graph starts at layer 0
+//     and grows only as deep as its runs read; wherever a graph is read
+//     whole — a Result's GraphStats, the analysis compile — it is built
+//     in full. No Result keeps a graph: detach takes the adversary
+//     string and GraphStats once per adversary while the graph is
+//     built, and Result.KnowledgeGraph rebuilds an equal graph on
+//     demand. Revive and patch key on the failure pattern's pointer, so
+//     a kit's Builder forgets its revive chain when the kit returns to
+//     the pool: a caller may change a pattern in place between two
 //     calls, never during one.
 //   - Adversary arenas: each worker's kit holds one window buffer, and
 //     every claim refills it with the worker's next window. Where no
 //     Result escapes (SweepSource, SweepSourceProgress, the analysis
-//     compile), a worker carves each window it claims of an exhaustive
-//     space from its enum.Walker's one reused arena (AppendReused), and
-//     its next claim overwrites them. Nothing may hold such an adversary
-//     past its window: the Builder and the search Compiler keep a copy
-//     of the previous adversary's inputs and its pattern pointer, never
-//     the adversary. Failure patterns are never reused, because revive
-//     and patch key on their pointer. Run, Sweep and SweepSourceStream
-//     keep fresh slabs (Append), because a kept Result holds its
-//     adversary, and so does every plain stream: a random stream's
-//     model.Sampler carves its adversaries from fresh slabs.
+//     compile), a worker carves each window it claims from storage its
+//     next claim overwrites: an exhaustive space's from its
+//     enum.Walker's one reused arena (AppendReused), and a random
+//     stream's, drawn under the claim lock from the sweep's one
+//     model.Sampler, from its model.Arena (Sampler.AppendReused).
+//     Nothing may hold such an adversary past its window: the Builder
+//     and the search Compiler keep a copy of the previous adversary's
+//     inputs and its pattern pointer, never the adversary. A space's
+//     failure patterns are never reused, but a random stream's arena
+//     reuses its pattern slots from window to window, so a worker's
+//     Builder forgets its revive chain at each such claim: revive and
+//     patch key on the pattern's pointer. Run, Sweep and
+//     SweepSourceStream keep fresh slabs (Append, Sampler.Next),
+//     because a kept Result holds its adversary, and so does every
+//     other plain stream.
 //   - Summary shards: each worker folds into private agg.Acc
 //     accumulators and merges them into the Aggregator exactly once,
 //     when its shard is drained (Summary.Merge is the public form of
@@ -236,18 +247,23 @@ func (e *Engine) Registry() *Registry { return e.reg }
 
 // runParams completes the per-run protocol parameters: n comes from the
 // adversary, t and k from the engine configuration (t = n−1 when unset,
-// the adversary's own failure count under PatternCrashBound). It first
-// validates the adversary's structure — crashers in range and in order,
-// crash rounds ≥ 1, deliveries in range, a pattern over len(Inputs)
-// processes — so a malformed adversary a caller built by hand fails
-// with an error instead of a panic inside a backend. The check
+// the adversary's own failure count under PatternCrashBound). Unless
+// the adversary is valid by construction (trusted: cut by a space's
+// cursor or drawn by a random stream's sampler, from parameters checked
+// where the workload entered), it first validates the adversary's
+// structure — crashers in range and in order, crash rounds ≥ 1,
+// deliveries in range, a pattern over len(Inputs) processes, inputs in
+// 0..model.MaxValue — so a malformed adversary a caller built by hand
+// fails with an error instead of a panic inside a backend. The check
 // allocates nothing on a valid adversary.
-func (e *Engine) runParams(adv *model.Adversary) (Params, error) {
+func (e *Engine) runParams(adv *model.Adversary, trusted bool) (Params, error) {
 	if adv == nil {
 		return Params{}, fmt.Errorf("engine: nil adversary")
 	}
-	if err := adv.Validate(-1, -1); err != nil {
-		return Params{}, err
+	if !trusted {
+		if err := adv.Validate(-1, -1); err != nil {
+			return Params{}, err
+		}
 	}
 	t := e.params.T
 	switch {
@@ -369,7 +385,7 @@ func (e *Engine) Run(ctx context.Context, ref string, adv *Adversary) (*Result, 
 	err = e.withKit("engine: run", func(kit *runKit) error {
 		w := sweepWorker{refs: []string{ref}, specs: []*ProtocolSpec{spec}, kit: kit,
 			deliver: func(_, _ int, r *Result) { res = r }}
-		return e.sweepAdversary(&w, adv, 0)
+		return e.sweepAdversary(&w, adv, 0, false)
 	})
 	if err != nil {
 		return nil, err
@@ -485,10 +501,27 @@ const windowCap = 256
 
 // sweepChunk is one claimed work unit: a run of consecutive adversaries,
 // held in the claiming worker's window buffer (runKit.advs) until its
-// next claim refills it, and the stream index of the first.
+// next claim refills it, and the stream index of the first. trusted
+// marks a window valid by construction — cut by a space's cursor or
+// drawn by a random stream's sampler — whose adversaries runParams
+// does not validate again.
 type sweepChunk struct {
-	base int
-	advs []*Adversary
+	base    int
+	advs    []*Adversary
+	trusted bool
+}
+
+// innerRange resolves the stream offsets [from, to) of src through any
+// nesting of RangeSource and LimitSource to the innermost source and
+// its own offsets [lo, hi).
+func innerRange(src Source, from, to int) (inner Source, lo, hi int) {
+	switch s := src.(type) {
+	case *rangeSource:
+		return innerRange(s.src, enum.WindowEnd(s.offset, from), enum.WindowEnd(s.offset, min(s.limit, to)))
+	case *limitSource:
+		return innerRange(s.src, from, min(s.n, to))
+	}
+	return src, from, to
 }
 
 // spaceRange resolves the stream offsets [from, to) of an exhaustive
@@ -497,13 +530,9 @@ type sweepChunk struct {
 // so a sweep (its claim cursor) and RangeSource.Seq enter the
 // enumeration directly at lo. ok is false for any other source.
 func spaceRange(src Source, from, to int) (space Space, lo, hi int, ok bool) {
-	switch s := src.(type) {
-	case *spaceSource:
-		return s.space, from, to, true
-	case *rangeSource:
-		return spaceRange(s.src, enum.WindowEnd(s.offset, from), enum.WindowEnd(s.offset, min(s.limit, to)))
-	case *limitSource:
-		return spaceRange(s.src, from, min(s.n, to))
+	inner, lo, hi := innerRange(src, from, to)
+	if s, isSpace := inner.(*spaceSource); isSpace {
+		return s.space, lo, hi, true
 	}
 	return Space{}, 0, 0, false
 }
@@ -514,9 +543,15 @@ func spaceRange(src Source, from, to int) (space Space, lo, hi int, ok bool) {
 // enumerates its window outside the lock: into fresh slabs when the
 // sweep's Results escape, since a Result keeps its adversary, and
 // otherwise (reuse) into its walker's one reused arena, which the next
-// claim overwrites. Any other source is pulled under the lock, up to
-// size adversaries per claim, from one iter.Pull over its Seq; into
-// points at the claiming worker's buffer for the one pull. The pull runs
+// claim overwrites. A random stream — a RandomSource, or any nesting of
+// RangeSource and LimitSource over one — is drawn, when reuse holds,
+// from one shared model.Sampler under the lock, up to size adversaries
+// per claim into the claiming worker's reused model.Arena, so the
+// stream stays draw for draw the one its Seq yields; a range first
+// draws and discards its prefix. Any other source, and a random stream
+// whose Results escape, is pulled under the lock, up to size
+// adversaries per claim, from one iter.Pull over its Seq; into points
+// at the claiming worker's buffer for the one pull. The pull runs
 // caller code with the lock held, so every path releases the lock by a
 // deferred unlock — a worker unwinding out of a claim must not strand
 // the others; a panic in that code is recovered inside the pulled
@@ -524,24 +559,37 @@ func spaceRange(src Source, from, to int) (space Space, lo, hi int, ok bool) {
 // the pulled stream ends.
 type sweepClaimer struct {
 	mu     sync.Mutex
-	cursor *enum.Cursor  // nil for a plain stream
+	cursor *enum.Cursor  // nil unless an exhaustive space
 	origin int           // the space offset of the stream's first adversary
 	reuse  bool          // carve windows from each worker's reused arena
-	size   int           // the most adversaries a pull appends
+	size   int           // the most adversaries a pull or a draw appends
 	into   *[]*Adversary // the pulling claim's window buffer
 	pull   func() (int, bool)
 	stop   func()
 	err    error // the panic recovered from the source's iterator
+
+	// sampler draws a random stream's windows: it has drawn next of the
+	// end adversaries of the sweep's range, after discarding skip more
+	// at the first claim. nil unless a random stream under reuse.
+	sampler         *model.Sampler
+	skip, next, end int
 }
 
 // newClaimer builds src's claimer; reuse is sweepExec's.
 func newClaimer(src Source, count int, known bool, workers int, reuse bool) *sweepClaimer {
-	cl := new(sweepClaimer)
-	if space, lo, hi, ok := spaceRange(src, 0, math.MaxInt); ok {
-		cl.cursor, cl.origin, cl.reuse = enum.NewCursor(space, lo, hi), lo, reuse
+	cl := &sweepClaimer{size: chunkSizeFor(count, known, workers)}
+	switch inner, lo, hi := innerRange(src, 0, math.MaxInt); s := inner.(type) {
+	case *spaceSource:
+		cl.cursor, cl.origin, cl.reuse = enum.NewCursor(s.space, lo, hi), lo, reuse
 		return cl
+	case *randomSource:
+		if reuse {
+			cl.sampler = model.NewSampler(rand.New(rand.NewSource(s.seed)), s.p)
+			hi = min(hi, s.count)
+			cl.skip, cl.end = min(lo, hi), max(hi-lo, 0)
+			return cl
+		}
 	}
-	cl.size = chunkSizeFor(count, known, workers)
 	// The pulled iterator fills whole windows, so a claim switches into
 	// it once, not once per adversary, and yields each window's stream
 	// index once it is full. It appends only while a claim pulls, into
@@ -589,8 +637,21 @@ func (cl *sweepClaimer) failed() error {
 }
 
 // claim takes the next window into kit's window buffer; ok is false once
-// the source is exhausted. walker is the calling worker's own.
-func (cl *sweepClaimer) claim(e *Engine, kit *runKit, walker *enum.Walker) (sweepChunk, bool) {
+// the source is exhausted. walker and draws are the calling worker's
+// own: its arenas for an exhaustive space's windows and for a random
+// stream's.
+func (cl *sweepClaimer) claim(e *Engine, kit *runKit, walker *enum.Walker, draws *model.Arena) (sweepChunk, bool) {
+	if cl.sampler != nil {
+		grew := kit.fit(cl.size)
+		// The draws overwrite the patterns of the worker's previous
+		// window, which its builder's revive chain keys on by pointer.
+		kit.builder.Forget()
+		base, ok := cl.drawInto(&kit.advs, draws)
+		if ok {
+			e.countWindow(grew)
+		}
+		return sweepChunk{base: base, advs: kit.advs, trusted: true}, ok
+	}
 	if cl.cursor == nil {
 		grew := kit.fit(cl.size)
 		base, ok := cl.pullInto(&kit.advs)
@@ -609,7 +670,7 @@ func (cl *sweepClaimer) claim(e *Engine, kit *runKit, walker *enum.Walker) (swee
 	} else {
 		kit.advs = walker.Append(kit.advs, w)
 	}
-	return sweepChunk{base: w.Base - cl.origin, advs: kit.advs}, true
+	return sweepChunk{base: w.Base - cl.origin, advs: kit.advs, trusted: true}, true
 }
 
 // nextWindow cuts the next window under the lock.
@@ -617,6 +678,21 @@ func (cl *sweepClaimer) nextWindow() (enum.Window, bool) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	return cl.cursor.Next(windowCap)
+}
+
+// drawInto draws the next window of a random stream into advs, carved
+// from arena, under the lock, and returns its stream index. The first
+// claim first discards the range's prefix through the same buffers.
+func (cl *sweepClaimer) drawInto(advs *[]*Adversary, arena *model.Arena) (int, bool) {
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	for ; cl.skip > 0; cl.skip -= len(*advs) {
+		*advs = cl.sampler.AppendReused((*advs)[:0], arena, min(cl.skip, cl.size))
+	}
+	*advs = cl.sampler.AppendReused((*advs)[:0], arena, min(cl.size, cl.end-cl.next))
+	base := cl.next
+	cl.next += len(*advs)
+	return base, len(*advs) > 0
 }
 
 // pullInto pulls the next window of a plain stream into advs under the
@@ -635,9 +711,12 @@ func (cl *sweepClaimer) pullInto(advs *[]*Adversary) (int, bool) {
 // adversaries are added to feed. Claims stop once ctx is done.
 func (cl *sweepClaimer) chunks(ctx context.Context, e *Engine, kit *runKit, feed *govern.Feed) iter.Seq[sweepChunk] {
 	return func(yield func(sweepChunk) bool) {
-		var walker enum.Walker
+		var (
+			walker enum.Walker
+			draws  model.Arena
+		)
 		for sweepCancelled(ctx) == nil {
-			c, ok := cl.claim(e, kit, &walker)
+			c, ok := cl.claim(e, kit, &walker, &draws)
 			if !ok || !yield(c) {
 				return
 			}
@@ -738,7 +817,8 @@ func (e *Engine) withKit(what string, body func(kit *runKit) error) (err error) 
 }
 
 // sweepWorker is one sweep worker's state: the sweep's protocols, the
-// worker's kit and params memo, and where its runs go. With deliver set
+// worker's kit, whose protocol memo serves them, and where its runs go.
+// With deliver set
 // the sweep's Results escape (Sweep, SweepSourceStream, Run): deliver
 // receives each run as a detached Result tagged with its adversary's
 // stream index and its protocol's index. Otherwise each run folds into
@@ -748,7 +828,6 @@ type sweepWorker struct {
 	refs    []string
 	specs   []*ProtocolSpec
 	kit     *runKit
-	memo    protoMemo
 	a       *Aggregator
 	shard   []agg.Acc
 	deliver func(advIdx, refIdx int, r *Result)
@@ -771,7 +850,7 @@ func (e *Engine) sweep(ctx context.Context, refs []string, src Source, a *Aggreg
 		}
 		for chunk := range chunks {
 			for i, adv := range chunk.advs {
-				if err := e.sweepAdversary(&w, adv, chunk.base+i); err != nil {
+				if err := e.sweepAdversary(&w, adv, chunk.base+i, chunk.trusted); err != nil {
 					return err
 				}
 			}
@@ -785,21 +864,26 @@ func (e *Engine) sweep(ctx context.Context, refs []string, src Source, a *Aggreg
 
 // runKit is the pooled per-worker state of every run: the runBuffer the
 // backend runs into, the worker's knowledge Builder, which holds no
-// storage until its first Build, and the window buffer (advs) that each
-// claim of a sweep refills. Kits recycle through the engine's bounded
-// freelist so repeated runs and sweeps reuse warmed-up buffers; metered
-// is the run and window buffers' capacity last reported to the
+// storage until its first Build, the window buffer (advs) that each
+// claim of a sweep refills, and the protocol memo of the call the kit
+// serves. Kits recycle through the engine's bounded freelist so
+// repeated runs and sweeps reuse warmed-up buffers; metered is the run
+// and window buffers' and the memo's capacity last reported to the
 // governor.
 type runKit struct {
 	buf     *runBuffer
 	builder *knowledge.Builder
 	advs    []*Adversary
+	memo    protoMemo
 	metered int64
 }
 
-// bytes reports the capacity the kit's run and window buffers pin, 8
-// bytes per window pointer; the builder meters its own storage.
-func (kit *runKit) bytes() int64 { return kit.buf.bytes() + 8*int64(cap(kit.advs)) }
+// bytes reports the capacity the kit's run and window buffers and its
+// memo pin, 8 bytes per window pointer; the builder meters its own
+// storage.
+func (kit *runKit) bytes() int64 {
+	return kit.buf.bytes() + 8*int64(cap(kit.advs)) + int64(cap(kit.memo.slab))*int64(unsafe.Sizeof(protoEntry{}))
+}
 
 // fit empties the window buffer for a window of up to n adversaries,
 // growing it first if it is smaller, and reports whether it grew.
@@ -850,10 +934,11 @@ func (e *Engine) getKit() *runKit {
 
 // putKit harvests the kit's builder counters, clears its window
 // buffer's pointers and its run buffer's, so the pool does not pin a
-// finished call's windows, adversaries or graphs, and ends its
-// builder's revive chain, since a caller may change a pattern in place
-// before the next run. It then settles the byte account of the kit's
-// run and window buffers and returns the kit to the freelist, unless
+// finished call's windows, adversaries or graphs, ends its builder's
+// revive chain, since a caller may change a pattern in place before the
+// next run, and empties its protocol memo, whose entries belong to the
+// finished call's protocols. It then settles the byte account of the
+// kit's buffers and returns the kit to the freelist, unless
 // the governor is shedding (or the freelist is full), in which case the
 // kit is discarded and every byte it held goes back to the account.
 func (e *Engine) putKit(kit *runKit) {
@@ -862,6 +947,7 @@ func (e *Engine) putKit(kit *runKit) {
 	kit.advs = kit.advs[:0]
 	kit.buf.forget()
 	kit.builder.Forget()
+	kit.memo.reset()
 	if e.gov != nil {
 		if d := kit.bytes() - kit.metered; d != 0 {
 			e.gov.Grow(d)
@@ -926,50 +1012,92 @@ func (e *Engine) Close() {
 	}
 }
 
+// protoMemoSlots bounds a worker's protocol memo. Under
+// PatternCrashBound, t is each adversary's own failure count, so a sweep
+// switches among up to n Params values, most adversaries among a few.
+const protoMemoSlots = 8
+
 // protoMemo is a worker-local memo of the resolved protocol entries and
-// shared horizon for one Params value. Within a sweep the params only
-// change when the workload varies n or t per adversary, so the memo
-// keeps the hot loop off the engine-global cache mutex entirely.
+// shared horizon of up to protoMemoSlots Params values, searched
+// linearly, so the hot loop stays off the engine-global cache mutex
+// however often consecutive adversaries switch between them. Once every
+// slot is taken, a miss overwrites the slots in turn. Every slot's
+// entries live in one slab, which the memo keeps in its pooled kit from
+// call to call: it is allocated once per kit, and grows only for a call
+// with more protocols.
 type protoMemo struct {
-	valid   bool
+	slots [protoMemoSlots]memoSlot
+	used  int // slots taken
+	evict int // the slot the next miss overwrites once all are taken
+	slab  []protoEntry
+}
+
+// memoSlot is one Params value's entry of a protoMemo: the sweep's
+// protocol entries, in refs order, and their shared horizon.
+type memoSlot struct {
 	p       Params
 	horizon int
 	entries []protoEntry
 }
 
-// memoFor refreshes the memo when the params change.
-func (e *Engine) memoFor(memo *protoMemo, refs []string, specs []*ProtocolSpec, p Params) {
-	if memo.valid && memo.p == p {
-		return
+// reset empties the memo for the next call, keeping its slab.
+func (memo *protoMemo) reset() {
+	memo.used, memo.evict = 0, 0
+	clear(memo.slab)
+}
+
+// memoFor returns p's memo slot, resolving it on a miss.
+func (e *Engine) memoFor(memo *protoMemo, refs []string, specs []*ProtocolSpec, p Params) *memoSlot {
+	for i := range memo.slots[:memo.used] {
+		if memo.slots[i].p == p {
+			return &memo.slots[i]
+		}
 	}
-	memo.entries = memo.entries[:0]
+	if len(memo.slab) < protoMemoSlots*len(specs) {
+		memo.slab = make([]protoEntry, protoMemoSlots*len(specs))
+	}
+	i := memo.used
+	if i < protoMemoSlots {
+		memo.used++
+	} else {
+		i, memo.evict = memo.evict, (memo.evict+1)%protoMemoSlots
+	}
+	slot := &memo.slots[i]
+	slot.p, slot.horizon = p, horizonFor(specs, p)
+	slot.entries = memo.slab[i*len(specs) : (i+1)*len(specs)]
 	for refIdx, spec := range specs {
-		memo.entries = append(memo.entries, e.protoFor(refs[refIdx], spec, p))
+		slot.entries[refIdx] = e.protoFor(refs[refIdx], spec, p)
 	}
-	memo.horizon = horizonFor(specs, p)
-	memo.p, memo.valid = p, true
+	return slot
 }
 
 // sweepAdversary runs every protocol of a sweep against one adversary
 // on the worker's kit, all of them sharing one knowledge graph, and
 // hands each run on. It polls no context: the worker's claims do, once
-// per window. The graph is built in the kit's reused Builder arena —
-// revived or patched from the previous adversary's when they share a
-// failure pattern — and released once the adversary's runs are done,
-// which is safe because no Result keeps it. The one branch is whether
-// the Results escape: if they do, detach builds each run's Result from
-// the kit's run buffer, with the adversary string and the graph's stats
-// taken once per adversary while the graph is built, and deliver gets
-// it; if not, the run folds straight from the buffer.
-func (e *Engine) sweepAdversary(w *sweepWorker, adv *Adversary, advIdx int) error {
-	p, err := e.runParams(adv)
+// per window; trusted is the window's (sweepChunk). The graph is built
+// in the kit's reused Builder arena — revived or patched from the
+// previous adversary's when they share a failure pattern — and released
+// once the adversary's runs are done, which is safe because no Result
+// keeps it. The one branch is whether the Results escape: if they do,
+// detach builds each run's Result from the kit's run buffer, with the
+// adversary string and the graph's stats taken once per adversary while
+// the graph is built — in full, since the stats read every layer — and
+// deliver gets it; if not, the graph starts at layer 0 and each run
+// grows it only as deep as it reads (sim.RunWithGraphInto), and the run
+// folds straight from the buffer.
+func (e *Engine) sweepAdversary(w *sweepWorker, adv *Adversary, advIdx int, trusted bool) error {
+	p, err := e.runParams(adv, trusted)
 	if err != nil {
 		return err
 	}
-	e.memoFor(&w.memo, w.refs, w.specs, p)
+	memo := e.memoFor(&w.kit.memo, w.refs, w.specs, p)
 	var g *knowledge.Graph
 	if e.backend.needsGraph() {
-		g = w.kit.builder.Build(adv, w.memo.horizon)
+		depth := memo.horizon
+		if w.deliver == nil {
+			depth = 0
+		}
+		g = w.kit.builder.BuildTo(adv, memo.horizon, depth)
 		defer g.Release()
 	}
 	var (
@@ -987,7 +1115,7 @@ func (e *Engine) sweepAdversary(w *sweepWorker, adv *Adversary, advIdx int) erro
 		buf.verify.Prepare(adv)
 	}
 	for refIdx, spec := range w.specs {
-		if err := e.runInto(buf, w.refs[refIdx], spec, w.memo.entries[refIdx], p, adv, g); err != nil {
+		if err := e.runInto(buf, w.refs[refIdx], spec, memo.entries[refIdx], p, adv, g); err != nil {
 			return err
 		}
 		if w.deliver != nil {

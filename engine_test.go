@@ -420,6 +420,8 @@ func TestEngineRejectsMalformedAdversaries(t *testing.T) {
 		{"round 0", setconsensus.NewBuilder(3, 0).Input(0, 1).CrashSilent(0, 0).MustBuild()},
 		{"delivery to 5", setconsensus.NewBuilder(3, 0).Input(0, 1).CrashSendingTo(1, 1, 0, 5).MustBuild()},
 		{"pattern over 4", mismatched},
+		{"negative input", setconsensus.NewBuilder(3, 0).Input(0, -1).MustBuild()},
+		{"input 2^20", setconsensus.NewBuilder(3, 0).Input(0, 1<<20).MustBuild()},
 	}
 	for _, bk := range []setconsensus.BackendKind{setconsensus.Oracle, setconsensus.Goroutines, setconsensus.Wire} {
 		eng := setconsensus.New(setconsensus.WithBackend(bk), setconsensus.WithDegree(1))

@@ -56,7 +56,10 @@ type Space struct {
 }
 
 // Validate sanity-checks the space: at least two processes, 0 ≤ T ≤ N−1,
-// MaxRound ≥ 1, at least one value, and a Count that fits an int.
+// MaxRound ≥ 1, at least one value, every value in
+// 0..model.ValueLimit−1, and a Count that fits an int. Every adversary
+// of a valid space is valid (model.Adversary.Validate), so a consumer of
+// its enumeration need not check them one by one.
 func (s Space) Validate() error {
 	_, _, _, err := s.size()
 	return err
@@ -84,6 +87,11 @@ func (s Space) Label() string {
 func (s Space) size() (n int, perSet []int, w [][]int, err error) {
 	if s.N < 2 || s.T < 0 || s.T > s.N-1 || s.MaxRound < 1 || len(s.Values) == 0 {
 		return 0, nil, nil, fmt.Errorf("enum: invalid space (n=%d t=%d r=%d |v|=%d)", s.N, s.T, s.MaxRound, len(s.Values))
+	}
+	for _, v := range s.Values {
+		if v < 0 || v >= model.ValueLimit {
+			return 0, nil, nil, fmt.Errorf("enum: %s value %d outside 0..%d", s.Label(), v, model.ValueLimit-1)
+		}
 	}
 	var a arith
 	perSet, w = s.setPatterns(&a)

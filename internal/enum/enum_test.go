@@ -16,6 +16,8 @@ func TestValidate(t *testing.T) {
 		{N: 3, T: 3, MaxRound: 1, Values: []model.Value{0}},
 		{N: 3, T: 1, MaxRound: 0, Values: []model.Value{0}},
 		{N: 3, T: 1, MaxRound: 1, Values: nil},
+		{N: 3, T: 1, MaxRound: 1, Values: []model.Value{-1, 0}},
+		{N: 3, T: 1, MaxRound: 1, Values: []model.Value{0, model.ValueLimit}},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("space %+v must be invalid", bad)
@@ -211,24 +213,50 @@ func TestFromEarlyStopAndResume(t *testing.T) {
 	}
 }
 
+// TestAllAdversariesValid pins that every adversary of a valid space is
+// valid, as enumerated by ForEach and as a sweep cuts it: windows from a
+// Cursor, enumerated by Walker.AppendReused into its one reused arena,
+// which a sweep does not validate again. The second space holds the
+// largest admissible value.
 func TestAllAdversariesValid(t *testing.T) {
-	s := Space{N: 3, T: 2, MaxRound: 2, Values: []model.Value{0, 1}}
-	total := 0
-	err := s.ForEach(func(a *model.Adversary) bool {
-		total++
-		if err := a.Validate(s.T, 1); err != nil {
-			t.Fatalf("invalid adversary: %v", err)
+	for _, s := range []Space{
+		{N: 3, T: 2, MaxRound: 2, Values: []model.Value{0, 1}},
+		{N: 4, T: 2, MaxRound: 2, Values: []model.Value{0, model.ValueLimit - 1}},
+	} {
+		maxV := s.Values[len(s.Values)-1]
+		total := 0
+		err := s.ForEach(func(a *model.Adversary) bool {
+			total++
+			if err := a.Validate(s.T, maxV); err != nil {
+				t.Fatalf("invalid adversary: %v", err)
+			}
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total == 0 {
-		t.Fatal("empty enumeration")
-	}
-	if total != s.Count() {
-		t.Errorf("enumerated %d, Count %d", total, s.Count())
+		if total == 0 {
+			t.Fatal("empty enumeration")
+		}
+		if total != s.Count() {
+			t.Errorf("enumerated %d, Count %d", total, s.Count())
+		}
+		var w Walker
+		var advs []*model.Adversary
+		cut := 0
+		c := NewCursor(s, 0, total)
+		for win, ok := c.Next(3); ok; win, ok = c.Next(3) {
+			advs = w.AppendReused(advs[:0], win)
+			for _, a := range advs {
+				if err := a.Validate(s.T, maxV); err != nil {
+					t.Fatalf("%s: invalid adversary in window at %d: %v", s.Label(), win.Base, err)
+				}
+			}
+			cut += len(advs)
+		}
+		if cut != total {
+			t.Errorf("%s: windows cut %d adversaries, Count %d", s.Label(), cut, total)
+		}
 	}
 }
 

@@ -28,7 +28,9 @@ type Meter interface {
 // for concurrent use — engines hold one per worker.
 //
 // Graphs from Build are indistinguishable from graphs from New; the only
-// difference is the lifecycle contract that Release adds.
+// difference is the lifecycle contract that Release adds. BuildTo builds
+// a graph only to a given depth, and Grow extends it as its readers go
+// deeper.
 type Builder struct {
 	sc       buildScratch
 	spare    storage
@@ -50,13 +52,13 @@ type Builder struct {
 	// reused arena), so revive's input diff never reads it.
 	spareIn []model.Value
 	// scPat/scHorizon/scN record which (pattern, horizon, n) the build
-	// scratch currently describes — only full builds mutate sc, and
-	// revive's fillValues reads sc.cr and sc.base, so reviving is only
-	// sound while the scratch still matches the spare graph. An
-	// interleaved full build over another adversary (legal: multiple
-	// graphs from one Builder may be live) invalidates the scratch
-	// without touching the spare, and these fields are how revive
-	// notices.
+	// scratch currently describes — only full builds prepare sc, and
+	// revive, patch and Grow read its crash rounds, delivery sets and
+	// layout, so each is only sound while the scratch still matches the
+	// graph. An interleaved full build over another adversary (legal:
+	// multiple graphs from one Builder may be live) invalidates the
+	// scratch without touching the spare or a live partial graph, and
+	// these fields are how revive and Grow notice.
 	scPat     *model.FailurePattern
 	scHorizon int
 	scN       int
@@ -152,11 +154,23 @@ func (st *storage) bytes() int64 {
 // same horizon, only the input-dependent tables (value sets, minima)
 // are recomputed.
 func (b *Builder) Build(adv *model.Adversary, horizon int) *Graph {
+	return b.BuildTo(adv, horizon, horizon)
+}
+
+// BuildTo is Build that computes only the layers up to time depth (a
+// revived spare keeps every layer it already holds): the graph answers
+// queries at times ≤ its built layer, and Grow builds the later ones on
+// demand, from the goroutine that called BuildTo, for as long as the
+// builder's scratch still describes the graph's pattern. A depth beyond
+// horizon builds the whole graph.
+func (b *Builder) BuildTo(adv *model.Adversary, horizon, depth int) *Graph {
+	depth = min(max(depth, 0), horizon)
 	if g := b.revive(adv, horizon); g != nil {
+		Grow(g, depth)
 		return g
 	}
 	b.built++
-	return build(adv, horizon, &b.sc, b)
+	return build(adv, horizon, depth, &b.sc, b)
 }
 
 // TakeCounts returns the full-build, revive, and patch counts accumulated
@@ -234,37 +248,35 @@ func (b *Builder) attachSpare(adv *model.Adversary) *Graph {
 
 // revive reattaches the released spare graph for a same-pattern,
 // same-horizon rebuild: the views, knownCrash, and hidden tables depend
-// only on the failure pattern and are reused verbatim, and the value
-// layer is recomputed as cheaply as the input diff allows. Identical
-// inputs keep the parked value rows untouched; a single differing input
-// takes the patch kernel, rewriting only the rows of views that have
-// seen the changed process (both counted as patched); anything wider
-// zeroes the value region and refills it (counted as revived). Returns
-// nil when the spare does not match (different pattern, horizon, process
-// count, stale scratch, or inputs too wide for the reused value-set
-// layout) — the caller then runs a full build.
+// only on the failure pattern and are reused verbatim, to the depth the
+// spare was built to, and the value rows of those layers are recomputed
+// as cheaply as the input diff allows. Identical inputs keep the parked
+// value rows untouched; a single differing input takes the patch
+// kernel, rewriting only the rows of views that have seen the changed
+// process (both counted as patched); anything wider refills every built
+// row (counted as revived). Layers past the spare's depth are built from
+// the new inputs when the graph grows. Returns nil when the spare does
+// not match (different pattern, horizon, process count, stale scratch,
+// or inputs too wide for the reused value-set layout) — the caller then
+// runs a full build.
 func (b *Builder) revive(adv *model.Adversary, horizon int) *Graph {
 	changed, diffs, ok := b.spareMatches(adv, horizon)
 	if !ok {
 		return nil
 	}
 	g := b.attachSpare(adv)
+	nodes := (g.built + 1) * g.n
 	switch diffs {
 	case 0:
 		b.patched++
 	case 1:
-		if !b.sc.touchBuilt {
-			b.sc.buildTouch(g.store.arena, g.n, g.w, (g.Horizon+1)*g.n)
+		if b.sc.touchLen < nodes {
+			b.sc.buildTouch(g.store.arena, g.n, g.w, nodes)
 		}
-		patchValues(g, &b.sc, changed)
+		patchValues(g, &b.sc, changed, nodes)
 		b.patched++
 	default:
-		nodes := (g.Horizon + 1) * g.n
-		vals := g.store.arena[g.valsOff : g.valsOff+nodes*g.wv]
-		for i := range vals {
-			vals[i] = 0
-		}
-		fillValues(g, &b.sc)
+		fillValues(g, &b.sc, 0, g.built)
 		b.revived++
 	}
 	return g
@@ -311,103 +323,81 @@ type crasher struct {
 	del  *bitset.Set
 }
 
-// buildScratch is the per-build working memory, reused across builds by
-// Builders and pooled for New. Everything here is dead once build
-// returns; nothing in a Graph aliases it.
+// buildScratch is the per-pattern working memory, reused across builds
+// by Builders and pooled for New. Everything in it derives from the
+// failure pattern, the horizon and n alone, so it serves every graph of
+// that pattern — growing one layer by layer included — until the next
+// full build prepares another; nothing in a Graph aliases it.
 type buildScratch struct {
 	cr    []int         // crash round per process (hoisted map lookups)
 	delOf []*bitset.Set // crash-round delivery set per faulty process
-	base  []int         // arena offset of each node's layer block
-	dead  []bitset.Set  // dead[ρ] = {j : crashRound(j) < ρ}, the hoisted "silent senders"
-	deadW []uint64      // slab behind dead
+	base  []int         // arena offset of each node's layer block, every layer to the horizon
+	deadW []uint64      // deadW[ρ*w:(ρ+1)*w] = {j : crashRound(j) < ρ}, the hoisted "silent senders"
 	crash [][]crasher   // crash[ρ] = processes crashing in round ρ
-	bkt   [][]int       // bkt[ρ] = {j : knownCrash(j) == ρ} while filling hidden tables
 
 	// touched-views table (CSR): touchNodes[touchOff[p]:touchOff[p+1]]
-	// lists, in increasing node order, every node whose layer-0 view
-	// contains process p — exactly the nodes whose value row depends on
-	// p's input. Pattern-derived (layer-0 membership never depends on
-	// inputs), so it shares the scratch's scPat/scHorizon/scN validity;
-	// patchValues walks one row of it instead of every node. Only a
-	// patch reads it, so it is built on the first patch after a full
-	// build (touchBuilt records that), and a stream of full builds that
-	// never patches never pays for it. Increasing node order guarantees
-	// a frozen node's predecessor — same layer-0 block, hence same
-	// membership — is patched before the frozen node copies its row.
+	// lists, in increasing node order, every node below touchLen whose
+	// layer-0 view contains process p — exactly the nodes whose value
+	// row depends on p's input. Pattern-derived (layer-0 membership
+	// never depends on inputs), so it shares the scratch's
+	// scPat/scHorizon/scN validity; patchValues walks one row of it
+	// instead of every node. Only a patch reads it, so a patch builds
+	// it when it does not yet cover the patched graph's built nodes
+	// (touchLen is 0 after a full build), and a stream of full builds
+	// that never patches never pays for it. Increasing node order
+	// guarantees a frozen node's predecessor — same layer-0 block, hence
+	// same membership — is patched before the frozen node copies its
+	// row.
 	touchOff   []int
 	touchNodes []int
-	touchBuilt bool
+	touchLen   int
 
-	// word-width frontier sets, re-wrapped over the slabs below per build
-	seen, assigned, u, newly, gset bitset.Set
-	assignedW, uW, newlyW, gsetW   []uint64
+	// one-word-per-64-processes frontier masks of the known-crash pass
+	assignedW, uW []uint64
 }
 
 var scratchPool = sync.Pool{New: func() any { return &buildScratch{} }}
 
-func resizeInts(s []int, n int) []int {
+// resize returns s with length n, reallocating only when it is too
+// short; the contents are whatever s held.
+func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
 
-func resizeWords(s []uint64, n int) []uint64 {
-	if cap(s) < n {
-		return make([]uint64, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
 // forget drops every pointer the scratch holds into the last pattern
-// built — the delivery sets in delOf and crash — and into the last
-// graph's arena, so a parked builder pins neither. prepare refills all
-// of them on the next full build.
+// built — the delivery sets in delOf and crash — so a parked builder
+// pins none of it. prepare refills them on the next full build.
 func (sc *buildScratch) forget() {
 	clear(sc.delOf[:cap(sc.delOf)])
 	for _, c := range sc.crash[:cap(sc.crash)] {
 		clear(c[:cap(c)])
 	}
-	sc.seen = bitset.Set{}
 }
 
 // prepare hoists everything build derives from the failure pattern alone:
-// crash rounds, per-round crasher lists with their delivery sets, and the
-// cumulative dead-before-ρ bitsets that computeKnownCrash previously
-// re-derived by scanning all n processes per seen node. It also marks
-// the touched-views table stale: it describes the previous pattern.
-func (sc *buildScratch) prepare(pat *model.FailurePattern, n, w, h int) {
-	sc.touchBuilt = false
-	sc.cr = resizeInts(sc.cr, n)
-	for i := 0; i < n; i++ {
+// crash rounds, per-round crasher lists with their delivery sets, the
+// cumulative dead-before-ρ masks, and the arena layout — the offset of
+// every node's layer block up to horizon h, so a layer can be built
+// without the ones after it. It returns the number of layer sets the
+// layout holds, and marks the touched-views table stale: it describes
+// the previous pattern.
+func (sc *buildScratch) prepare(pat *model.FailurePattern, n, w, h int) (totalSets int) {
+	sc.touchLen = 0
+	sc.cr = resize(sc.cr, n)
+	for i := range sc.cr {
 		sc.cr[i] = model.NoCrash
 	}
-	if cap(sc.delOf) < n {
-		sc.delOf = make([]*bitset.Set, n)
-	}
-	sc.delOf = sc.delOf[:n]
-	for i := range sc.delOf {
-		sc.delOf[i] = nil
-	}
-	if cap(sc.crash) < h+1 {
-		sc.crash = make([][]crasher, h+1)
-	}
-	sc.crash = sc.crash[:h+1]
+	sc.delOf = resize(sc.delOf, n)
+	clear(sc.delOf)
+	sc.crash = resize(sc.crash, h+1)
 	for i := range sc.crash {
 		sc.crash[i] = sc.crash[i][:0]
 	}
-	sc.deadW = resizeWords(sc.deadW, (h+1)*w)
-	if cap(sc.dead) < h+1 {
-		sc.dead = make([]bitset.Set, h+1)
-	}
-	sc.dead = sc.dead[:h+1]
-	for rho := 0; rho <= h; rho++ {
-		sc.dead[rho] = bitset.Wrap(sc.deadW[rho*w : (rho+1)*w])
-	}
+	sc.deadW = resize(sc.deadW, (h+1)*w)
+	clear(sc.deadW)
 	for _, c := range pat.Crashes {
 		p := c.Proc
 		sc.cr[p] = c.Round
@@ -419,63 +409,55 @@ func (sc *buildScratch) prepare(pat *model.FailurePattern, n, w, h int) {
 			sc.deadW[rho*w+p>>6] |= 1 << uint(p&63)
 		}
 	}
+	sc.assignedW = resize(sc.assignedW, w)
+	sc.uW = resize(sc.uW, w)
 
-	sc.base = resizeInts(sc.base, (h+1)*n)
-	if cap(sc.bkt) < h+1 {
-		sc.bkt = make([][]int, h+1)
+	// Every process has one layer set at time 0; an active node at time
+	// m ≥ 1 owns m+1 fresh sets, a frozen one shares its predecessor's
+	// block.
+	sc.base = resize(sc.base, (h+1)*n)
+	cursor := 0
+	for m := 0; m <= h; m++ {
+		for i := 0; i < n; i++ {
+			node := m*n + i
+			if m > 0 && sc.cr[i] <= m {
+				sc.base[node] = sc.base[node-n]
+				continue
+			}
+			sc.base[node] = cursor
+			cursor += (m + 1) * w
+		}
 	}
-	sc.bkt = sc.bkt[:h+1]
-	sc.assignedW = resizeWords(sc.assignedW, w)
-	sc.uW = resizeWords(sc.uW, w)
-	sc.newlyW = resizeWords(sc.newlyW, w)
-	sc.gsetW = resizeWords(sc.gsetW, w)
-	sc.assigned = bitset.Wrap(sc.assignedW)
-	sc.u = bitset.Wrap(sc.uW)
-	sc.newly = bitset.Wrap(sc.newlyW)
-	sc.gset = bitset.Wrap(sc.gsetW)
+	return cursor / w
 }
 
-// ensure sizes the storage slabs, reusing released capacity when it fits.
-// Only the arena needs zeroing: every other slab is fully overwritten by
-// build, and the stale hiddenCount entries at layers l > m are unreachable
-// through the bounds-checked accessors. When the owning builder carries
-// a meter, the capacity delta this call creates is accounted — ensure is
-// the arena allocation choke point the governor watches.
+// ensure sizes the storage slabs, reusing released capacity when it
+// fits. Nothing is zeroed: each layer's step overwrites every word and
+// entry of the layer it builds, and the accessors refuse queries above
+// the built layer. When the owning builder carries a meter, the
+// capacity delta this call creates is accounted — ensure is the arena
+// allocation choke point the governor watches.
 func (st *storage) ensure(arenaLen, sets, views, ints int, owner *Builder) {
 	var pre int64
 	metered := owner != nil && owner.meter != nil
 	if metered {
 		pre = st.bytes()
 	}
-	st.arena = resizeWords(st.arena, arenaLen)
-	if cap(st.sets) < sets {
-		st.sets = make([]bitset.Set, sets)
-	}
-	st.sets = st.sets[:sets]
-	if cap(st.ptrs) < sets {
-		st.ptrs = make([]*bitset.Set, sets)
-	}
-	st.ptrs = st.ptrs[:sets]
-	if cap(st.views) < views {
-		st.views = make([]View, views)
-	}
-	st.views = st.views[:views]
-	if cap(st.ints) < ints {
-		st.ints = make([]int, ints)
-	}
-	st.ints = st.ints[:ints]
+	st.arena = resize(st.arena, arenaLen)
+	st.sets = resize(st.sets, sets)
+	st.ptrs = resize(st.ptrs, sets)
+	st.views = resize(st.views, views)
+	st.ints = resize(st.ints, ints)
 	if metered {
 		owner.account(st.bytes() - pre)
 	}
 }
 
-// build is the shared core behind New and Builder.Build. It lays the
-// whole graph into flat storage: views first (word-parallel unions over
-// contiguous layer blocks), then knownCrash via the hoisted dead/crasher
-// sets, then the hidden tables as union popcounts, then value sets and
-// minima. Frozen nodes copy their predecessor's rows instead of
-// recomputing them.
-func build(adv *model.Adversary, horizon int, sc *buildScratch, owner *Builder) *Graph {
+// build is the shared core behind New and Builder.BuildTo. It prepares
+// the pattern's tables, sizes flat storage for every layer up to the
+// horizon, and builds the layers up to depth (buildLayer); Grow builds
+// the rest.
+func build(adv *model.Adversary, horizon, depth int, sc *buildScratch, owner *Builder) *Graph {
 	n := adv.N()
 	w := (n + 63) >> 6
 	h := horizon
@@ -490,21 +472,9 @@ func build(adv *model.Adversary, horizon int, sc *buildScratch, owner *Builder) 
 		wv = (maxV >> 6) + 1
 	}
 
-	sc.prepare(adv.Pattern, n, w, h)
+	totalSets := sc.prepare(adv.Pattern, n, w, h)
 	if owner != nil {
 		owner.scPat, owner.scHorizon, owner.scN = adv.Pattern, h, n
-	}
-
-	// Count layer sets: every process has one layer at time 0; an active
-	// node at time m ≥ 1 owns m+1 fresh layers, a frozen node shares its
-	// predecessor's block.
-	totalSets := n
-	for m := 1; m <= h; m++ {
-		for i := 0; i < n; i++ {
-			if sc.cr[i] > m {
-				totalSets += m + 1
-			}
-		}
 	}
 	valsOff := totalSets * w
 	arenaLen := valsOff + (h+1)*n*wv
@@ -533,6 +503,7 @@ func build(adv *model.Adversary, horizon int, sc *buildScratch, owner *Builder) 
 	*g = Graph{
 		Adv: adv, Horizon: h,
 		n: n, w: w, wv: wv,
+		built: -1,
 		store: st, owner: owner,
 		valsOff: valsOff,
 	}
@@ -544,165 +515,146 @@ func build(adv *model.Adversary, horizon int, sc *buildScratch, owner *Builder) 
 	g.minVal = ints[kcLen+hidLen+2*nodes : kcLen+hidLen+3*nodes]
 	g.cr = ints[kcLen+hidLen+3*nodes : kcLen+hidLen+3*nodes+n]
 	copy(g.cr, sc.cr)
-	arena := g.store.arena
-
-	// ---- views ----
-	cursor, setIdx := 0, 0
-	newLayerBlock := func(count int) []*bitset.Set {
-		first := setIdx
-		for l := 0; l < count; l++ {
-			g.store.sets[setIdx] = bitset.Wrap(arena[cursor : cursor+w])
-			g.store.ptrs[setIdx] = &g.store.sets[setIdx]
-			cursor += w
-			setIdx++
-		}
-		return g.store.ptrs[first:setIdx:setIdx]
-	}
-	for i := 0; i < n; i++ {
-		sc.base[i] = cursor
-		layers := newLayerBlock(1)
-		arena[sc.base[i]+i>>6] |= 1 << uint(i&63)
-		g.store.views[i] = View{Proc: i, Time: 0, Layers: layers}
-	}
-	for m := 1; m <= h; m++ {
-		for i := 0; i < n; i++ {
-			node := m*n + i
-			if sc.cr[i] <= m { // frozen: no round-m receive
-				sc.base[node] = sc.base[node-n]
-				g.store.views[node] = View{Proc: i, Time: m, Layers: g.store.views[node-n].Layers}
-				continue
-			}
-			nb := cursor
-			sc.base[node] = nb
-			layers := newLayerBlock(m + 1)
-			for j := 0; j < n; j++ {
-				// Delivered(j, i, m) unrolled over the hoisted crash
-				// rounds: alive senders (and i itself) always deliver,
-				// round-m crashers per their delivery set.
-				if sc.cr[j] < m || (sc.cr[j] == m && !sc.delOf[j].Contains(i)) {
-					continue
-				}
-				prev := node - n - i + j // (m-1)*n + j
-				pl := len(g.store.views[prev].Layers)
-				src := arena[sc.base[prev] : sc.base[prev]+pl*w]
-				dst := arena[nb : nb+pl*w]
-				for x, sw := range src {
-					dst[x] |= sw
-				}
-			}
-			arena[nb+m*w+i>>6] |= 1 << uint(i&63)
-			g.store.views[node] = View{Proc: i, Time: m, Layers: layers}
-		}
-	}
-
-	// ---- knownCrash + failures known ----
-	for m := 0; m <= h; m++ {
-		for i := 0; i < n; i++ {
-			node := m*n + i
-			row := g.knownCrash[node*n : node*n+n]
-			if m > 0 && sc.cr[i] <= m {
-				copy(row, g.knownCrash[(node-n)*n:(node-n)*n+n])
-				g.fails[node] = g.fails[node-n]
-				continue
-			}
-			for j := range row {
-				row[j] = NoKnownCrash
-			}
-			sc.assigned.CopyFrom(nil)
-			nb := sc.base[node]
-			for rho := 1; rho <= m; rho++ {
-				seenW := arena[nb+rho*w : nb+(rho+1)*w]
-				empty := true
-				for _, sw := range seenW {
-					if sw != 0 {
-						empty = false
-						break
-					}
-				}
-				if empty {
-					continue
-				}
-				sc.seen = bitset.Wrap(seenW)
-				// U(ρ) = every process provably crashed by some seen
-				// ⟨h,ρ⟩: all senders silent since before ρ, plus each
-				// round-ρ crasher whose delivery set misses a seen node.
-				sc.u.CopyFrom(&sc.dead[rho])
-				for _, c := range sc.crash[rho] {
-					if bitset.AndNotCount(&sc.seen, c.del) > 0 {
-						sc.u.Add(c.proc)
-					}
-				}
-				// Ascending ρ ⇒ first assignment is the minimum.
-				sc.newly.CopyFrom(&sc.u).SubtractWith(&sc.assigned)
-				for wi, word := range sc.newly.Words() {
-					for word != 0 {
-						b := bits.TrailingZeros64(word)
-						row[wi*64+b] = rho
-						word &^= 1 << uint(b)
-					}
-				}
-				sc.assigned.UnionWith(&sc.u)
-			}
-			g.fails[node] = sc.assigned.Count()
-		}
-	}
-
-	// ---- hidden tables: count = n − |seen(ℓ) ∪ {j : knownCrash ≤ ℓ}| ----
-	hStride := h + 1
-	for m := 0; m <= h; m++ {
-		for i := 0; i < n; i++ {
-			node := m*n + i
-			row := g.knownCrash[node*n : node*n+n]
-			for l := 0; l <= m; l++ {
-				sc.bkt[l] = sc.bkt[l][:0]
-			}
-			for j := 0; j < n; j++ {
-				if r := row[j]; r <= m {
-					sc.bkt[r] = append(sc.bkt[r], j)
-				}
-			}
-			sc.gset.CopyFrom(nil)
-			L := len(g.store.views[node].Layers)
-			nb := sc.base[node]
-			hrow := g.hiddenCount[node*hStride : node*hStride+m+1]
-			minC := n
-			for l := 0; l <= m; l++ {
-				for _, j := range sc.bkt[l] {
-					sc.gset.Add(j)
-				}
-				var cnt int
-				if l < L {
-					sc.seen = bitset.Wrap(arena[nb+l*w : nb+(l+1)*w])
-					cnt = n - bitset.OrCount(&sc.seen, &sc.gset)
-				} else {
-					cnt = n - sc.gset.Count()
-				}
-				hrow[l] = cnt
-				if cnt < minC {
-					minC = cnt
-				}
-			}
-			g.hc[node] = minC
-		}
-	}
-
-	fillValues(g, sc)
+	growTo(g, sc, min(depth, h))
 	return g
 }
 
-// buildTouch computes the per-pattern touched-views table from the
-// layer-0 offsets the pattern's full build left in sc.base and the
-// layer-0 words of its arena: for each process p, the nodes whose
-// layer-0 view contains p, in increasing node order. Two passes over
-// the layer-0 words (count, then fill) lay the lists out as CSR in two
-// reused int slabs; the end-cursor trick turns the fill cursors back
-// into offsets with one shift.
-func (sc *buildScratch) buildTouch(arena []uint64, n, w, nodes int) {
-	sc.touchBuilt = true
-	sc.touchOff = resizeInts(sc.touchOff, n+1)
-	for p := 0; p <= n; p++ {
-		sc.touchOff[p] = 0
+// growTo builds g's layers after its built one, up to m, in order.
+func growTo(g *Graph, sc *buildScratch, m int) {
+	for l := g.built + 1; l <= m; l++ {
+		buildLayer(g, sc, l)
+		g.built = l
 	}
+}
+
+// buildLayer computes layer m of g from its layers below m and the
+// pattern tables in sc, in one pass over the layer's nodes. An active
+// node ⟨i,m⟩ unions the layer blocks of its round-m senders' time-(m−1)
+// views (word-parallel over contiguous blocks), then runs its
+// known-crash pass: for ρ = 1..m, U(ρ) is every process provably
+// crashed by some seen ⟨h,ρ⟩ — the senders silent since before ρ, plus
+// each round-ρ crasher whose delivery set misses a seen node — and a
+// process's known crash round is the first ρ whose U(ρ) holds it. The
+// same pass counts the hidden nodes of each layer: after ρ = ℓ, the
+// assigned mask is exactly {j : knownCrash(j) ≤ ℓ}, so hidden(ℓ) =
+// n − |seen(ℓ) ∪ assigned|. A frozen node (crashed in a round ≤ m)
+// copies its predecessor's rows: its view, known crashes and failure
+// count are unchanged, and its one new hidden count, of layer m, past
+// its last seen layer, is n − fails. Last come the layer's value sets
+// and minima (fillValues).
+func buildLayer(g *Graph, sc *buildScratch, m int) {
+	n, w, stride := g.n, g.w, g.Horizon+1
+	st := &g.store
+	arena := st.arena
+	assigned, u := sc.assignedW, sc.uW
+	for i := 0; i < n; i++ {
+		node := m*n + i
+		kc := g.knownCrash[node*n : node*n+n]
+		hrow := g.hiddenCount[node*stride : node*stride+m+1]
+		if m > 0 && sc.cr[i] <= m { // frozen: no round-m receive
+			prev := node - n
+			st.views[node] = View{Proc: i, Time: m, Layers: st.views[prev].Layers}
+			copy(kc, g.knownCrash[prev*n:prev*n+n])
+			copy(hrow, g.hiddenCount[prev*stride:prev*stride+m])
+			f := g.fails[prev]
+			g.fails[node] = f
+			hrow[m] = n - f
+			g.hc[node] = min(g.hc[prev], n-f)
+			continue
+		}
+
+		// ---- view ----
+		nb := sc.base[node]
+		block := arena[nb : nb+(m+1)*w]
+		clear(block)
+		for j := 0; m > 0 && j < n; j++ {
+			// Delivered(j, i, m) unrolled over the hoisted crash rounds:
+			// alive senders (and i itself) always deliver, round-m
+			// crashers per their delivery set.
+			if sc.cr[j] < m || (sc.cr[j] == m && !sc.delOf[j].Contains(i)) {
+				continue
+			}
+			prev := node - n - i + j // (m-1)*n + j
+			pl := len(st.views[prev].Layers)
+			for x, sw := range arena[sc.base[prev] : sc.base[prev]+pl*w] {
+				block[x] |= sw
+			}
+		}
+		block[m*w+i>>6] |= 1 << uint(i&63)
+		first := nb / w
+		for l := 0; l <= m; l++ {
+			st.sets[first+l] = bitset.Wrap(block[l*w : (l+1)*w])
+			st.ptrs[first+l] = &st.sets[first+l]
+		}
+		st.views[node] = View{Proc: i, Time: m, Layers: st.ptrs[first : first+m+1 : first+m+1]}
+
+		// ---- known crashes, failures known, hidden counts ----
+		for j := range kc {
+			kc[j] = NoKnownCrash
+		}
+		clear(assigned)
+		seen := 0
+		for _, sw := range block[:w] {
+			seen += bits.OnesCount64(sw)
+		}
+		minC := n - seen
+		hrow[0] = minC
+		for rho := 1; rho <= m; rho++ {
+			seenW := block[rho*w : (rho+1)*w]
+			copy(u, sc.deadW[rho*w:(rho+1)*w])
+			for _, c := range sc.crash[rho] {
+				if missesSeen(seenW, c.del.Words()) {
+					u[c.proc>>6] |= 1 << uint(c.proc&63)
+				}
+			}
+			// Ascending ρ ⇒ first assignment is the minimum.
+			cnt := 0
+			for x, uw := range u {
+				for newly := uw &^ assigned[x]; newly != 0; newly &= newly - 1 {
+					kc[x<<6|bits.TrailingZeros64(newly)] = rho
+				}
+				assigned[x] |= uw
+				cnt += bits.OnesCount64(seenW[x] | assigned[x])
+			}
+			hrow[rho] = n - cnt
+			minC = min(minC, n-cnt)
+		}
+		fails := 0
+		for _, aw := range assigned {
+			fails += bits.OnesCount64(aw)
+		}
+		g.fails[node] = fails
+		g.hc[node] = minC
+	}
+	fillValues(g, sc, m, m)
+}
+
+// missesSeen reports whether a seen layer holds a process outside the
+// delivery set del: a round-ρ crasher whose message one seen ⟨h,ρ⟩
+// lacked is provably crashed. Words past del's end count as empty.
+func missesSeen(seen, del []uint64) bool {
+	for x, sw := range seen {
+		if x < len(del) {
+			sw &^= del[x]
+		}
+		if sw != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// buildTouch computes the per-pattern touched-views table of the first
+// nodes nodes from the layer-0 offsets in sc.base and the layer-0 words
+// of a graph of the pattern built at least that far: for each process
+// p, the nodes whose layer-0 view contains p, in increasing node order.
+// Two passes over the layer-0 words (count, then fill) lay the lists out
+// as CSR in two reused int slabs; the end-cursor trick turns the fill
+// cursors back into offsets with one shift.
+func (sc *buildScratch) buildTouch(arena []uint64, n, w, nodes int) {
+	sc.touchLen = nodes
+	sc.touchOff = resize(sc.touchOff, n+1)
+	clear(sc.touchOff)
 	for node := 0; node < nodes; node++ {
 		layer0 := arena[sc.base[node] : sc.base[node]+w]
 		for wi, word := range layer0 {
@@ -716,7 +668,7 @@ func (sc *buildScratch) buildTouch(arena []uint64, n, w, nodes int) {
 	for p := 0; p < n; p++ {
 		sc.touchOff[p+1] += sc.touchOff[p]
 	}
-	sc.touchNodes = resizeInts(sc.touchNodes, sc.touchOff[n])
+	sc.touchNodes = resize(sc.touchNodes, sc.touchOff[n])
 	for node := 0; node < nodes; node++ {
 		layer0 := arena[sc.base[node] : sc.base[node]+w]
 		for wi, word := range layer0 {
@@ -733,57 +685,41 @@ func (sc *buildScratch) buildTouch(arena []uint64, n, w, nodes int) {
 	sc.touchOff[0] = 0
 }
 
-// patchValues rewrites the value rows of exactly the nodes whose layer-0
-// view contains changed — the only rows that can depend on its input —
-// leaving every other row as the previous adversary left it. Each
-// touched active node zeroes and recomputes its row as fillValues would;
-// touched frozen nodes copy their predecessor's row, already patched
-// because the touched-views list is in increasing node order.
-func patchValues(g *Graph, sc *buildScratch, changed int) {
-	adv := g.Adv
+// patchValues rewrites the value rows of exactly the nodes below nodes
+// whose layer-0 view contains changed — the only built rows that can
+// depend on its input — leaving every other row as the previous
+// adversary left it. The table lists nodes in increasing order, so a
+// touched frozen node copies its predecessor's row after the
+// predecessor was patched, and the walk stops at the first node past
+// the built ones.
+func patchValues(g *Graph, sc *buildScratch, changed, nodes int) {
 	n, w, wv, valsOff := g.n, g.w, g.wv, g.valsOff
-	arena := g.store.arena
+	arena, inputs := g.store.arena, g.Adv.Inputs
 	for _, node := range sc.touchNodes[sc.touchOff[changed]:sc.touchOff[changed+1]] {
-		m, i := node/n, node%n
+		if node >= nodes {
+			return
+		}
 		vrow := arena[valsOff+node*wv : valsOff+(node+1)*wv]
-		if m > 0 && sc.cr[i] <= m {
+		if m := node / n; m > 0 && sc.cr[node-m*n] <= m {
 			copy(vrow, arena[valsOff+(node-n)*wv:valsOff+(node-n+1)*wv])
 			g.minVal[node] = g.minVal[node-n]
 			continue
 		}
-		for x := range vrow {
-			vrow[x] = 0
-		}
-		minV := model.Value(NoKnownCrash)
-		layer0 := arena[sc.base[node] : sc.base[node]+w]
-		for wi, word := range layer0 {
-			for word != 0 {
-				b := bits.TrailingZeros64(word)
-				word &^= 1 << uint(b)
-				v := adv.Inputs[wi*64+b]
-				if v < 0 {
-					continue
-				}
-				vrow[v>>6] |= 1 << uint(v&63)
-				if v < minV {
-					minV = v
-				}
-			}
-		}
-		g.minVal[node] = minV
+		clear(vrow)
+		g.minVal[node] = valueRow(vrow, arena[sc.base[node]:sc.base[node]+w], inputs)
 	}
 }
 
 // fillValues computes the input-dependent tables — per-node value sets
-// and minima — into g's arena and minVal slab, both already zeroed. It
-// is the build step revive repeats for a new input vector over a reused
-// pattern, reading the crash rounds and layer-0 offsets the pattern's
-// full build left in sc.
-func fillValues(g *Graph, sc *buildScratch) {
-	adv := g.Adv
-	n, h, w, wv, valsOff := g.n, g.Horizon, g.w, g.wv, g.valsOff
-	arena := g.store.arena
-	for m := 0; m <= h; m++ {
+// and minima — of g's layers from through to, from each node's layer-0
+// view words and g's inputs: the last step of a layer's build, and the
+// step revive repeats for new inputs over a reused pattern. A frozen
+// node copies its predecessor's row.
+func fillValues(g *Graph, sc *buildScratch, from, to int) {
+	n, w, wv, valsOff := g.n, g.w, g.wv, g.valsOff
+	arena, inputs := g.store.arena, g.Adv.Inputs
+	clear(arena[valsOff+from*n*wv : valsOff+(to+1)*n*wv])
+	for m := from; m <= to; m++ {
 		for i := 0; i < n; i++ {
 			node := m*n + i
 			vrow := arena[valsOff+node*wv : valsOff+(node+1)*wv]
@@ -792,23 +728,25 @@ func fillValues(g *Graph, sc *buildScratch) {
 				g.minVal[node] = g.minVal[node-n]
 				continue
 			}
-			minV := model.Value(NoKnownCrash)
-			layer0 := arena[sc.base[node] : sc.base[node]+w]
-			for wi, word := range layer0 {
-				for word != 0 {
-					b := bits.TrailingZeros64(word)
-					word &^= 1 << uint(b)
-					v := adv.Inputs[wi*64+b]
-					if v < 0 {
-						continue
-					}
-					vrow[v>>6] |= 1 << uint(v&63)
-					if v < minV {
-						minV = v
-					}
-				}
-			}
-			g.minVal[node] = minV
+			g.minVal[node] = valueRow(vrow, arena[sc.base[node]:sc.base[node]+w], inputs)
 		}
 	}
+}
+
+// valueRow adds to vrow, zeroed by the caller, the value set of the
+// processes in layer0, a view's layer-0 words, under inputs, and returns
+// its minimum, or NoKnownCrash when it is empty.
+func valueRow(vrow, layer0 []uint64, inputs []model.Value) model.Value {
+	minV := model.Value(NoKnownCrash)
+	for wi, word := range layer0 {
+		for ; word != 0; word &= word - 1 {
+			v := inputs[wi*64+bits.TrailingZeros64(word)]
+			if v < 0 {
+				continue
+			}
+			vrow[v>>6] |= 1 << uint(v&63)
+			minV = min(minV, v)
+		}
+	}
+	return minV
 }

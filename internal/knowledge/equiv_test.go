@@ -31,10 +31,11 @@ func randomAdversary(rng *rand.Rand, n, t, maxRound, maxVal int) *model.Adversar
 }
 
 // checkEquivalent asserts every query of the arena graph agrees with the
-// retained naive reference, node for node.
+// retained naive reference, node for node, at every time the graph has
+// built.
 func checkEquivalent(t *testing.T, g *Graph, ref *referenceGraph) {
 	t.Helper()
-	n, h := g.Adv.N(), g.Horizon
+	n, h := g.Adv.N(), g.built
 	for m := 0; m <= h; m++ {
 		for i := 0; i < n; i++ {
 			gv, rv := g.View(i, m), ref.view(i, m)

@@ -15,13 +15,24 @@
 // per-node value set lives in one flat []uint64 slab, and the derived
 // tables (knownCrash, hiddenCount, hc, failures known, minima) are flat
 // []int slabs indexed by (m,i,·) stride arithmetic. Construction runs
-// word-parallel — the per-round "dead before ρ" and per-crasher
-// non-delivery sets are hoisted once per graph, and the hidden tables are
-// union popcounts — so building a graph costs a handful of allocations
-// regardless of n and horizon. The naive implementation it replaced is
-// retained, test-only, in reference_test.go, and the two are
-// cross-checked node-for-node over randomized adversaries in
-// equiv_test.go.
+// one layer at a time, word-parallel: the per-round "dead before ρ" and
+// per-crasher non-delivery sets and the arena layout of every layer are
+// hoisted once per pattern, and one pass over a layer's nodes computes
+// their views, known crashes, hidden counts (union popcounts inside the
+// known-crash loop) and value sets — so building a graph costs a
+// handful of allocations regardless of n and horizon. The naive
+// implementation it replaced is retained, test-only, in
+// reference_test.go, and the two are cross-checked node-for-node over
+// randomized adversaries in equiv_test.go, at every built depth.
+//
+// # Depth
+//
+// A decision at time m reads only the view Gα(i,m), so a graph need not
+// hold the layers a run never reaches. New and Builder.Build build every
+// layer to the horizon; Builder.BuildTo builds only the first ones, and
+// Grow adds the rest on demand. Storage is sized for the whole horizon
+// up front either way, and a query above the built layer panics like
+// one above the horizon.
 package knowledge
 
 import (
@@ -73,15 +84,20 @@ type storage struct {
 
 // Graph holds the communication graph of one adversary together with every
 // process's view at every time up to Horizon, plus the per-node
-// guaranteed-crash knowledge. It is immutable after construction and safe
-// for concurrent readers.
+// guaranteed-crash knowledge. A graph from New or Builder.Build holds
+// every layer and is immutable after construction and safe for
+// concurrent readers. A graph from Builder.BuildTo holds its layers up
+// to a built one, answers queries only there, and grows by Grow: only
+// the goroutine that built it may grow it, and it is safe for
+// concurrent readers only while nobody does.
 type Graph struct {
 	Adv     *model.Adversary
 	Horizon int
 
-	n  int // processes
-	w  int // uint64 words per process set
-	wv int // uint64 words per value set
+	n     int // processes
+	w     int // uint64 words per process set
+	wv    int // uint64 words per value set
+	built int // the last layer built: queries at times ≤ built answer
 
 	store storage
 	owner *Builder // set when built by a Builder; enables Release
@@ -110,22 +126,54 @@ type Graph struct {
 // The panic body lives in badNode so node itself stays within the
 // inlining budget — it runs on every graph query, and a call frame per
 // bounds check is measurable across a sweep.
+//
+// The bound is the built layer, not the horizon: a partially built
+// graph must never answer from a row it has not computed yet.
 func (g *Graph) node(i model.Proc, m int) int {
 	// Unsigned compares fold each "negative or too large" pair into one
 	// branch, and the panic value renders itself lazily: both keep this
 	// under the inlining budget, where a fmt.Sprintf call would not.
-	if uint(i) >= uint(g.n) || uint(m) > uint(g.Horizon) {
-		panic(&nodeError{i, m, g.n, g.Horizon})
+	if uint(i) >= uint(g.n) || uint(m) > uint(g.built) {
+		panic(&nodeError{i, m, g.n, g.built, g.Horizon})
 	}
 	return m*g.n + i
 }
 
 // nodeError is the panic value of an out-of-range node query; the
 // message is built only when the panic is printed or inspected.
-type nodeError struct{ i, m, n, horizon int }
+type nodeError struct{ i, m, n, built, horizon int }
 
 func (e *nodeError) Error() string {
+	if e.built < e.horizon {
+		return fmt.Sprintf("knowledge: node ⟨%d,%d⟩ outside %d processes × layers 0..%d built of horizon %d", e.i, e.m, e.n, e.built, e.horizon)
+	}
 	return fmt.Sprintf("knowledge: node ⟨%d,%d⟩ outside %d processes × horizon %d", e.i, e.m, e.n, e.horizon)
+}
+
+// Grow builds g's layers up to time m, when g does not hold them yet: a
+// run loop calls it before it evaluates time m, so a graph from
+// Builder.BuildTo grows only as deep as its runs read. On a graph that
+// already holds layer m — every graph New or Builder.Build returns — it
+// does nothing. Growing reads the building Builder's scratch, so only
+// the goroutine that built g may call it, and only while that scratch
+// still describes g's pattern; growing past the horizon, or a graph
+// whose builder has since prepared another pattern, is a caller bug and
+// panics.
+func Grow(g *Graph, m int) {
+	if m > g.built {
+		g.grow(m)
+	}
+}
+
+func (g *Graph) grow(m int) {
+	if m > g.Horizon {
+		panic(&nodeError{0, m, g.n, g.built, g.Horizon})
+	}
+	b := g.owner
+	if b == nil || b.scPat != g.Adv.Pattern || b.scHorizon != g.Horizon || b.scN != g.n {
+		panic("knowledge: growing a graph whose builder's scratch describes another pattern")
+	}
+	growTo(g, &b.sc, m)
 }
 
 // proc bounds-checks a process argument j the same way.
@@ -150,7 +198,7 @@ func (e *procError) Error() string {
 // that build and drop many graphs should use a Builder.
 func New(adv *model.Adversary, horizon int) *Graph {
 	sc := scratchPool.Get().(*buildScratch)
-	g := build(adv, horizon, sc, nil)
+	g := build(adv, horizon, horizon, sc, nil)
 	scratchPool.Put(sc)
 	return g
 }

@@ -156,16 +156,19 @@ func TestBuilderKeepsNothingOfReleasedAdversary(t *testing.T) {
 }
 
 // checkSameGraph asserts two graphs of one adversary answer every query
-// alike: views (through their fingerprints, which also encode the
-// layer-0 inputs and every sender set), value sets and minima, and the
-// crash and hidden tables.
+// alike, at every time got has built: views (through their
+// fingerprints, which also encode the layer-0 inputs and every sender
+// set), value sets and minima, and the crash and hidden tables.
 func checkSameGraph(t *testing.T, got, want *Graph) {
 	t.Helper()
 	n, h := want.Adv.N(), want.Horizon
 	if got.Adv.N() != n || got.Horizon != h {
 		t.Fatalf("graph over %d processes to horizon %d, want %d to %d", got.Adv.N(), got.Horizon, n, h)
 	}
-	for m := 0; m <= h; m++ {
+	if got.built > want.built {
+		t.Fatalf("graph built to time %d, its reference only to %d", got.built, want.built)
+	}
+	for m := 0; m <= got.built; m++ {
 		for i := 0; i < n; i++ {
 			if g, w := got.Fingerprint(i, m), want.Fingerprint(i, m); g != w {
 				t.Fatalf("view ⟨%d,%d⟩ differs from knowledge.New's", i, m)
@@ -185,6 +188,18 @@ func checkSameGraph(t *testing.T, got, want *Graph) {
 			for j := 0; j < n; j++ {
 				if g, w := got.KnownCrashRound(i, m, j), want.KnownCrashRound(i, m, j); g != w {
 					t.Fatalf("KnownCrashRound⟨%d,%d⟩(%d) = %d, knowledge.New %d", i, m, j, g, w)
+				}
+			}
+			for l := 0; l <= m; l++ {
+				if g, w := got.HiddenCount(i, m, l), want.HiddenCount(i, m, l); g != w {
+					t.Fatalf("HiddenCount⟨%d,%d⟩(%d) = %d, knowledge.New %d", i, m, l, g, w)
+				}
+			}
+			for v := 0; v <= 3; v++ {
+				for tt := 0; tt <= n; tt++ {
+					if g, w := got.Persists(i, m, v, tt), want.Persists(i, m, v, tt); g != w {
+						t.Fatalf("Persists⟨%d,%d⟩(v=%d,t=%d) = %v, knowledge.New %v", i, m, v, tt, g, w)
+					}
 				}
 			}
 		}

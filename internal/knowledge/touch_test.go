@@ -18,9 +18,9 @@ func TestFullBuildsNeverFillTouchTable(t *testing.T) {
 	if built, _, _ := b.TakeCounts(); built != 200 {
 		t.Fatalf("%d full builds of 200 fresh patterns", built)
 	}
-	if b.sc.touchBuilt || cap(b.sc.touchOff) != 0 || cap(b.sc.touchNodes) != 0 {
-		t.Fatalf("full builds filled the touched-views table (built %v, %d offsets, %d nodes)",
-			b.sc.touchBuilt, cap(b.sc.touchOff), cap(b.sc.touchNodes))
+	if b.sc.touchLen != 0 || cap(b.sc.touchOff) != 0 || cap(b.sc.touchNodes) != 0 {
+		t.Fatalf("full builds filled the touched-views table (%d nodes covered, %d offsets, %d nodes)",
+			b.sc.touchLen, cap(b.sc.touchOff), cap(b.sc.touchNodes))
 	}
 }
 
@@ -41,15 +41,15 @@ func TestPatchBuildsItsOwnTouchTable(t *testing.T) {
 		g := b.Build(a1, 4)
 		checkSameGraph(t, g, New(a1, 4))
 		g.Release()
-		if !b.sc.touchBuilt {
-			t.Fatal("a patch ran without a touched-views table")
+		if b.sc.touchLen != 5*5 {
+			t.Fatalf("a patch of a 5-process graph built to time 4 ran with a touched-views table of %d nodes", b.sc.touchLen)
 		}
 		// Full builds of B and of A again, interleaved, then a patch of
 		// A: B's full build made the table stale, and A's must not pass
 		// the table of A's earlier patch off as its own.
 		gB := b.Build(advB, 4)
 		gA := b.Build(advA, 4)
-		if b.sc.touchBuilt {
+		if b.sc.touchLen != 0 {
 			t.Fatal("a full build left the previous pattern's table marked built")
 		}
 		gB.Release()
@@ -73,7 +73,7 @@ func TestPatchBuildsItsOwnTouchTable(t *testing.T) {
 
 // TestForgetDropsPatternPointers checks that Forget leaves nothing of
 // the last pattern in the build scratch: no delivery set in delOf or in
-// any per-round crasher list, and no view of the last graph.
+// any per-round crasher list.
 func TestForgetDropsPatternPointers(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	b := NewBuilder()
@@ -99,8 +99,5 @@ func TestForgetDropsPatternPointers(t *testing.T) {
 				t.Fatalf("crash[%d][%d] still points at a delivery set", rho, j)
 			}
 		}
-	}
-	if b.sc.seen.Words() != nil {
-		t.Fatal("the scratch still wraps the last graph's arena")
 	}
 }

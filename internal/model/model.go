@@ -32,6 +32,14 @@ type Value = int
 // greater than every real round.
 const NoCrash = int(^uint(0) >> 1) // max int
 
+// ValueLimit bounds every input: an adversary's inputs lie in
+// 0..ValueLimit−1. A knowledge graph sizes each node's value set by the
+// largest input, one bit per value, so an input's magnitude, not the
+// number of distinct inputs, sets its memory; the bound caps a value
+// set at 2^14 words. Adversary.Validate, enum.Space.Validate and the
+// random workload all reject inputs past it.
+const ValueLimit = 1 << 20
+
 // Crash describes the failure of one process: which process, the round
 // in which it crashes (≥ 1), and the set of processes that still receive
 // its crash-round message. Deliveries to itself are meaningless and
@@ -273,9 +281,9 @@ func (a *Adversary) Clone() *Adversary {
 
 // Validate checks the adversary's structure (see FailurePattern.Validate),
 // its crash bound t and its value domain {0..maxValue}: t < 0 skips the
-// bound, and maxValue < 0 skips the domain's upper end, but never its
-// lower one — no input is negative. It allocates nothing on a valid
-// adversary.
+// bound, and maxValue < 0 skips the domain's upper end, but never the
+// bounds every input obeys — no input is negative or reaches
+// ValueLimit. It allocates nothing on a valid adversary.
 func (a *Adversary) Validate(t, maxValue int) error {
 	if a.Pattern == nil {
 		return fmt.Errorf("model: adversary has nil failure pattern")
@@ -292,6 +300,9 @@ func (a *Adversary) Validate(t, maxValue int) error {
 		}
 		if v < 0 {
 			return fmt.Errorf("model: negative input %d of process %d", v, p)
+		}
+		if v >= ValueLimit {
+			return fmt.Errorf("model: input %d of process %d outside {0..%d}", v, p, ValueLimit-1)
 		}
 	}
 	return nil

@@ -47,12 +47,16 @@ var samplerCases = []struct {
 }
 
 // TestSamplerMatchesReference pins the Sampler's stream to the reference
-// Random's over seeds 1–20: the same adversaries by String and
-// Fingerprint, draw for draw, with every drawn adversary compared only
-// after the whole stream is drawn (so a slab carved twice shows), and
-// the rng left in the same state.
+// Random's over seeds 1–20, on both of its paths: the same adversaries
+// by String and Fingerprint, draw for draw, and the rng left in the
+// same state. Next's draws are compared only after the whole stream is
+// drawn (so a slab carved twice shows). AppendReused draws windows of
+// varying sizes into one reused arena — growing it mid-stream, and
+// rewinding it each window — and each window is compared once it is
+// whole, before the next overwrites it.
 func TestSamplerMatchesReference(t *testing.T) {
 	const draws = 300
+	windows := []int{1, 7, 2, 32, 5, 1, 64}
 	for _, c := range samplerCases {
 		for seed := int64(1); seed <= 20; seed++ {
 			got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
@@ -62,16 +66,38 @@ func TestSamplerMatchesReference(t *testing.T) {
 				gotAdvs = append(gotAdvs, s.Next())
 				wantAdvs = append(wantAdvs, referenceRandom(want, c.p))
 			}
-			for i := range gotAdvs {
-				g, w := gotAdvs[i], wantAdvs[i]
+			check := func(path string, i int, g *Adversary) {
+				t.Helper()
+				w := wantAdvs[i]
 				if g.String() != w.String() || g.Fingerprint() != w.Fingerprint() {
-					t.Fatalf("%s seed %d draw %d: sampler %s, reference %s", c.name, seed, i, g, w)
+					t.Fatalf("%s seed %d draw %d: %s %s, reference %s", c.name, seed, i, path, g, w)
 				}
 				if err := g.Validate(c.p.T, c.p.MaxValue); err != nil {
-					t.Fatalf("%s seed %d draw %d: %v", c.name, seed, i, err)
+					t.Fatalf("%s seed %d draw %d: %s: %v", c.name, seed, i, path, err)
 				}
 			}
-			if g, w := got.Int63(), want.Int63(); g != w {
+			for i, g := range gotAdvs {
+				check("sampler", i, g)
+			}
+
+			inArena := rand.New(rand.NewSource(seed))
+			as := NewSampler(inArena, c.p)
+			var (
+				arena Arena
+				win   []*Adversary
+			)
+			for i, j := 0, 0; i < draws; j++ {
+				k := min(windows[j%len(windows)], draws-i)
+				win = as.AppendReused(win[:0], &arena, k)
+				if len(win) != k {
+					t.Fatalf("%s seed %d: a window of %d draws appended %d", c.name, seed, k, len(win))
+				}
+				for x, g := range win {
+					check("arena", i+x, g)
+				}
+				i += k
+			}
+			if g, a, w := got.Int63(), inArena.Int63(), want.Int63(); g != w || a != w {
 				t.Fatalf("%s seed %d: the rngs diverge after %d draws", c.name, seed, draws)
 			}
 		}

@@ -6,8 +6,11 @@ import "setconsensus/internal/bitset"
 // block too short for them with a fresh one of k·ahead entries. The cut
 // is a full-slice expression, so its capacity is exactly k: an append to
 // one carved slice reallocates instead of writing into the next one's
-// entries. Blocks are never reused, so carved slices stay independent
-// values however long a caller keeps them.
+// entries. carve never hands an entry out twice from one block header:
+// a stream carved from a header that is never rewound (PatternSlab's
+// users, Sampler.Next) yields independent values however long a caller
+// keeps them, while an Arena rewinds by carving each window from a
+// fresh copy of its headers, and so reuses its blocks.
 func carve[T any](blk *[]T, k, ahead int) []T {
 	if len(*blk) < k {
 		*blk = make([]T, k*max(ahead, 1))
@@ -25,8 +28,9 @@ func carve[T any](blk *[]T, k, ahead int) []T {
 // that many, so a stream that knows it is short does not pay for a long
 // one's blocks. Carved values are never handed out twice, so each
 // pattern is a distinct pointer, and a kept pattern pins only its
-// blocks. The zero PatternSlab is ready to use; it is not safe for
-// concurrent use.
+// blocks — except through an Arena, which carves every window from a
+// copy of its PatternSlab and so hands the same slots out again. The
+// zero PatternSlab is ready to use; it is not safe for concurrent use.
 type PatternSlab struct {
 	pats    []FailurePattern
 	crashes []Crash

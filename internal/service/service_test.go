@@ -249,14 +249,20 @@ func TestSubmissionErrors(t *testing.T) {
 }
 
 // TestSubmitRefusesUnboundedRandomInputs pins that admission reads the
-// random workload's input bound: a one-adversary job whose inputs range
-// over 0..10^9 — a graph of about 1.5 GB — is refused at Submit, with
-// the bound named, and nothing is queued.
+// workloads' input bound: a one-adversary job whose inputs range over
+// 0..10^9 — a graph of about 1.5 GB — or whose one space value is 10^9
+// — 503 MB — is refused at Submit, with the bound named, and nothing is
+// queued.
 func TestSubmitRefusesUnboundedRandomInputs(t *testing.T) {
 	s, _ := newTestServer(t, nil)
-	_, err := s.Submit(JobRequest{Kind: KindSweep, Refs: []string{"optmin"}, Workload: "random:n=3,t=0,maxv=1000000000,count=1"})
-	if err == nil || !strings.Contains(err.Error(), "1048576") {
-		t.Fatalf("Submit = %v, want a refusal naming the 1048576-value bound", err)
+	for _, c := range []struct{ workload, bound string }{
+		{"random:n=3,t=0,maxv=1000000000,count=1", "1048576"},
+		{"space:n=2,t=0,r=1,v=1000000000..1000000000", "1048575"},
+	} {
+		_, err := s.Submit(JobRequest{Kind: KindSweep, Refs: []string{"optmin"}, Workload: c.workload})
+		if err == nil || !strings.Contains(err.Error(), c.bound) {
+			t.Fatalf("Submit(%q) = %v, want a refusal naming the bound %s", c.workload, err, c.bound)
+		}
 	}
 	if q := s.metrics.queued.Load(); q != 0 {
 		t.Fatalf("%d jobs queued, want none", q)

@@ -188,8 +188,12 @@ func (sc *Scratch) Bytes() int64 {
 // At each time m it removes the processes crashing in a round ≤ m from
 // the alive set, takes the alive processes not yet decided as m's
 // candidates, and stops at the first time with none: no later time can
-// have one. A StepRule decides the candidates in one call; any other
-// protocol is asked per candidate.
+// have one. Before it evaluates a time with candidates it grows g to
+// that time (knowledge.Grow), so a graph from Builder.BuildTo is built
+// only as deep as the run reads, and the decision rules read only
+// layers it holds; on a full graph the grow is a no-op. A StepRule
+// decides the candidates in one call; any other protocol is asked per
+// candidate.
 func RunWithGraphInto(p Protocol, g *knowledge.Graph, sc *Scratch, res *Result) {
 	adv := g.Adv
 	n := adv.N()
@@ -218,6 +222,7 @@ func RunWithGraphInto(p Protocol, g *knowledge.Graph, sc *Scratch, res *Result) 
 		if any == 0 {
 			break
 		}
+		knowledge.Grow(g, m)
 		if step != nil {
 			step.DecideStep(g, m, cand, slab)
 		} else {

@@ -184,16 +184,16 @@ type randomSource struct {
 // model.Random draws from a generator seeded with seed, slab-carved by a
 // model.Sampler. Like SpaceSource, invalid parameters are rejected here,
 // at construction — the sampler panics on them, and a panic mid-sweep is
-// unrecoverable. The inputs 0..MaxValue may hold at most 2^20 values,
-// the bound a space's value range obeys: a knowledge graph sizes every
-// node's value set by the largest input.
+// unrecoverable. The inputs 0..MaxValue may hold at most 2^20 values
+// (model.ValueLimit), the bound every input obeys: a knowledge graph
+// sizes every node's value set by the largest input.
 func RandomSource(seed int64, count int, p RandomParams) (Source, error) {
 	if p.N < 2 || p.T < 0 || p.T > p.N-1 || p.MaxValue < 0 || p.MaxRound < 1 || count < 0 {
 		return nil, fmt.Errorf("setconsensus: invalid random source (n=%d t=%d maxv=%d maxr=%d count=%d)",
 			p.N, p.T, p.MaxValue, p.MaxRound, count)
 	}
-	if p.MaxValue >= maxValues {
-		return nil, fmt.Errorf("setconsensus: random source inputs 0..%d hold more than %d values", p.MaxValue, maxValues)
+	if p.MaxValue >= model.ValueLimit {
+		return nil, fmt.Errorf("setconsensus: random source inputs 0..%d hold more than %d values", p.MaxValue, model.ValueLimit)
 	}
 	return &randomSource{seed: seed, count: count, p: p}, nil
 }

@@ -3,6 +3,8 @@ package setconsensus_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -387,6 +389,71 @@ func TestDeliveredResultsKeepTheirAdversaries(t *testing.T) {
 		adv := advs[i/len(refs)]
 		if r.Adv() != adv || r.Adversary != adv.String() {
 			t.Fatalf("Sweep result %d holds %s (rendered %s), want %s", i, r.Adv(), r.Adversary, adv)
+		}
+	}
+}
+
+// TestRecycledRandomWindowsMatchFreshSlabs pins the recycled random
+// windows: a folding sweep draws a random stream's windows into each
+// worker's reused arena, growing each graph only as deep as its runs
+// read, and must fold exactly the Summary the fresh-slab path folds —
+// the stream's adversaries materialized, swept by Sweep into full
+// graphs, and added one Result at a time — at one and two workers,
+// under a fixed crash bound and under PatternCrashBound. The counts
+// give windows of one adversary (15 at two workers, 7 at one), where
+// each claim hands out the same pattern slot again, and windows of
+// many. A RandomSource under RangeSource and LimitSource, which draws
+// and discards its prefix, folds its own window's Summary too. Each
+// adversary is counted as exactly one build, revive or patch.
+func TestRecycledRandomWindowsMatchFreshSlabs(t *testing.T) {
+	ctx := context.Background()
+	refs := []string{"optmin", "upmin", "floodmin"}
+	p := setconsensus.RandomParams{N: 6, T: 3, MaxValue: 2, MaxRound: 3}
+	for _, count := range []int{7, 15, 600} {
+		random, err := setconsensus.RandomSource(int64(count), count, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, src := range []setconsensus.Source{
+			random,
+			setconsensus.RangeSource(random, count/3, count/2),
+			setconsensus.LimitSource(setconsensus.RangeSource(random, 1, count), count-2),
+		} {
+			var advs []*setconsensus.Adversary
+			for a := range src.Seq() {
+				advs = append(advs, a)
+			}
+			for _, workers := range []int{1, 2} {
+				for _, tb := range []int{3, setconsensus.PatternCrashBound} {
+					opts := []setconsensus.Option{setconsensus.WithDegree(2), setconsensus.WithCrashBound(tb), setconsensus.WithParallelism(workers)}
+					fresh := setconsensus.New(opts...)
+					results, err := fresh.Sweep(ctx, refs, advs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					golden, err := fresh.NewAggregator(src.Label(), refs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, r := range results {
+						golden.Add(r)
+					}
+					eng := setconsensus.New(opts...)
+					sum, err := eng.SweepSource(ctx, refs, src)
+					if err != nil {
+						t.Fatal(err)
+					}
+					name := fmt.Sprintf("%s workers=%d t=%d", src.Label(), workers, tb)
+					if !reflect.DeepEqual(sum.Protocols, golden.Summary().Protocols) {
+						t.Errorf("%s: recycled windows fold\n%s\nfresh slabs fold\n%s", name,
+							setconsensus.SummaryTable(sum), setconsensus.SummaryTable(golden.Summary()))
+					}
+					st := eng.Stats()
+					if got := st.GraphsRebuilt + st.GraphsRevived + st.GraphsPatched; got != int64(len(advs)) {
+						t.Errorf("%s: %d graphs built, revived or patched for %d adversaries", name, got, len(advs))
+					}
+				}
+			}
 		}
 	}
 }

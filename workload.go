@@ -548,18 +548,16 @@ var defaultWorkloads = func() *WorkloadRegistry {
 	return r
 }()
 
-// maxValues bounds a space's value range. With n ≥ 2 processes, a
-// space of more values holds over 2^40 adversaries per failure pattern,
-// so the range is rejected before its values are materialized: the
-// daemon sizes a job's space at admission, on a reference read from the
-// request.
-const maxValues = 1 << 20
-
 // valueRange returns the values lo, lo+1, ..., hi of a space (lo ≤ hi),
-// or an error when the range holds more than maxValues values.
+// or an error when the range holds more than model.ValueLimit values.
+// With n ≥ 2 processes, a space of more values holds over 2^40
+// adversaries per failure pattern, so the range is rejected before its
+// values are materialized: the daemon sizes a job's space at admission,
+// on a reference read from the request. Values outside
+// 0..model.ValueLimit−1 are the space's to reject (Space.Validate).
 func valueRange(lo, hi int) ([]int, error) {
-	if hi-lo < 0 || hi-lo >= maxValues { // hi−lo overflows, or hi−lo+1 > maxValues
-		return nil, fmt.Errorf("value range %d..%d holds more than %d values", lo, hi, maxValues)
+	if hi-lo < 0 || hi-lo >= model.ValueLimit { // hi−lo overflows, or hi−lo+1 > ValueLimit
+		return nil, fmt.Errorf("value range %d..%d holds more than %d values", lo, hi, model.ValueLimit)
 	}
 	values := make([]int, hi-lo+1)
 	for i := range values {

@@ -172,22 +172,33 @@ func TestWorkloadRegistryRegistration(t *testing.T) {
 	}
 }
 
-// TestRandomInputBound pins the random workload's input bound: inputs
-// 0..maxv may hold at most 2^20 values, as a space's may. A reference
-// over the bound — one adversary whose graph would take about 1.5 GB —
-// fails to parse with an error naming the bound, and allocates little
-// doing so; the largest admissible maxv parses.
+// TestRandomInputBound pins the input bound of the workloads: inputs
+// lie in 0..2^20−1, and the random workload's 0..maxv may hold at most
+// 2^20 values, as a space's may. A reference over the bound — one
+// adversary whose graph would take about 1.5 GB, or, for a space whose
+// one value is 10^9, 503 MB — fails to parse with an error naming the
+// bound, and allocates little doing so, as does a space with a
+// negative value; the largest admissible maxv and value parse.
 func TestRandomInputBound(t *testing.T) {
-	const ref = "random:n=3,t=0,maxv=1000000000,count=1"
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err := setconsensus.ParseWorkload(ref)
-	runtime.ReadMemStats(&after)
-	if err == nil || !strings.Contains(err.Error(), "1048576") {
-		t.Fatalf("ParseWorkload(%q) = %v, want an error naming the 1048576-value bound", ref, err)
+	for _, c := range []struct{ ref, bound string }{
+		{"random:n=3,t=0,maxv=1000000000,count=1", "1048576"},
+		{"space:n=2,t=0,r=1,v=1000000000..1000000000", "1048575"},
+		{"space:n=2,t=0,r=1,v=1048576", "1048575"},
+		{"space:n=2,t=0,r=1,v=-1..0", "1048575"},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := setconsensus.ParseWorkload(c.ref)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), c.bound) {
+			t.Fatalf("ParseWorkload(%q) = %v, want an error naming the bound %s", c.ref, err, c.bound)
+		}
+		if b := after.TotalAlloc - before.TotalAlloc; b > 1<<20 {
+			t.Errorf("rejecting %q allocated %d bytes", c.ref, b)
+		}
 	}
-	if b := after.TotalAlloc - before.TotalAlloc; b > 1<<20 {
-		t.Errorf("rejecting %q allocated %d bytes", ref, b)
+	if _, err := setconsensus.ParseWorkload("space:n=2,t=0,r=1,v=1048575"); err != nil {
+		t.Errorf("v=1048575: %v", err)
 	}
 	if _, err := setconsensus.ParseWorkload("random:n=3,t=0,maxv=1048575,count=1"); err != nil {
 		t.Errorf("maxv=1048575: %v", err)
